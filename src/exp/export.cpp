@@ -71,6 +71,8 @@ std::string diagnostics_json(const SimResults::Diagnostics& diag,
   append_u64(out, "flows_solved", diag.alloc.flows_solved, &first);
   append_u64(out, "components_solved", diag.alloc.components_solved, &first);
   append_u64(out, "dirty_links", diag.alloc.dirty_links, &first);
+  append_u64(out, "waterfill_rounds", diag.alloc.waterfill_rounds, &first);
+  append_u64(out, "live_link_visits", diag.alloc.live_link_visits, &first);
   out += ", \"component_flows\": {";
   first = true;
   const LogHistogram& h = diag.alloc.component_flows;

@@ -27,12 +27,8 @@ AllocatorKind default_allocator_kind() {
 }
 
 void WaterfillScratch::ensure(std::size_t links) {
-  if (link_weight.size() < links) {
-    link_weight.resize(links, 0.0);
-    link_unfrozen.resize(links, 0);
-    link_nflows.resize(links, 0);
-    link_off.resize(links, 0);
-    link_cur.resize(links, 0);
+  if (link_pos.size() < links) {
+    link_pos.resize(links, kNoPos);
     residual.resize(links, 0.0);
     residual_init.resize(links, 0);
   }
@@ -40,108 +36,180 @@ void WaterfillScratch::ensure(std::size_t links) {
 
 namespace {
 
-/// One tier group's progressive filling. `group[0..n)` all share one tier;
-/// `residual` (indexed by LinkId value) must be valid for every link the
-/// group touches and is consumed in place. The arithmetic — including the
-/// bottleneck tolerance clauses — is the original allocator's verbatim, so
-/// rates are bit-identical to the historical implementation whenever the
-/// bottleneck shares are not within one part in 10^12 of each other across
-/// components (exact ties produce the exact same share either way).
-void waterfill_group(SimFlow* const* group, std::size_t n, Rate* residual,
-                     WaterfillScratch& s) {
-  // CSR build, two passes in flow order: count flows per link, assign
-  // slices in first-touch order, fill. Iteration order over both links
-  // (s.touched) and each link's flows (csr slice) matches the old
-  // vector-of-vectors exactly.
-  s.touched.clear();
+/// Work one or more tier groups did, for AllocStats.
+struct KernelWork {
+  std::uint64_t rounds = 0;
+  std::uint64_t live_link_visits = 0;
+};
+
+/// The share a link offers its unfrozen flows — the one expression every
+/// bottleneck comparison uses, evaluated only when a freeze changes its
+/// operands. A link with no unfrozen flow left offers +inf, which the
+/// minimum ignores exactly as it would skip the link.
+double link_share(Rate residual, double weight, std::uint32_t unfrozen) {
+  if (unfrozen == 0) return std::numeric_limits<double>::infinity();
+  return residual / std::max(weight, 1e-300);
+}
+
+/// Rejects flows the kernel cannot fill. Runs before any scratch state is
+/// claimed, so a rejected input leaves the scratch reusable.
+void validate_flows(SimFlow* const* flows, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    SimFlow* f = group[i];
-    GURITA_CHECK_MSG(!f->path.empty(), "active flow with empty path");
-    GURITA_CHECK_MSG(f->weight > 0, "flow weight must be positive");
-    f->rate = 0;
+    GURITA_CHECK_MSG(!flows[i]->path.empty(), "active flow with empty path");
+    GURITA_CHECK_MSG(flows[i]->weight > 0, "flow weight must be positive");
+  }
+}
+
+/// One tier group's progressive filling. `group[0..n)` all share one tier,
+/// passed validate_flows, and `residual` (indexed by LinkId value) must be
+/// valid for every link the group touches and is consumed in place. The
+/// arithmetic — including the bottleneck tolerance clauses — is the
+/// original allocator's verbatim, so rates are bit-identical to the
+/// historical implementation whenever the bottleneck shares are not within
+/// one part in 10^12 of each other across components (exact ties produce
+/// the exact same share either way).
+///
+/// All per-link state lives in position space (WaterfillScratch). Against
+/// the textbook loop that rescans every touched link and divides twice per
+/// visit (tests/waterfill_scan_oracle.h), three things change and none
+/// moves a bit: shares are cached and recomputed, with the same expression
+/// over the same operands, only when a freeze updates their link; links
+/// are visited in the same first-touch order; and a link leaves the live
+/// list once its last flow froze, which only drops visits the scan would
+/// have skipped.
+KernelWork waterfill_group(SimFlow* const* group, std::size_t n,
+                           Rate* residual, WaterfillScratch& s) {
+  std::size_t path_total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    group[i]->rate = 0;
+    path_total += group[i]->path.size();
+  }
+  if (s.off.size() <= path_total) {
+    s.touched.resize(path_total);
+    s.weight.resize(path_total);
+    s.unfrozen.resize(path_total);
+    s.pos_residual.resize(path_total);
+    s.share.resize(path_total);
+    s.off.resize(path_total + 1);
+    s.live.resize(path_total);
+    s.path_pos.resize(path_total);
+    s.csr.resize(path_total);
+  }
+  if (s.path_off.size() < n + 1) s.path_off.resize(n + 1);
+
+  // Build, one pass in flow order: positions in first-touch order, per
+  // position weight and flow count (the initial unfrozen count), each
+  // flow's path as positions.
+  std::uint32_t npos = 0;
+  std::uint32_t k = 0;
+  s.path_off[0] = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const SimFlow* f = group[i];
     for (LinkId l : f->path) {
-      if (s.link_nflows[l.value()] == 0) s.touched.push_back(l);
-      ++s.link_nflows[l.value()];
-      s.link_weight[l.value()] += f->weight;
-      ++s.link_unfrozen[l.value()];
+      std::uint32_t& pos = s.link_pos[l.value()];
+      if (pos == WaterfillScratch::kNoPos) {
+        pos = npos++;
+        s.touched[pos] = l;
+        s.weight[pos] = 0.0;
+        s.unfrozen[pos] = 0;
+      }
+      s.weight[pos] += f->weight;
+      ++s.unfrozen[pos];
+      s.path_pos[k++] = pos;
     }
+    s.path_off[i + 1] = k;
   }
+  // CSR: slice ends by prefix sum, then a reverse fill decrements each end
+  // to its start, leaving every slice's flows in ascending index order.
   std::uint32_t base = 0;
-  for (LinkId l : s.touched) {
-    s.link_off[l.value()] = base;
-    s.link_cur[l.value()] = base;
-    base += s.link_nflows[l.value()];
+  for (std::uint32_t p = 0; p < npos; ++p) {
+    base += s.unfrozen[p];
+    s.off[p] = base;
+    s.pos_residual[p] = residual[s.touched[p].value()];
+    s.share[p] = link_share(s.pos_residual[p], s.weight[p], s.unfrozen[p]);
+    s.live[p] = p;
   }
-  if (s.csr.size() < base) s.csr.resize(base);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (LinkId l : group[i]->path)
-      s.csr[s.link_cur[l.value()]++] = static_cast<std::uint32_t>(i);
+  s.off[npos] = base;
+  for (std::size_t i = n; i-- > 0;) {
+    for (std::uint32_t j = s.path_off[i + 1]; j-- > s.path_off[i];)
+      s.csr[--s.off[s.path_pos[j]]] = static_cast<std::uint32_t>(i);
   }
 
   s.frozen.assign(n, 0);
   std::size_t remaining = n;
+  std::uint32_t nlive = npos;
+  KernelWork work;
 
   // Progressive filling: each round finds the bottleneck share, freezes
   // every flow crossing a bottleneck link, consumes capacity, repeats.
-  // Work per round is O(touched links + flows frozen this round), so the
-  // total is O(rounds * links + flows * path length).
+  // Work per round is O(live links + flows frozen this round).
   while (remaining > 0) {
+    ++work.rounds;
+    work.live_link_visits += nlive;
     double best_share = std::numeric_limits<double>::infinity();
-    for (LinkId l : s.touched) {
-      if (s.link_unfrozen[l.value()] == 0) continue;
-      const double w = std::max(s.link_weight[l.value()], 1e-300);
-      best_share = std::min(best_share, residual[l.value()] / w);
-    }
+    for (std::uint32_t j = 0; j < nlive; ++j)
+      best_share = std::min(best_share, s.share[s.live[j]]);
     GURITA_CHECK_MSG(best_share < std::numeric_limits<double>::infinity(),
                      "unfrozen flows but no carrying link");
     best_share = std::max(best_share, 0.0);
 
     // Freezing a flow preserves the share of every other link it crosses
     // (weight and capacity leave together), so collecting the bottleneck
-    // links once per round is sound.
+    // links once per round is sound. The collect pass compacts the live
+    // list in place, stably: a bottleneck link has no unfrozen flow left
+    // once its slice is frozen, and a link a freeze emptied is dropped the
+    // next time the pass reaches it.
     bool froze_any = false;
-    for (LinkId l : s.touched) {
-      if (s.link_unfrozen[l.value()] == 0) continue;
-      const double w = std::max(s.link_weight[l.value()], 1e-300);
-      if (residual[l.value()] / w > best_share * (1 + 1e-12) &&
-          residual[l.value()] > 1e-9)
+    std::uint32_t kept = 0;
+    for (std::uint32_t j = 0; j < nlive; ++j) {
+      const std::uint32_t p = s.live[j];
+      if (s.unfrozen[p] == 0) continue;
+      if (s.share[p] > best_share * (1 + 1e-12) &&
+          s.pos_residual[p] > 1e-9) {
+        s.live[kept++] = p;
         continue;
-      const std::uint32_t off = s.link_off[l.value()];
-      const std::uint32_t cnt = s.link_nflows[l.value()];
-      for (std::uint32_t k = 0; k < cnt; ++k) {
-        const std::uint32_t idx = s.csr[off + k];
+      }
+      for (std::uint32_t c = s.off[p]; c < s.off[p + 1]; ++c) {
+        const std::uint32_t idx = s.csr[c];
         if (s.frozen[idx]) continue;
-        SimFlow* f = group[idx];
-        f->rate = f->weight * best_share;
+        const double weight = group[idx]->weight;
+        const Rate rate = weight * best_share;
+        group[idx]->rate = rate;
         s.frozen[idx] = 1;
         froze_any = true;
         --remaining;
-        for (LinkId pl : f->path) {
-          s.link_weight[pl.value()] -= f->weight;
-          --s.link_unfrozen[pl.value()];
-          residual[pl.value()] -= f->rate;
-          if (residual[pl.value()] < 0) residual[pl.value()] = 0;
+        for (std::uint32_t e = s.path_off[idx]; e < s.path_off[idx + 1];
+             ++e) {
+          const std::uint32_t q = s.path_pos[e];
+          s.weight[q] -= weight;
+          --s.unfrozen[q];
+          s.pos_residual[q] -= rate;
+          if (s.pos_residual[q] < 0) s.pos_residual[q] = 0;
+          s.share[q] =
+              link_share(s.pos_residual[q], s.weight[q], s.unfrozen[q]);
         }
       }
     }
+    nlive = kept;
     GURITA_CHECK_MSG(froze_any, "waterfill failed to make progress");
   }
 
-  // Reset the per-link accumulators for the next group. link_weight can
-  // carry a floating-point residue from the subtractions above; zero it.
-  for (LinkId l : s.touched) {
-    s.link_weight[l.value()] = 0.0;
-    s.link_unfrozen[l.value()] = 0;
-    s.link_nflows[l.value()] = 0;
+  // Hand the residuals back by LinkId for the next tier group and leave
+  // link_pos all-sentinel for the next group's build.
+  for (std::uint32_t p = 0; p < npos; ++p) {
+    const std::size_t l = s.touched[p].value();
+    residual[l] = s.pos_residual[p];
+    s.link_pos[l] = WaterfillScratch::kNoPos;
   }
-  s.touched.clear();
+  return work;
 }
 
 }  // namespace
 
 void solve_component(const Topology& topo, SimFlow* const* flows,
                      std::size_t n, const std::vector<Rate>& capacities,
-                     WaterfillScratch& scratch) {
+                     WaterfillScratch& scratch, AllocStats* stats) {
+  validate_flows(flows, n);
   scratch.ensure(topo.link_count());
   // Residual capacity, initialized lazily for just this component's links
   // and carried across its tier groups (SPQ: lower tiers consume first).
@@ -153,23 +221,31 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
       scratch.residual_links.push_back(l);
     }
   }
+  KernelWork work;
   std::size_t i = 0;
   while (i < n) {
     const std::size_t start = i;
     const Tier tier = flows[i]->tier;
     while (i < n && flows[i]->tier == tier) ++i;
-    waterfill_group(flows + start, i - start, scratch.residual.data(),
-                    scratch);
+    const KernelWork group = waterfill_group(
+        flows + start, i - start, scratch.residual.data(), scratch);
+    work.rounds += group.rounds;
+    work.live_link_visits += group.live_link_visits;
   }
   for (LinkId l : scratch.residual_links)
     scratch.residual_init[l.value()] = 0;
   scratch.residual_links.clear();
+  if (stats != nullptr) {
+    stats->waterfill_rounds += work.rounds;
+    stats->live_link_visits += work.live_link_visits;
+  }
 }
 
 void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
                std::vector<Rate>& residual) {
   GURITA_CHECK_MSG(residual.size() == topo.link_count(),
                    "residual vector must cover every link");
+  validate_flows(group.data(), group.size());
   WaterfillScratch scratch;
   scratch.ensure(topo.link_count());
   waterfill_group(group.data(), group.size(), residual.data(), scratch);
@@ -246,7 +322,8 @@ void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
 
   WaterfillScratch scratch;
   for (std::vector<SimFlow*>& comp : comps)
-    solve_component(topo, comp.data(), comp.size(), capacities, scratch);
+    solve_component(topo, comp.data(), comp.size(), capacities, scratch,
+                    stats);
 
   if (stats != nullptr) {
     ++stats->allocations;
@@ -466,7 +543,7 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
                   return a->id < b->id;
                 });
       solve_component(*topo_, component_.data(), component_.size(),
-                      capacities, scratch_);
+                      capacities, scratch_, &stats_);
       ++stats_.components_solved;
       stats_.component_flows.add(static_cast<double>(component_.size()));
     }
@@ -502,11 +579,12 @@ std::size_t vec_bytes(const std::vector<T>& v) {
 }  // namespace
 
 std::size_t WaterfillScratch::memory_bytes() const {
-  return vec_bytes(link_weight) + vec_bytes(link_unfrozen) +
-         vec_bytes(link_nflows) + vec_bytes(link_off) + vec_bytes(link_cur) +
-         vec_bytes(csr) + vec_bytes(touched) + vec_bytes(frozen) +
-         vec_bytes(residual) + vec_bytes(residual_init) +
-         vec_bytes(residual_links);
+  return vec_bytes(link_pos) + vec_bytes(residual) +
+         vec_bytes(residual_init) + vec_bytes(residual_links) +
+         vec_bytes(touched) + vec_bytes(weight) + vec_bytes(unfrozen) +
+         vec_bytes(pos_residual) + vec_bytes(share) + vec_bytes(off) +
+         vec_bytes(live) + vec_bytes(path_off) + vec_bytes(path_pos) +
+         vec_bytes(csr) + vec_bytes(frozen);
 }
 
 std::size_t RateAllocator::memory_bytes() const {

@@ -75,6 +75,10 @@ struct AllocStats {
   std::uint64_t flows_solved = 0;      ///< flows passed through the kernel
   std::uint64_t components_solved = 0; ///< components re-converged
   std::uint64_t dirty_links = 0;       ///< frontier size after closure
+  std::uint64_t waterfill_rounds = 0;  ///< progressive-filling rounds
+  /// Live-list entries the rounds' bottleneck scans visited (each round
+  /// scans its live list once for the minimum and once to collect).
+  std::uint64_t live_link_visits = 0;
   /// Distribution of re-converged component sizes (flows per
   /// solve_component call), log2-bucketed. Like the counters above this is
   /// diagnostic only — it surfaces through the --diagnostics export, never
@@ -88,29 +92,46 @@ struct AllocStats {
     flows_solved += other.flows_solved;
     components_solved += other.components_solved;
     dirty_links += other.dirty_links;
+    waterfill_rounds += other.waterfill_rounds;
+    live_link_visits += other.live_link_visits;
     component_flows.merge(other.component_flows);
   }
 };
 
-/// Reusable scratch for the water-filling kernel: per-link accumulators
-/// (sized to the topology, reset via touched-link lists so a solve costs
-/// O(component), not O(links)) plus the CSR flow-list arrays that replace
-/// the old per-link node containers.
+/// Reusable scratch for the water-filling kernel. Only the LinkId-indexed
+/// arrays are sized to the topology; everything a tier group works on lives
+/// in *position space* — a link's position is its index in first-touch
+/// order over the group's flows — so the rounds touch only contiguous
+/// arrays indexed by the group's own links. Position and flow arrays grow
+/// to the largest group seen and are reused; a solve costs O(component),
+/// not O(links).
 struct WaterfillScratch {
-  std::vector<double> link_weight;         ///< sum of unfrozen weights
-  std::vector<std::uint32_t> link_unfrozen;///< count of unfrozen flows
-  std::vector<std::uint32_t> link_nflows;  ///< CSR: flows crossing the link
-  std::vector<std::uint32_t> link_off;     ///< CSR: slice start in `csr`
-  std::vector<std::uint32_t> link_cur;     ///< CSR: fill cursor
-  std::vector<std::uint32_t> csr;          ///< flow indices, link-major
-  std::vector<LinkId> touched;             ///< links used by this group
-  std::vector<char> frozen;                ///< per-flow freeze bit
-  std::vector<Rate> residual;              ///< per-link residual capacity
+  // --- LinkId-indexed (sized by ensure) ---
+  std::vector<std::uint32_t> link_pos;     ///< position, kNoPos outside a group
+  std::vector<Rate> residual;              ///< residual carried across groups
   std::vector<char> residual_init;         ///< residual[l] is initialized
   std::vector<LinkId> residual_links;      ///< links with residual_init set
 
-  /// Sizes the per-link arrays for `links`; values are maintained by the
-  /// kernel's touched-list resets, so this is cheap after the first call.
+  // --- position-indexed (one entry per link the group touches) ---
+  std::vector<LinkId> touched;             ///< position -> link
+  std::vector<double> weight;              ///< sum of unfrozen weights
+  std::vector<std::uint32_t> unfrozen;     ///< count of unfrozen flows
+  std::vector<Rate> pos_residual;          ///< residual, written back at end
+  std::vector<double> share;               ///< residual/weight; +inf once dead
+  std::vector<std::uint32_t> off;          ///< CSR: slice [off[p], off[p+1])
+  std::vector<std::uint32_t> live;         ///< positions with unfrozen flows
+
+  // --- flow-indexed ---
+  /// Flow i's path, as positions, is path_pos[path_off[i], path_off[i+1]).
+  std::vector<std::uint32_t> path_off;
+  std::vector<std::uint32_t> path_pos;
+  std::vector<std::uint32_t> csr;          ///< flow indices, position-major
+  std::vector<char> frozen;                ///< per-flow freeze bit
+
+  static constexpr std::uint32_t kNoPos = 0xffffffffu;
+
+  /// Sizes the LinkId-indexed arrays for `links`; values are maintained by
+  /// the kernel's touched-list resets, so this is cheap after the first call.
   void ensure(std::size_t links);
 
   /// Reserved bytes across all scratch arrays (obs/memory.h accounting).
@@ -120,10 +141,11 @@ struct WaterfillScratch {
 /// Solves one link-connected component: `flows[0..n)` sorted by (tier, id),
 /// tier groups filled in order with each group consuming the residual the
 /// previous groups left (SPQ). Residual capacity starts at `capacities` for
-/// every link the component touches. Writes flow rates.
+/// every link the component touches. Writes flow rates. When `stats` is
+/// non-null the kernel's rounds and live-link visits are added to it.
 void solve_component(const Topology& topo, SimFlow* const* flows,
                      std::size_t n, const std::vector<Rate>& capacities,
-                     WaterfillScratch& scratch);
+                     WaterfillScratch& scratch, AllocStats* stats);
 
 /// Computes and writes `rate` for every flow in `flows` (all must be
 /// active, with non-empty paths). Rates of flows not in `flows` are not

@@ -217,6 +217,9 @@ TEST(Waterfill, EmptyGroupIsNoop) {
   LineFixture fx;
   std::vector<SimFlow*> ptrs;
   EXPECT_NO_THROW(allocate_rates(fx.topo, ptrs));
+  std::vector<Rate> residual = {100.0, 100.0};
+  EXPECT_NO_THROW(waterfill(fx.topo, ptrs, residual));
+  EXPECT_EQ(residual, (std::vector<Rate>{100.0, 100.0}));
 }
 
 TEST(Waterfill, PureFunctionOfFlowSet) {

@@ -2,6 +2,8 @@
 // factor, plus the text table reporter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "metrics/category.h"
 #include "metrics/collector.h"
 #include "metrics/report.h"
@@ -11,10 +13,14 @@ namespace {
 
 // ------------------------------------------------------------- categories
 
+// gtest_discover_tests names each case after the object's raw bytes, so the
+// struct must have no padding: uninitialised padding made the names vary
+// with the build directory.
 struct CategoryCase {
   Bytes size;
-  int expected;
+  std::int64_t expected;
 };
+static_assert(sizeof(CategoryCase) == sizeof(Bytes) + sizeof(std::int64_t));
 
 class CategoryBoundaries : public ::testing::TestWithParam<CategoryCase> {};
 
