@@ -14,9 +14,9 @@
 // Leg 2 (network): the fabric scenarios of bench_fig6 have no exact
 // optimum, but src/bound/ gives a *sound lower bound* on the average JCT
 // (port-load critical path + per-port SRPT ordering relaxation) plus a
-// Shafiee–Ghaderi-style achievable reference. Every registry scheduler —
-// including `adaptive` — is scored as achieved/bound per Table-1 job-size
-// category and per narrow/wide class.
+// Shafiee–Ghaderi-style achievable reference. Every registry scheduler is
+// scored as achieved/bound per Table-1 job-size category and per
+// narrow/wide class.
 //
 // Guards (nonzero exit): the TBS anchor must stay exactly 1.000, and every
 // gap cell must be sound (bound <= achieved).

@@ -113,14 +113,14 @@ int main(int argc, char** argv) {
     std::vector<std::string> taken;
     const Clock::time_point start = Clock::now();
     for (int i = 1; i <= checkpoints; ++i) {
-      (void)sim.run_until(makespan * i / (checkpoints + 1));
+      (void)sim.run_to(makespan * i / (checkpoints + 1));
       const Clock::time_point snap_start = Clock::now();
       snapshot::Writer w;
       sim.checkpoint(w);
       taken.push_back(w.take());
       serialize += seconds_since(snap_start);
     }
-    const SimResults results = sim.finish();
+    const SimResults results = sim.run();
     const double elapsed = seconds_since(start);
     if (rep == 0 || elapsed < checkpointed_seconds) {
       checkpointed_seconds = elapsed;
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     snapshot::Reader r(snapshots[i]);
     sim.restore(r);
     deserialize_seconds += seconds_since(start);
-    if (i == snapshots.size() / 2) resumed = results_bytes(sim.finish());
+    if (i == snapshots.size() / 2) resumed = results_bytes(sim.run());
   }
 
   const bool identical = checkpointed == reference && resumed == reference;

@@ -1,5 +1,7 @@
 #include "exp/experiment.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -17,17 +19,26 @@ bool file_exists(const std::string& path) {
   return std::ifstream(path, std::ios::binary).good();
 }
 
-/// Runs `sim` to completion under the checkpoint policy: snapshot every
+/// Runs `sim` to completion under the checkpoint policy: pause every
 /// `every` simulated seconds (counting from the simulator's current time,
-/// so a resumed run keeps its own cadence), halt deliberately after
-/// `halt_after` snapshots when asked. Pausing and checkpointing are
-/// invisible to the simulation — step boundaries are exact, checkpoint() is
+/// so a resumed run keeps its own cadence) and snapshot, halt deliberately
+/// after `halt_after` snapshots when asked. Pausing and checkpointing are
+/// invisible to the simulation — run_to() pauses are exact, checkpoint() is
 /// const — so the returned results match an uninterrupted run() bit for bit.
 SimResults run_checkpointed(Simulator& sim,
                             const ExperimentConfig::CheckpointOptions& opts,
                             const std::string& ckpt_path) {
   int snapshots = 0;
-  while (sim.run_until(sim.now() + opts.every)) {
+  Time bound = sim.now();
+  for (;;) {
+    // run_to() makes no progress while the next event lies at or beyond
+    // the bound, so the bound ratchets forward on its own: an idle gap
+    // longer than `every` then costs a few empty slices, never a hang.
+    const std::uint64_t events = sim.partial_results().events;
+    bound = std::max(bound, sim.now()) + opts.every;
+    if (!sim.run_to(bound)) break;
+    // A slice that processed no event is neither snapshot nor counted.
+    if (sim.partial_results().events == events) continue;
     snapshot::Writer w;
     sim.checkpoint(w);
     snapshot::write_snapshot_file(ckpt_path, w.buffer());
@@ -37,7 +48,7 @@ SimResults run_checkpointed(Simulator& sim,
                                   std::to_string(snapshots) +
                                   " snapshot(s); resume from " + ckpt_path);
   }
-  return sim.finish();
+  return sim.run();
 }
 
 }  // namespace
@@ -76,7 +87,8 @@ SimResults run_one(const ExperimentConfig& config,
     // cache holds the byte-identical SimResults, trace included, minus the
     // wall-clock profile — snapshot/snapshot.h).
     if (config.checkpoint.resume && file_exists(done_path)) {
-      snapshot::Reader r(snapshot::read_snapshot_file(done_path));
+      const std::string bytes = snapshot::read_snapshot_file(done_path);
+      snapshot::Reader r(bytes);
       if (snapshot::read_header(r) != snapshot::PayloadKind::kResultsCache)
         throw snapshot::SnapshotError(done_path +
                                       " is not a results cache snapshot");
@@ -125,25 +137,18 @@ SimResults run_one(const ExperimentConfig& config,
   }
   Simulator sim(fabric, scheduler, sim_config);
   for (const JobSpec& job : jobs) sim.submit(job);
-  SimResults results;
-  if (checkpointing) {
+  if (checkpointing && config.checkpoint.resume && file_exists(ckpt_path)) {
     // Mid-flight resume: rebuild the simulator from the same inputs (done
     // above), then overwrite its dynamic state from the snapshot. The
     // embedded fingerprint rejects artifacts from a different workload.
-    const bool resuming =
-        config.checkpoint.resume && file_exists(ckpt_path);
-    if (resuming) {
-      const std::string bytes = snapshot::read_snapshot_file(ckpt_path);
-      snapshot::Reader r(bytes);
-      sim.restore(r);
-    }
-    if (config.checkpoint.every > 0)
-      results = run_checkpointed(sim, config.checkpoint, ckpt_path);
-    else
-      results = resuming ? sim.finish() : sim.run();
-  } else {
-    results = sim.run();
+    const std::string bytes = snapshot::read_snapshot_file(ckpt_path);
+    snapshot::Reader r(bytes);
+    sim.restore(r);
   }
+  SimResults results =
+      checkpointing && config.checkpoint.every > 0
+          ? run_checkpointed(sim, config.checkpoint, ckpt_path)
+          : sim.run();
   if (config.obs.trace || timeline) results.trace = recorder.take();
   if (config.obs.profile || config.obs.spans)
     results.profile = profiler.snapshot();

@@ -4,7 +4,6 @@
 #include "core/gurita.h"
 #include "core/gurita_plus.h"
 #include "sched/aalo.h"
-#include "sched/adaptive.h"
 #include "sched/baraat.h"
 #include "sched/mcs.h"
 #include "sched/pfs.h"
@@ -15,8 +14,8 @@ namespace gurita {
 
 const std::vector<std::string>& scheduler_names() {
   static const std::vector<std::string> names = {
-      "pfs",    "baraat",      "stream", "aalo", "gurita",
-      "gurita_plus", "varys", "mcs",    "adaptive"};
+      "pfs",    "baraat",      "stream", "aalo",
+      "gurita", "gurita_plus", "varys",  "mcs"};
   return names;
 }
 
@@ -29,17 +28,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
   if (name == "gurita_plus") return std::make_unique<GuritaPlusScheduler>();
   if (name == "varys") return std::make_unique<VarysScheduler>();
   if (name == "mcs") return std::make_unique<McsScheduler>();
-  if (name == "adaptive") {
-    // Child order is part of the adaptive contract (and of its checkpoint
-    // layout): 0 = gurita (deep / fault pressure), 1 = stream (shallow),
-    // 2 = baraat (shallow + bursty).
-    std::vector<std::unique_ptr<Scheduler>> children;
-    children.push_back(std::make_unique<GuritaScheduler>());
-    children.push_back(std::make_unique<StreamScheduler>());
-    children.push_back(std::make_unique<BaraatScheduler>());
-    return std::make_unique<AdaptiveScheduler>(AdaptiveScheduler::Config{},
-                                               std::move(children));
-  }
   GURITA_CHECK_MSG(false, "unknown scheduler: " + name);
   return nullptr;  // unreachable
 }

@@ -169,7 +169,7 @@ Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
 }
 
 JobId Simulator::submit(const JobSpec& spec) {
-  GURITA_CHECK_MSG(!ran_, "submit after run()");
+  GURITA_CHECK_MSG(!prepared_, "submit after run()");
   validate(spec, fabric_->num_hosts());
   return register_job(spec);
 }
@@ -457,12 +457,10 @@ void Simulator::arrive_job(SimJob& job) {
 
 // --- run-loop decomposition --------------------------------------------------
 //
-// run() used to be one monolithic loop; it is now prepare() + step()* +
-// collect() with every loop-carried local hoisted into a member, so the loop
-// can pause between iterations (run_until), be serialized (checkpoint) and
-// continue in another process (restore + finish) with byte-identical
-// results. The bodies below are the old run() verbatim, modulo the member
-// renames — behaviour is bit-for-bit unchanged.
+// A run is prepare() + step()* + collect() with every loop-carried value in
+// a member, so the loop can pause at a horizon (run_to), be serialized
+// (checkpoint) and continue in another process (restore + run) with
+// byte-identical results.
 
 void Simulator::prepare_structures() {
   // Hand the recorder to the scheduler so its decision records (queue
@@ -510,10 +508,8 @@ void Simulator::prepare_structures() {
 }
 
 void Simulator::prepare() {
-  GURITA_CHECK_MSG(!ran_, "run() called twice");
   GURITA_CHECK_MSG(config_.sampler == nullptr || config_.trace != nullptr,
                    "interval sampler requires a trace recorder");
-  ran_ = true;
   prepared_ = true;
   if (config_.sampler != nullptr) config_.sampler->start_wall();
   obs::PhaseProfiler* prof = config_.profiler;
@@ -952,25 +948,10 @@ SimResults Simulator::collect() {
 }
 
 SimResults Simulator::run() {
-  prepare();
-  while (pending()) step();
-  return collect();
-}
-
-bool Simulator::run_until(Time deadline) {
   if (!prepared_) prepare();
-  GURITA_CHECK_MSG(!collected_, "run_until after results were collected");
-  while (pending() && now_ < deadline) step();
-  return pending();
-}
-
-SimResults Simulator::finish() {
-  GURITA_CHECK_MSG(prepared_, "finish() before run_until()/restore()");
-  while (pending()) step();
+  (void)run_to(std::numeric_limits<Time>::infinity());
   return collect();
 }
-
-// --- open-horizon extension (streaming admission; DESIGN.md §15) -------------
 
 bool Simulator::run_to(Time bound) {
   if (!prepared_) prepare();
@@ -982,6 +963,8 @@ bool Simulator::run_to(Time bound) {
   paused_at_horizon_ = false;
   return pending();
 }
+
+// --- open-horizon extension (streaming admission; DESIGN.md §15) -------------
 
 JobId Simulator::admit(const JobSpec& spec) {
   GURITA_CHECK_MSG(prepared_ && !collected_,

@@ -303,7 +303,7 @@ class Simulator {
 
   /// Open-horizon admission: registers a job *while the run is open*
   /// (after prepare()/restore(), before results were collected). Legal only
-  /// at an event boundary — between run_to()/run_until() calls. The job's
+  /// at an event boundary — between run_to() calls. The job's
   /// arrival_time may lie at or after now(); an arrival at or before now()
   /// is processed by the next event at the current clock. Grows the flow
   /// store when needed (re-pointing the active set and rebuilding the
@@ -311,14 +311,17 @@ class Simulator {
   /// Returns the assigned job id.
   JobId admit(const JobSpec& job);
 
-  /// Open-horizon drive: processes every event with time strictly below
-  /// `bound`, then pauses *before* the first event at or beyond it (the
-  /// iteration is rolled back, so a paused+resumed run counts exactly the
-  /// events an uninterrupted one does). Pausing never perturbs the run:
-  /// admit() at the pause point behaves as if the job had been submitted up
-  /// front, and checkpoint() captures the boundary losslessly. With `bound`
-  /// = +infinity this is exactly finish()'s drain loop (no pause). Returns
-  /// true while work remains.
+  /// The one pause primitive: processes every event with time strictly
+  /// below `bound`, then pauses in the step that would advance the clock
+  /// to or beyond it — after that step's allocation at the current clock,
+  /// before the clock moves (the iteration is rolled back, so a
+  /// paused+resumed run counts exactly the events an uninterrupted one
+  /// does). Makes no progress when the next event lies at or beyond
+  /// `bound`, so callers slicing time ratchet the bound forward. Pausing
+  /// never perturbs the run: admit() at the pause point behaves as if the
+  /// job had been submitted up front, and checkpoint() captures the
+  /// boundary losslessly. With `bound` = +infinity it drains the run (no
+  /// pause). Returns true while work remains.
   bool run_to(Time bound);
 
   /// Outcome of one compact() pass: the evicted jobs' results, harvested
@@ -348,22 +351,11 @@ class Simulator {
   /// tombstones are dropped instead of popped).
   Compaction compact();
 
-  /// Runs to completion of all submitted jobs and returns the results.
-  /// May be called once.
+  /// Runs every remaining event and returns the results: run_to(+infinity)
+  /// then collect. Serves a fresh run, one paused by run_to() and one
+  /// rebuilt by restore() alike; any sequence of run_to() pauses followed
+  /// by run() is byte-identical to a single run(). May be called once.
   SimResults run();
-
-  /// Partial drive: processes events until the clock reaches `deadline` (or
-  /// all work completes). Returns true while events remain. The pause point
-  /// is always an event boundary — the top of the main loop — so the
-  /// simulator state between run_until calls is exactly the state an
-  /// uninterrupted run() passes through, and checkpoint() at that boundary
-  /// captures it losslessly. run_until + finish() is byte-identical to a
-  /// single run().
-  bool run_until(Time deadline);
-
-  /// Drains the remaining events after run_until()/restore() and returns
-  /// the results, exactly as run() would have. May be called once.
-  SimResults finish();
 
   /// Current simulation clock (the time of the last processed event).
   [[nodiscard]] Time now() const { return now_; }
@@ -391,7 +383,7 @@ class Simulator {
   /// aggregates, flow progress, parked/retry fault state, fault-plan
   /// cursor, partial result counters, the attached trace recorder's buffer
   /// and the scheduler's policy state (Scheduler::save_state) — into `w`.
-  /// Must be called at an event boundary (between run_until calls); const,
+  /// Must be called at an event boundary (a run_to() pause); const,
   /// so checkpointing never perturbs the run. Implemented in
   /// snapshot/snapshot.cpp (link gurita_snapshot to use it).
   void checkpoint(snapshot::Writer& w) const;
@@ -402,16 +394,12 @@ class Simulator {
   /// one (the snapshot carries a fingerprint and throws SnapshotError on a
   /// mismatch) — the snapshot holds dynamic state only, so static structure
   /// (topology, specs, routes) is reconstructed from those inputs. After
-  /// restore, run_until()/finish() continue byte-identically to the
+  /// restore, run_to()/run() continue byte-identically to the
   /// uninterrupted run. Implemented in snapshot/snapshot.cpp.
   void restore(snapshot::Reader& r);
 
   [[nodiscard]] const SimState& state() const { return state_; }
 
-  /// Which allocator this run drives (Config::allocator).
-  [[nodiscard]] AllocatorKind allocator_kind() const {
-    return config_.allocator;
-  }
   /// Allocator work counters (flowsim/allocator.h). Diagnostic only —
   /// deliberately not part of SimResults: a restored run re-solves
   /// everything on its first allocation, so these differ between a resumed
@@ -442,7 +430,6 @@ class Simulator {
   Scheduler* scheduler_;
   Config config_;
   SimState state_;
-  bool ran_ = false;
   /// prepare() (or restore()) has initialized the run-loop state.
   bool prepared_ = false;
   /// collect() has harvested the results; the simulator is spent.

@@ -244,6 +244,14 @@ struct Daemon::Impl {
   void validate() {
     std::vector<ConfigError::Issue> issues;
     const DaemonOptions& o = options_;
+    const std::vector<std::string>& names = scheduler_names();
+    if (std::find(names.begin(), names.end(), o.scheduler) == names.end()) {
+      std::string valid;
+      for (const std::string& name : names)
+        valid += (valid.empty() ? "" : ", ") + name;
+      issues.push_back({"scheduler", "unknown scheduler \"" + o.scheduler +
+                                         "\" (valid: " + valid + ")"});
+    }
     if (o.queue_capacity < 1)
       issues.push_back({"queue_capacity", "must be at least 1"});
     if (o.wait_window < 1)

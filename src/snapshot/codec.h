@@ -86,10 +86,13 @@ class Writer {
 };
 
 /// Consumes a byte buffer written by Writer. Every read is bounds-checked;
-/// overruns throw SnapshotError instead of reading garbage.
+/// overruns throw SnapshotError instead of reading garbage. The reader only
+/// views the buffer, which must outlive it.
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
+  /// A temporary string would die before the first read.
+  explicit Reader(std::string&&) = delete;
 
   [[nodiscard]] std::uint8_t u8() {
     need(1);

@@ -161,7 +161,7 @@ class SnapshotCodec {
     const std::size_t token = w.begin_section();
     w.f64(s.now_);
     w.boolean(s.dirty_);
-    // Horizon-pause carry flags (run_to): a daemon checkpoint lands at a
+    // Horizon-pause carry flags (run_to): every checkpoint lands at a
     // pause boundary, where the ramp-refresh mark and dirty-entry
     // accounting of the rolled-back event are still pending.
     w.boolean(s.pending_ramp_);
@@ -488,15 +488,14 @@ class SnapshotCodec {
 
 void Simulator::checkpoint(snapshot::Writer& w) const {
   GURITA_CHECK_MSG(prepared_ && !collected_,
-                   "checkpoint() outside a paused run (use run_until first)");
+                   "checkpoint() outside a paused run (use run_to first)");
   snapshot::write_header(w, snapshot::PayloadKind::kSimulatorState);
   SnapshotCodec::save_fingerprint(*this, w);
   SnapshotCodec::save(*this, w);
 }
 
 void Simulator::restore(snapshot::Reader& r) {
-  GURITA_CHECK_MSG(!prepared_ && !ran_,
-                   "restore() into a simulator that already ran");
+  GURITA_CHECK_MSG(!prepared_, "restore() into a simulator that already ran");
   const snapshot::PayloadKind kind = snapshot::read_header(r);
   if (kind != snapshot::PayloadKind::kSimulatorState)
     throw snapshot::SnapshotError("not a simulator-state snapshot");
@@ -516,7 +515,6 @@ void Simulator::restore(snapshot::Reader& r) {
   // byte-identical to the cached rates an uninterrupted run carries,
   // because allocation is a pure function of (flows, tiers, weights, caps).
   alloc_.rebuild(active_);
-  ran_ = true;
   prepared_ = true;
   // Wall deltas restart from the resume point (wall state is not part of
   // the snapshot; only sim-time samples are deterministic).

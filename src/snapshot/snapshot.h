@@ -4,9 +4,9 @@
 // event calendar (verbatim heap array, tombstones included), per-coflow
 // aggregates, flow progress, parked/retry fault state, fault-plan cursor,
 // partial result counters, the trace recorder's buffer and the scheduler's
-// policy state — at an event boundary, such that
+// policy state — at a run_to() pause, such that
 //
-//     run_until(T); checkpoint; [new process] restore; finish()
+//     run_to(T); checkpoint; [new process] restore; run()
 //
 // is byte-identical (JCTs, counters, traces, exports) to an uninterrupted
 // run(). Static structure (topology, job specs, routes, sorted fault plan)

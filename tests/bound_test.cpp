@@ -303,7 +303,7 @@ TEST(GapReport, JsonIsDeterministicAndCarriesTheScenario) {
 TEST(BoundDeterminism, GapReportByteIdenticalAcrossWorkerCounts) {
   ExperimentConfig config = trace_scenario(StructureKind::kFbTao, 12, 5);
   config.fat_tree_k = 4;
-  const std::vector<std::string> names = {"gurita", "stream", "adaptive"};
+  const std::vector<std::string> names = {"gurita", "stream", "baraat"};
   constexpr int kSeeds = 3;
 
   // The pooled populations concatenate in replicate order; rebuild the

@@ -91,7 +91,7 @@ TEST(UmbrellaHeader, ExposesTheWholeApi) {
   (void)sizeof(JctCollector);
   (void)sizeof(CctCollector);
   EXPECT_EQ(category_of(10 * kMB), 0);
-  EXPECT_EQ(scheduler_names().size(), 9u);
+  EXPECT_EQ(scheduler_names().size(), 8u);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ ExperimentConfig tiny_experiment(StructureKind structure,
 }
 
 TEST(Registry, KnowsAllSchedulers) {
-  EXPECT_EQ(scheduler_names().size(), 9u);
+  EXPECT_EQ(scheduler_names().size(), 8u);
   for (const std::string& name : scheduler_names()) {
     const auto sched = make_scheduler(name);
     ASSERT_NE(sched, nullptr);

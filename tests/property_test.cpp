@@ -11,6 +11,8 @@
 //   P6  Determinism: identical seeds give identical schedules.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "coflow/critical_path.h"
 #include "coflow/shapes.h"
 #include "exp/registry.h"
@@ -20,16 +22,24 @@
 namespace gurita {
 namespace {
 
+// gtest_discover_tests names each case after the object's raw bytes, so the
+// struct must hold no pointer and no padding: a std::string member put its
+// heap address into the names, which then changed on every build.
 struct PropertyParams {
   std::uint64_t seed;
-  std::string scheduler;
+  char scheduler[32];
 };
+static_assert(sizeof(PropertyParams) == sizeof(std::uint64_t) + 32);
 
 std::vector<PropertyParams> make_params() {
   std::vector<PropertyParams> params;
   for (std::uint64_t seed = 0; seed < 6; ++seed)
-    for (const std::string& name : scheduler_names())
-      params.push_back({seed, name});
+    for (const std::string& name : scheduler_names()) {
+      PropertyParams p{seed, {}};
+      if (name.size() >= sizeof(p.scheduler)) throw std::length_error(name);
+      name.copy(p.scheduler, name.size());
+      params.push_back(p);
+    }
   return params;
 }
 
@@ -139,7 +149,7 @@ TEST_P(EngineProperties, DeterministicReplay) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsTimesSchedulers, EngineProperties, ::testing::ValuesIn(make_params()),
     [](const ::testing::TestParamInfo<PropertyParams>& info) {
-      return info.param.scheduler + "_seed" + std::to_string(info.param.seed);
+      return std::string(info.param.scheduler) + "_seed" + std::to_string(info.param.seed);
     });
 
 }  // namespace

@@ -150,6 +150,7 @@ TEST(ServiceOptions, ValidationAggregatesEveryIssue) {
   bad.watermarks.active_flows_high = 4;   // high < low: nonsense ordering
   bad.watermarks.active_flows_low = 8;
   bad.checkpoint_every = 0.5;             // cadence without a path
+  bad.scheduler = "adaptive";             // not a registry name
   try {
     Daemon daemon(std::move(bad));
     FAIL() << "contradictory options must throw";
@@ -158,6 +159,10 @@ TEST(ServiceOptions, ValidationAggregatesEveryIssue) {
     EXPECT_NE(what.find("queue_capacity"), std::string::npos) << what;
     EXPECT_NE(what.find("active_flows"), std::string::npos) << what;
     EXPECT_NE(what.find("checkpoint"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown scheduler \"adaptive\""),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("gurita_plus"), std::string::npos) << what;
   }
 }
 

@@ -223,7 +223,7 @@ SimResults run_split(const Scenario& s, Time split) {
     const std::unique_ptr<Scheduler> sched = make_scheduler(s.scheduler);
     Simulator sim(s.fabric, *sched, config);
     for (const JobSpec& job : s.jobs) sim.submit(job);
-    (void)sim.run_until(split);
+    (void)sim.run_to(split);
     snapshot::Writer w;
     sim.checkpoint(w);
     bytes = w.take();
@@ -236,7 +236,7 @@ SimResults run_split(const Scenario& s, Time split) {
   for (const JobSpec& job : s.jobs) sim.submit(job);
   snapshot::Reader r(bytes);
   sim.restore(r);
-  SimResults results = sim.finish();
+  SimResults results = sim.run();
   if (s.with_trace) results.trace = recorder.take();
   return results;
 }
@@ -351,9 +351,10 @@ TEST(SnapshotRoundTrip, MidFaultParkAndMidRetryBackoff) {
     // The scenario really does abort and retry.
     EXPECT_GE(reference.flow_aborts, 1u) << name;
     EXPECT_GE(reference.flow_retries, 1u) << name;
-    // Pause right after the crash (flow parked), right after the recovery
-    // (retry scheduled, not yet fired), and after the restart.
-    expect_split_invariant(s, {2.0, 6.0, 8.0}, reference);
+    // run_to(T) pauses before the event at T: just before the crash, just
+    // before the recovery (flow parked), inside the backoff window (retry
+    // scheduled, not yet fired), and after the restart.
+    expect_split_invariant(s, {2.0, 6.0, 6.25, 8.0}, reference);
   }
 }
 
@@ -428,7 +429,7 @@ SimResults run_timeline(const Fabric& fabric, const std::vector<JobSpec>& jobs,
     const std::unique_ptr<Scheduler> sched = make_scheduler("gurita");
     Simulator sim(fabric, *sched, config);
     for (const JobSpec& job : jobs) sim.submit(job);
-    (void)sim.run_until(*split);
+    (void)sim.run_to(*split);
     snapshot::Writer w;
     sim.checkpoint(w);
     bytes = w.take();
@@ -441,14 +442,11 @@ SimResults run_timeline(const Fabric& fabric, const std::vector<JobSpec>& jobs,
   const std::unique_ptr<Scheduler> sched = make_scheduler("gurita");
   Simulator sim(fabric, *sched, config);
   for (const JobSpec& job : jobs) sim.submit(job);
-  SimResults results;
   if (split != nullptr) {
     snapshot::Reader r(bytes);
     sim.restore(r);
-    results = sim.finish();
-  } else {
-    results = sim.run();
   }
+  SimResults results = sim.run();
   results.trace = recorder.take();
   return results;
 }
@@ -501,7 +499,7 @@ TEST(SnapshotRestore, RejectsMismatchedSampler) {
   const std::unique_ptr<Scheduler> sched = make_scheduler("gurita");
   Simulator sim(fabric, *sched, config);
   for (const JobSpec& job : jobs) sim.submit(job);
-  (void)sim.run_until(0.1);
+  (void)sim.run_to(0.1);
   snapshot::Writer w;
   sim.checkpoint(w);
   const std::string bytes = w.take();
@@ -538,7 +536,7 @@ TEST(SnapshotRestore, RejectsMismatchedWorkload) {
   const std::unique_ptr<Scheduler> sched = make_scheduler("gurita");
   Simulator sim(fabric, *sched, s.sim_config);
   for (const JobSpec& job : jobs) sim.submit(job);
-  (void)sim.run_until(0.0);
+  (void)sim.run_to(0.0);
   snapshot::Writer w;
   sim.checkpoint(w);
   const std::string bytes = w.take();
@@ -683,38 +681,58 @@ void expect_same_comparison(const ComparisonResult& a,
   }
 }
 
-ExperimentConfig checkpointed_scenario(const std::string& dir) {
+ExperimentConfig small_scenario() {
   ExperimentConfig config = trace_scenario(StructureKind::kMixed, 12, 5);
   config.fat_tree_k = 4;
   config.obs.trace = true;
-  config.checkpoint.every = 0.05;
-  config.checkpoint.dir = dir;
+  return config;
+}
+
+/// Arrivals one at a time, 200 checkpoint periods apart, of category-I
+/// jobs that finish long before the next arrival: the fabric sits idle
+/// through each gap, so the checkpoint driver must ratchet its bound
+/// across it instead of waiting for run_to() to make progress.
+ExperimentConfig idle_gap_scenario() {
+  ExperimentConfig config = small_scenario();
+  config.trace.arrivals = ArrivalPattern::kBursty;
+  config.trace.burst_size = 1;
+  config.trace.burst_gap = 200 * 0.05;
+  config.trace.category_weights = {1, 0, 0, 0, 0, 0, 0};
   return config;
 }
 
 TEST(SnapshotDeterminism, HaltedRunResumesByteIdentical) {
   const std::vector<std::string> names = {"gurita", "aalo"};
-  ExperimentConfig baseline = trace_scenario(StructureKind::kMixed, 12, 5);
-  baseline.fat_tree_k = 4;
-  baseline.obs.trace = true;
-  const ComparisonResult want = compare_schedulers(baseline, names);
+  int input = 0;
+  for (const ExperimentConfig& baseline :
+       {small_scenario(), idle_gap_scenario()}) {
+    SCOPED_TRACE("input " + std::to_string(input));
+    const ComparisonResult want = compare_schedulers(baseline, names);
 
-  const std::string dir = ::testing::TempDir() + "gurita_snapshot_halt_test";
-  std::filesystem::remove_all(dir);
-  ExperimentConfig halted = checkpointed_scenario(dir);
-  halted.checkpoint.halt_after = 1;
-  EXPECT_THROW((void)compare_schedulers(halted, names, "cell0"),
-               snapshot::HaltedError);
+    const std::string dir = ::testing::TempDir() +
+                            "gurita_snapshot_halt_test" +
+                            std::to_string(input++);
+    std::filesystem::remove_all(dir);
+    ExperimentConfig checkpointed = baseline;
+    checkpointed.checkpoint.every = 0.05;
+    checkpointed.checkpoint.dir = dir;
 
-  ExperimentConfig resumed = checkpointed_scenario(dir);
-  resumed.checkpoint.resume = true;
-  const ComparisonResult got = compare_schedulers(resumed, names, "cell0");
-  expect_same_comparison(got, want);
+    ExperimentConfig halted = checkpointed;
+    halted.checkpoint.halt_after = 1;
+    EXPECT_THROW((void)compare_schedulers(halted, names, "cell0"),
+                 snapshot::HaltedError);
 
-  // A second resume short-circuits through the .done caches and still
-  // reports the identical bytes.
-  const ComparisonResult cached = compare_schedulers(resumed, names, "cell0");
-  expect_same_comparison(cached, want);
+    ExperimentConfig resumed = checkpointed;
+    resumed.checkpoint.resume = true;
+    const ComparisonResult got = compare_schedulers(resumed, names, "cell0");
+    expect_same_comparison(got, want);
+
+    // A second resume short-circuits through the .done caches and still
+    // reports the identical bytes.
+    const ComparisonResult cached =
+        compare_schedulers(resumed, names, "cell0");
+    expect_same_comparison(cached, want);
+  }
 }
 
 TEST(SnapshotDeterminism, HaltResumeSweepByteIdenticalAcrossWorkerCounts) {
