@@ -60,11 +60,19 @@ void BM_Waterfill(benchmark::State& state) {
     f.tier = i % 4;
     f.weight = 1.0;
   }
+  std::vector<SimFlow*> ptrs;
+  ptrs.reserve(flows.size());
+  for (auto& f : flows) ptrs.push_back(&f);
+  std::vector<Rate> capacities(ft.topology().link_count());
+  for (std::size_t l = 0; l < capacities.size(); ++l)
+    capacities[l] = ft.topology().link(LinkId{l}).capacity;
+  // A full solve through the engine's allocator: every flow arrives, so
+  // the first allocate() re-solves every component.
+  RateAllocator alloc;
   for (auto _ : state) {
-    std::vector<SimFlow*> ptrs;
-    ptrs.reserve(flows.size());
-    for (auto& f : flows) ptrs.push_back(&f);
-    allocate_rates(ft.topology(), ptrs);
+    alloc.reset(&ft.topology(), flows.size());
+    for (SimFlow* f : ptrs) alloc.add_flow(f);
+    alloc.allocate(capacities, ptrs, nullptr, nullptr);
     benchmark::DoNotOptimize(flows[0].rate);
   }
 }

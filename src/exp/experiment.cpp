@@ -120,7 +120,6 @@ SimResults run_one(const ExperimentConfig& config,
       /*memory=*/true, config.obs.timeline_wall});
   obs::MemoryAccountant accountant;
   Simulator::Config sim_config;
-  sim_config.allocator = config.allocator;
   sim_config.recycle = &arena.sim_buffers();
   if (config.obs.trace || timeline) sim_config.trace = &recorder;
   if (config.obs.profile || config.obs.spans)

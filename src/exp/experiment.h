@@ -21,10 +21,6 @@ struct ExperimentConfig {
   Rate link_capacity = gbps(10.0); ///< 10G switches
   TraceConfig trace;
   std::uint64_t ecmp_salt = 0;
-  /// Rate allocator the runs drive (flowsim/allocator.h); results are
-  /// byte-identical either way — the oracle exists for differential
-  /// testing and the ALLOCATOR=oracle CI leg.
-  AllocatorKind allocator = default_allocator_kind();
 
   /// Telemetry switches (obs/). All default off, so the hot path keeps its
   /// zero-cost contract; bench drivers flip them from --trace / --profile /

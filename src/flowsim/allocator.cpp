@@ -77,8 +77,13 @@ void validate_flows(SimFlow* const* flows, std::size_t n) {
 /// are visited in the same first-touch order; and a link leaves the live
 /// list once its last flow froze, which only drops visits the scan would
 /// have skipped.
-KernelWork waterfill_group(SimFlow* const* group, std::size_t n,
-                           Rate* residual, WaterfillScratch& s) {
+///
+/// Kept out of line: inlined into solve_component's tier loop, its only
+/// caller, it measured 4–10% slower on perfbench fat8-trace (gcc 12,
+/// Release, 4-core x86-64).
+[[gnu::noinline]] KernelWork waterfill_group(SimFlow* const* group,
+                                             std::size_t n, Rate* residual,
+                                             WaterfillScratch& s) {
   std::size_t path_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     group[i]->rate = 0;
@@ -241,120 +246,10 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
   }
 }
 
-void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
-               std::vector<Rate>& residual) {
-  GURITA_CHECK_MSG(residual.size() == topo.link_count(),
-                   "residual vector must cover every link");
-  validate_flows(group.data(), group.size());
-  WaterfillScratch scratch;
-  scratch.ensure(topo.link_count());
-  waterfill_group(group.data(), group.size(), residual.data(), scratch);
-}
-
-namespace {
-
-std::uint32_t uf_find(std::vector<std::uint32_t>& parent, std::uint32_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];
-    x = parent[x];
-  }
-  return x;
-}
-
-}  // namespace
-
-void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
-                    const std::vector<SimFlow*>& flows,
-                    std::vector<RateChange>* changed, AllocStats* stats) {
-  GURITA_CHECK_MSG(capacities.size() == topo.link_count(),
-                   "capacity vector must cover every link");
-  for (Rate c : capacities) GURITA_CHECK_MSG(c >= 0, "negative capacity");
-
-  std::vector<Rate> old_rates;
-  if (changed != nullptr) {
-    changed->clear();
-    old_rates.reserve(flows.size());
-    for (const SimFlow* f : flows) old_rates.push_back(f->rate);
-  }
-
-  // Stable order: by tier, then by flow id for determinism. Sorting a copy
-  // keeps the caller's order intact (the engine hands in its persistent
-  // active list); the total order depends only on (tier, id), so the rates
-  // produced are independent of the caller's order.
-  std::vector<SimFlow*> order(flows);
-  std::sort(order.begin(), order.end(), [](const SimFlow* a, const SimFlow* b) {
-    if (a->tier != b->tier) return a->tier < b->tier;
-    return a->id < b->id;
-  });
-
-  // Link-connected components via union-find: flows sharing any link share
-  // a component. Bucketing in `order` keeps each component (tier, id)
-  // sorted, as solve_component requires.
-  const std::uint32_t n = static_cast<std::uint32_t>(order.size());
-  std::vector<std::uint32_t> parent(n);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> link_first(topo.link_count(), kNone);
-  std::uint64_t used_links = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (LinkId l : order[i]->path) {
-      std::uint32_t& first = link_first[l.value()];
-      if (first == kNone) {
-        first = i;
-        ++used_links;
-      } else {
-        const std::uint32_t a = uf_find(parent, i);
-        const std::uint32_t b = uf_find(parent, first);
-        if (a != b) parent[a] = b;
-      }
-    }
-  }
-  std::vector<std::uint32_t> comp_of_root(n, kNone);
-  std::vector<std::vector<SimFlow*>> comps;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t r = uf_find(parent, i);
-    if (comp_of_root[r] == kNone) {
-      comp_of_root[r] = static_cast<std::uint32_t>(comps.size());
-      comps.emplace_back();
-    }
-    comps[comp_of_root[r]].push_back(order[i]);
-  }
-
-  WaterfillScratch scratch;
-  for (std::vector<SimFlow*>& comp : comps)
-    solve_component(topo, comp.data(), comp.size(), capacities, scratch,
-                    stats);
-
-  if (stats != nullptr) {
-    ++stats->allocations;
-    stats->flows_solved += flows.size();
-    stats->components_solved += comps.size();
-    stats->dirty_links += used_links;
-    for (const std::vector<SimFlow*>& comp : comps)
-      stats->component_flows.add(static_cast<double>(comp.size()));
-  }
-
-  if (changed != nullptr) {
-    for (std::size_t j = 0; j < flows.size(); ++j) {
-      if (flows[j]->rate != old_rates[j])
-        changed->push_back(RateChange{flows[j], old_rates[j]});
-    }
-  }
-}
-
-void allocate_rates(const Topology& topo, const std::vector<SimFlow*>& flows) {
-  std::vector<Rate> capacities(topo.link_count());
-  for (std::size_t i = 0; i < capacities.size(); ++i)
-    capacities[i] = topo.link(LinkId{i}).capacity;
-  allocate_rates(topo, capacities, flows);
-}
-
 // --- RateAllocator -----------------------------------------------------------
 
-void RateAllocator::reset(const Topology* topo, AllocatorKind kind,
-                          std::size_t flow_capacity) {
+void RateAllocator::reset(const Topology* topo, std::size_t flow_capacity) {
   topo_ = topo;
-  kind_ = kind;
   stats_ = AllocStats{};
   const std::size_t links = topo->link_count();
   head_.assign(links, kNil);
@@ -373,7 +268,6 @@ void RateAllocator::reset(const Topology* topo, AllocatorKind kind,
   flow_mark_.clear();
   affected_.clear();
   component_.clear();
-  if (kind_ == AllocatorKind::kOracle) return;
   slot_offset_.reserve(flow_capacity);
   in_.reserve(flow_capacity);
   tier_mirror_.reserve(flow_capacity);
@@ -395,14 +289,12 @@ void RateAllocator::ensure_flow(std::size_t fid) {
 }
 
 void RateAllocator::dirty_link(LinkId link) {
-  if (kind_ == AllocatorKind::kOracle) return;
   if (link_dirty_[link.value()]) return;
   link_dirty_[link.value()] = 1;
   dirty_list_.push_back(link);
 }
 
 void RateAllocator::add_flow(SimFlow* flow) {
-  if (kind_ == AllocatorKind::kOracle) return;
   const std::size_t fid = flow->id.value();
   ensure_flow(fid);
   std::int32_t slot = slot_offset_[fid];
@@ -429,7 +321,6 @@ void RateAllocator::add_flow(SimFlow* flow) {
 }
 
 void RateAllocator::remove_flow(SimFlow* flow) {
-  if (kind_ == AllocatorKind::kOracle) return;
   const std::size_t fid = flow->id.value();
   if (fid >= in_.size() || !in_[fid]) return;
   const std::int32_t slot = slot_offset_[fid];
@@ -449,14 +340,12 @@ void RateAllocator::remove_flow(SimFlow* flow) {
 }
 
 void RateAllocator::touch_flow(SimFlow* flow) {
-  if (kind_ == AllocatorKind::kOracle) return;
   const std::size_t fid = flow->id.value();
   if (fid >= in_.size() || !in_[fid]) return;
   for (LinkId l : flow->path) dirty_link(l);
 }
 
 void RateAllocator::rebuild(const std::vector<SimFlow*>& active) {
-  if (kind_ == AllocatorKind::kOracle) return;
   std::fill(head_.begin(), head_.end(), kNil);
   std::fill(link_dirty_.begin(), link_dirty_.end(), 0);
   dirty_list_.clear();
@@ -473,11 +362,6 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
                              const std::vector<SimFlow*>& active,
                              std::vector<RateChange>* changed,
                              obs::PhaseProfiler* profiler) {
-  if (kind_ == AllocatorKind::kOracle) {
-    obs::ScopedPhase converge(profiler, obs::Phase::kAllocConverge);
-    allocate_rates(*topo_, capacities, active, changed, &stats_);
-    return;
-  }
   ++stats_.allocations;
 
   {
@@ -485,7 +369,7 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
     // Priority rewrites leave no event trail of their own: schedulers
     // mutate tier/weight in place during assign(). One O(active) mirror
     // scan per recomputation catches them — still O(1) per flow, versus
-    // the oracle's full sort + re-solve.
+    // a full sort + re-solve.
     for (SimFlow* f : active) {
       const std::size_t fid = f->id.value();
       if (f->tier != tier_mirror_[fid] || f->weight != weight_mirror_[fid]) {
@@ -549,7 +433,7 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
     }
 
     // Changed flows, in active order — the exact list (content and order)
-    // the oracle reports: an unaffected flow's cached rate is bitwise what
+    // a from-scratch solve reports: an unaffected flow's cached rate is bitwise what
     // a re-solve would produce, so it cannot have "changed".
     if (changed != nullptr) {
       changed->clear();

@@ -1,6 +1,6 @@
 // Tiered weighted max-min rate allocation.
 //
-// All six schedulers in the reproduction share one allocation mechanism:
+// All eight schedulers in the reproduction share one allocation mechanism:
 //
 //   1. Active flows are grouped by `tier` (ascending). Tier t is allocated
 //      only the capacity tiers < t left unused — this is strict priority
@@ -17,19 +17,14 @@
 // The result is work-conserving: no link with an unfrozen flow is left with
 // spare capacity.
 //
-// Two implementations share one convergence kernel (solve_component):
-//
-//   * allocate_rates — the *oracle*: re-solves every link-connected
-//     component of the whole active set from scratch. Simple, obviously
-//     correct, and the reference the incremental allocator is held
-//     byte-identical to (DESIGN.md §13).
-//   * RateAllocator — the *incremental* allocator the engine uses by
-//     default: event hooks (flow add/remove, link capacity change, priority
-//     change) seed a dirty-link frontier; allocate() closes the frontier
-//     over shared-bottleneck dependencies and re-solves only the affected
-//     components. Unaffected flows keep their cached rates, which purity
-//     (rates are a function of (component flows, tiers, weights, caps)
-//     only) guarantees are the bits a full re-solve would produce.
+// RateAllocator is the engine's allocator: event hooks (flow add/remove,
+// link capacity change, rate cap) seed a dirty-link frontier; allocate()
+// closes the frontier over shared-bottleneck dependencies and re-solves
+// only the affected link-connected components with solve_component.
+// Unaffected flows keep their cached rates, which purity (rates are a
+// function of (component flows, tiers, weights, caps) only) guarantees are
+// the bits a full re-solve would produce. The from-scratch solver it is
+// held byte-identical to lives in tests/allocator_oracle.h (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -51,18 +46,19 @@ struct RateChange {
   Rate old_rate = 0;
 };
 
-/// Which allocator implementation the engine drives (Simulator::Config).
+/// Allocator names kept for perfbench, which prints the active kind and
+/// refuses to run when GURITA_ALLOCATOR / ALLOCATOR asks for the oracle.
+/// Nothing else reads them: the engine always runs RateAllocator.
 enum class AllocatorKind : std::uint8_t {
   kIncremental = 0,  ///< dirty-link frontier + cached component rates
-  kOracle = 1,       ///< full from-scratch re-solve every recomputation
+  kOracle = 1,       ///< from-scratch re-solve, compiled into tests only
 };
 
 [[nodiscard]] const char* to_string(AllocatorKind kind);
 
-/// Process-wide default: the GURITA_ALLOCATOR environment variable (falling
-/// back to ALLOCATOR) set to "oracle" selects AllocatorKind::kOracle; any
-/// other value — including unset — selects the incremental allocator. Read
-/// once and cached, so every Simulator::Config in the process agrees.
+/// The GURITA_ALLOCATOR environment variable (falling back to ALLOCATOR)
+/// set to "oracle" yields AllocatorKind::kOracle; any other value —
+/// including unset — yields kIncremental. Read once and cached.
 [[nodiscard]] AllocatorKind default_allocator_kind();
 
 /// Work counters for one run's allocations. Diagnostic only: they are not
@@ -108,7 +104,9 @@ struct AllocStats {
 struct WaterfillScratch {
   // --- LinkId-indexed (sized by ensure) ---
   std::vector<std::uint32_t> link_pos;     ///< position, kNoPos outside a group
-  std::vector<Rate> residual;              ///< residual carried across groups
+  /// Residual carried across tier groups; after solve_component it holds
+  /// the component's final residuals.
+  std::vector<Rate> residual;
   std::vector<char> residual_init;         ///< residual[l] is initialized
   std::vector<LinkId> residual_links;      ///< links with residual_init set
 
@@ -147,35 +145,6 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
                      std::size_t n, const std::vector<Rate>& capacities,
                      WaterfillScratch& scratch, AllocStats* stats);
 
-/// Computes and writes `rate` for every flow in `flows` (all must be
-/// active, with non-empty paths). Rates of flows not in `flows` are not
-/// touched; the order of `flows` is preserved. `capacities` overrides the
-/// links' nominal capacities (indexed by LinkId value; entries may be 0 for
-/// a failed link) — the engine uses this for failure injection.
-///
-/// When `changed` is non-null it is cleared and filled (in `flows` order)
-/// with the flows whose rate actually moved. Identical inputs produce
-/// bit-identical rates, so an event that does not disturb the allocation
-/// reports no changes — the hook the event-calendar engine uses to touch
-/// only flows whose projected finish time shifted.
-///
-/// This is the oracle: link-connected components are split out and each is
-/// solved independently by the shared kernel, so its bits are — by
-/// construction — the ones RateAllocator's partial re-solves produce.
-void allocate_rates(const Topology& topo, const std::vector<Rate>& capacities,
-                    const std::vector<SimFlow*>& flows,
-                    std::vector<RateChange>* changed = nullptr,
-                    AllocStats* stats = nullptr);
-
-/// Convenience overload using the topology's nominal capacities.
-void allocate_rates(const Topology& topo, const std::vector<SimFlow*>& flows);
-
-/// Weighted max-min within a single group, honoring `residual` capacities
-/// (indexed by LinkId value). Consumes capacity from `residual` and writes
-/// flow rates. Exposed separately for unit testing.
-void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
-               std::vector<Rate>& residual);
-
 /// Incremental water-filling allocator (DESIGN.md §13).
 ///
 /// The engine notifies it of every event that can change an allocation:
@@ -185,11 +154,8 @@ void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
 /// then closes the dirty-link frontier over the link <-> flow adjacency
 /// (flat SoA membership lists), re-solves only the affected components with
 /// the shared kernel, and reports exactly the flows whose rate moved — in
-/// active-list order, bitwise identical to what the oracle would report.
-///
-/// In AllocatorKind::kOracle mode every hook is a no-op and allocate()
-/// delegates to allocate_rates(), which is what makes the two engines
-/// differentially comparable at zero risk of shared state.
+/// active-list order, bitwise identical to what a from-scratch solve of
+/// the whole active set would report.
 ///
 /// The class owns no simulation state that cannot be rebuilt: a restored
 /// simulator calls rebuild(active) and the first allocation re-solves
@@ -206,10 +172,8 @@ class RateAllocator {
   /// (Re-)initializes for a run: sizes per-link arrays, clears membership
   /// and the frontier, reserves per-flow arrays for `flow_capacity` ids.
   /// Reuses existing vector capacity, so pooled reuse allocates nothing.
-  void reset(const Topology* topo, AllocatorKind kind,
-             std::size_t flow_capacity);
+  void reset(const Topology* topo, std::size_t flow_capacity);
 
-  [[nodiscard]] AllocatorKind kind() const { return kind_; }
   [[nodiscard]] const AllocStats& stats() const { return stats_; }
 
   /// Reserved bytes of the membership lists, per-flow arrays, worklists and
@@ -231,12 +195,12 @@ class RateAllocator {
   /// frontier with it.
   void dirty_link(LinkId link);
 
-  /// Recomputes rates. Incremental mode: mirror-scans `active` for
-  /// tier/weight changes, closes the dirty frontier, re-solves affected
-  /// components, and fills `changed` (cleared first) with the flows whose
-  /// rate moved, in `active` order — the same list allocate_rates() would
-  /// produce. Oracle mode: delegates to allocate_rates(). `profiler` (may
-  /// be null) receives the kAllocFrontier / kAllocConverge sub-phases.
+  /// Recomputes rates: mirror-scans `active` for tier/weight changes,
+  /// closes the dirty frontier, re-solves affected components, and fills
+  /// `changed` (cleared first) with the flows whose rate moved, in
+  /// `active` order — the same list a from-scratch solve would produce.
+  /// `profiler` (may be null) receives the kAllocFrontier /
+  /// kAllocConverge sub-phases.
   void allocate(const std::vector<Rate>& capacities,
                 const std::vector<SimFlow*>& active,
                 std::vector<RateChange>* changed,
@@ -255,7 +219,6 @@ class RateAllocator {
   void ensure_flow(std::size_t fid);
 
   const Topology* topo_ = nullptr;
-  AllocatorKind kind_ = AllocatorKind::kIncremental;
   AllocStats stats_;
 
   // --- flat SoA membership: per link an intrusive doubly-linked list of

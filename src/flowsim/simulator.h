@@ -249,13 +249,6 @@ class Simulator {
     /// ramp (pure max-min steady state, the default).
     Time tcp_ramp_time = 0;
     Bytes tcp_initial_window = 64 * kKB;
-    /// Which rate allocator drives the run (flowsim/allocator.h). The
-    /// incremental allocator is the default; kOracle forces the
-    /// from-scratch reference implementation, which every run is held
-    /// byte-identical to (the differential suite's contract). Defaults
-    /// from the GURITA_ALLOCATOR / ALLOCATOR environment variables so CI
-    /// can force the oracle across a whole binary.
-    AllocatorKind allocator = default_allocator_kind();
     /// Structured trace sink (obs/trace.h), or nullptr for no tracing. The
     /// engine emits event records and hands the recorder to the scheduler
     /// (Scheduler::set_trace_recorder) so decision records interleave in
@@ -447,14 +440,13 @@ class Simulator {
   SnapshotableHeap<CalendarEntry, CalendarLater> calendar_;
   /// Scratch for rate-change reporting (reused across events).
   std::vector<RateChange> rate_changes_;
-  /// The incremental rate allocator (or the oracle delegate, per
-  /// Config::allocator). Holds only state rebuildable from the active set
-  /// (rebuild()), so snapshots don't serialize it.
+  /// The incremental rate allocator. Holds only state rebuildable from the
+  /// active set (rebuild()), so snapshots don't serialize it.
   RateAllocator alloc_;
   /// Flows whose stored rate was capped below their pure allocation at the
   /// last recomputation (TCP ramp, straggler windows). Re-touched before
   /// every allocation: the allocator must re-report them (allocation !=
-  /// stored rate) exactly as the from-scratch oracle would. Rebuilt each
+  /// stored rate) exactly as a from-scratch solve would. Rebuilt each
   /// recomputation from the application loop; not serialized — a restored
   /// run's first allocation re-solves everything, which subsumes it.
   std::vector<FlowId> capped_;

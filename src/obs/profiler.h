@@ -34,7 +34,7 @@ class Registry;
 enum class Phase : int {
   kSetup = 0,           ///< run() preamble: reserve, arrival sort
   kSchedulerAssign = 1, ///< Scheduler::assign (priority → tier/weight)
-  kAllocator = 2,       ///< allocate_rates + settle/re-key of changed flows
+  kAllocator = 2,       ///< RateAllocator::allocate + settle/re-key
   kCalendarDrain = 3,   ///< stale-entry pops, next-event pick, due pops
   kCompletion = 4,      ///< finish_flow / finish_coflow bookkeeping
   kDagRelease = 5,      ///< release_coflow: flow creation, routing, hooks

@@ -1,10 +1,12 @@
 // Differential harness for the incremental water-filling allocator
-// (flowsim/allocator.h) against the from-scratch oracle. Three layers:
+// (flowsim/allocator.h) against the from-scratch oracle
+// (allocator_oracle.h). Three layers:
 //
 //  1. Lockstep fuzz at the allocator API: random synthetic event streams
-//     (arrivals, finishes, in-place priority rewrites, capacity changes)
-//     drive a RateAllocator, and after *every* event the full rate vector
-//     and the changed-list are compared bitwise against a from-scratch
+//     (arrivals, finishes, in-place priority rewrites, capacity changes,
+//     external rate caps, link flaps, mid-stream rebuilds) drive a
+//     RateAllocator, and after *every* event the full rate vector and the
+//     changed-list are compared bitwise against a from-scratch
 //     allocate_rates() on a clone of the same flow set.
 //
 //  2. Hand-computed dirty-frontier timelines: an arrival that splits a
@@ -13,11 +15,10 @@
 //     the untouched component was *not* re-solved.
 //
 //  3. End-to-end fuzz at the engine API: 200 randomized traces (fabrics,
-//     schedulers, ramps, disruptions, fault plans) run through two full
-//     Simulators that differ only in Config::allocator, asserting
-//     bit-identical results including structured traces — and a sharded
-//     sweep leg showing the pooled comparison matches the oracle's at 1,
-//     2 and 8 workers.
+//     schedulers, ramps, disruptions, fault plans) run uninterrupted and
+//     again split into nine simulators by checkpoint/restore. Every
+//     restore rebuilds the allocator, so the first allocation after it is
+//     a full re-solve; results and structured traces must match bitwise.
 //
 // Failures print the trace seed for standalone reproduction.
 #include <gtest/gtest.h>
@@ -27,13 +28,14 @@
 #include <string>
 #include <vector>
 
+#include "allocator_oracle.h"
 #include "common/rng.h"
-#include "exp/experiment.h"
 #include "exp/registry.h"
 #include "fault/plan.h"
 #include "flowsim/allocator.h"
 #include "flowsim/simulator.h"
 #include "obs/trace.h"
+#include "snapshot/snapshot.h"
 #include "topology/big_switch.h"
 #include "topology/ecmp.h"
 #include "topology/fattree.h"
@@ -53,6 +55,7 @@ struct LockstepHarness {
   std::vector<Rate> caps;
   std::deque<SimFlow> store;  // stable addresses across growth
   std::vector<SimFlow*> active;
+  std::vector<LinkId> down;  // links a flap zeroed, awaiting restore
   RateAllocator alloc;
   std::uint64_t next_id = 0;
 
@@ -62,7 +65,7 @@ struct LockstepHarness {
     caps.resize(topo.link_count());
     for (std::size_t l = 0; l < topo.link_count(); ++l)
       caps[l] = topo.link(LinkId{l}).capacity;
-    alloc.reset(&topo, AllocatorKind::kIncremental, /*flow_capacity=*/64);
+    alloc.reset(&topo, /*flow_capacity=*/64);
   }
 
   SimFlow* arrive(Rng& rng) {
@@ -103,6 +106,42 @@ struct LockstepHarness {
     caps[l.value()] =
         fabric.topology().link(l).capacity * rng.uniform(0.05, 1.0);
     alloc.dirty_link(l);
+  }
+
+  /// The straggler / TCP-ramp pattern: the engine caps a stored rate below
+  /// the allocation and touch_flow()s it, so the next allocation must
+  /// re-report the flow (the oracle always sees the capped rate as stale).
+  void cap_rate(Rng& rng, std::size_t idx) {
+    SimFlow* f = active[idx];
+    f->rate *= rng.uniform(0.1, 0.9);
+    alloc.touch_flow(f);
+  }
+
+  /// A link flap: either a live link fails (capacity 0) or the oldest
+  /// failed link comes back at its nominal capacity, each with dirty_link.
+  void flap(Rng& rng) {
+    if (!down.empty() && rng.next_double() < 0.5) {
+      const LinkId l = down.front();
+      down.erase(down.begin());
+      caps[l.value()] = fabric.topology().link(l).capacity;
+      alloc.dirty_link(l);
+      return;
+    }
+    const LinkId l{rng.uniform_int(0, caps.size() - 1)};
+    caps[l.value()] = 0;
+    down.push_back(l);
+    alloc.dirty_link(l);
+  }
+
+  /// What restore() and admit()'s flow-store growth do: every flow moves
+  /// to new storage, the active set is re-pointed and the allocator is
+  /// rebuilt from it. The old storage dies, so a membership list that
+  /// kept a stale pointer would read freed memory.
+  void relocate_and_rebuild() {
+    std::deque<SimFlow> moved(store.begin(), store.end());
+    for (SimFlow*& f : active) f = &moved[f->id.value()];
+    store.swap(moved);
+    alloc.rebuild(active);
   }
 
   /// Runs both allocators and asserts bitwise agreement on every rate and
@@ -147,14 +186,20 @@ void run_lockstep_trial(std::uint64_t seed) {
   const int events = 40 + static_cast<int>(rng.uniform_int(0, 60));
   for (int e = 0; e < events; ++e) {
     const double roll = rng.next_double();
-    if (h.active.empty() || roll < 0.40) {
+    if (h.active.empty() || roll < 0.35) {
       h.arrive(rng);
-    } else if (roll < 0.65) {
+    } else if (roll < 0.55) {
       h.finish(rng.uniform_int(0, h.active.size() - 1));
-    } else if (roll < 0.80) {
+    } else if (roll < 0.67) {
       h.reprioritize(rng, rng.uniform_int(0, h.active.size() - 1));
-    } else {
+    } else if (roll < 0.77) {
       h.change_capacity(rng);
+    } else if (roll < 0.87) {
+      h.cap_rate(rng, rng.uniform_int(0, h.active.size() - 1));
+    } else if (roll < 0.95) {
+      h.flap(rng);
+    } else {
+      h.relocate_and_rebuild();
     }
     h.expect_lockstep();
     if (::testing::Test::HasFailure()) return;
@@ -203,7 +248,7 @@ TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
   std::vector<SimFlow> a = make_population();
   {
     RateAllocator alloc;
-    alloc.reset(&fabric.topology(), AllocatorKind::kIncremental, a.size());
+    alloc.reset(&fabric.topology(), a.size());
     std::vector<SimFlow*> active;
     for (SimFlow& f : a) active.push_back(&f);
     for (SimFlow* f : active) alloc.add_flow(f);
@@ -215,7 +260,7 @@ TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
   std::vector<SimFlow> b = make_population();
   {
     RateAllocator alloc;
-    alloc.reset(&fabric.topology(), AllocatorKind::kIncremental, 16);
+    alloc.reset(&fabric.topology(), 16);
     std::vector<SimFlow*> active;
     for (auto it = b.rbegin(); it != b.rend(); ++it) {
       active.push_back(&*it);
@@ -307,7 +352,7 @@ TEST(AllocatorDifferentialTimeline, ArrivalSplitsOnlyItsBottleneck) {
   SimFlow a = fx.flow(0, {fx.up1, fx.down1});
   SimFlow d = fx.flow(1, {fx.up2, fx.down2});
   RateAllocator alloc;
-  alloc.reset(&fx.topo, AllocatorKind::kIncremental, 8);
+  alloc.reset(&fx.topo, 8);
 
   std::vector<SimFlow*> active = {&a, &d};
   alloc.add_flow(&a);
@@ -347,7 +392,7 @@ TEST(AllocatorDifferentialTimeline, FinishRelaxesOnlyItsBottleneck) {
   SimFlow c = fx.flow(2, {fx.up1, fx.down1});
   SimFlow d = fx.flow(3, {fx.up2, fx.down2});
   RateAllocator alloc;
-  alloc.reset(&fx.topo, AllocatorKind::kIncremental, 8);
+  alloc.reset(&fx.topo, 8);
 
   std::vector<SimFlow*> active = {&a, &b, &c, &d};
   for (SimFlow* f : active) alloc.add_flow(f);
@@ -384,7 +429,7 @@ TEST(AllocatorDifferentialTimeline, ExternalRateCapRedirtiesItsLinks) {
   SimFlow b = fx.flow(1, {fx.up1, fx.down1});
   SimFlow d = fx.flow(2, {fx.up2, fx.down2});
   RateAllocator alloc;
-  alloc.reset(&fx.topo, AllocatorKind::kIncremental, 8);
+  alloc.reset(&fx.topo, 8);
 
   std::vector<SimFlow*> active = {&a, &b, &d};
   for (SimFlow* f : active) alloc.add_flow(f);
@@ -532,40 +577,60 @@ void expect_identical_runs(const SimResults& inc, const SimResults& ora,
     EXPECT_EQ(inc.link_bytes[i], ora.link_bytes[i]) << "link " << i;
 }
 
+/// One simulator for `trial`, recording into `rec`. With `restore_from`
+/// non-empty it is rebuilt from that snapshot, as a restarted process
+/// would be.
+struct TrialSim {
+  std::unique_ptr<Scheduler> sched;
+  obs::TraceRecorder rec{obs::TraceRecorder::kDefaultKinds};
+  std::unique_ptr<Simulator> sim;
+
+  TrialSim(const Trial& trial, const std::string& restore_from)
+      : sched(make_scheduler(trial.scheduler)) {
+    Simulator::Config config = trial.sim_config;
+    config.trace = &rec;
+    sim = std::make_unique<Simulator>(*trial.fabric, *sched, config);
+    for (const JobSpec& job : trial.jobs) sim->submit(job);
+    if (!restore_from.empty()) {
+      snapshot::Reader r(restore_from);
+      sim->restore(r);
+    }
+  }
+};
+
 void run_engine_trial(std::uint64_t seed) {
   SCOPED_TRACE("reproduce with trace seed " + std::to_string(seed));
   const Trial trial = draw_trial(seed);
 
-  std::unique_ptr<Scheduler> inc_sched = make_scheduler(trial.scheduler);
-  std::unique_ptr<Scheduler> ora_sched = make_scheduler(trial.scheduler);
+  // Uninterrupted: the frontier carries cached component rates throughout.
+  TrialSim whole(trial, "");
+  const SimResults whole_results = whole.sim->run();
 
-  // Identical configs except the allocator; structured traces recorded on
-  // both sides must match record for record (operator== is field-exact).
-  obs::TraceRecorder inc_rec(obs::TraceRecorder::kDefaultKinds);
-  obs::TraceRecorder ora_rec(obs::TraceRecorder::kDefaultKinds);
-  Simulator::Config inc_config = trial.sim_config;
-  inc_config.allocator = AllocatorKind::kIncremental;
-  inc_config.trace = &inc_rec;
-  Simulator::Config ora_config = trial.sim_config;
-  ora_config.allocator = AllocatorKind::kOracle;
-  ora_config.trace = &ora_rec;
-
-  Simulator inc(*trial.fabric, *inc_sched, inc_config);
-  Simulator ora(*trial.fabric, *ora_sched, ora_config);
-  for (const JobSpec& job : trial.jobs) {
-    inc.submit(job);
-    ora.submit(job);
+  // Split at 8 evenly spaced pauses, each slice run by a fresh simulator
+  // restored from the previous one's snapshot. restore() rebuilds the
+  // allocator from the active set alone, so every slice starts with a
+  // full re-solve; the snapshot carries the trace buffer across.
+  constexpr int kPauses = 8;
+  std::string bytes;
+  for (int k = 1; k <= kPauses; ++k) {
+    TrialSim part(trial, bytes);
+    (void)part.sim->run_to(whole_results.makespan * k / (kPauses + 1));
+    snapshot::Writer w;
+    part.sim->checkpoint(w);
+    bytes = w.take();
   }
+  TrialSim last(trial, bytes);
+  const SimResults split_results = last.sim->run();
 
-  const SimResults inc_results = inc.run();
-  const SimResults ora_results = ora.run();
-  expect_identical_runs(inc_results, ora_results, inc.state(), ora.state());
-  EXPECT_TRUE(inc_rec.take() == ora_rec.take())
+  expect_identical_runs(whole_results, split_results, whole.sim->state(),
+                        last.sim->state());
+  EXPECT_TRUE(whole.rec.take() == last.rec.take())
       << "structured traces diverged";
 }
 
-// The main gate: 200 randomized traces through two engines that differ
-// only in Config::allocator.
+// The main gate: 200 randomized traces, each run uninterrupted and split
+// by checkpoint/restore into nine simulators whose first allocations are
+// full re-solves.
 TEST(AllocatorDifferential, FuzzIncrementalEngineAgainstOracleEngine) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     run_engine_trial(seed);
@@ -573,52 +638,6 @@ TEST(AllocatorDifferential, FuzzIncrementalEngineAgainstOracleEngine) {
       FAIL() << "allocator differential fuzz diverged at trace seed " << seed
              << "; rerun run_engine_trial(" << seed << ") to debug";
     }
-  }
-}
-
-// ------------------------------------------------------ sharded sweeps ---
-
-void expect_same_comparison(const ComparisonResult& got,
-                            const ComparisonResult& want) {
-  ASSERT_EQ(got.results.size(), want.results.size());
-  for (const auto& [name, w] : want.results) {
-    const auto it = got.results.find(name);
-    ASSERT_NE(it, got.results.end()) << "missing scheduler " << name;
-    const SimResults& g = it->second;
-    EXPECT_EQ(g.makespan, w.makespan) << name;
-    EXPECT_EQ(g.events, w.events) << name;
-    EXPECT_EQ(g.rate_recomputations, w.rate_recomputations) << name;
-    ASSERT_EQ(g.jobs.size(), w.jobs.size()) << name;
-    for (std::size_t i = 0; i < g.jobs.size(); ++i) {
-      EXPECT_EQ(g.jobs[i].arrival, w.jobs[i].arrival) << name << " job " << i;
-      EXPECT_EQ(g.jobs[i].finish, w.jobs[i].finish) << name << " job " << i;
-    }
-    ASSERT_EQ(g.coflows.size(), w.coflows.size()) << name;
-    for (std::size_t i = 0; i < g.coflows.size(); ++i)
-      EXPECT_EQ(g.coflows[i].finish, w.coflows[i].finish)
-          << name << " coflow " << i;
-    EXPECT_TRUE(g.trace == w.trace) << name << ": pooled traces diverged";
-  }
-}
-
-// A pooled multi-seed sweep under the incremental allocator is
-// bit-identical to the oracle's at every worker count — the allocator's
-// determinism is per-run, so sharding must not be able to perturb it.
-TEST(AllocatorDifferentialWorkers, PooledSweepMatchesOracleAtAnyWorkerCount) {
-  ExperimentConfig config = trace_scenario(StructureKind::kMixed, 6, 42);
-  config.fat_tree_k = 4;
-  config.obs.trace = true;
-  const std::vector<std::string> names = {"gurita", "aalo"};
-
-  config.allocator = AllocatorKind::kOracle;
-  const ComparisonResult want = compare_schedulers_seeds(config, names, 6, 1);
-
-  config.allocator = AllocatorKind::kIncremental;
-  for (const int workers : {1, 2, 8}) {
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    const ComparisonResult got =
-        compare_schedulers_seeds(config, names, 6, workers);
-    expect_same_comparison(got, want);
   }
 }
 

@@ -1,9 +1,12 @@
 // Unit tests for the tiered weighted max-min allocator: capacity respect,
-// work conservation, fairness, weights and strict tier priority.
+// work conservation, fairness, weights and strict tier priority. They
+// drive the shipped solve_component kernel through the from-scratch
+// oracle (allocator_oracle.h), which solves every component per call.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "allocator_oracle.h"
 #include "common/rng.h"
 #include "flowsim/allocator.h"
 #include "topology/ecmp.h"

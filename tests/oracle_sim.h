@@ -30,6 +30,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "allocator_oracle.h"
 #include "flowsim/allocator.h"
 #include "flowsim/scheduler.h"
 #include "flowsim/simulator.h"

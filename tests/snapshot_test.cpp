@@ -387,29 +387,33 @@ TEST(SnapshotRoundTrip, MidStageRelease) {
 // byte-identically. Flow B's arrival right after the split is the probe:
 // it splits A's bottleneck, so a stale or missing membership list would
 // misallocate immediately. A disjoint component rides along to catch
-// over-invalidation, and both allocator kinds must agree with each other.
+// over-invalidation, and the run must agree with the reference oracle,
+// which re-solves every allocation from scratch.
 TEST(SnapshotDeterminism, MidConvergenceSplitRebuildsAllocatorState) {
   const FatTree fabric(FatTree::Config{4, 100.0});
   std::vector<JobSpec> jobs;
   jobs.push_back(single_flow_job(1000, 0, 1, 0.0));  // A: alone until t=4
   jobs.push_back(single_flow_job(1000, 0, 1, 4.0));  // B: splits A's links
   jobs.push_back(single_flow_job(500, 8, 9, 1.0));   // disjoint component
-  std::string bytes_by_kind[2];
-  int i = 0;
-  for (const AllocatorKind kind :
-       {AllocatorKind::kIncremental, AllocatorKind::kOracle}) {
-    SCOPED_TRACE(std::string("allocator ") + to_string(kind));
-    Scenario s{fabric, "gurita", jobs, {}, /*with_trace=*/true};
-    s.sim_config.allocator = kind;
-    s.sim_config.collect_link_stats = true;
-    const SimResults reference = run_uninterrupted(s);
-    // Between A's and B's arrivals (2.0), at B's arrival instant (4.0),
-    // and mid-drain of the post-split rates (6.5).
-    expect_split_invariant(s, {2.0, 4.0, 6.5}, reference);
-    bytes_by_kind[i++] = results_bytes(reference);
-  }
-  EXPECT_EQ(bytes_by_kind[0], bytes_by_kind[1])
-      << "incremental and oracle allocators diverged";
+  Scenario s{fabric, "gurita", jobs, {}, /*with_trace=*/true};
+  s.sim_config.collect_link_stats = true;
+  const SimResults reference = run_uninterrupted(s);
+  // Between A's and B's arrivals (2.0), at B's arrival instant (4.0),
+  // and mid-drain of the post-split rates (6.5).
+  expect_split_invariant(s, {2.0, 4.0, 6.5}, reference);
+
+  const std::unique_ptr<Scheduler> oracle_sched = make_scheduler("gurita");
+  OracleSimulator oracle(fabric, *oracle_sched, s.sim_config);
+  for (const JobSpec& job : jobs) oracle.submit(job);
+  const SimResults oracle_results = oracle.run();
+  EXPECT_EQ(reference.makespan, oracle_results.makespan);
+  EXPECT_EQ(reference.events, oracle_results.events);
+  EXPECT_EQ(reference.rate_recomputations, oracle_results.rate_recomputations);
+  EXPECT_EQ(reference.link_bytes, oracle_results.link_bytes);
+  ASSERT_EQ(reference.jobs.size(), oracle_results.jobs.size());
+  for (std::size_t i = 0; i < reference.jobs.size(); ++i)
+    EXPECT_EQ(reference.jobs[i].finish, oracle_results.jobs[i].finish)
+        << "job " << i;
 }
 
 // ------------------------------------------------------- sampler cursor ---

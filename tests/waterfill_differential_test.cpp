@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "allocator_oracle.h"
 #include "common/rng.h"
 #include "flowsim/allocator.h"
 #include "topology/ecmp.h"
@@ -442,7 +443,7 @@ TEST(WaterfillCounters, ReportedByBothAllocators) {
   EXPECT_GE(oracle.live_link_visits, oracle.waterfill_rounds);
 
   RateAllocator alloc;
-  alloc.reset(&ft.topology(), AllocatorKind::kIncremental, c.flows.size());
+  alloc.reset(&ft.topology(), c.flows.size());
   for (SimFlow* f : ptrs) alloc.add_flow(f);
   alloc.allocate(c.capacities, ptrs, nullptr, nullptr);
   // The first incremental allocation re-solves every component, exactly
