@@ -2,18 +2,19 @@
 //
 // Sweeps the number of simultaneously active flows (1k / 10k / 100k by
 // default) over a big-switch fabric with disjoint host pairs, so each
-// completion batch disturbs no other flow's rate — the regime where the
-// old engine's per-event full-active-set scans hurt most. Two scenarios:
+// completion batch disturbs no other flow's rate — the regime where any
+// per-event scan of the active set would dominate. Two scenarios:
 //
 //   completions  flow-completion events only (PFS, no ticks)
 //   ticks        the same workload under a δ-tick scheduler whose ticks
 //                change nothing (the Gurita HR cadence) — every tick is an
 //                event the calendar engine handles without touching flows
 //
-// Reports, per configuration: events, engine flow touches, the equivalent
-// legacy full-scan touches (both counted by the engine itself — see
-// SimResults), their ratio, wall time, and the engine phase profile
-// (obs/profiler.h). Writes BENCH_engine.json for cross-PR tracking.
+// Reports, per configuration: events, engine flow touches (counted by the
+// engine itself — see SimResults), allocator work, wall time, and the
+// engine phase profile (obs/profiler.h). The ticks scenario must report
+// the same flow touches as completions: a no-op tick costs no flow work.
+// Writes BENCH_engine.json for cross-PR tracking.
 //
 // Telemetry overhead guard: with --overhead-guard (default on), the first
 // configured flow count is re-run three ways — without any obs wiring,
@@ -77,17 +78,9 @@ struct BenchRow {
   Time makespan = 0;
   std::uint64_t events = 0;
   std::uint64_t flow_touches = 0;
-  std::uint64_t legacy_flow_touches = 0;
   AllocStats alloc;
   obs::PhaseProfile profile;
   bool profiled = false;
-
-  [[nodiscard]] double touch_ratio() const {
-    return flow_touches == 0
-               ? 0.0
-               : static_cast<double>(legacy_flow_touches) /
-                     static_cast<double>(flow_touches);
-  }
 };
 
 /// One job, one coflow, `flows` transfers on disjoint host pairs
@@ -149,7 +142,6 @@ BenchRow run_one(int flows, int groups, Time tick, bool ticking,
   row.makespan = results.makespan;
   row.events = results.events;
   row.flow_touches = results.flow_touches;
-  row.legacy_flow_touches = results.legacy_flow_touches;
   if (wiring == ObsWiring::kProfile) {
     row.profile = profiler.snapshot();
     row.profiled = true;
@@ -248,8 +240,6 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
     out << "    {\"flows\": " << r.flows << ", \"scenario\": \"" << r.scenario
         << "\", \"events\": " << r.events
         << ", \"flow_touches\": " << r.flow_touches
-        << ", \"legacy_flow_touches\": " << r.legacy_flow_touches
-        << ", \"touch_ratio\": " << r.touch_ratio()
         << ", \"allocations\": " << r.alloc.allocations
         << ", \"flows_solved\": " << r.alloc.flows_solved
         << ", \"components_solved\": " << r.alloc.components_solved
@@ -294,10 +284,8 @@ int main(int argc, char** argv) {
   const int guard_trials = args.get_int("overhead-trials", 5);
 
   std::cout << "=== Engine microbenchmark: per-event flow touches ===\n"
-               "touch_ratio = legacy full-scan touches / calendar-engine "
-               "touches (higher is better).\n\n";
-  std::cout << "flows      scenario       events    touches     "
-               "legacy      ratio    wall_ms\n";
+               "No-op ticks add events but no flow touches.\n\n";
+  std::cout << "flows      scenario       events    touches    wall_ms\n";
 
   std::vector<BenchRow> rows;
   obs::PhaseProfile total;
@@ -306,12 +294,11 @@ int main(int argc, char** argv) {
       const BenchRow row =
           run_one(flows, groups, tick, ticking,
                   profile ? ObsWiring::kProfile : ObsWiring::kNone);
-      std::printf("%-10d %-12s %8llu %10llu %10llu %9.1fx %9.2f\n",
-                  row.flows, row.scenario.c_str(),
+      std::printf("%-10d %-12s %8llu %10llu %10.2f\n", row.flows,
+                  row.scenario.c_str(),
                   static_cast<unsigned long long>(row.events),
                   static_cast<unsigned long long>(row.flow_touches),
-                  static_cast<unsigned long long>(row.legacy_flow_touches),
-                  row.touch_ratio(), row.wall_ms);
+                  row.wall_ms);
       if (row.profiled) total.merge(row.profile);
       rows.push_back(row);
     }

@@ -1,37 +1,22 @@
-// Per-worker run arena: thread-local reusable state for the sharded
+// Per-worker run arena: thread-local fabric cache for the sharded
 // experiment runner.
 //
-// Every cell of a sweep used to rebuild its world from nothing — two
-// FatTree constructions (one in compare_schedulers for sizing, one in
-// run_one for simulation), a fresh JobSpec vector from the trace
-// generator, and a Simulator whose flow store, calendar and fault runtime
-// allocate (then free) several megabytes. Under the parallel runner that
-// churn hits the allocator's mmap/munmap path from every worker at once,
-// serializing them on kernel-side locks — the proximate cause of the
-// *negative* scaling this arena removes (DESIGN.md §9).
+// Every cell of a sweep used to build its FatTree twice — once in
+// compare_schedulers for sizing, once in run_one for simulation. The arena
+// constructs each distinct fabric once per worker and hands out the cached
+// one (DESIGN.md §9).
 //
 // The arena is strictly thread-local (RunArena::local()); nothing in it is
-// shared or locked. It caches:
-//   - constructed FatTree fabrics keyed by their full Config (k, capacity,
-//     ECMP salt) — immutable after construction, so reuse is trivially
-//     byte-identical;
-//   - a SimBufferPool (flowsim/simulator.h) that consecutive simulators on
-//     this worker adopt and return, recycling container *capacity* only —
-//     every adopted container is cleared before use;
-//   - a JobSpec buffer for generate_trace_into, reusing the outer trace
-//     vector across cells.
-//
-// Determinism contract: the arena only ever recycles capacity and caches
-// immutable objects, so results are byte-identical with or without it, at
-// any worker count, in any cell execution order. The 1/2/8-worker
+// shared or locked. It caches constructed FatTree fabrics keyed by their
+// full Config (k, capacity, ECMP salt). FatTree is immutable after
+// construction, so results are byte-identical with or without the cache,
+// at any worker count, in any cell execution order. The 1/2/8-worker
 // byte-identity tests (parallel_runner_test.cpp) pin this down.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "coflow/job.h"
-#include "flowsim/simulator.h"
 #include "topology/fattree.h"
 
 namespace gurita {
@@ -49,16 +34,6 @@ class RunArena {
   /// thread's lifetime.
   const FatTree& fabric(const FatTree::Config& config);
 
-  /// Recyclable simulator container pack; hand it to Simulator::Config::
-  /// recycle. One live borrower at a time is the intended shape — a nested
-  /// second simulator finds moved-from empty buffers and silently falls
-  /// back to fresh allocation.
-  [[nodiscard]] SimBufferPool& sim_buffers() { return sim_buffers_; }
-
-  /// Reusable JobSpec buffer for generate_trace_into. Contents are
-  /// whatever the previous cell left; the generator clears it first.
-  [[nodiscard]] std::vector<JobSpec>& job_buffer() { return jobs_; }
-
   RunArena(const RunArena&) = delete;
   RunArena& operator=(const RunArena&) = delete;
 
@@ -71,8 +46,6 @@ class RunArena {
   };
   /// Linear scan: a sweep touches one or two distinct configs.
   std::vector<CachedFabric> fabrics_;
-  SimBufferPool sim_buffers_;
-  std::vector<JobSpec> jobs_;
 };
 
 }  // namespace gurita

@@ -96,9 +96,8 @@ SimResults run_one(const ExperimentConfig& config,
     }
     std::filesystem::create_directories(config.checkpoint.dir);
   }
-  // The worker's arena caches the (immutable) fabric across cells and
-  // recycles the simulator's container capacity — rebuilding both per run
-  // is what made the sharded sweep allocator-bound (DESIGN.md §9).
+  // The worker's arena caches the (immutable) fabric across cells
+  // (DESIGN.md §9).
   RunArena& arena = RunArena::local();
   const FatTree& fabric = arena.fabric(FatTree::Config{
       config.fat_tree_k, config.link_capacity, config.ecmp_salt});
@@ -120,7 +119,6 @@ SimResults run_one(const ExperimentConfig& config,
       /*memory=*/true, config.obs.timeline_wall});
   obs::MemoryAccountant accountant;
   Simulator::Config sim_config;
-  sim_config.recycle = &arena.sim_buffers();
   if (config.obs.trace || timeline) sim_config.trace = &recorder;
   if (config.obs.profile || config.obs.spans)
     sim_config.profiler = &profiler;
@@ -179,8 +177,7 @@ ComparisonResult compare_schedulers(const ExperimentConfig& config,
   const FatTree& fabric = arena.fabric(
       FatTree::Config{config.fat_tree_k, config.link_capacity});
   trace.num_hosts = fabric.num_hosts();
-  std::vector<JobSpec>& jobs = arena.job_buffer();
-  generate_trace_into(trace, jobs);
+  const std::vector<JobSpec> jobs = generate_trace(trace);
 
   ComparisonResult out;
   for (const std::string& name : names) {

@@ -164,14 +164,11 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
 class RateAllocator {
  public:
   RateAllocator() = default;
-  RateAllocator(RateAllocator&&) = default;
-  RateAllocator& operator=(RateAllocator&&) = default;
   RateAllocator(const RateAllocator&) = delete;
   RateAllocator& operator=(const RateAllocator&) = delete;
 
   /// (Re-)initializes for a run: sizes per-link arrays, clears membership
   /// and the frontier, reserves per-flow arrays for `flow_capacity` ids.
-  /// Reuses existing vector capacity, so pooled reuse allocates nothing.
   void reset(const Topology* topo, std::size_t flow_capacity);
 
   [[nodiscard]] const AllocStats& stats() const { return stats_; }

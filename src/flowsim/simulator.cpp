@@ -37,7 +37,6 @@ void SimResults::merge_counters(const SimResults& other) {
   rate_recomputations += other.rate_recomputations;
   events += other.events;
   flow_touches += other.flow_touches;
-  legacy_flow_touches += other.legacy_flow_touches;
   flow_aborts += other.flow_aborts;
   flow_retries += other.flow_retries;
   failed_jobs += other.failed_jobs;
@@ -49,7 +48,6 @@ void SimResults::merge_counters(const SimResults& other) {
 void SimResults::export_counters(obs::Registry& registry) const {
   registry.add("engine.events", events);
   registry.add("engine.flow_touches", flow_touches);
-  registry.add("engine.legacy_flow_touches", legacy_flow_touches);
   registry.add("engine.rate_recomputations", rate_recomputations);
   registry.add("fault.flow_aborts", flow_aborts);
   registry.add("fault.flow_retries", flow_retries);
@@ -65,86 +63,9 @@ double SimResults::link_utilization(LinkId id, Rate capacity) const {
   return link_bytes[id.value()] / (capacity * makespan);
 }
 
-namespace {
-
-/// The adopt/return primitive of buffer recycling: `dst` takes over `src`'s
-/// allocation and is cleared — capacity is reused, values never are. `src`
-/// is left moved-from (empty), which is what makes a double-borrowed pool
-/// safe: the second borrower adopts nothing and allocates fresh.
-template <typename T>
-void adopt_cleared(std::vector<T>& dst, std::vector<T>& src) {
-  dst = std::move(src);
-  dst.clear();
-}
-
-}  // namespace
-
-void Simulator::adopt_buffers(SimBufferPool& pool) {
-  adopt_cleared(state_.flows_, pool.flows);
-  adopt_cleared(state_.coflows_, pool.coflows);
-  adopt_cleared(state_.jobs_, pool.jobs);
-  adopt_cleared(state_.aggregates_, pool.aggregates);
-  adopt_cleared(active_, pool.active);
-  adopt_cleared(pos_in_active_, pool.pos_in_active);
-  adopt_cleared(gen_, pool.gen);
-  adopt_cleared(rate_changes_, pool.rate_changes);
-  adopt_cleared(arrival_order_, pool.arrival_order);
-  adopt_cleared(disruptions_, pool.disruptions);
-  adopt_cleared(done_, pool.done);
-  adopt_cleared(capacities_, pool.capacities);
-  adopt_cleared(fault_events_, pool.fault_events);
-  adopt_cleared(host_down_, pool.host_down);
-  adopt_cleared(link_down_, pool.link_down);
-  adopt_cleared(straggler_, pool.straggler);
-  adopt_cleared(saved_capacity_, pool.saved_capacity);
-  adopt_cleared(parked_, pool.parked);
-  adopt_cleared(capped_, pool.capped);
-  // The allocator recycles whole: reset() (prepare_structures) clears it
-  // while reusing its per-link and per-flow array capacity.
-  alloc_ = std::move(pool.allocator);
-  pool.allocator = RateAllocator{};
-  // Heaps restore a cleared array — an empty array is a valid layout.
-  pool.calendar.clear();
-  calendar_.restore(std::move(pool.calendar));
-  pool.retries.clear();
-  retries_.restore(std::move(pool.retries));
-}
-
-void Simulator::return_buffers(SimBufferPool& pool) {
-  pool.flows = std::move(state_.flows_);
-  pool.coflows = std::move(state_.coflows_);
-  pool.jobs = std::move(state_.jobs_);
-  pool.aggregates = std::move(state_.aggregates_);
-  pool.active = std::move(active_);
-  pool.pos_in_active = std::move(pos_in_active_);
-  pool.gen = std::move(gen_);
-  pool.rate_changes = std::move(rate_changes_);
-  pool.arrival_order = std::move(arrival_order_);
-  pool.disruptions = std::move(disruptions_);
-  pool.done = std::move(done_);
-  pool.capacities = std::move(capacities_);
-  pool.fault_events = std::move(fault_events_);
-  pool.host_down = std::move(host_down_);
-  pool.link_down = std::move(link_down_);
-  pool.straggler = std::move(straggler_);
-  pool.saved_capacity = std::move(saved_capacity_);
-  pool.parked = std::move(parked_);
-  pool.capped = std::move(capped_);
-  pool.allocator = std::move(alloc_);
-  pool.calendar = calendar_.take_container();
-  pool.retries = retries_.take_container();
-}
-
-Simulator::~Simulator() {
-  if (config_.recycle != nullptr) return_buffers(*config_.recycle);
-}
-
 Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
                      Config config)
     : fabric_(&fabric), scheduler_(&scheduler), config_(std::move(config)) {
-  // Adopt before any container is touched so every resize/assign below
-  // lands in recycled capacity instead of a fresh multi-megabyte mmap.
-  if (config_.recycle != nullptr) adopt_buffers(*config_.recycle);
   capacities_.resize(fabric.topology().link_count());
   for (std::size_t i = 0; i < capacities_.size(); ++i)
     capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
@@ -615,7 +536,6 @@ void Simulator::step_impl() {
     return;
   }
 
-  const bool was_dirty = dirty_;
   // A horizon pause may have interrupted this event after its allocation
   // marked the TCP-ramp refresh; replay that mark on resume.
   bool any_ramp_capped = pending_ramp_;
@@ -727,13 +647,11 @@ void Simulator::step_impl() {
     // Horizon pause (run_to): the event's allocation (if any) already ran
     // at the unchanged clock — exactly where an uninterrupted run performs
     // it — so only the forward-looking bookkeeping must be undone. Roll
-    // back the iteration accounting, remember the ramp-refresh mark and the
-    // dirty entry state for the resumed execution, and bail out before the
-    // clock advances.
+    // back the iteration accounting, remember the ramp-refresh mark for the
+    // resumed execution, and bail out before the clock advances.
     --iterations_;
     --results_.events;
     pending_ramp_ = any_ramp_capped;
-    pending_was_dirty_ = pending_was_dirty_ || was_dirty;
     if (any_ramp_capped) dirty_ = false;  // pending_ramp_ replays the mark
     paused_at_horizon_ = true;
     return;
@@ -741,19 +659,6 @@ void Simulator::step_impl() {
   pending_ramp_ = false;
   GURITA_CHECK_MSG(t_next <= config_.max_time, "simulation exceeded max_time");
   t_next = std::max(t_next, now_);
-
-  // What the pre-calendar engine would have scanned on this event: the
-  // completion-time min search and the completion check always, the byte
-  // drain when time advances, the ramp pass when enabled, and the
-  // rebuild/assign pass when dirty — each a full active-set walk. An event
-  // resumed after a horizon pause entered dirty on its first execution
-  // (pending_was_dirty_), even though the resumed pass finds dirty_ clear.
-  std::uint64_t legacy_scans = 2;
-  if (was_dirty || pending_was_dirty_) ++legacy_scans;
-  pending_was_dirty_ = false;
-  if (config_.tcp_ramp_time > 0) ++legacy_scans;
-  if (t_next > now_) ++legacy_scans;
-  results_.legacy_flow_touches += legacy_scans * active_.size();
 
   // No per-flow drain sweep: every flow keeps draining linearly from its
   // (last_touched, rate) settle point; advancing the clock is O(1).

@@ -74,12 +74,10 @@ class SnapshotableHeap {
   /// The heap array in layout order (NOT sorted order) — serialize verbatim.
   [[nodiscard]] const std::vector<T>& container() const { return heap_; }
   /// Restores an array previously obtained from container(). The caller
-  /// must not reorder it: layout is state. (Buffer recycling also enters
-  /// here, with a *cleared* vector whose capacity is being reused — an
-  /// empty array is trivially a valid layout.)
+  /// must not reorder it: layout is state.
   void restore(std::vector<T> container) { heap_ = std::move(container); }
-  /// Moves the backing array out for buffer recycling, leaving the heap
-  /// empty and valid.
+  /// Moves the backing array out (compact() filters it and restores the
+  /// survivors), leaving the heap empty and valid.
   [[nodiscard]] std::vector<T> take_container() {
     std::vector<T> out = std::move(heap_);
     heap_.clear();
@@ -129,13 +127,6 @@ struct SimResults {
   /// releases, settles/re-keys after a rate change, calendar pops (valid
   /// and stale) and finishes.
   std::uint64_t flow_touches = 0;
-  /// Per-flow units of work the pre-calendar engine would have performed on
-  /// the same event sequence: one full active-set scan each for the
-  /// completion-time min search and the completion check every event, plus
-  /// the byte drain when time advances, the ramp-cap pass when the TCP ramp
-  /// is enabled, and the rebuild/assign pass on dirty events. Maintained so
-  /// bench_engine can report the touch ratio without running the old code.
-  std::uint64_t legacy_flow_touches = 0;
 
   // --- fault-injection accounting (fault/fault.h; all zero without a
   // fault plan) ---
@@ -195,9 +186,8 @@ struct SimResults {
   [[nodiscard]] double link_utilization(LinkId id, Rate capacity) const;
 
   /// Folds another run's cost counters (events, flow_touches,
-  /// legacy_flow_touches, rate_recomputations, the fault counters
-  /// and byte/latency totals) and makespan into this
-  /// result. Counters are strictly per-run — the engine only ever writes
+  /// rate_recomputations, the fault counters and byte/latency totals) and
+  /// makespan into this result. Counters are strictly per-run — the engine only ever writes
   /// the SimResults of its own run() — and pooling across runs happens
   /// through this explicit merge, so parallel sweeps aggregate them
   /// deterministically in merge order instead of interleaving updates.
@@ -206,8 +196,7 @@ struct SimResults {
   void merge_counters(const SimResults& other);
 
   /// Projects the engine-cost counters into a registry ("engine.events",
-  /// "engine.flow_touches", "engine.legacy_flow_touches",
-  /// "engine.rate_recomputations"), the integer fault counters
+  /// "engine.flow_touches", "engine.rate_recomputations"), the integer fault counters
   /// ("fault.flow_aborts", "fault.flow_retries", "fault.failed_jobs"),
   /// plus the "engine.makespan" gauge. The double-valued fault totals
   /// (bytes, latency) are deliberately not exported: registry gauges merge
@@ -220,8 +209,6 @@ struct SimResults {
   [[nodiscard]] double average_jct() const;
   [[nodiscard]] double average_cct() const;
 };
-
-class SimBufferPool;
 
 class Simulator {
  public:
@@ -258,14 +245,6 @@ class Simulator {
     /// Engine phase profiler (obs/profiler.h), or nullptr. Timing only —
     /// attaching a profiler never changes simulation results.
     obs::PhaseProfiler* profiler = nullptr;
-    /// Recycled container pack (SimBufferPool below), or nullptr. When set,
-    /// the simulator adopts the pool's emptied vectors at construction
-    /// (clearing them — values are never reused, only capacity) and returns
-    /// them at destruction, so consecutive runs on a worker skip the
-    /// multi-megabyte allocate/free cycle of the flow store, calendar and
-    /// fault runtime. Results are byte-identical with or without a pool.
-    /// Must outlive the simulator.
-    SimBufferPool* recycle = nullptr;
     /// Deterministic interval sampler (obs/sampler.h), or nullptr. Requires
     /// Config::trace: samples are emitted into the recorder as kSample /
     /// kMemSample (and opt-in kWallSample) records. Polled after every
@@ -286,9 +265,6 @@ class Simulator {
   Simulator(const Fabric& fabric, Scheduler& scheduler, Config config);
   Simulator(const Fabric& fabric, Scheduler& scheduler)
       : Simulator(fabric, scheduler, Config{}) {}
-
-  /// Returns the adopted containers to Config::recycle, if one was set.
-  ~Simulator();
 
   /// Registers a job (validated against the fabric). All jobs must be
   /// submitted before run(). Returns the assigned job id.
@@ -403,7 +379,6 @@ class Simulator {
 
  private:
   friend class SnapshotCodec;  ///< snapshot/snapshot.cpp serializer
-  friend class SimBufferPool;  ///< recyclable container pack (below)
   /// One entry of the completion calendar: flow `flow` is projected to
   /// drain to zero at `key`. Entries are never updated in place; a rate
   /// change bumps the flow's generation counter and pushes a fresh entry,
@@ -491,9 +466,6 @@ class Simulator {
   /// A paused event had already marked the TCP-ramp refresh; replay it on
   /// resume (the allocation itself already ran). Serialized (snapshot v3).
   bool pending_ramp_ = false;
-  /// A paused event entered with dirty_ set; its legacy-cost accounting is
-  /// owed when the event finally executes. Serialized (snapshot v3).
-  bool pending_was_dirty_ = false;
   /// Flow-store reservation watermark: released flows plus the unreleased
   /// flows of every registered job. admit() grows the store (re-pointing
   /// active_) when a new job pushes this past capacity; release_coflow's
@@ -598,59 +570,6 @@ class Simulator {
   SimResults collect();
   /// Applies due scheduled capacity changes (failure injection).
   void apply_due_disruptions();
-
-  /// Buffer recycling (Config::recycle): moves the pool's containers into
-  /// the members (clearing each — capacity reuse only, never values), and
-  /// back again at destruction. A pool borrowed twice concurrently (it
-  /// must not be shared across threads, but a second simulator on the same
-  /// thread is legal) simply finds moved-from empty containers and falls
-  /// back to fresh allocation — reuse degrades, correctness doesn't.
-  void adopt_buffers(SimBufferPool& pool);
-  void return_buffers(SimBufferPool& pool);
-};
-
-/// Recyclable pack of a Simulator's large per-run containers — the flow /
-/// coflow / job stores, calendar and retry heap arrays, active-set and
-/// fault-runtime vectors. One simulation over a 100k-flow trace allocates
-/// (and frees) several megabytes of these; when every run of a sharded
-/// sweep pays that, the allocator's mmap/munmap traffic serializes the
-/// workers and the parallel runner scales *negatively*. A per-worker pool
-/// (exp/arena.h) lets each run adopt its predecessor's capacity instead.
-///
-/// Ownership rules: a pool belongs to one thread (no internal locking) and
-/// to at most one live Simulator at a time; while borrowed, its containers
-/// are moved-from and empty. The simulator clears every adopted container
-/// before use, so pooled and fresh runs are byte-identical.
-class SimBufferPool {
- public:
-  SimBufferPool() = default;
-  SimBufferPool(const SimBufferPool&) = delete;
-  SimBufferPool& operator=(const SimBufferPool&) = delete;
-
- private:
-  friend class Simulator;
-  std::vector<SimFlow> flows;
-  std::vector<SimCoflow> coflows;
-  std::vector<SimJob> jobs;
-  std::vector<SimState::CoflowAggregate> aggregates;
-  std::vector<SimFlow*> active;
-  std::vector<std::uint32_t> pos_in_active;
-  std::vector<std::uint32_t> gen;
-  std::vector<Simulator::CalendarEntry> calendar;
-  std::vector<RateChange> rate_changes;
-  std::vector<JobId> arrival_order;
-  std::vector<CapacityChange> disruptions;
-  std::vector<FlowId> done;
-  std::vector<Rate> capacities;
-  std::vector<FaultEvent> fault_events;
-  std::vector<char> host_down;
-  std::vector<char> link_down;
-  std::vector<double> straggler;
-  std::vector<Rate> saved_capacity;
-  std::vector<FlowId> parked;
-  std::vector<Simulator::RetryEntry> retries;
-  std::vector<FlowId> capped;
-  RateAllocator allocator;  ///< recycled whole: reset() reuses its arrays
 };
 
 }  // namespace gurita

@@ -176,10 +176,6 @@ class SimState {
 
  private:
   friend class Simulator;
-  /// Recyclable container pack (flowsim/simulator.h): holds this state's
-  /// emptied vectors between runs so consecutive simulators on a worker
-  /// reuse their capacity instead of re-mallocing it.
-  friend class SimBufferPool;
   /// The checkpoint/restore serializer (snapshot/snapshot.cpp): reads and
   /// rebuilds the dynamic fields directly rather than replaying events.
   friend class SnapshotCodec;

@@ -2,13 +2,12 @@
 //
 // Unlike the sampler's kMemSample records — which report *logical* live
 // bytes (element counts x element size) so they stay deterministic across
-// buffer-pool reuse and checkpoint/restore — the accountant tracks the
-// *reserved* footprint (vector capacities), i.e. what the process actually
-// holds, including SimBufferPool idle capacity and the allocator's
-// membership/scratch arrays. Reserved capacity depends on allocation
-// history, so the accountant is diagnostics-only: it is never serialized,
-// never fingerprinted, and only surfaces in exports behind --diagnostics
-// (DESIGN.md §14). The engine feeds it at sample boundaries and at
+// checkpoint/restore and compaction — the accountant tracks the *reserved*
+// footprint (vector capacities), i.e. what the process actually holds,
+// including the allocator's membership/scratch arrays. Reserved capacity
+// depends on growth history (restore, admit, compact), so the accountant
+// is diagnostics-only: it is never serialized, never fingerprinted, and
+// only surfaces in exports behind --diagnostics (DESIGN.md §14). The engine feeds it at sample boundaries and at
 // collect(); peaks merge by max across runs, matching gauge semantics.
 #pragma once
 

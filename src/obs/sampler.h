@@ -56,8 +56,8 @@ class IntervalSampler {
   };
 
   /// Logical live bytes per subsystem (element counts x element size, never
-  /// reserved capacity — capacity depends on buffer-pool reuse history,
-  /// which is outside the determinism contract).
+  /// reserved capacity — capacity depends on growth history (restore,
+  /// admit, compact), which is outside the determinism contract).
   struct MemSample {
     std::uint64_t state_bytes = 0;       ///< flow/coflow/job/aggregate stores
     std::uint64_t calendar_bytes = 0;    ///< completion calendar entries

@@ -162,8 +162,10 @@ class Reader {
   [[nodiscard]] std::size_t position() const { return pos_; }
 
  private:
+  /// Compares against the bytes left rather than computing pos_ + n, which
+  /// wraps for a hostile length field near 2^64 (pos_ <= size() always).
   void need(std::uint64_t n) const {
-    if (pos_ + n > data_.size())
+    if (n > data_.size() - pos_)
       throw SnapshotError("truncated snapshot: need " + std::to_string(n) +
                           " bytes at offset " + std::to_string(pos_) +
                           ", have " + std::to_string(data_.size() - pos_));

@@ -161,11 +161,10 @@ class SnapshotCodec {
     const std::size_t token = w.begin_section();
     w.f64(s.now_);
     w.boolean(s.dirty_);
-    // Horizon-pause carry flags (run_to): every checkpoint lands at a
-    // pause boundary, where the ramp-refresh mark and dirty-entry
-    // accounting of the rolled-back event are still pending.
+    // Horizon-pause carry flag (run_to): every checkpoint lands at a pause
+    // boundary, where the ramp-refresh mark of the rolled-back event is
+    // still pending.
     w.boolean(s.pending_ramp_);
-    w.boolean(s.pending_was_dirty_);
     w.u64(s.iterations_);
     w.u64(s.next_arrival_);
     w.f64(s.next_tick_);
@@ -248,7 +247,6 @@ class SnapshotCodec {
     w.u64(s.results_.rate_recomputations);
     w.u64(s.results_.events);
     w.u64(s.results_.flow_touches);
-    w.u64(s.results_.legacy_flow_touches);
     w.u64(s.results_.flow_aborts);
     w.u64(s.results_.flow_retries);
     w.u64(s.results_.failed_jobs);
@@ -285,7 +283,6 @@ class SnapshotCodec {
     s.now_ = r.f64();
     s.dirty_ = r.boolean();
     s.pending_ramp_ = r.boolean();
-    s.pending_was_dirty_ = r.boolean();
     s.iterations_ = r.u64();
     s.next_arrival_ = r.u64();
     s.next_tick_ = r.f64();
@@ -383,7 +380,6 @@ class SnapshotCodec {
     s.results_.rate_recomputations = r.u64();
     s.results_.events = r.u64();
     s.results_.flow_touches = r.u64();
-    s.results_.legacy_flow_touches = r.u64();
     s.results_.flow_aborts = r.u64();
     s.results_.flow_retries = r.u64();
     s.results_.failed_jobs = r.u64();
@@ -652,7 +648,6 @@ void save_results(Writer& w, const SimResults& results) {
   w.u64(results.rate_recomputations);
   w.u64(results.events);
   w.u64(results.flow_touches);
-  w.u64(results.legacy_flow_touches);
   w.u64(results.flow_aborts);
   w.u64(results.flow_retries);
   w.u64(results.failed_jobs);
@@ -702,7 +697,6 @@ SimResults load_results(Reader& r) {
   results.rate_recomputations = r.u64();
   results.events = r.u64();
   results.flow_touches = r.u64();
-  results.legacy_flow_touches = r.u64();
   results.flow_aborts = r.u64();
   results.flow_retries = r.u64();
   results.failed_jobs = r.u64();

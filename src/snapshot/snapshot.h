@@ -39,7 +39,10 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// so routes are no longer a pure function of the id), the engine section
 /// carries the horizon-pause carry flags, and the kServiceState payload
 /// wraps a simulator snapshot with daemon state (DESIGN.md §15).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: dropped the pre-calendar full-scan touch estimate from the engine
+/// and results sections, and its dirty-entry pause flag from the engine
+/// section; the engine no longer computes it.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

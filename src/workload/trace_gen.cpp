@@ -137,13 +137,6 @@ JobSpec generate_job(const TraceConfig& config, Rng& rng) {
 }
 
 std::vector<JobSpec> generate_trace(const TraceConfig& config) {
-  std::vector<JobSpec> jobs;
-  generate_trace_into(config, jobs);
-  return jobs;
-}
-
-void generate_trace_into(const TraceConfig& config,
-                         std::vector<JobSpec>& jobs) {
   GURITA_CHECK_MSG(config.num_jobs >= 1, "need at least one job");
   GURITA_CHECK_MSG(config.num_hosts >= 2, "need at least two hosts");
   GURITA_CHECK_MSG(
@@ -154,7 +147,7 @@ void generate_trace_into(const TraceConfig& config,
   Rng arrivals_rng = rng.split();
   const std::vector<Time> arrivals = make_arrivals(arrivals_rng, config);
 
-  jobs.clear();
+  std::vector<JobSpec> jobs;
   jobs.reserve(static_cast<std::size_t>(config.num_jobs));
   for (int j = 0; j < config.num_jobs; ++j) {
     JobSpec job = generate_job(config, rng);
@@ -165,6 +158,7 @@ void generate_trace_into(const TraceConfig& config,
             [](const JobSpec& a, const JobSpec& b) {
               return a.arrival_time < b.arrival_time;
             });
+  return jobs;
 }
 
 }  // namespace gurita

@@ -63,7 +63,7 @@ struct TraceConfig {
 };
 
 /// Generates one validated job body (DAG, coflows, flows) from `rng`,
-/// consuming exactly the draws generate_trace_into makes per job.
+/// consuming exactly the draws generate_trace makes per job.
 /// arrival_time is left 0: batch generation stamps it from a pre-drawn
 /// arrival vector, the open-loop generator (open_loop.h) from its arrival
 /// process cursor.
@@ -71,12 +71,5 @@ struct TraceConfig {
 
 /// Generates `config.num_jobs` validated JobSpecs, sorted by arrival time.
 [[nodiscard]] std::vector<JobSpec> generate_trace(const TraceConfig& config);
-
-/// In-place variant: clears `out` and fills it with exactly the jobs
-/// generate_trace(config) would return, reusing the outer vector's capacity
-/// (per-job inner vectors still allocate — clear() destroys them). The
-/// per-worker run arena (exp/arena.h) threads its buffer through here so a
-/// sharded sweep doesn't reallocate the trace container every cell.
-void generate_trace_into(const TraceConfig& config, std::vector<JobSpec>& out);
 
 }  // namespace gurita

@@ -151,16 +151,16 @@ TEST(ResolveJobsTest, ZeroMeansAllHardwareThreads) {
   EXPECT_GE(resolve_jobs(Args(3, const_cast<char**>(argv))), 1);
 }
 
-// The per-worker arena (exp/arena.h) recycles simulator buffer capacity
-// and caches fabrics across cells. Reuse must be invisible: running the
-// same sweep repeatedly on one thread — each pass adopting the previous
-// pass's dirty buffers — must serialize identically to the first pass, and
-// identically at every worker count (workers inherit whatever their
-// arena accumulated from earlier cells in the same process).
+// The per-worker arena (exp/arena.h) caches fabrics across cells. Reuse
+// must be invisible: running the same sweep repeatedly on one thread —
+// each pass reusing the fabrics the previous pass built — must serialize
+// identically to the first pass, and identically at every worker count
+// (workers inherit whatever their arena accumulated from earlier cells in
+// the same process).
 TEST(ParallelRunnerTest, ArenaReuseKeepsRepeatedSweepsByteIdentical) {
   const std::string first = serialize_reports(run_sweep(small_sweep(), 1));
   ASSERT_FALSE(first.empty());
-  // Same thread, now-warm arena: adopted capacity, cached fabric.
+  // Same thread, now-warm arena: cached fabric.
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 1)), first);
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 1)), first);
   // Warm and cold workers mixed (fresh pool threads each call).

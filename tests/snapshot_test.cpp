@@ -72,6 +72,20 @@ TEST(SnapshotCodec, TruncatedBufferThrows) {
   w.u64(1);
   snapshot::Reader r(std::string_view(w.buffer()).substr(0, 4));
   EXPECT_THROW(r.u64(), snapshot::SnapshotError);
+
+  // A length field near 2^64 must not wrap the bounds check: a buffer that
+  // holds only the length has nothing left to satisfy it.
+  snapshot::Writer huge;
+  huge.u64(~std::uint64_t{0});
+  {
+    snapshot::Reader str_reader(huge.buffer());
+    EXPECT_THROW((void)str_reader.str(), snapshot::SnapshotError);
+  }
+  {
+    snapshot::Reader section_reader(huge.buffer());
+    EXPECT_THROW((void)section_reader.begin_section(),
+                 snapshot::SnapshotError);
+  }
 }
 
 TEST(SnapshotCodec, SectionVerifiesExactConsumption) {
