@@ -27,7 +27,7 @@
 //   --chrome-trace FILE Chrome Trace Event JSON (phase spans + sampler
 //                       tracks) for ui.perfetto.dev / chrome://tracing
 //   --diagnostics       non-deterministic run health (allocator work,
-//                       memory peaks, pool stats) in the summary JSON
+//                       memory peaks) in the summary JSON
 //   --log-level LVL     debug|info|warn|error|off
 //
 // Checkpoint/restore (exp/args.h; DESIGN.md §12): --checkpoint-every,
@@ -107,10 +107,9 @@ int main(int argc, char** argv) {
     apply_checkpoint_flags(args, run.config);
   }
 
-  ThreadPool::Stats pool_stats;
   std::vector<ComparisonResult> results;
   try {
-    results = run_matrix(runs, jobs, &pool_stats);
+    results = run_matrix(runs, jobs);
   } catch (const snapshot::HaltedError& e) {
     // Deliberate --checkpoint-halt-after crash: distinct exit status so CI
     // can assert the halt happened and then re-invoke with --resume-from.
@@ -143,7 +142,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     ExportOptions export_options;
     export_options.diagnostics = obs_options.diagnostics;
-    export_options.pool_stats = pool_stats;
     const std::size_t total_records =
         export_traces(labels, results, trace_path, trace_binary,
                       export_options);

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/atomic_file.h"
-#include "common/thread_pool.h"
 #include "exp/args.h"
 #include "exp/runner.h"
 #include "obs/profiler.h"
@@ -101,7 +100,7 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
   write_file_atomic(path, /*binary=*/false, [&](std::ostream& out) {
   out << "{\n  \"bench\": \"parallel\",\n  \"replicates\": " << replicates
       << ",\n  \"num_jobs\": " << num_jobs << ",\n  \"hardware_threads\": "
-      << ThreadPool::hardware_threads() << ",\n  \"rows\": [\n";
+      << hardware_threads() << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     out << "    {\"jobs\": " << r.jobs << ", \"wall_ms\": " << r.wall_ms
@@ -189,7 +188,7 @@ int main(int argc, char** argv) {
     // 4 * (4/8) = 2x instead. Below 2 hardware threads there is no
     // parallelism to measure — skip rather than fail.
     const double guard = args.get_double("speedup-guard", 0.0);
-    const int hw = ThreadPool::hardware_threads();
+    const int hw = hardware_threads();
     const BenchRow& widest = *std::max_element(
         rows.begin(), rows.end(),
         [](const BenchRow& a, const BenchRow& b) { return a.jobs < b.jobs; });

@@ -117,10 +117,9 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
 
-  ThreadPool::Stats pool_stats;
   std::vector<ComparisonResult> results;
   try {
-    results = run_matrix(runs, jobs, &pool_stats);
+    results = run_matrix(runs, jobs);
   } catch (const snapshot::HaltedError& e) {
     // Deliberate --checkpoint-halt-after crash: distinct exit status so CI
     // can assert the halt happened and then re-invoke with --resume-from.
@@ -195,7 +194,6 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) {
     ExportOptions export_options;
     export_options.diagnostics = base.obs.diagnostics;
-    export_options.pool_stats = pool_stats;
     const std::size_t total =
         export_traces(labels, results, trace_path, trace_binary,
                       export_options);

@@ -23,8 +23,8 @@ namespace gurita {
 struct JobSpec {
   Time arrival_time = 0;
   /// Optional completion deadline (absolute time). 0 = no deadline.
-  /// Johnson's fourth rule — avoid tardiness by prioritizing the smallest
-  /// slack — only applies to jobs that carry one.
+  /// Validated against the arrival and carried through trace files, the
+  /// JSONL feed and snapshots; no scheduler reads it.
   Time deadline = 0;
   std::vector<CoflowSpec> coflows;
   /// deps[i] = local indices of the coflows that must complete before

@@ -128,20 +128,8 @@ void GuritaScheduler::on_fault(const FaultEvent& event, Time now) {
   }
 }
 
-double GuritaScheduler::slack_factor(const SimJob& job, Time now) const {
-  if (config_.slack_discount <= 0 || !job.spec.has_deadline()) return 1.0;
-  const double budget = job.spec.deadline - job.arrival_time;
-  if (budget <= 0) return 1.0;
-  const double spent = (now - job.arrival_time) / budget;
-  return spent >= config_.slack_urgency ? 1.0 - config_.slack_discount : 1.0;
-}
-
 bool GuritaScheduler::decide_priorities(HeadReceiver& hr, Time now) {
-  // Ψ̈ per coflow, then per-stage sums Ψ̈_J(k), scaled by the slack factor
-  // (rule 4 of Johnson's rules: jobs running out of deadline budget get a
-  // priority boost via a smaller effective blocking effect).
-  const SimJob& job = state().job(hr.job());
-  const double slack = slack_factor(job, now);
+  // Ψ̈ per coflow, then per-stage sums Ψ̈_J(k).
   const double omega = omega_online(hr.completed_stages());
   obs::TraceRecorder* tr = trace_recorder();
   const bool trace_queues =
@@ -160,7 +148,7 @@ bool GuritaScheduler::decide_priorities(HeadReceiver& hr, Time now) {
     in.on_critical_path = config_.use_critical_path &&
                           ava_.likely_critical(obs.ell_max_observed);
     if (in.on_critical_path) ++stats_.critical_path_hits;
-    psi_stage[obs.stage] += blocking_effect(in) * slack;
+    psi_stage[obs.stage] += blocking_effect(in);
     stage_of[cid] = obs.stage;
     if (trace_queues) inputs_of.emplace(cid, in);
   }
@@ -181,7 +169,7 @@ bool GuritaScheduler::decide_priorities(HeadReceiver& hr, Time now) {
         obs::TraceRecord r;
         r.kind = obs::TraceEventKind::kQueueChange;
         r.time = now;
-        r.job = job.id.value();
+        r.job = hr.job().value();
         r.coflow = cid.value();
         r.v0 = in.omega;
         r.v1 = in.epsilon;
@@ -221,7 +209,6 @@ int GuritaScheduler::coflow_queue(CoflowId id) const {
 void GuritaScheduler::self_demote(CoflowId cid, int& queue, Time now) {
   ++stats_.self_demote_checks;
   const SimCoflow& coflow = state().coflow(cid);
-  const SimJob& job = state().job(coflow.job);
   // Receiver-local estimate of this coflow's own blocking effect; the HR's
   // last-known completed-stage count supplies ω̈. The byte signals come
   // from the engine's incremental aggregates (O(1) for the sums, no
@@ -242,9 +229,7 @@ void GuritaScheduler::self_demote(CoflowId cid, int& queue, Time now) {
   in.beta = config_.beta;
   in.on_critical_path =
       config_.use_critical_path && ava_.likely_critical(ell_max);
-  // The job knows its own deadline, so rule 4's slack boost applies to the
-  // receiver-local check as well.
-  const double psi = blocking_effect(in) * slack_factor(job, now);
+  const double psi = blocking_effect(in);
   const int level = psi_level(psi);
   if (level > queue) {
     obs::TraceRecorder* tr = trace_recorder();

@@ -59,13 +59,6 @@ class GuritaScheduler final : public Scheduler {
     /// (quantile placement; adaptive_thresholds.h) instead of the fixed
     /// exponential ladder — the paper's stated future-work direction.
     bool adaptive_thresholds = false;
-    /// Johnson's fourth rule (avoid tardiness): multiply Ψ of jobs whose
-    /// deadline budget is mostly spent by (1 - slack_discount), boosting
-    /// their priority. 0 disables; only affects jobs carrying deadlines.
-    double slack_discount = 0.0;
-    /// Fraction of the arrival→deadline budget after which the slack
-    /// discount kicks in.
-    double slack_urgency = 0.7;
   };
 
   GuritaScheduler() : GuritaScheduler(Config{}) {}
@@ -137,9 +130,6 @@ class GuritaScheduler final : public Scheduler {
   /// Recomputes Ψ̈ and stage queues for one job from its HR cache.
   /// Returns true if any coflow's queue changed.
   bool decide_priorities(HeadReceiver& hr, Time now);
-
-  /// (1 - slack_discount) for a deadline job deep into its budget, else 1.
-  [[nodiscard]] double slack_factor(const SimJob& job, Time now) const;
 
   /// Receiver-local self-demotion: "newly-arriving flows ... transmit at
   /// [the highest] priority until a threshold is exceeded or an update is

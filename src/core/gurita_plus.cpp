@@ -179,7 +179,7 @@ void GuritaPlusScheduler::load_state(snapshot::Reader& r) {
   const std::uint64_t n_critical = r.u64();
   for (std::uint64_t i = 0; i < n_critical; ++i) {
     const JobId jid{r.u64()};
-    std::vector<bool> flags(static_cast<std::size_t>(r.u64()));
+    std::vector<bool> flags(static_cast<std::size_t>(r.count(1)));
     for (std::size_t k = 0; k < flags.size(); ++k) flags[k] = r.boolean();
     on_critical_.emplace(jid, std::move(flags));
   }

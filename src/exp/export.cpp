@@ -62,9 +62,8 @@ void append_f64(std::string& out, const char* key, double v, bool* first) {
 }
 
 /// The non-deterministic "diagnostics" object (ExportOptions): pooled
-/// allocator work counters, reserved-memory peaks and thread-pool stats.
-std::string diagnostics_json(const SimResults::Diagnostics& diag,
-                             const ThreadPool::Stats& pool) {
+/// allocator work counters and reserved-memory peaks.
+std::string diagnostics_json(const SimResults::Diagnostics& diag) {
   std::string out = "{\n    \"alloc\": {";
   bool first = true;
   append_u64(out, "allocations", diag.alloc.allocations, &first);
@@ -90,12 +89,6 @@ std::string diagnostics_json(const SimResults::Diagnostics& diag,
     append_u64(out, key.c_str(), diag.memory.peak(s), &first);
   }
   append_u64(out, "total_peak_bytes", diag.memory.peak_total(), &first);
-  out += "},\n    \"pool\": {";
-  first = true;
-  append_u64(out, "executed", pool.executed, &first);
-  append_u64(out, "steals", pool.steals, &first);
-  append_u64(out, "failed_scans", pool.failed_scans, &first);
-  append_u64(out, "sleeps", pool.sleeps, &first);
   out += "}\n  }";
   return out;
 }
@@ -139,7 +132,7 @@ std::size_t export_traces(const std::vector<std::string>& labels,
     std::size_t cut = pos;
     while (cut > 0 && (json[cut - 1] == '\n' || json[cut - 1] == ' ')) --cut;
     json = json.substr(0, cut) + ",\n  \"diagnostics\": " +
-           diagnostics_json(diag, options.pool_stats) + "\n}\n";
+           diagnostics_json(diag) + "\n}\n";
   }
   write_file_atomic(path + ".summary.json", /*binary=*/false,
                     [&](std::ostream& out) { out << json; });

@@ -1,19 +1,18 @@
 // Shared trace/summary export for bench drivers.
 //
-// Every driver that takes --trace used to hand-roll the same loop: walk the
-// run matrix in slot order, schedulers in name order within a run, write
-// one labeled section per (run, scheduler) and a .summary.json with the
-// pooled counters. This module is that loop, written once — and crash-safe:
-// both files go through write_file_atomic (common/atomic_file.h), so an
-// interrupted export never leaves a truncated trace for validate_trace.py
-// to choke on.
+// Every driver that takes --trace exports through this one loop: it walks
+// the run matrix in slot order, schedulers in name order within a run, and
+// writes one labeled section per (run, scheduler) plus a .summary.json with
+// the pooled counters. That walk does not depend on the worker count, so
+// the files are byte-identical at any --jobs. Both files go through
+// write_file_atomic (common/atomic_file.h), so an interrupted export never
+// leaves a truncated trace for validate_trace.py to choke on.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "exp/experiment.h"
 
 namespace gurita {
@@ -21,15 +20,11 @@ namespace gurita {
 /// Optional extras for export_traces.
 struct ExportOptions {
   /// Splice a "diagnostics" object into the summary JSON: the pooled
-  /// allocator work counters (component-size percentiles included), the
-  /// per-subsystem reserved-memory peaks and the thread-pool work-stealing
-  /// counters. Everything under that key is NON-deterministic (wall-clock,
-  /// capacity and contention dependent) and is deliberately excluded from
-  /// the determinism fingerprint legs, which never pass --diagnostics.
+  /// allocator work counters (component-size percentiles included) and the
+  /// per-subsystem reserved-memory peaks. The memory peaks are capacity
+  /// dependent, so the object is deliberately excluded from the determinism
+  /// fingerprint legs, which never pass --diagnostics.
   bool diagnostics = false;
-  /// Pool counters to report (run_sharded's out-param); all-zero for
-  /// serial runs.
-  ThreadPool::Stats pool_stats{};
 };
 
 /// Exports the traces of `results` to `path` (JSONL, or the compact binary

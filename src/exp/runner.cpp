@@ -1,10 +1,12 @@
 #include "exp/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <thread>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace gurita {
 
@@ -42,6 +44,11 @@ std::uint64_t derive_run_seed(std::uint64_t base_seed,
   return h;
 }
 
+int hardware_threads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<int>(n);
+}
+
 int resolve_jobs(const Args& args) {
   int jobs = 1;
   if (const char* env = std::getenv("GURITA_JOBS")) {
@@ -54,36 +61,39 @@ int resolve_jobs(const Args& args) {
   }
   jobs = args.get_int("jobs", jobs);
   GURITA_CHECK_MSG(jobs >= 0, "--jobs must be >= 0 (0 = all hardware threads)");
-  return jobs == 0 ? ThreadPool::hardware_threads() : jobs;
+  return jobs == 0 ? hardware_threads() : jobs;
 }
 
 void run_sharded(std::size_t n, int jobs,
-                 const std::function<void(std::size_t)>& fn,
-                 ThreadPool::Stats* pool_stats) {
-  if (n == 0) return;
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // No reason to spawn more workers than runs; the pool dies with the call
-  // (sweeps are long, pool startup is microseconds).
-  ThreadPool pool(static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), n)));
-  pool.parallel_for(n, fn);
-  // Harvest before destruction; stats accumulate across run_sharded calls
-  // of the same sweep when the caller reuses one Stats out-param.
-  if (pool_stats != nullptr) {
-    const ThreadPool::Stats s = pool.stats();
-    pool_stats->executed += s.executed;
-    pool_stats->steals += s.steals;
-    pool_stats->failed_scans += s.failed_scans;
-    pool_stats->sleeps += s.sleeps;
-  }
+                 const std::function<void(std::size_t)>& fn) {
+  // Each index owns an error slot: every index runs even when some throw,
+  // and the smallest failing index is rethrown whichever worker hit it
+  // first, so failures do not depend on `jobs`.
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  // The calling thread is the last of the min(jobs, n) workers.
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(std::max(jobs, 1)), n);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(work);
+    work();
+  }  // joins
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 std::vector<ComparisonResult> run_matrix(const std::vector<ExperimentRun>& runs,
-                                         int jobs,
-                                         ThreadPool::Stats* pool_stats) {
+                                         int jobs) {
   // Result slots are cache-line aligned while the workers write them: a
   // ComparisonResult is a pair of small maps, so adjacent slots of a plain
   // vector share lines and concurrent writers false-share on the final
@@ -98,15 +108,14 @@ std::vector<ComparisonResult> run_matrix(const std::vector<ExperimentRun>& runs,
                                         runs[i].checkpoint_key.empty()
                                             ? "cell" + std::to_string(i)
                                             : runs[i].checkpoint_key);
-  }, pool_stats);
+  });
   std::vector<ComparisonResult> results;
   results.reserve(runs.size());
   for (Slot& slot : slots) results.push_back(std::move(slot.value));
   return results;
 }
 
-std::vector<ComparisonResult> run_sweep(const SweepSpec& sweep, int jobs,
-                                        ThreadPool::Stats* pool_stats) {
+std::vector<ComparisonResult> run_sweep(const SweepSpec& sweep, int jobs) {
   GURITA_CHECK_MSG(sweep.replicates >= 1, "need at least one replicate");
   GURITA_CHECK_MSG(!sweep.configs.empty(), "sweep has no configs");
 
@@ -126,7 +135,7 @@ std::vector<ComparisonResult> run_sweep(const SweepSpec& sweep, int jobs,
     }
   }
 
-  std::vector<ComparisonResult> flat = run_matrix(cells, jobs, pool_stats);
+  std::vector<ComparisonResult> flat = run_matrix(cells, jobs);
 
   std::vector<ComparisonResult> pooled(sweep.configs.size());
   for (std::size_t c = 0; c < sweep.configs.size(); ++c)

@@ -2,9 +2,10 @@
 //
 // The paper's evaluation is hundreds of independent (scheduler × trace ×
 // seed) simulation runs — embarrassingly parallel. This module shards a run
-// matrix over the work-stealing ThreadPool (common/thread_pool.h) while
-// keeping every result **bit-identical to a serial run**, at any worker
-// count and under any completion order. Two rules make that hold:
+// matrix over `jobs` workers — `jobs - 1` threads plus the caller, all
+// claiming indices from one atomic cursor (run_sharded) — while keeping
+// every result **bit-identical to a serial run**, at any worker count and
+// under any completion order. Two rules make that hold:
 //
 //   1. *Independent seeding.* No run ever continues another run's RNG
 //      stream. A replicated sweep derives each run's trace seed from the
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "exp/args.h"
 #include "exp/experiment.h"
 
@@ -44,22 +44,24 @@ namespace gurita {
                                             std::uint64_t config_index,
                                             std::uint64_t replicate);
 
+/// std::thread::hardware_concurrency(), or 1 when it is unknown.
+[[nodiscard]] int hardware_threads();
+
 /// Worker-count resolution for bench drivers: the `--jobs N` flag wins,
 /// else the GURITA_JOBS environment variable, else 1 (serial). N = 0 means
 /// one worker per hardware thread. Returns the resolved positive count.
 [[nodiscard]] int resolve_jobs(const Args& args);
 
-/// Runs fn(0) ... fn(n-1) across `jobs` workers (jobs <= 1 → plain serial
-/// loop, no threads). Every invocation must be self-contained — own RNG,
-/// own fabric/scheduler instances, results written only to slot i of a
-/// caller-owned, pre-sized container. If invocations throw, the exception
-/// of the smallest failing index propagates. `pool_stats`, when non-null,
-/// receives the pool's work-stealing counters (common/thread_pool.h) —
-/// non-deterministic diagnostics (all-zero on the serial path), reported
-/// only behind --diagnostics and never fingerprinted.
+/// Runs fn(0) ... fn(n-1) on min(max(jobs, 1), n) workers: that many
+/// minus one fresh threads plus the calling thread, so at most `jobs`
+/// invocations are ever in flight (jobs <= 1 → the caller alone, no
+/// threads). Every invocation must be self-contained — own RNG, own
+/// fabric/scheduler instances, results written only to slot i of a
+/// caller-owned, pre-sized container. Every index runs even when some
+/// throw; afterwards the exception of the smallest failing index
+/// propagates. Calls may nest (each call owns its threads).
 void run_sharded(std::size_t n, int jobs,
-                 const std::function<void(std::size_t)>& fn,
-                 ThreadPool::Stats* pool_stats = nullptr);
+                 const std::function<void(std::size_t)>& fn);
 
 /// One fully-specified cell of an experiment matrix: a workload (the
 /// config's trace seed is final — no derivation) replayed under each named
@@ -78,10 +80,9 @@ struct ExperimentRun {
 
 /// Executes every run, sharded over `jobs` workers; slot i of the returned
 /// vector holds run i's result. Bit-identical to calling
-/// compare_schedulers() in a loop. `pool_stats` as in run_sharded.
+/// compare_schedulers() in a loop.
 [[nodiscard]] std::vector<ComparisonResult> run_matrix(
-    const std::vector<ExperimentRun>& runs, int jobs,
-    ThreadPool::Stats* pool_stats = nullptr);
+    const std::vector<ExperimentRun>& runs, int jobs);
 
 /// A replicated sweep: every config is run `replicates` times, the trace
 /// seed of cell (config c, replicate r) being
@@ -95,9 +96,8 @@ struct SweepSpec {
 
 /// Runs the sweep and pools the replicates of each config in replicate
 /// order (ComparisonResult::absorb): out[c] aggregates configs[c]'s
-/// replicates. Deterministic at any `jobs`. `pool_stats` as in run_sharded.
-[[nodiscard]] std::vector<ComparisonResult> run_sweep(
-    const SweepSpec& sweep, int jobs,
-    ThreadPool::Stats* pool_stats = nullptr);
+/// replicates. Deterministic at any `jobs`.
+[[nodiscard]] std::vector<ComparisonResult> run_sweep(const SweepSpec& sweep,
+                                                      int jobs);
 
 }  // namespace gurita

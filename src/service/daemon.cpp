@@ -843,7 +843,7 @@ struct Daemon::Impl {
       cr.failed = r.boolean();
       ledger_coflows_.push_back(cr);
     }
-    const std::uint64_t nspecs = r.u64();
+    const std::uint64_t nspecs = r.count(snapshot::kMinJobSpecBytes);
     GURITA_CHECK_MSG(nspecs == nmeta,
                      "service snapshot: spec count != ledger count");
     std::vector<JobSpec> specs;

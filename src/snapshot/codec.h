@@ -134,6 +134,21 @@ class Reader {
     return out;
   }
 
+  /// Reads the element count that prefixes a sequence whose every element
+  /// encodes to at least `min_bytes_per_item` bytes. A count the remaining
+  /// bytes cannot hold throws SnapshotError, so no decoder ever sizes a
+  /// container from an unchecked length field.
+  [[nodiscard]] std::uint64_t count(std::size_t min_bytes_per_item) {
+    const std::uint64_t n = u64();
+    if (n > (data_.size() - pos_) / min_bytes_per_item)
+      throw SnapshotError("snapshot count " + std::to_string(n) +
+                          " at offset " + std::to_string(pos_ - 8) +
+                          " exceeds the " +
+                          std::to_string(data_.size() - pos_) +
+                          " bytes left");
+    return n;
+  }
+
   /// Reads a section length and returns the cursor position where the
   /// section must end; pass it to end_section after decoding the contents.
   [[nodiscard]] std::size_t begin_section() {

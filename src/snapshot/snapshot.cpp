@@ -305,7 +305,7 @@ class SnapshotCodec {
       f.coflow_index = r.i32();
       f.src_host = r.i32();
       f.dst_host = r.i32();
-      const std::uint64_t n_hops = r.u64();
+      const std::uint64_t n_hops = r.count(8);
       f.path.reserve(n_hops);
       for (std::uint64_t h = 0; h < n_hops; ++h)
         f.path.push_back(LinkId{r.u64()});
@@ -365,7 +365,7 @@ class SnapshotCodec {
       s.active_.push_back(&s.state_.flows_[fid]);
     }
 
-    const std::uint64_t n_cal = r.u64();
+    const std::uint64_t n_cal = r.count(20);  // f64 key, u32 gen, u64 flow
     std::vector<Simulator::CalendarEntry> calendar;
     calendar.reserve(n_cal);
     for (std::uint64_t i = 0; i < n_cal; ++i) {
@@ -386,7 +386,7 @@ class SnapshotCodec {
     s.results_.bytes_lost = r.f64();
     s.results_.bytes_retransmitted = r.f64();
     s.results_.total_recovery_latency = r.f64();
-    const std::uint64_t n_links = r.u64();
+    const std::uint64_t n_links = r.count(8);
     s.results_.link_bytes.resize(n_links);
     for (Bytes& b : s.results_.link_bytes) b = r.f64();
 
@@ -403,7 +403,7 @@ class SnapshotCodec {
       s.parked_.clear();
       for (std::uint64_t i = 0; i < n_parked; ++i)
         s.parked_.push_back(FlowId{r.u64()});
-      const std::uint64_t n_retries = r.u64();
+      const std::uint64_t n_retries = r.count(16);  // f64 time, u64 flow
       std::vector<Simulator::RetryEntry> retries;
       retries.reserve(n_retries);
       for (std::uint64_t i = 0; i < n_retries; ++i) {
@@ -440,7 +440,7 @@ class SnapshotCodec {
           "trace recorder presence");
     if (attached) {
       const std::uint64_t dropped = r.u64();
-      const std::uint64_t n = r.u64();
+      const std::uint64_t n = r.count(snapshot::kTraceRecordBytes);
       std::vector<obs::TraceRecord> records;
       records.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i)
@@ -605,18 +605,18 @@ JobSpec read_job_spec(Reader& r) {
   JobSpec spec;
   spec.arrival_time = r.f64();
   spec.deadline = r.f64();
-  spec.coflows.resize(r.u64());
+  spec.coflows.resize(r.count(8));  // each carries its u64 flow count
   for (CoflowSpec& c : spec.coflows) {
-    c.flows.resize(r.u64());
+    c.flows.resize(r.count(16));  // i32 src, i32 dst, f64 size
     for (FlowSpec& f : c.flows) {
       f.src_host = r.i32();
       f.dst_host = r.i32();
       f.size = r.f64();
     }
   }
-  spec.deps.resize(r.u64());
+  spec.deps.resize(r.count(8));  // each carries its u64 length
   for (std::vector<int>& d : spec.deps) {
-    d.resize(r.u64());
+    d.resize(r.count(4));
     for (int& dep : d) dep = r.i32();
   }
   return spec;
@@ -668,7 +668,7 @@ SimResults load_results(Reader& r) {
     throw SnapshotError("not a results-cache snapshot");
   const std::size_t end = r.begin_section();
   SimResults results;
-  const std::uint64_t n_jobs = r.u64();
+  const std::uint64_t n_jobs = r.count(37);  // u64, 3 f64, i32, bool
   results.jobs.reserve(n_jobs);
   for (std::uint64_t i = 0; i < n_jobs; ++i) {
     SimResults::JobResult j;
@@ -680,7 +680,7 @@ SimResults load_results(Reader& r) {
     j.failed = r.boolean();
     results.jobs.push_back(j);
   }
-  const std::uint64_t n_coflows = r.u64();
+  const std::uint64_t n_coflows = r.count(45);  // 2 u64, i32, 3 f64, bool
   results.coflows.reserve(n_coflows);
   for (std::uint64_t i = 0; i < n_coflows; ++i) {
     SimResults::CoflowResult c;
@@ -703,10 +703,10 @@ SimResults load_results(Reader& r) {
   results.bytes_lost = r.f64();
   results.bytes_retransmitted = r.f64();
   results.total_recovery_latency = r.f64();
-  const std::uint64_t n_links = r.u64();
+  const std::uint64_t n_links = r.count(8);
   results.link_bytes.resize(n_links);
   for (Bytes& b : results.link_bytes) b = r.f64();
-  const std::uint64_t n_trace = r.u64();
+  const std::uint64_t n_trace = r.count(kTraceRecordBytes);
   results.trace.reserve(n_trace);
   for (std::uint64_t i = 0; i < n_trace; ++i)
     results.trace.push_back(read_trace_record(r));

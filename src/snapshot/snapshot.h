@@ -23,6 +23,7 @@
 // bytes via Reader::skip_to.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -67,8 +68,10 @@ void write_header(Writer& w, PayloadKind kind);
 [[nodiscard]] PayloadKind read_header(Reader& r);
 
 /// Serializes one trace record field-by-field (shared by the simulator
-/// checkpoint and the results cache).
+/// checkpoint and the results cache): f64 time, three u64 ids, six f64
+/// values, three i32 and the u8 kind.
 void write_trace_record(Writer& w, const obs::TraceRecord& record);
+inline constexpr std::size_t kTraceRecordBytes = 8 + 3 * 8 + 6 * 8 + 3 * 4 + 1;
 [[nodiscard]] obs::TraceRecord read_trace_record(Reader& r);
 
 /// Serializes one JobSpec field-by-field. The kServiceState payload embeds
@@ -76,6 +79,9 @@ void write_trace_record(Writer& w, const obs::TraceRecord& record);
 /// open-horizon resume cannot reconstruct the admitted population from the
 /// original inputs (it grew at runtime).
 void write_job_spec(Writer& w, const JobSpec& spec);
+/// The smallest encoded job spec: f64 arrival, f64 deadline and the two
+/// u64 counts (coflows, deps), both zero.
+inline constexpr std::size_t kMinJobSpecBytes = 4 * 8;
 [[nodiscard]] JobSpec read_job_spec(Reader& r);
 
 /// Serializes a finished run's SimResults — jobs, coflows, every counter,

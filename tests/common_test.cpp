@@ -11,8 +11,8 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 #include "common/units.h"
+#include "exp/runner.h"
 
 namespace gurita {
 namespace {
@@ -411,7 +411,7 @@ TEST(Log, SetLevelFiltersBelow) {
   log::set_level(saved);
 }
 
-// Hammers write() from every pool worker and asserts whole lines: each line
+// Hammers write() from concurrent workers and asserts whole lines: each line
 // must be exactly one writer's composed message — the mutex in write() is
 // what keeps concurrent workers from interleaving mid-line.
 TEST(Log, ConcurrentWritesStayWholeLines) {
@@ -420,13 +420,10 @@ TEST(Log, ConcurrentWritesStayWholeLines) {
   constexpr std::size_t kWriters = 8;
   constexpr int kLinesPerWriter = 200;
   ::testing::internal::CaptureStderr();
-  {
-    ThreadPool pool(static_cast<int>(kWriters));
-    pool.parallel_for(kWriters, [&](std::size_t w) {
-      const std::string payload(20 + w, static_cast<char>('a' + w));
-      for (int i = 0; i < kLinesPerWriter; ++i) log::info("w", w, " ", payload);
-    });
-  }
+  run_sharded(kWriters, static_cast<int>(kWriters), [&](std::size_t w) {
+    const std::string payload(20 + w, static_cast<char>('a' + w));
+    for (int i = 0; i < kLinesPerWriter; ++i) log::info("w", w, " ", payload);
+  });
   const std::string out = ::testing::internal::GetCapturedStderr();
   log::set_level(saved);
 

@@ -1,17 +1,12 @@
-// Tests for deadline support: JobSpec validation, tardiness metrics,
-// deadline assignment, trace round-trip and Gurita's slack discount
-// (Johnson's fourth rule).
+// Tests for deadline support: JobSpec validation and the trace round-trip.
+// Deadlines are data the trace format, the feed and snapshots carry; no
+// scheduler reads them.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
-#include "coflow/critical_path.h"
-#include "core/gurita.h"
-#include "flowsim/simulator.h"
-#include "metrics/deadlines.h"
-#include "sched/pfs.h"
-#include "topology/fattree.h"
-#include "workload/trace_gen.h"
+#include "coflow/job.h"
 #include "workload/trace_io.h"
 
 namespace gurita {
@@ -37,64 +32,6 @@ TEST(Deadlines, ValidationRejectsDeadlineBeforeArrival) {
   EXPECT_NO_THROW(validate(job, 16));
 }
 
-TEST(Deadlines, TardinessReportCountsMisses) {
-  std::vector<JobSpec> jobs;
-  SimResults results;
-  for (int i = 0; i < 3; ++i) {
-    JobSpec job = one_flow_job(100.0, 0, 1);
-    job.deadline = 2.0;
-    jobs.push_back(job);
-    SimResults::JobResult r;
-    r.id = JobId{static_cast<std::uint64_t>(i)};
-    r.finish = 1.0 + i;  // finishes at 1, 2, 3: one miss (3 > 2)
-    results.jobs.push_back(r);
-  }
-  // A job without a deadline never counts.
-  jobs.push_back(one_flow_job(100.0, 0, 1));
-  SimResults::JobResult r;
-  r.id = JobId{3};
-  r.finish = 100.0;
-  results.jobs.push_back(r);
-
-  const TardinessReport report = tardiness_report(jobs, results);
-  EXPECT_EQ(report.jobs_with_deadline, 3u);
-  EXPECT_EQ(report.misses, 1u);
-  EXPECT_NEAR(report.miss_rate(), 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(report.mean_tardiness, 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(report.max_tardiness, 1.0);
-}
-
-TEST(Deadlines, EmptyReport) {
-  const TardinessReport report = tardiness_report({}, SimResults{});
-  EXPECT_EQ(report.jobs_with_deadline, 0u);
-  EXPECT_DOUBLE_EQ(report.miss_rate(), 0.0);
-}
-
-TEST(Deadlines, AssignDeadlinesRespectsBounds) {
-  TraceConfig config;
-  config.num_jobs = 30;
-  config.num_hosts = 32;
-  auto jobs = generate_trace(config);
-  Rng rng(3);
-  assign_deadlines(jobs, rng, 1.5, 4.0, gbps(10.0));
-  for (const JobSpec& job : jobs) {
-    ASSERT_TRUE(job.has_deadline());
-    const double bound = jct_lower_bound(job, gbps(10.0));
-    EXPECT_GE(job.deadline, job.arrival_time + 1.5 * bound - 1e-9);
-    EXPECT_LE(job.deadline, job.arrival_time + 4.0 * bound + 1e-9);
-    EXPECT_NO_THROW(validate(job, config.num_hosts));
-  }
-}
-
-TEST(Deadlines, AssignRejectsUnmeetableSlack) {
-  std::vector<JobSpec> jobs = {one_flow_job(100.0, 0, 1)};
-  Rng rng(1);
-  EXPECT_THROW(assign_deadlines(jobs, rng, 0.9, 2.0, 100.0),
-               std::logic_error);
-  EXPECT_THROW(assign_deadlines(jobs, rng, 2.0, 1.5, 100.0),
-               std::logic_error);
-}
-
 TEST(Deadlines, TraceRoundTripKeepsDeadline) {
   const std::string path = ::testing::TempDir() + "deadline_roundtrip.trace";
   std::vector<JobSpec> jobs = {one_flow_job(100.0, 0, 1, 1.0)};
@@ -106,42 +43,6 @@ TEST(Deadlines, TraceRoundTripKeepsDeadline) {
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_DOUBLE_EQ(loaded[0].deadline, 7.5);
   EXPECT_FALSE(loaded[1].has_deadline());
-}
-
-TEST(Deadlines, SlackDiscountRescuesUrgentJob) {
-  // An urgent deadline job contends with a same-size job; with the slack
-  // discount its Ψ shrinks when its budget runs low, letting it win the
-  // bottleneck and meet the deadline.
-  const FatTree fabric(FatTree::Config{4, 100.0});
-  auto run_with = [&](double discount) {
-    GuritaScheduler::Config config;
-    config.first_threshold = 75.0;
-    config.multiplier = 4.0;
-    config.delta = 0.1;
-    config.starvation_mitigation = false;
-    config.slack_discount = discount;
-    config.slack_urgency = 0.2;
-    GuritaScheduler gurita(config);
-    Simulator sim(fabric, gurita);
-    std::vector<JobSpec> jobs;
-    // Deadline job: 400 B, needs 4 s alone; deadline at t=6.
-    JobSpec urgent = one_flow_job(400.0, 0, 1, 0.0);
-    urgent.deadline = 6.0;
-    jobs.push_back(urgent);
-    sim.submit(urgent);
-    // Competitor without deadline, same link, same size.
-    jobs.push_back(one_flow_job(400.0, 0, 1, 0.0));
-    sim.submit(jobs.back());
-    const SimResults r = sim.run();
-    return tardiness_report(jobs, r);
-  };
-
-  const TardinessReport without = run_with(0.0);
-  const TardinessReport with = run_with(0.9);
-  // Fair split finishes both at 8 -> the deadline (6) is missed without
-  // the discount; the boosted job preempts and makes it with slack on.
-  EXPECT_EQ(without.misses, 1u);
-  EXPECT_EQ(with.misses, 0u);
 }
 
 }  // namespace

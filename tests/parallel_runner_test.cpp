@@ -2,15 +2,21 @@
 // same experiment matrix executed at 1, 2 and 8 workers must produce
 // byte-identical serialized metric reports (hexfloat — every bit of every
 // double — not just approximately equal summaries). Plus unit coverage of
-// the seed-derivation key and worker-count resolution.
+// the seed-derivation key, worker-count resolution and run_sharded itself.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "exp/experiment.h"
 #include "exp/runner.h"
 
@@ -148,7 +154,23 @@ TEST(ResolveJobsTest, FlagBeatsEnvBeatsSerialDefault) {
 
 TEST(ResolveJobsTest, ZeroMeansAllHardwareThreads) {
   const char* argv[] = {"prog", "--jobs", "0"};
-  EXPECT_GE(resolve_jobs(Args(3, const_cast<char**>(argv))), 1);
+  EXPECT_EQ(resolve_jobs(Args(3, const_cast<char**>(argv))),
+            hardware_threads());
+  EXPECT_GE(hardware_threads(), 1);
+}
+
+// hardware_threads() is the runtime's count when it knows one (else 1),
+// and an explicit positive --jobs passes through whatever the hardware.
+TEST(ResolveJobsTest, ResolvesHardwareAndExplicitCounts) {
+  const unsigned reported = std::thread::hardware_concurrency();
+  EXPECT_EQ(hardware_threads(),
+            reported == 0 ? 1 : static_cast<int>(reported));
+  unsetenv("GURITA_JOBS");
+  for (const char* count : {"1", "3", "64"}) {
+    const char* argv[] = {"prog", "--jobs", count};
+    EXPECT_EQ(resolve_jobs(Args(3, const_cast<char**>(argv))),
+              std::stoi(count));
+  }
 }
 
 // The per-worker arena (exp/arena.h) caches fabrics across cells. Reuse
@@ -163,15 +185,78 @@ TEST(ParallelRunnerTest, ArenaReuseKeepsRepeatedSweepsByteIdentical) {
   // Same thread, now-warm arena: cached fabric.
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 1)), first);
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 1)), first);
-  // Warm and cold workers mixed (fresh pool threads each call).
+  // Warm and cold workers mixed (fresh worker threads each call).
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 2)), first);
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 8)), first);
+}
+
+// run_sharded is the primitive under everything: every index runs exactly
+// once at any worker count, including n < jobs and n == 0.
+TEST(RunShardedTest, CoversEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0, 1, 3, 1000}) {
+    for (const int jobs : {1, 2, 8}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " jobs " + std::to_string(jobs));
+      std::vector<std::atomic<int>> hits(n);
+      run_sharded(n, jobs, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+  }
+}
+
+// n == 0 returns without ever calling fn, at every worker count.
+TEST(RunShardedTest, ZeroIndicesIsANoOp) {
+  for (const int jobs : {0, 1, 2, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    run_sharded(0, jobs, [](std::size_t) { FAIL() << "fn called for n=0"; });
+  }
+}
+
+// `--jobs N` means N simulations in flight, never N + 1: the calling thread
+// is one of the N workers, not an extra one.
+TEST(RunShardedTest, NeverRunsMoreThanJobsAtOnce) {
+  for (const int jobs : {1, 2, 4, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::atomic<int> live{0};
+    std::atomic<int> peak{0};
+    run_sharded(64, jobs, [&](std::size_t) {
+      const int now = live.fetch_add(1) + 1;
+      for (int seen = peak.load(); now > seen;)
+        if (peak.compare_exchange_weak(seen, now)) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      live.fetch_sub(1);
+    });
+    EXPECT_LE(peak.load(), jobs);
+    if (jobs <= hardware_threads()) {
+      EXPECT_EQ(peak.load(), jobs);
+    }
+  }
+}
+
+// The determinism contract's foundation: a computation keyed only on its
+// index produces identical output at every worker count, because slots are
+// index-addressed and no invocation reads another's state.
+TEST(RunShardedTest, ResultsIndependentOfWorkerCount) {
+  constexpr std::size_t kN = 200;
+  const auto run_at = [](int jobs) {
+    std::vector<std::uint64_t> out(kN, 0);
+    run_sharded(kN, jobs, [&](std::size_t i) {
+      Rng rng(static_cast<std::uint64_t>(i) * 0x9e3779b9ULL + 1);
+      std::uint64_t acc = 0;
+      for (int k = 0; k < 100; ++k) acc ^= rng.next_u64();
+      out[i] = acc;
+    });
+    return out;
+  };
+  const std::vector<std::uint64_t> serial = run_at(1);
+  EXPECT_EQ(run_at(2), serial);
+  EXPECT_EQ(run_at(8), serial);
 }
 
 // run_sharded is the primitive under everything: exceptions surface (by
 // smallest index) instead of being lost on a worker.
 TEST(RunShardedTest, PropagatesTheSmallestFailingIndex) {
-  for (const int jobs : {1, 4}) {
+  for (const int jobs : {1, 2, 8}) {
     SCOPED_TRACE("jobs " + std::to_string(jobs));
     try {
       run_sharded(10, jobs, [](std::size_t i) {
@@ -182,6 +267,75 @@ TEST(RunShardedTest, PropagatesTheSmallestFailingIndex) {
       EXPECT_STREQ(e.what(), "shard 4");
     }
   }
+}
+
+// If several invocations throw, the exception of the SMALLEST index is
+// rethrown even when it finishes last, and every index still runs, so the
+// set of indices that ran is the same at any `jobs`.
+TEST(RunShardedTest, SmallestFailingIndexWinsAndEveryIndexRuns) {
+  for (const int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    constexpr std::size_t kN = 64;
+    std::vector<std::atomic<int>> ran(kN);
+    try {
+      run_sharded(kN, jobs, [&](std::size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 5) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        if (i == 5 || i == 11 || i == 40)
+          throw std::runtime_error("shard " + std::to_string(i));
+      });
+      FAIL() << "exception was swallowed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 5");
+    }
+    for (std::size_t i = 0; i < kN; ++i)
+      ASSERT_EQ(ran[i].load(), 1) << "index " << i;
+  }
+}
+
+// Each call owns its threads, so a call made from inside another completes
+// at every worker count: there is no shared pool for the two to exhaust.
+TEST(RunShardedTest, NestedCallsComplete) {
+  for (const int jobs : {1, 2, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    constexpr std::size_t kOuter = 6;
+    constexpr std::size_t kInner = 10;
+    std::vector<std::atomic<int>> cells(kOuter * kInner);
+    run_sharded(kOuter, jobs, [&](std::size_t o) {
+      run_sharded(kInner, jobs, [&](std::size_t i) {
+        cells[o * kInner + i].fetch_add(1);
+      });
+    });
+    for (std::size_t c = 0; c < cells.size(); ++c)
+      ASSERT_EQ(cells[c].load(), 1) << "cell " << c;
+  }
+}
+
+// Stress: foreign threads flood tiny run_sharded calls while the main
+// thread runs waves of nested calls. Every invocation runs exactly once
+// and everything returns: no call waits on another's workers.
+TEST(RunShardedTest, TinyTaskFloodWithNestedCallsCompletes) {
+  constexpr int kSubmitters = 4;
+  constexpr std::size_t kTasksPerSubmitter = 2000;
+  constexpr std::size_t kWaves = 20;
+  std::atomic<std::uint64_t> ran{0};
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&ran] {
+      run_sharded(kTasksPerSubmitter, 4,
+                  [&ran](std::size_t) { ran.fetch_add(1); });
+    });
+  }
+  std::atomic<std::uint64_t> inner{0};
+  for (std::size_t w = 0; w < kWaves; ++w) {
+    run_sharded(8, 4, [&inner](std::size_t) {
+      run_sharded(50, 4, [&inner](std::size_t) { inner.fetch_add(1); });
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(ran.load(), kSubmitters * kTasksPerSubmitter);
+  EXPECT_EQ(inner.load(), kWaves * 8 * 50);
 }
 
 }  // namespace

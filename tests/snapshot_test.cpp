@@ -182,6 +182,39 @@ TEST(SnapshotCodec, JobSpecRoundTripsBitExactly) {
   }
 }
 
+// Count fields are checked against the bytes left before anything is
+// sized from them: a hostile count is a SnapshotError, never a
+// std::length_error or a multi-terabyte allocation.
+TEST(SnapshotCodec, HostileCountsThrowBeforeAllocating) {
+  {
+    snapshot::Writer w;
+    w.u64(2);
+    w.u64(0);
+    w.u64(0);
+    snapshot::Reader fits(w.buffer());
+    EXPECT_EQ(fits.count(8), 2u);
+    snapshot::Reader too_many(w.buffer());
+    EXPECT_THROW((void)too_many.count(9), snapshot::SnapshotError);
+  }
+  for (const std::uint64_t n_jobs :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("n_jobs " + std::to_string(n_jobs));
+    snapshot::Writer w;
+    snapshot::write_header(w, snapshot::PayloadKind::kResultsCache);
+    w.u64(8);  // section length: the count alone
+    w.u64(n_jobs);
+    ASSERT_EQ(w.buffer().size(), 25u);
+    snapshot::Reader r(w.buffer());
+    EXPECT_THROW((void)snapshot::load_results(r), snapshot::SnapshotError);
+  }
+  snapshot::Writer spec;
+  spec.f64(1.0);  // arrival
+  spec.f64(0.0);  // deadline
+  spec.u64(std::uint64_t{1} << 40);  // coflow count
+  snapshot::Reader r(spec.buffer());
+  EXPECT_THROW((void)snapshot::read_job_spec(r), snapshot::SnapshotError);
+}
+
 TEST(SnapshotFile, AtomicWriteAndReadBack) {
   const std::string dir =
       ::testing::TempDir() + "gurita_snapshot_file_test";
