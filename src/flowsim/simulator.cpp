@@ -157,17 +157,17 @@ void Simulator::set_rate(SimFlow& flow, Rate new_rate) {
 }
 
 void Simulator::push_key(SimFlow& flow) {
-  const std::uint32_t gen = ++gen_[flow.id.value()];
   if (flow.remaining <= kByteEpsilon) {
     // Already drained (zero-size flows, epsilon residue): due immediately.
-    calendar_.push(CalendarEntry{now_, gen, flow.id});
+    calendar_.set(flow.id, now_);
   } else if (flow.rate > 0) {
-    calendar_.push(
-        CalendarEntry{now_ + flow.remaining / flow.rate, gen, flow.id});
+    calendar_.set(flow.id, now_ + flow.remaining / flow.rate);
+  } else {
+    // rate == 0 with real bytes left: no projected finish. The flow
+    // re-enters the calendar when a recomputation next gives it a rate; if
+    // nothing ever does (e.g. a dead link), the engine's stall guard fires.
+    calendar_.erase(flow.id);
   }
-  // rate == 0 with real bytes left: no projected finish. The flow re-enters
-  // the calendar when a recomputation next gives it a rate; if nothing ever
-  // does (e.g. a dead link), the engine's stall guard fires as before.
 }
 
 void Simulator::remove_from_active(SimFlow& flow) {
@@ -221,7 +221,7 @@ void Simulator::release_coflow(SimCoflow& coflow) {
 
     SimFlow& stored = state_.flows_.back();
     pos_in_active_.push_back(static_cast<std::uint32_t>(active_.size()));
-    gen_.push_back(0);
+    calendar_.add_flow();
     active_.push_back(&stored);
     alloc_.add_flow(&stored);
     ++agg.open_connections;
@@ -333,7 +333,7 @@ void Simulator::finish_flow(SimFlow& flow) {
   flow.remaining = 0;
   agg.ell_max_settled = std::max(agg.ell_max_settled, flow.size);
   --agg.open_connections;
-  ++gen_[flow.id.value()];  // invalidate any pending calendar entry
+  calendar_.erase(flow.id);
   remove_from_active(flow);
   flow.finish_time = now_;
   // Bytes this flow lost to aborts were all re-sent by the time it finished.
@@ -400,7 +400,7 @@ void Simulator::prepare_structures() {
   flows_reserved_ = total_flows;
   state_.flows_.reserve(total_flows);
   pos_in_active_.reserve(total_flows);
-  gen_.reserve(total_flows);
+  calendar_.reserve_index(total_flows);
   alloc_.reset(&fabric_->topology(), total_flows);
   capped_.clear();
 
@@ -608,14 +608,8 @@ void Simulator::step_impl() {
 
   const int drain_prev =
       prof != nullptr ? prof->enter(obs::Phase::kCalendarDrain) : -1;
-  // Next completion: discard stale calendar tops (their flow's rate
-  // changed since the entry was pushed, or the flow already finished),
-  // then the top key is the earliest projected finish.
-  while (!calendar_.empty() &&
-         calendar_.top().gen != gen_[calendar_.top().flow.value()]) {
-    calendar_.pop();
-    ++results_.flow_touches;
-  }
+  // Next completion: the calendar holds one live entry per flow with a
+  // projected finish, so its top key is the earliest one.
   const Time t_complete = calendar_.empty()
                               ? std::numeric_limits<Time>::infinity()
                               : calendar_.top().key;
@@ -667,7 +661,7 @@ void Simulator::step_impl() {
   apply_due_disruptions();
   // Faults and retries fire before completion processing: a flow whose
   // host dies at the very instant it would have finished is aborted (the
-  // pop loop then discards its stale calendar entry). "Fault beats
+  // abort erases its calendar entry before the pop loop). "Fault beats
   // completion" keeps the tie-break deterministic and pessimistic.
   if (have_faults_) {
     apply_due_faults();
@@ -685,12 +679,7 @@ void Simulator::step_impl() {
   const Time quantum = std::max(1.0, now_) * 1e-12;
   done_.clear();
   while (!calendar_.empty()) {
-    const CalendarEntry top = calendar_.top();
-    if (top.gen != gen_[top.flow.value()]) {
-      calendar_.pop();
-      ++results_.flow_touches;
-      continue;
-    }
+    const FlowCalendar::Entry top = calendar_.top();
     const SimFlow& f = state_.flows_[top.flow.value()];
     const Bytes rem = f.remaining_at(now_);
     if (!(rem <= kByteEpsilon || rem <= f.rate * quantum)) break;
@@ -703,9 +692,8 @@ void Simulator::step_impl() {
     obs::ScopedPhase completion_phase(prof, obs::Phase::kCompletion);
     std::sort(done_.begin(), done_.end());
     for (FlowId id : done_) {
-      // A completion-tied fault may have aborted or cancelled the flow
-      // after its entry was popped above; skip it (gen was bumped, but
-      // the pop happened first).
+      // Finishing a flow runs scheduler hooks and DAG releases; skip a
+      // flow that is no longer transmitting by the time its turn comes.
       SimFlow& f = state_.flows_[id.value()];
       if (f.finished() || f.cancelled || f.abort_time >= 0) continue;
       finish_flow(f);
@@ -760,12 +748,12 @@ void Simulator::poll_sampler() {
                     state_.jobs_.size() * sizeof(SimJob) +
                     state_.aggregates_.size() *
                         sizeof(SimState::CoflowAggregate);
-  mem.calendar_bytes = calendar_.size() * sizeof(CalendarEntry);
+  mem.calendar_bytes = calendar_.size() * sizeof(FlowCalendar::Entry);
   mem.retry_bytes = retries_.size() * sizeof(RetryEntry) +
                     parked_.size() * sizeof(FlowId);
   mem.active_set_bytes = active_.size() * sizeof(SimFlow*) +
                          pos_in_active_.size() * sizeof(std::uint32_t) +
-                         gen_.size() * sizeof(std::uint32_t);
+                         calendar_.index_size() * sizeof(std::uint32_t);
 
   // The clock can jump several boundaries in one event (idle gaps); each
   // gets its own sample, stamped at its grid time. Trace size moves as
@@ -794,8 +782,8 @@ void Simulator::account_memory() {
     state_bytes += c.flows.capacity() * sizeof(FlowId);
   acct.observe(S::kState, state_bytes);
 
-  acct.observe(S::kCalendar,
-               calendar_.container().capacity() * sizeof(CalendarEntry));
+  acct.observe(S::kCalendar, calendar_.entries().capacity() *
+                                 sizeof(FlowCalendar::Entry));
   acct.observe(S::kAllocator, alloc_.memory_bytes());
   acct.observe(S::kTrace,
                config_.trace != nullptr
@@ -805,7 +793,7 @@ void Simulator::account_memory() {
   acct.observe(S::kActiveSet,
                active_.capacity() * sizeof(SimFlow*) +
                    pos_in_active_.capacity() * sizeof(std::uint32_t) +
-                   gen_.capacity() * sizeof(std::uint32_t) +
+                   calendar_.index_capacity() * sizeof(std::uint32_t) +
                    done_.capacity() * sizeof(FlowId) +
                    capped_.capacity() * sizeof(FlowId) +
                    rate_changes_.capacity() * sizeof(RateChange));
@@ -881,7 +869,7 @@ JobId Simulator::admit(const JobSpec& spec) {
   flows_reserved_ += spec_flows;
   if (flows_reserved_ > state_.flows_.capacity()) grow_flow_store();
   pos_in_active_.reserve(flows_reserved_);
-  gen_.reserve(flows_reserved_);
+  calendar_.reserve_index(flows_reserved_);
 
   const JobId jid = register_job(spec);
 
@@ -967,8 +955,8 @@ Simulator::Compaction Simulator::compact() {
     out.coflows.push_back(cr);
   }
 
-  // Flows: stable in-place compaction; pos/gen stay parallel. Active flows
-  // all belong to surviving jobs, so none is evicted.
+  // Flows: stable in-place compaction; pos_in_active_ stays parallel.
+  // Active flows all belong to surviving jobs, so none is evicted.
   std::vector<FlowId> active_ids;
   active_ids.reserve(active_.size());
   for (const SimFlow* f : active_) active_ids.push_back(f->id);
@@ -978,7 +966,6 @@ Simulator::Compaction Simulator::compact() {
     if (w != i) {
       state_.flows_[w] = std::move(state_.flows_[i]);
       pos_in_active_[w] = pos_in_active_[i];
-      gen_[w] = gen_[i];
     }
     SimFlow& f = state_.flows_[w];
     f.id = FlowId{w};
@@ -987,7 +974,6 @@ Simulator::Compaction Simulator::compact() {
   }
   state_.flows_.resize(w);
   pos_in_active_.resize(w);
-  gen_.resize(w);
 
   // Coflows + aggregates (parallel arrays).
   w = 0;
@@ -1044,31 +1030,15 @@ Simulator::Compaction Simulator::compact() {
   shrink(state_.aggregates_, state_.aggregates_.size());
   shrink(state_.jobs_, state_.jobs_.size());
   shrink(pos_in_active_, flows_reserved_);
-  shrink(gen_, flows_reserved_);
 
   // Re-point the active set (same order) at the moved flows.
   for (std::size_t i = 0; i < active_ids.size(); ++i)
     active_[i] =
         &state_.flows_[remap.flow_map[active_ids[i].value()]];
 
-  // Calendar: drop entries of evicted flows (all stale — their flows
-  // finished, which bumped gen), remap the rest and re-heapify. Stale
-  // entries of *surviving* flows are kept so their eventual pops count
-  // flow_touches exactly as without compaction. Equal-key layout changes
-  // cannot affect results: every due entry pops regardless of order and
-  // completions are processed in sorted flow-id order.
-  std::vector<CalendarEntry> cal = calendar_.take_container();
-  w = 0;
-  for (CalendarEntry& e : cal) {
-    const std::uint64_t nf = remap.flow_map[e.flow.value()];
-    if (nf == CompactionRemap::kEvicted) continue;
-    e.flow = FlowId{nf};
-    cal[w++] = e;
-  }
-  cal.resize(w);
-  shrink(cal, cal.size());
-  std::make_heap(cal.begin(), cal.end(), CalendarLater{});
-  calendar_.restore(std::move(cal));
+  // Calendar: only active flows have entries, and they all survive. The
+  // renumbering is monotone, so the (key, id) heap order holds as is.
+  calendar_.remap(remap.flow_map, state_.flows_.size());
 
   // Retry heap and parking lot: entries of evicted (cancelled) flows drop,
   // survivors remap; parked keeps its order.
@@ -1168,7 +1138,7 @@ void Simulator::abort_flow(SimFlow& flow, FaultKind cause,
   flow.lost_bytes += sent;
   live_results_->bytes_lost += sent;
   --agg.open_connections;
-  ++gen_[flow.id.value()];  // invalidate any pending calendar entry
+  calendar_.erase(flow.id);
   remove_from_active(flow);
   if (count_attempt) ++flow.attempts;
   flow.abort_time = now_;
@@ -1230,7 +1200,7 @@ void Simulator::fail_job(SimJob& job) {
         f.lost_bytes += sent;
         live_results_->bytes_lost += sent;
         --agg.open_connections;
-        ++gen_[fid.value()];
+        calendar_.erase(fid);
         remove_from_active(f);
         f.cancelled = true;
         ++cancelled_running;

@@ -11,8 +11,8 @@
 // scheduler coordination ticks (δ). ECMP assigns each flow a stable path
 // through the fat-tree at release time.
 //
-// The engine is incremental: completions come from a lazily-invalidated
-// min-heap event calendar keyed on each flow's projected finish time, and
+// The engine is incremental: completions come from an indexed min-heap
+// event calendar holding each flow's projected finish time, and
 // bytes drain lazily per flow from (last_touched, rate) instead of a
 // whole-active-set sweep per event. Per-event work is therefore
 // proportional to the flows whose rate actually changed, not to the number
@@ -30,6 +30,7 @@
 #include "coflow/job.h"
 #include "fault/fault.h"
 #include "flowsim/allocator.h"
+#include "flowsim/calendar.h"
 #include "flowsim/scheduler.h"
 #include "flowsim/state.h"
 #include "obs/memory.h"
@@ -48,12 +49,9 @@ class Reader;
 
 /// Min-heap with std::priority_queue's exact push/pop mechanics
 /// (std::push_heap / std::pop_heap over a contiguous array) plus access to
-/// the underlying array. Pop order among *equal* keys depends on the array
-/// layout, which in turn depends on the whole push/pop history — so a
-/// snapshot cannot rebuild "the same heap" from its elements; it must
-/// serialize the array verbatim and restore it bit-for-bit. That is the one
-/// capability std::priority_queue withholds, and the only reason this
-/// wrapper exists; behaviour is otherwise identical.
+/// the underlying array, so a snapshot can store the array verbatim and
+/// restore it bit-for-bit. The fault runtime's retry heap is its one user;
+/// the completion calendar is a FlowCalendar (flowsim/calendar.h).
 template <typename T, typename Later>
 class SnapshotableHeap {
  public:
@@ -124,8 +122,9 @@ struct SimResults {
   /// Main-loop iterations, including idle jumps to the next arrival.
   std::uint64_t events = 0;
   /// Per-flow units of work the event-calendar engine performed: flow
-  /// releases, settles/re-keys after a rate change, calendar pops (valid
-  /// and stale) and finishes.
+  /// releases, settles/re-keys after a rate change, completion pops and
+  /// finishes. Every calendar pop is a completion: re-keys update a flow's
+  /// one entry in place, so no stale entries are left to pop.
   std::uint64_t flow_touches = 0;
 
   // --- fault-injection accounting (fault/fault.h; all zero without a
@@ -307,17 +306,18 @@ class Simulator {
 
   /// Open-horizon state eviction: removes every terminal (finished or
   /// failed) job with its coflows and flows from the stores, renumbers the
-  /// survivors densely, rebuilds the calendar/retry heaps and the
-  /// allocator, and notifies the scheduler (on_compact). Steady-state
-  /// memory under sustained admission is therefore O(active) instead of
-  /// O(ever-submitted). Legal only at an event boundary. Determinism is
-  /// per-configuration: identical inputs and compaction cadence give
-  /// byte-identical everything. Relative to an *uncompacted* run the
-  /// populations agree job-for-job, but not to the last bit: the allocator
-  /// rebuild re-sums link loads in the survivors' renumbered order, which
-  /// can move rates by an ulp and lets trajectories drift slightly, and
-  /// the flow_touches counter may run below (evicted flows' stale calendar
-  /// tombstones are dropped instead of popped).
+  /// survivors densely and monotonically, remaps the calendar in place,
+  /// rebuilds the retry heap and the allocator, and notifies the scheduler
+  /// (on_compact). Steady-state memory under sustained admission is
+  /// therefore O(active) instead of O(ever-submitted). Legal only at an
+  /// event boundary. Determinism is per-configuration: identical inputs
+  /// and compaction cadence give byte-identical everything. On a fabric
+  /// whose routes ignore the flow id (BigSwitch) a compacted run is
+  /// identical to an uncompacted one — finishes, events and flow_touches
+  /// (EventCalendar.CompactionKeepsEveryCounter). On a fat-tree the two
+  /// agree job-for-job in population but not in trajectory: ECMP hashes the
+  /// flow id (EcmpRouter::hash), and compaction renumbers ids, so flows
+  /// released after a compaction can take different paths (ROADMAP item 2).
   Compaction compact();
 
   /// Runs every remaining event and returns the results: run_to(+infinity)
@@ -348,7 +348,7 @@ class Simulator {
   [[nodiscard]] bool open() const { return prepared_ && !collected_; }
 
   /// Serializes the complete dynamic simulation state — event calendar
-  /// (verbatim heap array, including lazy-drain tombstones), per-coflow
+  /// (its live entries, one per flow with a projected finish), per-coflow
   /// aggregates, flow progress, parked/retry fault state, fault-plan
   /// cursor, partial result counters, the attached trace recorder's buffer
   /// and the scheduler's policy state (Scheduler::save_state) — into `w`.
@@ -379,21 +379,6 @@ class Simulator {
 
  private:
   friend class SnapshotCodec;  ///< snapshot/snapshot.cpp serializer
-  /// One entry of the completion calendar: flow `flow` is projected to
-  /// drain to zero at `key`. Entries are never updated in place; a rate
-  /// change bumps the flow's generation counter and pushes a fresh entry,
-  /// and stale entries (entry gen != current gen) are discarded on pop.
-  struct CalendarEntry {
-    Time key = 0;
-    std::uint32_t gen = 0;
-    FlowId flow;
-  };
-  struct CalendarLater {
-    bool operator()(const CalendarEntry& a, const CalendarEntry& b) const {
-      return a.key > b.key;
-    }
-  };
-
   const Fabric* fabric_;
   Scheduler* scheduler_;
   Config config_;
@@ -410,9 +395,10 @@ class Simulator {
   std::vector<SimFlow*> active_;
   /// Index of each flow in active_ (by flow id; stale once removed).
   std::vector<std::uint32_t> pos_in_active_;
-  /// Calendar generation per flow (by flow id); see CalendarEntry.
-  std::vector<std::uint32_t> gen_;
-  SnapshotableHeap<CalendarEntry, CalendarLater> calendar_;
+  /// Completion calendar: each active flow's projected zero-drain time,
+  /// one entry per flow, re-keyed in place on every rate change and erased
+  /// on every finish, abort and job failure (flowsim/calendar.h).
+  FlowCalendar calendar_;
   /// Scratch for rate-change reporting (reused across events).
   std::vector<RateChange> rate_changes_;
   /// The incremental rate allocator. Holds only state rebuildable from the
@@ -533,7 +519,8 @@ class Simulator {
   void settle(SimFlow& flow);
   /// Applies a new rate to a settled flow, keeping aggregates consistent.
   void set_rate(SimFlow& flow, Rate new_rate);
-  /// (Re-)registers a settled flow's projected finish in the calendar.
+  /// (Re-)keys a settled flow's projected finish in the calendar, or
+  /// erases its entry when it has bytes left but no rate.
   void push_key(SimFlow& flow);
   void remove_from_active(SimFlow& flow);
 

@@ -26,7 +26,7 @@ class MemoryAccountant {
     kCalendar = 1,    ///< completion calendar heap array
     kAllocator = 2,   ///< membership lists, mirrors, scratch (allocator.h)
     kTrace = 3,       ///< trace recorder buffer
-    kActiveSet = 4,   ///< active set + position/generation tables
+    kActiveSet = 4,   ///< active set + per-flow position tables
     kFaultRuntime = 5 ///< parked/retry/fault-plan runtime vectors
   };
   static constexpr int kNumSubsystems = 6;

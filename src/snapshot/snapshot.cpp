@@ -125,6 +125,10 @@ class SnapshotCodec {
                           what);
   }
 
+  static void corrupt_if(bool bad, const char* what) {
+    if (bad) throw SnapshotError(std::string("corrupt snapshot: ") + what);
+  }
+
   /// Hash of the static inputs reconstructed (not serialized) on restore:
   /// submitted jobs, scheduled disruptions and the fault plan. The flow
   /// population and routes derive from these plus the topology, which the
@@ -224,22 +228,17 @@ class SnapshotCodec {
       w.i32(a.open_connections);
     }
 
-    w.u64(s.gen_.size());
-    for (std::uint32_t g : s.gen_) w.u32(g);
-
     // Active set in its exact order (arrival order modulo swap-with-last
     // removals): the order feeds the allocator and scheduler, so it is
     // state, not an implementation detail.
     w.u64(s.active_.size());
     for (const SimFlow* f : s.active_) w.u64(f->id.value());
 
-    // Calendar heap array VERBATIM, tombstones included: pop order among
-    // equal keys depends on the array layout, and the layout encodes the
-    // whole push/pop history (see SnapshotableHeap).
-    w.u64(s.calendar_.container().size());
-    for (const Simulator::CalendarEntry& e : s.calendar_.container()) {
+    // Calendar: its live entries (one per flow with a projected finish) in
+    // heap layout order, so restore installs the array without re-sorting.
+    w.u64(s.calendar_.entries().size());
+    for (const FlowCalendar::Entry& e : s.calendar_.entries()) {
       w.f64(e.key);
-      w.u32(e.gen);
       w.u64(e.flow.value());
     }
 
@@ -349,11 +348,6 @@ class SnapshotCodec {
       a.open_connections = r.i32();
     }
 
-    const std::uint64_t n_gen = r.u64();
-    check(n_gen == n_flows, "generation vector size");
-    s.gen_.clear();
-    for (std::uint64_t i = 0; i < n_gen; ++i) s.gen_.push_back(r.u32());
-
     const std::uint64_t n_active = r.u64();
     check(n_active <= n_flows, "active set larger than the flow store");
     s.active_.clear();
@@ -365,17 +359,31 @@ class SnapshotCodec {
       s.active_.push_back(&s.state_.flows_[fid]);
     }
 
-    const std::uint64_t n_cal = r.count(20);  // f64 key, u32 gen, u64 flow
-    std::vector<Simulator::CalendarEntry> calendar;
+    // The step loop indexes the flow store with calendar flow ids and
+    // trusts the heap order, so a corrupt calendar is rejected here rather
+    // than run on.
+    const std::uint64_t n_cal = r.count(16);  // f64 key, u64 flow
+    std::vector<FlowCalendar::Entry> calendar;
     calendar.reserve(n_cal);
+    std::vector<char> has_entry(n_flows, 0);
     for (std::uint64_t i = 0; i < n_cal; ++i) {
-      Simulator::CalendarEntry e;
+      FlowCalendar::Entry e;
       e.key = r.f64();
-      e.gen = r.u32();
-      e.flow = FlowId{r.u64()};
+      const std::uint64_t fid = r.u64();
+      corrupt_if(fid >= n_flows, "calendar flow id out of range");
+      const std::uint32_t pos = s.pos_in_active_[fid];
+      corrupt_if(s.state_.flows_[fid].finished() ||
+                     pos >= s.active_.size() ||
+                     s.active_[pos] != &s.state_.flows_[fid],
+                 "calendar entry for a flow outside the active set");
+      corrupt_if(has_entry[fid] != 0, "duplicate calendar flow id");
+      has_entry[fid] = 1;
+      e.flow = FlowId{fid};
       calendar.push_back(e);
     }
-    s.calendar_.restore(std::move(calendar));
+    corrupt_if(!FlowCalendar::is_heap(calendar),
+               "calendar key is NaN or breaks the (key, flow id) heap order");
+    s.calendar_.restore(std::move(calendar), n_flows);
 
     s.results_.rate_recomputations = r.u64();
     s.results_.events = r.u64();

@@ -1,7 +1,7 @@
 // Deterministic checkpoint/restore subsystem (DESIGN.md §12).
 //
 // A snapshot captures the *complete dynamic state* of a paused simulation —
-// event calendar (verbatim heap array, tombstones included), per-coflow
+// event calendar (its live entries in heap order), per-coflow
 // aggregates, flow progress, parked/retry fault state, fault-plan cursor,
 // partial result counters, the trace recorder's buffer and the scheduler's
 // policy state — at a run_to() pause, such that
@@ -43,7 +43,10 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// v4: dropped the pre-calendar full-scan touch estimate from the engine
 /// and results sections, and its dirty-entry pause flag from the engine
 /// section; the engine no longer computes it.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: the calendar holds one entry per flow (f64 key, u64 flow id), live
+/// entries only; the per-flow generation vector and the entries'
+/// generation stamps are gone. Restore validates every calendar entry.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

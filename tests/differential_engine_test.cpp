@@ -8,8 +8,8 @@
 // scheduler instances and asserts the runs are indistinguishable: same
 // event count, same rate recomputations, bit-identical makespan, per-job
 // and per-coflow times, and per-flow start/finish trajectories. Any
-// divergence indicts the calendar machinery (stale-entry invalidation,
-// re-keying, pop ordering), since that is the only part the oracle leaves
+// divergence indicts the calendar machinery (in-place re-keying, erasure,
+// pop ordering), since that is the only part the oracle leaves
 // out. Failures print the trace seed for standalone reproduction.
 #include <gtest/gtest.h>
 

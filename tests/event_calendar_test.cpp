@@ -1,18 +1,27 @@
-// Tests for the incremental event-calendar engine: exact finish times under
-// lazy byte draining, incremental per-coflow aggregates vs brute-force
-// recomputation, rate-zero flows (no calendar entry) across disruptions,
-// and the engine-cost counters bench_engine reports.
+// Tests for the incremental event-calendar engine: the indexed completion
+// calendar (one entry per flow), exact finish times under lazy byte
+// draining, incremental per-coflow aggregates vs brute-force recomputation,
+// rate-zero flows (no calendar entry) across disruptions, compaction's
+// effect on the counters, and the engine-cost counters bench_engine
+// reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/gurita.h"
+#include "exp/registry.h"
+#include "flowsim/calendar.h"
 #include "flowsim/simulator.h"
 #include "obs/registry.h"
 #include "sched/pfs.h"
 #include "topology/big_switch.h"
 #include "topology/fattree.h"
+#include "workload/trace_gen.h"
 
 namespace gurita {
 namespace {
@@ -38,6 +47,103 @@ JobSpec disjoint_pairs_job(int flows, int groups) {
   job.coflows.push_back(coflow);
   job.deps = {{}};
   return job;
+}
+
+// ------------------------------------------------- the flow calendar
+
+/// Pops every entry, returning the flow ids in pop order.
+std::vector<std::uint64_t> drain(FlowCalendar& cal) {
+  std::vector<std::uint64_t> order;
+  while (!cal.empty()) {
+    EXPECT_TRUE(FlowCalendar::is_heap(cal.entries()));
+    order.push_back(cal.top().flow.value());
+    cal.pop();
+  }
+  return order;
+}
+
+FlowCalendar calendar_of(const std::vector<Time>& keys) {
+  FlowCalendar cal;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    cal.add_flow();
+    cal.set(FlowId{i}, keys[i]);
+  }
+  return cal;
+}
+
+TEST(FlowCalendar, ReKeysInPlaceUpAndDown) {
+  FlowCalendar cal = calendar_of({5.0, 3.0, 8.0, 1.0, 6.0, 4.0});
+  ASSERT_EQ(cal.top().flow.value(), 3u);
+  cal.set(FlowId{3}, 7.0);  // the top moves down
+  cal.set(FlowId{2}, 0.5);  // the latest key moves up to the top
+  cal.set(FlowId{4}, 6.0);  // unchanged key
+  EXPECT_EQ(cal.size(), 6u);  // re-keys never add entries
+  EXPECT_TRUE(FlowCalendar::is_heap(cal.entries()));
+  EXPECT_EQ(cal.top().key, 0.5);
+  EXPECT_EQ(drain(cal), (std::vector<std::uint64_t>{2, 1, 5, 0, 4, 3}));
+}
+
+TEST(FlowCalendar, EraseAtTopMiddleAndLastSlot) {
+  const std::vector<Time> keys = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0};
+  // Inserted in key order, so slot i holds flow i.
+  for (const std::uint64_t victim : {0u, 2u, 6u}) {
+    SCOPED_TRACE("erasing flow " + std::to_string(victim));
+    FlowCalendar cal = calendar_of(keys);
+    ASSERT_EQ(cal.entries()[victim].flow.value(), victim);
+    cal.erase(FlowId{victim});
+    cal.erase(FlowId{victim});  // erasing an absent flow is a no-op
+    EXPECT_EQ(cal.size(), keys.size() - 1);
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t f = 0; f < keys.size(); ++f)
+      if (f != victim) want.push_back(f);
+    EXPECT_EQ(drain(cal), want);
+  }
+  // An erase that refills a slot with an entry earlier than the slot's
+  // parent must sift it up: heap [1, 10, 2, 11, 12, 3, 4], erase key 11's
+  // flow, and key 4 (the last slot) moves under key 10.
+  FlowCalendar cal = calendar_of({1.0, 10.0, 2.0, 11.0, 12.0, 3.0, 4.0});
+  cal.erase(FlowId{3});
+  EXPECT_TRUE(FlowCalendar::is_heap(cal.entries()));
+  EXPECT_EQ(drain(cal), (std::vector<std::uint64_t>{0, 2, 5, 6, 1, 4}));
+}
+
+TEST(FlowCalendar, EqualKeysPopInFlowIdOrder) {
+  // Inserted high id first and re-keyed onto a shared key, the pop order
+  // is still ascending flow id: the order is (key, id), not history.
+  FlowCalendar cal;
+  for (int i = 0; i < 6; ++i) cal.add_flow();
+  for (std::uint64_t f : {5u, 3u, 1u, 4u, 0u, 2u}) cal.set(FlowId{f}, 9.0);
+  cal.set(FlowId{4}, 2.0);
+  cal.set(FlowId{1}, 2.0);
+  cal.set(FlowId{4}, 1.0);
+  cal.set(FlowId{4}, 2.0);
+  EXPECT_EQ(drain(cal), (std::vector<std::uint64_t>{1, 4, 0, 2, 3, 5}));
+}
+
+TEST(FlowCalendar, RemapsInPlaceUnderMonotoneRenumbering) {
+  // Flows 0..7; flows 1, 4 and 6 have no entry and are evicted. The
+  // survivors keep their relative order, so the array keeps its layout.
+  FlowCalendar cal;
+  for (int i = 0; i < 8; ++i) cal.add_flow();
+  const std::vector<std::pair<std::uint64_t, Time>> live = {
+      {7, 3.0}, {0, 3.0}, {5, 1.0}, {2, 4.0}, {3, 1.0}};
+  for (const auto& [f, key] : live) cal.set(FlowId{f}, key);
+  constexpr std::uint64_t evicted = CompactionRemap::kEvicted;
+  const std::vector<std::uint64_t> flow_map = {0, evicted, 1, 2,
+                                               evicted, 3, evicted, 4};
+  std::vector<FlowCalendar::Entry> before = cal.entries();
+  cal.remap(flow_map, 5);
+  EXPECT_EQ(cal.index_size(), 5u);
+  ASSERT_EQ(cal.entries().size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(cal.entries()[i].key, before[i].key);
+    EXPECT_EQ(cal.entries()[i].flow.value(),
+              flow_map[before[i].flow.value()]);
+  }
+  // The index follows the new ids: re-keys and erases by new id work.
+  cal.set(FlowId{4}, 0.5);  // was flow 7
+  cal.erase(FlowId{1});     // was flow 2
+  EXPECT_EQ(drain(cal), (std::vector<std::uint64_t>{4, 2, 3, 0}));
 }
 
 // -------------------------------------------------- exact lazy-drain times
@@ -299,6 +405,98 @@ TEST(EventCalendar, CountersArePerRunAndMergeExplicitly) {
   via_registry_merge.merge(shard_a);
   via_registry_merge.merge(shard_b);
   EXPECT_EQ(via_merge_counters.to_json(), via_registry_merge.to_json());
+}
+
+// ------------------------------------------- calendar bound and compaction
+
+/// The 80-job mixed trace on a 16-host big switch: a few hundred flows at
+/// most, and under Gurita their weights move on every arrival and finish.
+std::vector<JobSpec> big_switch_trace() {
+  TraceConfig trace;
+  trace.num_jobs = 80;
+  trace.num_hosts = 16;
+  trace.seed = 7;
+  return generate_trace(trace);
+}
+
+const std::vector<std::string>& batch_schedulers() {
+  static const std::vector<std::string> names = {"pfs", "baraat", "stream",
+                                                 "aalo", "gurita"};
+  return names;
+}
+
+TEST(EventCalendar, SizeNeverExceedsActiveFlows) {
+  // A rate change re-keys the flow's one entry and a finish erases it, so
+  // the calendar holds at most one entry per active flow at every pause,
+  // however often the scheduler re-weights.
+  const BigSwitch fabric(BigSwitch::Config{16});
+  const std::vector<JobSpec> jobs = big_switch_trace();
+  for (const std::string& name : batch_schedulers()) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Scheduler> sched = make_scheduler(name);
+    Simulator sim(fabric, *sched);
+    for (const JobSpec& job : jobs) sim.submit(job);
+    std::size_t pauses = 0;
+    std::size_t peak = 0;
+    for (Time bound = 0.25; sim.run_to(bound); bound += 0.25) {
+      ++pauses;
+      peak = std::max(peak, sim.calendar_size());
+      ASSERT_LE(sim.calendar_size(), sim.active_flow_count())
+          << "at t=" << sim.now();
+    }
+    EXPECT_GT(pauses, 10u);
+    EXPECT_GT(peak, 0u);
+    EXPECT_EQ(sim.run().jobs.size(), jobs.size());
+  }
+}
+
+TEST(EventCalendar, CompactionKeepsEveryCounter) {
+  // BigSwitch routes ignore the flow id, so compaction's renumbering cannot
+  // re-route anything: a run compacted after every 5 s slice must match the
+  // uncompacted run in every finish time and every cost counter.
+  const BigSwitch fabric(BigSwitch::Config{16});
+  const std::vector<JobSpec> jobs = big_switch_trace();
+  for (const std::string& name : batch_schedulers()) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Scheduler> plain_sched = make_scheduler(name);
+    Simulator plain_sim(fabric, *plain_sched);
+    for (const JobSpec& job : jobs) plain_sim.submit(job);
+    const SimResults plain = plain_sim.run();
+
+    const std::unique_ptr<Scheduler> sched = make_scheduler(name);
+    Simulator sim(fabric, *sched);
+    for (const JobSpec& job : jobs) sim.submit(job);
+    // finish[original id]; `live` maps the engine's current job ids to
+    // original ids through each compaction's monotone renumbering.
+    std::vector<Time> finish(jobs.size(), -1.0);
+    std::vector<std::size_t> live(jobs.size());
+    for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
+    std::size_t evicted = 0;
+    for (Time bound = 5.0; sim.run_to(bound); bound += 5.0) {
+      const Simulator::Compaction c = sim.compact();
+      std::vector<char> gone(live.size(), 0);
+      for (const SimResults::JobResult& j : c.jobs) {
+        finish[live[j.id.value()]] = j.finish;
+        gone[j.id.value()] = 1;
+      }
+      std::size_t w = 0;
+      for (std::size_t i = 0; i < live.size(); ++i)
+        if (gone[i] == 0) live[w++] = live[i];
+      live.resize(w);
+      evicted += c.jobs_evicted;
+    }
+    const SimResults compacted = sim.run();
+    for (const SimResults::JobResult& j : compacted.jobs)
+      finish[live[j.id.value()]] = j.finish;
+
+    EXPECT_GT(evicted, 0u);
+    ASSERT_EQ(plain.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      EXPECT_EQ(finish[i], plain.jobs[i].finish) << "job " << i;
+    EXPECT_EQ(compacted.events, plain.events);
+    EXPECT_EQ(compacted.flow_touches, plain.flow_touches);
+    EXPECT_EQ(compacted.rate_recomputations, plain.rate_recomputations);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Reference-oracle engine for the differential test harness.
 //
 // A deliberately simple O(active-flows)-per-event re-implementation of the
-// simulator's allocation/drain loop: no completion calendar, no generation
-// counters, no lazily-invalidated heap — every event scans the whole active
-// set for the next completion and for due flows, exactly like the seed
-// engine before the event-calendar PR. Everything else (lazy settle-point
+// simulator's allocation/drain loop: no completion calendar — every event
+// scans the whole active set for the next completion and for due flows,
+// exactly like the seed engine before the event calendar existed.
+// Everything else (lazy settle-point
 // byte accounting, aggregate maintenance, scheduler hook order, active-list
 // swap-with-last order, arrival coalescing, disruptions, TCP ramp caps) is
 // kept ARITHMETICALLY IDENTICAL to flowsim/simulator.cpp, expression by
@@ -13,7 +13,7 @@
 //
 // That makes the pair a differential oracle: any divergence in event times,
 // JCT/CCT or counters between Simulator and OracleSimulator on the same
-// workload indicts the calendar machinery (stale-entry handling, re-keying,
+// workload indicts the calendar machinery (in-place re-keying, erasure,
 // pop ordering) — precisely the part this oracle leaves out. The
 // differential fuzz gate (differential_engine_test.cpp) replays randomized
 // traces through both and asserts equality; keep this file boring and in

@@ -331,6 +331,8 @@ TEST(ServiceDeterminism, CompactionBoundsLiveJobsAndStaysDeterministic) {
   EXPECT_GT(tight.compactions, 0u);
   EXPECT_LE(tight.peak_live_jobs, 10u)
       << "memory must stay O(active), not O(ever admitted)";
+  EXPECT_LE(tight.peak_calendar, tight.peak_active_flows)
+      << "the calendar holds at most one entry per active flow";
 
   // Per-configuration determinism: the identical cadence reruns to the
   // byte (the engine contract compaction must not weaken).
@@ -347,12 +349,11 @@ TEST(ServiceDeterminism, CompactionBoundsLiveJobsAndStaysDeterministic) {
   // Against the uncompacted run the ledger-merged populations agree
   // job-for-job on everything spec-derived — same external ids, arrivals,
   // bytes and stage counts, no job lost or duplicated. Finishes are NOT
-  // compared: the allocator rebuild after an eviction re-sums link loads
-  // in the survivors' renumbered order, rates move by an ulp, and
-  // near-tie scheduling decisions can flip, so individual trajectories
-  // drift (simulator.h, compact()). The spec-derived fields are exactly
-  // what a ledger mispairing bug would corrupt, and they are immune to
-  // that drift.
+  // compared: ECMP hashes the flow id and compaction renumbers flow ids,
+  // so flows released after a compaction can take other paths and
+  // individual trajectories drift (simulator.h, compact()). The
+  // spec-derived fields are exactly what a ledger mispairing bug would
+  // corrupt, and they are immune to that drift.
   const SimResults& a = tight.comparison.results.at("gurita");
   const SimResults& b = loose.comparison.results.at("gurita");
   ASSERT_EQ(a.jobs.size(), b.jobs.size());

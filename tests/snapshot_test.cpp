@@ -9,6 +9,7 @@
 // (the SnapshotDeterminism suite, part of the TSan gate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -613,6 +614,114 @@ TEST(SnapshotRestore, RejectsMismatchedWorkload) {
   for (const JobSpec& job : jobs) truncated.submit(job);
   snapshot::Reader r3(std::string_view(bytes).substr(0, bytes.size() / 2));
   EXPECT_THROW(truncated.restore(r3), snapshot::SnapshotError);
+}
+
+/// Little-endian u64 at `off` of a snapshot byte string (codec.h layout).
+std::uint64_t read_le64(const std::string& bytes, std::size_t off) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i)
+    v = (v << 8) | static_cast<unsigned char>(bytes[off + i]);
+  return v;
+}
+
+void write_le64(std::string& bytes, std::size_t off, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+TEST(SnapshotRestore, RejectsCorruptCalendar) {
+  // A calendar entry is (f64 key, u64 flow id). The step loop indexes the
+  // flow store with that id and trusts the heap order, so restore must
+  // reject every entry it could not run on. The test patches a real
+  // checkpoint: a flow's key is the projection last_touched +
+  // remaining / rate its last re-key computed, so its 8 bytes can be found
+  // in the snapshot and the flow id follows them.
+  const FatTree fabric(FatTree::Config{4});
+  const std::vector<JobSpec> jobs = small_trace(fabric, 11);
+  const Time makespan =
+      run_uninterrupted(Scenario{fabric, "gurita", jobs, {}, false}).makespan;
+  const std::unique_ptr<Scheduler> sched = make_scheduler("gurita");
+  Simulator sim(fabric, *sched);
+  for (const JobSpec& job : jobs) sim.submit(job);
+
+  // Pause once some flow has finished and several have calendar entries.
+  struct Keyed {
+    std::uint64_t flow;
+    Time key;
+  };
+  std::vector<Keyed> keyed;
+  std::uint64_t finished = ~0ull;
+  for (Time bound = makespan / 64; sim.run_to(bound); bound += makespan / 64) {
+    keyed.clear();
+    const SimState& state = sim.state();
+    for (std::size_t i = 0; i < state.flow_count(); ++i) {
+      const SimFlow& f = state.flow(FlowId{i});
+      if (f.finished()) finished = i;
+      if (f.active() && f.rate > 0 && f.remaining > kByteEpsilon)
+        keyed.push_back({i, f.last_touched + f.remaining / f.rate});
+    }
+    if (keyed.size() >= 3 && finished != ~0ull) break;
+  }
+  ASSERT_GE(keyed.size(), 3u);
+  ASSERT_NE(finished, ~0ull);
+  snapshot::Writer w;
+  sim.checkpoint(w);
+  const std::string bytes = w.take();
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    return a.key != b.key ? a.key < b.key : a.flow < b.flow;
+  });
+  const auto key_offset = [&](const Keyed& k) {
+    std::string needle(8, '\0');
+    write_le64(needle, 0, std::bit_cast<std::uint64_t>(k.key));
+    const std::size_t off = bytes.find(needle);
+    EXPECT_NE(off, std::string::npos);
+    EXPECT_EQ(bytes.rfind(needle), off) << "key bytes are not unique";
+    return off;
+  };
+  const std::size_t first = key_offset(keyed.front());
+  // The latest entry is a leaf of the heap: nothing orders after it.
+  const std::size_t last = key_offset(keyed.back());
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(last, std::string::npos);
+
+  const auto restore_and_run = [&](const std::string& snap) {
+    const std::unique_ptr<Scheduler> sched2 = make_scheduler("gurita");
+    Simulator other(fabric, *sched2);
+    for (const JobSpec& job : jobs) other.submit(job);
+    snapshot::Reader r(snap);
+    other.restore(r);
+    return other.run();
+  };
+  const auto expect_rejected = [&](std::size_t off, std::uint64_t word,
+                                   const char* what) {
+    SCOPED_TRACE(what);
+    std::string bad = bytes;
+    write_le64(bad, off, word);
+    try {
+      (void)restore_and_run(bad);
+      ADD_FAILURE() << "corrupt calendar accepted";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("calendar"), std::string::npos)
+          << e.what();
+    }
+  };
+
+  // A flow id past the flow store.
+  expect_rejected(last + 8, ~0ull, "flow id out of range");
+  // The unpatched checkpoint restores and finishes.
+  ASSERT_EQ(read_le64(bytes, first + 8), keyed.front().flow);
+  ASSERT_EQ(read_le64(bytes, last + 8), keyed.back().flow);
+  EXPECT_EQ(restore_and_run(bytes).jobs.size(), jobs.size());
+  // A finished flow, which is in no active set.
+  expect_rejected(last + 8, finished, "finished flow");
+  // Two entries for one flow.
+  expect_rejected(last + 8, keyed.front().flow, "duplicate flow id");
+  // A key that is not a number.
+  expect_rejected(last, std::bit_cast<std::uint64_t>(
+                            std::numeric_limits<double>::quiet_NaN()),
+                  "NaN key");
+  // A leaf that orders before its parent.
+  expect_rejected(last, std::bit_cast<std::uint64_t>(-1.0), "heap order");
 }
 
 // ------------------------------------------------------------------ fuzz ---
