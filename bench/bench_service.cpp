@@ -12,7 +12,6 @@
 //                   [--shed-policy reject-new|drop-largest|degrade-to-fifo]
 //                   [--queue-cap 64] [--wait-window 512]
 //                   [--wm-flows-high N] [--wm-flows-low N]
-//                   [--wm-calendar-high N] [--wm-calendar-low N]
 //                   [--wm-p99-high T] [--wm-p99-low T]
 //     maintenance:
 //                   [--compact-every 0.25]   # sim s; 0 disables compaction
@@ -102,10 +101,6 @@ DaemonOptions options_from_args(const Args& args) {
       args.get_u64("wm-flows-high", wm.active_flows_high));
   wm.active_flows_low = static_cast<std::size_t>(
       args.get_u64("wm-flows-low", wm.active_flows_low));
-  wm.calendar_high = static_cast<std::size_t>(
-      args.get_u64("wm-calendar-high", wm.calendar_high));
-  wm.calendar_low = static_cast<std::size_t>(
-      args.get_u64("wm-calendar-low", wm.calendar_low));
   wm.p99_wait_high = args.get_double("wm-p99-high", wm.p99_wait_high);
   wm.p99_wait_low = args.get_double("wm-p99-low", wm.p99_wait_low);
 

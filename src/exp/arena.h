@@ -24,8 +24,9 @@ namespace gurita {
 class RunArena {
  public:
   /// The calling thread's arena (thread_local singleton). Lives until the
-  /// thread exits; pool workers are long-lived, so cached state spans every
-  /// cell a worker executes.
+  /// thread exits. run_sharded's spawned workers live for one call, so their
+  /// cached state spans the cells they execute in it; the calling thread is
+  /// a worker too, and its arena persists across calls.
   static RunArena& local();
 
   /// A fabric constructed with exactly `config`, cached across calls.

@@ -1,10 +1,13 @@
-// Completion calendar of the event-calendar engine (DESIGN.md §8).
+// Flow calendar of the event-calendar engine (DESIGN.md §8), the engine's
+// one heap type.
 //
-// An indexed binary min-heap holding at most one entry per flow: the flow's
-// projected zero-drain time. A by-flow-id position index lets a rate change
-// re-key the flow's entry in place and lets a finish or abort erase it, so
-// the heap holds exactly the flows with a projected finish — never more
-// entries than active flows, however often rates change.
+// An indexed binary min-heap holding at most one entry per flow, keyed by a
+// time. The completion calendar keys each flow by its projected zero-drain
+// time; the fault runtime's retry queue keys each backing-off flow by its
+// restart time (DESIGN.md §11). A by-flow-id position index lets a rate
+// change re-key the flow's entry in place and lets a finish, abort or job
+// failure erase it, so the heap holds exactly the flows with a pending time
+// — never more entries than flows, however often keys change.
 //
 // Entries are ordered by (key, flow id). Flow ids are unique, so the order
 // is total: the pop sequence is a function of the entry set alone, never of
@@ -26,7 +29,7 @@ namespace gurita {
 
 class FlowCalendar {
  public:
-  /// Flow `flow` is projected to drain to zero at `key`.
+  /// Flow `flow` is due at `key` (its projected finish or restart).
   struct Entry {
     Time key = 0;
     FlowId flow;

@@ -55,14 +55,6 @@ void SimResults::export_counters(obs::Registry& registry) const {
   registry.set_gauge("engine.makespan", makespan);
 }
 
-double SimResults::link_utilization(LinkId id, Rate capacity) const {
-  GURITA_CHECK_MSG(id.value() < link_bytes.size(),
-                   "link stats not collected or id out of range");
-  GURITA_CHECK_MSG(capacity > 0, "capacity must be positive");
-  if (makespan <= 0) return 0.0;
-  return link_bytes[id.value()] / (capacity * makespan);
-}
-
 Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
                      Config config)
     : fabric_(&fabric), scheduler_(&scheduler), config_(std::move(config)) {
@@ -132,10 +124,6 @@ SimState::CoflowAggregate& Simulator::aggregate_of(const SimFlow& flow) {
 void Simulator::settle(SimFlow& flow) {
   const Time elapsed = now_ - flow.last_touched;
   if (elapsed > 0 && flow.rate > 0) {
-    if (config_.collect_link_stats) {
-      for (LinkId l : flow.path)
-        live_results_->link_bytes[l.value()] += flow.rate * elapsed;
-    }
     const Bytes after = std::max(0.0, flow.remaining - flow.rate * elapsed);
     SimState::CoflowAggregate& agg = aggregate_of(flow);
     agg.base_bytes += flow.remaining - after;
@@ -222,6 +210,7 @@ void Simulator::release_coflow(SimCoflow& coflow) {
     SimFlow& stored = state_.flows_.back();
     pos_in_active_.push_back(static_cast<std::uint32_t>(active_.size()));
     calendar_.add_flow();
+    if (have_faults_) retries_.add_flow();
     active_.push_back(&stored);
     alloc_.add_flow(&stored);
     ++agg.open_connections;
@@ -401,6 +390,7 @@ void Simulator::prepare_structures() {
   state_.flows_.reserve(total_flows);
   pos_in_active_.reserve(total_flows);
   calendar_.reserve_index(total_flows);
+  if (have_faults_) retries_.reserve_index(total_flows);
   alloc_.reset(&fabric_->topology(), total_flows);
   capped_.clear();
 
@@ -443,8 +433,6 @@ void Simulator::prepare() {
   next_disruption_ = 0;
   iterations_ = 0;
   dirty_ = true;
-  if (config_.collect_link_stats)
-    results_.link_bytes.assign(fabric_->topology().link_count(), 0.0);
   if (prof != nullptr) prof->leave(setup_prev);
 }
 
@@ -749,7 +737,7 @@ void Simulator::poll_sampler() {
                     state_.aggregates_.size() *
                         sizeof(SimState::CoflowAggregate);
   mem.calendar_bytes = calendar_.size() * sizeof(FlowCalendar::Entry);
-  mem.retry_bytes = retries_.size() * sizeof(RetryEntry) +
+  mem.retry_bytes = retries_.size() * sizeof(FlowCalendar::Entry) +
                     parked_.size() * sizeof(FlowId);
   mem.active_set_bytes = active_.size() * sizeof(SimFlow*) +
                          pos_in_active_.size() * sizeof(std::uint32_t) +
@@ -803,7 +791,8 @@ void Simulator::account_memory() {
                    straggler_.capacity() * sizeof(double) +
                    saved_capacity_.capacity() * sizeof(Rate) +
                    parked_.capacity() * sizeof(FlowId) +
-                   retries_.container().capacity() * sizeof(RetryEntry));
+                   retries_.entries().capacity() * sizeof(FlowCalendar::Entry) +
+                   retries_.index_capacity() * sizeof(std::uint32_t));
 }
 
 SimResults Simulator::collect() {
@@ -870,6 +859,7 @@ JobId Simulator::admit(const JobSpec& spec) {
   if (flows_reserved_ > state_.flows_.capacity()) grow_flow_store();
   pos_in_active_.reserve(flows_reserved_);
   calendar_.reserve_index(flows_reserved_);
+  if (have_faults_) retries_.reserve_index(flows_reserved_);
 
   const JobId jid = register_job(spec);
 
@@ -1040,28 +1030,17 @@ Simulator::Compaction Simulator::compact() {
   // renumbering is monotone, so the (key, id) heap order holds as is.
   calendar_.remap(remap.flow_map, state_.flows_.size());
 
-  // Retry heap and parking lot: entries of evicted (cancelled) flows drop,
-  // survivors remap; parked keeps its order.
-  if (have_faults_ || !retries_.empty() || !parked_.empty()) {
-    std::vector<RetryEntry> rt = retries_.take_container();
-    w = 0;
-    for (RetryEntry& e : rt) {
-      const std::uint64_t nf = remap.flow_map[e.flow.value()];
-      if (nf == CompactionRemap::kEvicted) continue;
-      e.flow = FlowId{nf};
-      rt[w++] = e;
-    }
-    rt.resize(w);
-    std::make_heap(rt.begin(), rt.end(), RetryLater{});
-    retries_.restore(std::move(rt));
-
-    w = 0;
-    for (const FlowId fid : parked_) {
+  // Retry calendar and parking lot: they hold only flows of live jobs (a
+  // failing job takes its flows out of both), so every entry survives and
+  // remaps in place; parked keeps its order.
+  if (have_faults_) {
+    retries_.remap(remap.flow_map, state_.flows_.size());
+    for (FlowId& fid : parked_) {
       const std::uint64_t nf = remap.flow_map[fid.value()];
-      if (nf == CompactionRemap::kEvicted) continue;
-      parked_[w++] = FlowId{nf};
+      GURITA_CHECK_MSG(nf != CompactionRemap::kEvicted,
+                       "compaction evicted a parked flow");
+      fid = FlowId{nf};
     }
-    parked_.resize(w);
   }
 
   // Capped flows (stored rate below pure allocation): finished ones drop,
@@ -1119,14 +1098,11 @@ bool Simulator::flow_blocked(const SimFlow& flow) const {
 }
 
 Time Simulator::next_retry_time() const {
-  // The top entry may belong to a cancelled flow; fire_due_retries pops and
-  // skips those, so using its time here costs at most a no-op wakeup.
   return retries_.empty() ? std::numeric_limits<Time>::infinity()
-                          : retries_.top().time;
+                          : retries_.top().key;
 }
 
-void Simulator::abort_flow(SimFlow& flow, FaultKind cause,
-                           bool count_attempt) {
+Bytes Simulator::tear_down(SimFlow& flow) {
   settle(flow);
   set_rate(flow, 0.0);
   const Bytes sent = flow.size - flow.remaining;
@@ -1140,6 +1116,12 @@ void Simulator::abort_flow(SimFlow& flow, FaultKind cause,
   --agg.open_connections;
   calendar_.erase(flow.id);
   remove_from_active(flow);
+  return sent;
+}
+
+void Simulator::abort_flow(SimFlow& flow, FaultKind cause,
+                           bool count_attempt) {
+  const Bytes sent = tear_down(flow);
   if (count_attempt) ++flow.attempts;
   flow.abort_time = now_;
   ++live_results_->flow_aborts;
@@ -1161,14 +1143,13 @@ void Simulator::abort_flow(SimFlow& flow, FaultKind cause,
   }
   if (flow.attempts >= config_.faults.retry.max_attempts) {
     // Retry budget exhausted: the whole job is abandoned. This flow was
-    // never parked, so mark it cancelled before fail_job — it must not be
-    // counted as outstanding.
+    // never parked, so mark it cancelled before fail_job — there is no
+    // queue entry to take it out of.
     flow.cancelled = true;
     flow.abort_time = -1;
     fail_job(state_.jobs_[flow.job.value()]);
   } else {
     parked_.push_back(flow.id);
-    ++outstanding_;
   }
 }
 
@@ -1184,30 +1165,27 @@ void Simulator::fail_job(SimJob& job) {
       SimFlow& f = state_.flows_[fid.value()];
       if (f.finished() || f.cancelled) continue;
       if (f.abort_time >= 0) {
-        // Parked, or waiting out its retry backoff.
+        // Parked, or waiting out its retry backoff: its retry entry goes
+        // now, its parked slot after the loop.
+        retries_.erase(fid);
         f.cancelled = true;
         f.abort_time = -1;
-        --outstanding_;
         ++cancelled_parked;
       } else {
         // Transmitting: destroy the in-flight bytes and remove it.
-        settle(f);
-        set_rate(f, 0.0);
-        const Bytes sent = f.size - f.remaining;
-        SimState::CoflowAggregate& agg = aggregate_of(f);
-        agg.base_bytes -= sent;
-        f.remaining = f.size;
-        f.lost_bytes += sent;
-        live_results_->bytes_lost += sent;
-        --agg.open_connections;
-        calendar_.erase(fid);
-        remove_from_active(f);
+        tear_down(f);
         f.cancelled = true;
         ++cancelled_running;
         ++live_results_->flow_touches;
         dirty_ = true;
       }
     }
+  }
+  // Only this job's flows are cancelled and still parked.
+  if (cancelled_parked > 0) {
+    std::erase_if(parked_, [this](FlowId fid) {
+      return state_.flows_[fid.value()].cancelled;
+    });
   }
   job.failed = true;
   job.finish_time = now_;
@@ -1230,14 +1208,13 @@ void Simulator::fail_job(SimJob& job) {
 void Simulator::schedule_retry(SimFlow& flow) {
   const Time d = config_.faults.retry.delay(flow.attempts, config_.faults.seed,
                                             flow.id.value());
-  retries_.push(RetryEntry{now_ + d, flow.id});
+  retries_.set(flow.id, now_ + d);
 }
 
 void Simulator::reconsider_parked() {
   std::size_t w = 0;
   for (FlowId fid : parked_) {
     SimFlow& f = state_.flows_[fid.value()];
-    if (f.cancelled) continue;  // dropped when its job failed
     if (flow_blocked(f)) {
       parked_[w++] = fid;  // some other blocker is still down
       continue;
@@ -1248,17 +1225,16 @@ void Simulator::reconsider_parked() {
 }
 
 void Simulator::fire_due_retries() {
-  if (retries_.empty() || retries_.top().time > now_ + kTimeEpsilon) return;
+  if (retries_.empty() || retries_.top().key > now_ + kTimeEpsilon) return;
   obs::ScopedPhase phase(config_.profiler, obs::Phase::kFault);
-  while (!retries_.empty() && retries_.top().time <= now_ + kTimeEpsilon) {
-    const RetryEntry e = retries_.top();
+  while (!retries_.empty() && retries_.top().key <= now_ + kTimeEpsilon) {
+    const FlowId fid = retries_.top().flow;
     retries_.pop();
-    SimFlow& f = state_.flows_[e.flow.value()];
-    if (f.cancelled) continue;  // its job failed while the timer ran
+    SimFlow& f = state_.flows_[fid.value()];
     if (flow_blocked(f)) {
       // Something on its path went down again during the backoff: back to
       // the parking lot until the next recovery.
-      parked_.push_back(e.flow);
+      parked_.push_back(fid);
       continue;
     }
     // Restart from byte zero (abort_flow already rewound the byte state).
@@ -1272,7 +1248,6 @@ void Simulator::fire_due_retries() {
     active_.push_back(&f);
     alloc_.add_flow(&f);
     push_key(f);
-    --outstanding_;
     ++live_results_->flow_retries;
     ++live_results_->flow_touches;
     dirty_ = true;
@@ -1400,16 +1375,12 @@ void Simulator::apply_fault(const FaultEvent& event) {
 void Simulator::fail_stranded_jobs() {
   obs::ScopedPhase phase(config_.profiler, obs::Phase::kFault);
   std::vector<JobId> stranded;
-  for (FlowId fid : parked_) {
-    const SimFlow& f = state_.flows_[fid.value()];
-    if (!f.cancelled) stranded.push_back(f.job);
-  }
+  for (FlowId fid : parked_) stranded.push_back(state_.flows_[fid.value()].job);
   std::sort(stranded.begin(), stranded.end());
   stranded.erase(std::unique(stranded.begin(), stranded.end()),
                  stranded.end());
   for (JobId jid : stranded) fail_job(state_.jobs_[jid.value()]);
-  parked_.clear();
-  GURITA_CHECK_MSG(outstanding_ == 0,
+  GURITA_CHECK_MSG(parked_.empty() && retries_.empty(),
                    "stranded flows survived fail_stranded_jobs");
 }
 

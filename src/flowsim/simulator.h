@@ -20,7 +20,6 @@
 // invariants.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -46,45 +45,6 @@ namespace snapshot {
 class Writer;
 class Reader;
 }  // namespace snapshot
-
-/// Min-heap with std::priority_queue's exact push/pop mechanics
-/// (std::push_heap / std::pop_heap over a contiguous array) plus access to
-/// the underlying array, so a snapshot can store the array verbatim and
-/// restore it bit-for-bit. The fault runtime's retry heap is its one user;
-/// the completion calendar is a FlowCalendar (flowsim/calendar.h).
-template <typename T, typename Later>
-class SnapshotableHeap {
- public:
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] const T& top() const { return heap_.front(); }
-
-  void push(const T& v) {
-    heap_.push_back(v);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
-  void pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
-
-  /// The heap array in layout order (NOT sorted order) — serialize verbatim.
-  [[nodiscard]] const std::vector<T>& container() const { return heap_; }
-  /// Restores an array previously obtained from container(). The caller
-  /// must not reorder it: layout is state.
-  void restore(std::vector<T> container) { heap_ = std::move(container); }
-  /// Moves the backing array out (compact() filters it and restores the
-  /// survivors), leaving the heap empty and valid.
-  [[nodiscard]] std::vector<T> take_container() {
-    std::vector<T> out = std::move(heap_);
-    heap_.clear();
-    return out;
-  }
-
- private:
-  std::vector<T> heap_;
-};
 
 /// Outcome of one simulation run.
 struct SimResults {
@@ -145,10 +105,6 @@ struct SimResults {
   /// parked or backing off before re-entering.
   Time total_recovery_latency = 0;
 
-  /// Bytes carried per link over the run (indexed by LinkId value); only
-  /// populated when Config::collect_link_stats is set.
-  std::vector<Bytes> link_bytes;
-
   // --- telemetry (populated by the experiment harness when enabled) ---
   /// Structured trace of the run (obs/trace.h); empty unless a recorder was
   /// attached. ComparisonResult::absorb appends traces in replicate order
@@ -179,10 +135,6 @@ struct SimResults {
     }
   };
   Diagnostics diagnostics;
-
-  /// Utilization of link `id` given its capacity: carried bytes divided by
-  /// capacity × makespan. Requires link stats collection.
-  [[nodiscard]] double link_utilization(LinkId id, Rate capacity) const;
 
   /// Folds another run's cost counters (events, flow_touches,
   /// rate_recomputations, the fault counters and byte/latency totals) and
@@ -225,9 +177,6 @@ class Simulator {
     /// construction. An empty plan leaves the engine's behaviour and
     /// results byte-identical to a build without fault support.
     FaultPlan faults;
-    /// Record per-link carried bytes (adds O(path length) work per flow per
-    /// rate change; off by default).
-    bool collect_link_stats = false;
     /// TCP slow-start approximation (§V: "we implement [a] rate limiter
     /// that behaves like TCP"): a flow's rate is additionally capped at
     /// (tcp_initial_window + bytes_sent) / tcp_ramp_time — the fluid
@@ -306,8 +255,8 @@ class Simulator {
 
   /// Open-horizon state eviction: removes every terminal (finished or
   /// failed) job with its coflows and flows from the stores, renumbers the
-  /// survivors densely and monotonically, remaps the calendar in place,
-  /// rebuilds the retry heap and the allocator, and notifies the scheduler
+  /// survivors densely and monotonically, remaps the completion and retry
+  /// calendars in place, rebuilds the allocator, and notifies the scheduler
   /// (on_compact). Steady-state memory under sustained admission is
   /// therefore O(active) instead of O(ever-submitted). Legal only at an
   /// event boundary. Determinism is per-configuration: identical inputs
@@ -335,7 +284,7 @@ class Simulator {
   /// Work remains: pending arrivals, active flows or parked/retrying flows.
   [[nodiscard]] bool pending() const {
     return next_arrival_ < arrival_order_.size() || !active_.empty() ||
-           outstanding_ > 0;
+           !parked_.empty() || !retries_.empty();
   }
   [[nodiscard]] std::size_t active_flow_count() const {
     return active_.size();
@@ -411,7 +360,7 @@ class Simulator {
   /// recomputation from the application loop; not serialized — a restored
   /// run's first allocation re-solves everything, which subsumes it.
   std::vector<FlowId> capped_;
-  /// Results of the in-progress run (settles accrue link stats/counters).
+  /// Results of the in-progress run (settles and finishes accrue counters).
   /// Owned here (not a run() local) so a paused run's partial counters are
   /// part of the snapshot; collect() moves it out.
   SimResults results_;
@@ -461,19 +410,6 @@ class Simulator {
   // --- fault-injection runtime (all idle unless Config::faults is
   // non-empty; the zero-fault run is byte-identical to a fault-free
   // engine) ---
-  /// One pending retry: `flow` restarts at `time` (if still unblocked).
-  struct RetryEntry {
-    Time time = 0;
-    FlowId flow;
-  };
-  struct RetryLater {
-    bool operator()(const RetryEntry& a, const RetryEntry& b) const {
-      // Min-heap by time; flow id breaks ties so pop order (and hence
-      // restart order) is deterministic.
-      if (a.time != b.time) return a.time > b.time;
-      return a.flow > b.flow;
-    }
-  };
   bool have_faults_ = false;
   std::vector<FaultEvent> fault_events_;  ///< plan events, sorted by time
   std::size_t next_fault_ = 0;
@@ -483,10 +419,12 @@ class Simulator {
   std::vector<Rate> saved_capacity_; ///< pre-fault capacity of downed links
   /// Flows aborted and waiting for every blocking entity to recover.
   std::vector<FlowId> parked_;
-  SnapshotableHeap<RetryEntry, RetryLater> retries_;
-  /// Parked flows + scheduled retries not yet cancelled: the run cannot end
-  /// while > 0 even if the active set is momentarily empty.
-  std::uint64_t outstanding_ = 0;
+  /// Flows backing off before a retry, keyed by restart time: one entry per
+  /// flow, ordered by (time, flow id), erased when the flow's job fails.
+  /// Indexed only under a fault plan. A flow is in at most one of parked_,
+  /// retries_ and the active set; the run cannot end while either fault
+  /// queue is non-empty, even if the active set is momentarily empty.
+  FlowCalendar retries_;
 
   /// True while a down host or link blocks this flow from transmitting.
   [[nodiscard]] bool flow_blocked(const SimFlow& flow) const;
@@ -494,8 +432,13 @@ class Simulator {
   /// lost, the flow leaves the active set and either parks for retry or —
   /// once `count_attempt` pushes it past max_attempts — fails its job.
   void abort_flow(SimFlow& flow, FaultKind cause, bool count_attempt);
-  /// Marks `job` failed at now_: cancels its surviving flows (parked,
-  /// scheduled and transmitting), emits kJobFail, tells the scheduler.
+  /// Takes a transmitting flow off the network: settles it, destroys its
+  /// in-flight bytes (rewinding it to byte zero) and removes it from the
+  /// calendar and the active set. Returns the bytes lost.
+  Bytes tear_down(SimFlow& flow);
+  /// Marks `job` failed at now_: cancels its surviving flows (transmitting
+  /// ones are torn down; parked and backing-off ones leave their queue),
+  /// emits kJobFail, tells the scheduler.
   void fail_job(SimJob& job);
   /// Moves a parked flow into the retry queue with its backoff delay.
   void schedule_retry(SimFlow& flow);

@@ -61,7 +61,7 @@ class IntervalSampler {
   struct MemSample {
     std::uint64_t state_bytes = 0;       ///< flow/coflow/job/aggregate stores
     std::uint64_t calendar_bytes = 0;    ///< completion calendar entries
-    std::uint64_t retry_bytes = 0;       ///< parked flows + retry heap
+    std::uint64_t retry_bytes = 0;       ///< parked flows + retry calendar
     std::uint64_t trace_bytes = 0;       ///< trace recorder buffer
     std::uint64_t active_set_bytes = 0;  ///< active set + pos/gen tables
     [[nodiscard]] std::uint64_t total() const {

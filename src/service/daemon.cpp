@@ -260,9 +260,6 @@ struct Daemon::Impl {
     if (wm.active_flows_low > wm.active_flows_high)
       issues.push_back({"watermarks.active_flows",
                         "low watermark exceeds high (hysteresis inverted)"});
-    if (wm.calendar_low > wm.calendar_high)
-      issues.push_back({"watermarks.calendar",
-                        "low watermark exceeds high (hysteresis inverted)"});
     if (wm.p99_wait_low > wm.p99_wait_high)
       issues.push_back({"watermarks.p99_wait",
                         "low watermark exceeds high (hysteresis inverted)"});
@@ -397,18 +394,15 @@ struct Daemon::Impl {
     ++waits_total_;
   }
 
-  /// Hysteresis filter over the three overload signals; under
+  /// Hysteresis filter over the two overload signals; under
   /// degrade-to-fifo the overload bit doubles as the degraded bit.
   void refresh_overload() {
     const std::size_t flows = sim_->active_flow_count();
-    const std::size_t calendar = sim_->calendar_size();
     const Time p99 = wait_p99();
     const Watermarks& wm = options_.watermarks;
-    const bool any_high = flows >= wm.active_flows_high ||
-                          calendar >= wm.calendar_high ||
-                          p99 >= wm.p99_wait_high;
-    const bool all_low = flows < wm.active_flows_low &&
-                         calendar < wm.calendar_low && p99 < wm.p99_wait_low;
+    const bool any_high =
+        flows >= wm.active_flows_high || p99 >= wm.p99_wait_high;
+    const bool all_low = flows < wm.active_flows_low && p99 < wm.p99_wait_low;
     if (!overloaded_ && any_high) {
       overloaded_ = true;
       if (options_.shed_policy == ShedPolicy::kDegradeToFifo) enter_degrade();
@@ -616,8 +610,6 @@ struct Daemon::Impl {
     w.u64(options_.queue_capacity);
     w.u64(options_.watermarks.active_flows_high);
     w.u64(options_.watermarks.active_flows_low);
-    w.u64(options_.watermarks.calendar_high);
-    w.u64(options_.watermarks.calendar_low);
     w.f64(options_.watermarks.p99_wait_high);
     w.f64(options_.watermarks.p99_wait_low);
     w.u64(options_.wait_window);
@@ -673,10 +665,6 @@ struct Daemon::Impl {
               options_.watermarks.active_flows_high, r.u64());
     check_u64("watermarks.active_flows_low",
               options_.watermarks.active_flows_low, r.u64());
-    check_u64("watermarks.calendar_high", options_.watermarks.calendar_high,
-              r.u64());
-    check_u64("watermarks.calendar_low", options_.watermarks.calendar_low,
-              r.u64());
     check_f64("watermarks.p99_wait_high", options_.watermarks.p99_wait_high,
               r.f64());
     check_f64("watermarks.p99_wait_low", options_.watermarks.p99_wait_low,

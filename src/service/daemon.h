@@ -10,8 +10,8 @@
 // (workload/open_loop.h), and layers four robustness mechanisms on top:
 //
 //  * Admission control / backpressure — a bounded admission queue with
-//    hysteresis watermarks on active-flow count, calendar size and the p99
-//    admission wait over a recent window. Overflow triggers a deterministic
+//    hysteresis watermarks on active-flow count and the p99 admission wait
+//    over a recent window. Overflow triggers a deterministic
 //    shed policy; every shed is a typed kShed trace record.
 //  * Graceful drain — a latched SIGTERM/SIGINT (signals.h), the
 //    drain_after_sim_time test hook, or source exhaustion stops admission;
@@ -82,8 +82,6 @@ enum class ShedReason : std::int32_t {
 struct Watermarks {
   std::size_t active_flows_high = 200'000;
   std::size_t active_flows_low = 160'000;
-  std::size_t calendar_high = 1'000'000;
-  std::size_t calendar_low = 800'000;
   /// p99 admission wait (sim seconds) over the recent window.
   Time p99_wait_high = std::numeric_limits<Time>::infinity();
   Time p99_wait_low = std::numeric_limits<Time>::infinity();

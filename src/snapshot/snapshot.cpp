@@ -50,7 +50,6 @@ class SnapshotCodec {
     w.u64(s.fabric_->topology().link_count());
     w.u64(s.state_.jobs_.size());
     w.u64(s.state_.coflows_.size());
-    w.boolean(s.config_.collect_link_stats);
     w.f64(s.config_.tcp_ramp_time);
     w.f64(s.config_.tcp_initial_window);
     w.boolean(s.config_.trace != nullptr);
@@ -76,8 +75,6 @@ class SnapshotCodec {
           "link count mismatch");
     check(r.u64() == s.state_.jobs_.size(), "job population mismatch");
     check(r.u64() == s.state_.coflows_.size(), "coflow population mismatch");
-    check(r.boolean() == s.config_.collect_link_stats,
-          "link-stats setting mismatch");
     check(r.f64() == s.config_.tcp_ramp_time, "tcp_ramp_time mismatch");
     check(r.f64() == s.config_.tcp_initial_window,
           "tcp_initial_window mismatch");
@@ -125,8 +122,64 @@ class SnapshotCodec {
                           what);
   }
 
-  static void corrupt_if(bool bad, const char* what) {
-    if (bad) throw SnapshotError(std::string("corrupt snapshot: ") + what);
+  static void corrupt_if(bool bad, const char* what, const char* detail = "") {
+    if (bad)
+      throw SnapshotError(std::string("corrupt snapshot: ") + what + detail);
+  }
+
+  /// True when flow `fid` (in range) sits in the restored active set.
+  static bool in_active_set(const Simulator& s, std::uint64_t fid) {
+    const std::uint32_t pos = s.pos_in_active_[fid];
+    return pos < s.active_.size() && s.active_[pos] == &s.state_.flows_[fid];
+  }
+
+  /// A flow calendar's entries (f64 key, u64 flow id) in heap layout order,
+  /// so restore installs the array without re-sorting.
+  static void save_calendar(const FlowCalendar& calendar, Writer& w) {
+    w.u64(calendar.entries().size());
+    for (const FlowCalendar::Entry& e : calendar.entries()) {
+      w.f64(e.key);
+      w.u64(e.flow.value());
+    }
+  }
+
+  /// Reads what save_calendar wrote into `calendar`, indexed over the flow
+  /// store. The step loop indexes the flow store with its flow ids and
+  /// trusts its heap order, so a corrupt calendar is rejected here rather
+  /// than run on: an id out of range or repeated, a flow `may_hold`
+  /// refuses (`refusal` says why), a NaN key or a broken heap order.
+  /// `name` starts every error message.
+  template <typename MayHold>
+  static void load_calendar(Simulator& s, Reader& r, FlowCalendar& calendar,
+                            const char* name, const char* refusal,
+                            MayHold may_hold) {
+    const std::uint64_t n_flows = s.state_.flows_.size();
+    const std::uint64_t n = r.count(16);  // f64 key, u64 flow
+    std::vector<FlowCalendar::Entry> entries;
+    entries.reserve(n);
+    std::vector<char> seen(n_flows, 0);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      FlowCalendar::Entry e;
+      e.key = r.f64();
+      const std::uint64_t fid = r.u64();
+      corrupt_if(fid >= n_flows, name, " flow id out of range");
+      corrupt_if(!may_hold(fid), name, refusal);
+      corrupt_if(seen[fid] != 0, name, " flow id repeated");
+      seen[fid] = 1;
+      e.flow = FlowId{fid};
+      entries.push_back(e);
+    }
+    corrupt_if(!FlowCalendar::is_heap(entries), name,
+               " key is NaN or breaks the (key, flow id) heap order");
+    calendar.restore(std::move(entries), n_flows);
+  }
+
+  /// A parked or backing-off flow: aborted, waiting to restart, and in
+  /// neither the active set nor a failed job.
+  static bool backing_off(const Simulator& s, std::uint64_t fid) {
+    const SimFlow& f = s.state_.flows_[fid];
+    return !f.finished() && !f.cancelled && f.abort_time >= 0 &&
+           !in_active_set(s, fid);
   }
 
   /// Hash of the static inputs reconstructed (not serialized) on restore:
@@ -234,13 +287,8 @@ class SnapshotCodec {
     w.u64(s.active_.size());
     for (const SimFlow* f : s.active_) w.u64(f->id.value());
 
-    // Calendar: its live entries (one per flow with a projected finish) in
-    // heap layout order, so restore installs the array without re-sorting.
-    w.u64(s.calendar_.entries().size());
-    for (const FlowCalendar::Entry& e : s.calendar_.entries()) {
-      w.f64(e.key);
-      w.u64(e.flow.value());
-    }
+    // Calendar: its live entries, one per flow with a projected finish.
+    save_calendar(s.calendar_, w);
 
     // Partial result counters of the paused run.
     w.u64(s.results_.rate_recomputations);
@@ -252,8 +300,6 @@ class SnapshotCodec {
     w.f64(s.results_.bytes_lost);
     w.f64(s.results_.bytes_retransmitted);
     w.f64(s.results_.total_recovery_latency);
-    w.u64(s.results_.link_bytes.size());
-    for (Bytes b : s.results_.link_bytes) w.f64(b);
 
     // Fault-injection runtime.
     w.boolean(s.have_faults_);
@@ -267,12 +313,7 @@ class SnapshotCodec {
       for (Rate c : s.saved_capacity_) w.f64(c);
       w.u64(s.parked_.size());
       for (FlowId fid : s.parked_) w.u64(fid.value());
-      w.u64(s.retries_.container().size());
-      for (const Simulator::RetryEntry& e : s.retries_.container()) {
-        w.f64(e.time);
-        w.u64(e.flow.value());
-      }
-      w.u64(s.outstanding_);
+      save_calendar(s.retries_, w);
     }
     w.end_section(token);
   }
@@ -359,31 +400,12 @@ class SnapshotCodec {
       s.active_.push_back(&s.state_.flows_[fid]);
     }
 
-    // The step loop indexes the flow store with calendar flow ids and
-    // trusts the heap order, so a corrupt calendar is rejected here rather
-    // than run on.
-    const std::uint64_t n_cal = r.count(16);  // f64 key, u64 flow
-    std::vector<FlowCalendar::Entry> calendar;
-    calendar.reserve(n_cal);
-    std::vector<char> has_entry(n_flows, 0);
-    for (std::uint64_t i = 0; i < n_cal; ++i) {
-      FlowCalendar::Entry e;
-      e.key = r.f64();
-      const std::uint64_t fid = r.u64();
-      corrupt_if(fid >= n_flows, "calendar flow id out of range");
-      const std::uint32_t pos = s.pos_in_active_[fid];
-      corrupt_if(s.state_.flows_[fid].finished() ||
-                     pos >= s.active_.size() ||
-                     s.active_[pos] != &s.state_.flows_[fid],
-                 "calendar entry for a flow outside the active set");
-      corrupt_if(has_entry[fid] != 0, "duplicate calendar flow id");
-      has_entry[fid] = 1;
-      e.flow = FlowId{fid};
-      calendar.push_back(e);
-    }
-    corrupt_if(!FlowCalendar::is_heap(calendar),
-               "calendar key is NaN or breaks the (key, flow id) heap order");
-    s.calendar_.restore(std::move(calendar), n_flows);
+    load_calendar(s, r, s.calendar_, "calendar",
+                  " entry for a flow outside the active set",
+                  [&](std::uint64_t fid) {
+                    return !s.state_.flows_[fid].finished() &&
+                           in_active_set(s, fid);
+                  });
 
     s.results_.rate_recomputations = r.u64();
     s.results_.events = r.u64();
@@ -394,9 +416,6 @@ class SnapshotCodec {
     s.results_.bytes_lost = r.f64();
     s.results_.bytes_retransmitted = r.f64();
     s.results_.total_recovery_latency = r.f64();
-    const std::uint64_t n_links = r.count(8);
-    s.results_.link_bytes.resize(n_links);
-    for (Bytes& b : s.results_.link_bytes) b = r.f64();
 
     check(r.boolean() == s.have_faults_, "fault plan presence");
     if (s.have_faults_) {
@@ -407,21 +426,27 @@ class SnapshotCodec {
       for (char& d : s.link_down_) d = static_cast<char>(r.u8());
       for (double& f : s.straggler_) f = r.f64();
       for (Rate& c : s.saved_capacity_) c = r.f64();
-      const std::uint64_t n_parked = r.u64();
+      // reconsider_parked, fire_due_retries and compact() index the flow
+      // store with these ids: each must name a distinct backing-off flow,
+      // parked or queued for retry, never both.
+      std::vector<char> parked(n_flows, 0);
+      const std::uint64_t n_parked = r.count(8);
       s.parked_.clear();
-      for (std::uint64_t i = 0; i < n_parked; ++i)
-        s.parked_.push_back(FlowId{r.u64()});
-      const std::uint64_t n_retries = r.count(16);  // f64 time, u64 flow
-      std::vector<Simulator::RetryEntry> retries;
-      retries.reserve(n_retries);
-      for (std::uint64_t i = 0; i < n_retries; ++i) {
-        Simulator::RetryEntry e;
-        e.time = r.f64();
-        e.flow = FlowId{r.u64()};
-        retries.push_back(e);
+      s.parked_.reserve(n_parked);
+      for (std::uint64_t i = 0; i < n_parked; ++i) {
+        const std::uint64_t fid = r.u64();
+        corrupt_if(fid >= n_flows, "parked flow id out of range");
+        corrupt_if(!backing_off(s, fid),
+                   "parked entry for a flow that is not backing off");
+        corrupt_if(parked[fid] != 0, "parked flow id repeated");
+        parked[fid] = 1;
+        s.parked_.push_back(FlowId{fid});
       }
-      s.retries_.restore(std::move(retries));
-      s.outstanding_ = r.u64();
+      load_calendar(s, r, s.retries_, "retry",
+                    " entry for a parked flow or one that is not backing off",
+                    [&](std::uint64_t fid) {
+                      return parked[fid] == 0 && backing_off(s, fid);
+                    });
     }
     s.state_.now_ = s.now_;
     r.end_section(end);
@@ -662,8 +687,6 @@ void save_results(Writer& w, const SimResults& results) {
   w.f64(results.bytes_lost);
   w.f64(results.bytes_retransmitted);
   w.f64(results.total_recovery_latency);
-  w.u64(results.link_bytes.size());
-  for (Bytes b : results.link_bytes) w.f64(b);
   w.u64(results.trace.size());
   for (const obs::TraceRecord& rec : results.trace)
     write_trace_record(w, rec);
@@ -711,9 +734,6 @@ SimResults load_results(Reader& r) {
   results.bytes_lost = r.f64();
   results.bytes_retransmitted = r.f64();
   results.total_recovery_latency = r.f64();
-  const std::uint64_t n_links = r.count(8);
-  results.link_bytes.resize(n_links);
-  for (Bytes& b : results.link_bytes) b = r.f64();
   const std::uint64_t n_trace = r.count(kTraceRecordBytes);
   results.trace.reserve(n_trace);
   for (std::uint64_t i = 0; i < n_trace; ++i)

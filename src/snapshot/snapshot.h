@@ -46,7 +46,11 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// v5: the calendar holds one entry per flow (f64 key, u64 flow id), live
 /// entries only; the per-flow generation vector and the entries'
 /// generation stamps are gone. Restore validates every calendar entry.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: the retry queue is a flow calendar written like the completion
+/// calendar, with no outstanding counter; restore validates the parked and
+/// retry ids. The link-stats flag, the engine's per-link byte counters and
+/// the results cache's link bytes are gone.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

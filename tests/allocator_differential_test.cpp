@@ -532,8 +532,6 @@ Trial draw_trial(std::uint64_t seed) {
         plan, rng.next_u64(), trial.fabric->num_hosts(),
         trial.fabric->topology().link_count());
   }
-
-  trial.sim_config.collect_link_stats = rng.next_double() < 0.25;
   return trial;
 }
 
@@ -571,10 +569,6 @@ void expect_identical_runs(const SimResults& inc, const SimResults& ora,
     EXPECT_EQ(a.finish_time, b.finish_time) << "flow " << i;
     EXPECT_EQ(a.size, b.size) << "flow " << i;
   }
-
-  ASSERT_EQ(inc.link_bytes.size(), ora.link_bytes.size());
-  for (std::size_t i = 0; i < inc.link_bytes.size(); ++i)
-    EXPECT_EQ(inc.link_bytes[i], ora.link_bytes[i]) << "link " << i;
 }
 
 /// One simulator for `trial`, recording into `rec`. With `restore_from`

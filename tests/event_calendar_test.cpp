@@ -15,6 +15,7 @@
 
 #include "core/gurita.h"
 #include "exp/registry.h"
+#include "fault/plan.h"
 #include "flowsim/calendar.h"
 #include "flowsim/simulator.h"
 #include "obs/registry.h"
@@ -450,6 +451,53 @@ TEST(EventCalendar, SizeNeverExceedsActiveFlows) {
   }
 }
 
+/// A run of `jobs` under `name`, in one piece or, when `compact` is set,
+/// paused after every 5 s slice and compacted at each pause. `jobs` holds
+/// every job's result by original id: each compaction's monotone
+/// renumbering is mapped back.
+struct SlicedRun {
+  SimResults results;
+  std::vector<SimResults::JobResult> jobs;
+  std::size_t evicted = 0;
+  /// Flows parked or backing off at the compactions, summed over them.
+  std::size_t waiting_at_compaction = 0;
+};
+
+SlicedRun run_sliced(const Fabric& fabric, const std::vector<JobSpec>& jobs,
+                     const std::string& name, const Simulator::Config& config,
+                     bool compact) {
+  const std::unique_ptr<Scheduler> sched = make_scheduler(name);
+  Simulator sim(fabric, *sched, config);
+  for (const JobSpec& job : jobs) sim.submit(job);
+  SlicedRun run;
+  run.jobs.resize(jobs.size());
+  // `live` maps the engine's current job ids to original ids.
+  std::vector<std::size_t> live(jobs.size());
+  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
+  for (Time bound = 5.0; compact && sim.run_to(bound); bound += 5.0) {
+    for (std::size_t i = 0; i < sim.state().flow_count(); ++i) {
+      const SimFlow& f = sim.state().flow(FlowId{i});
+      if (!f.finished() && !f.cancelled && f.abort_time >= 0)
+        ++run.waiting_at_compaction;
+    }
+    const Simulator::Compaction c = sim.compact();
+    std::vector<char> gone(live.size(), 0);
+    for (const SimResults::JobResult& j : c.jobs) {
+      run.jobs[live[j.id.value()]] = j;
+      gone[j.id.value()] = 1;
+    }
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < live.size(); ++i)
+      if (gone[i] == 0) live[w++] = live[i];
+    live.resize(w);
+    run.evicted += c.jobs_evicted;
+  }
+  run.results = sim.run();
+  for (const SimResults::JobResult& j : run.results.jobs)
+    run.jobs[live[j.id.value()]] = j;
+  return run;
+}
+
 TEST(EventCalendar, CompactionKeepsEveryCounter) {
   // BigSwitch routes ignore the flow id, so compaction's renumbering cannot
   // re-route anything: a run compacted after every 5 s slice must match the
@@ -458,44 +506,52 @@ TEST(EventCalendar, CompactionKeepsEveryCounter) {
   const std::vector<JobSpec> jobs = big_switch_trace();
   for (const std::string& name : batch_schedulers()) {
     SCOPED_TRACE(name);
-    const std::unique_ptr<Scheduler> plain_sched = make_scheduler(name);
-    Simulator plain_sim(fabric, *plain_sched);
-    for (const JobSpec& job : jobs) plain_sim.submit(job);
-    const SimResults plain = plain_sim.run();
-
-    const std::unique_ptr<Scheduler> sched = make_scheduler(name);
-    Simulator sim(fabric, *sched);
-    for (const JobSpec& job : jobs) sim.submit(job);
-    // finish[original id]; `live` maps the engine's current job ids to
-    // original ids through each compaction's monotone renumbering.
-    std::vector<Time> finish(jobs.size(), -1.0);
-    std::vector<std::size_t> live(jobs.size());
-    for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-    std::size_t evicted = 0;
-    for (Time bound = 5.0; sim.run_to(bound); bound += 5.0) {
-      const Simulator::Compaction c = sim.compact();
-      std::vector<char> gone(live.size(), 0);
-      for (const SimResults::JobResult& j : c.jobs) {
-        finish[live[j.id.value()]] = j.finish;
-        gone[j.id.value()] = 1;
-      }
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < live.size(); ++i)
-        if (gone[i] == 0) live[w++] = live[i];
-      live.resize(w);
-      evicted += c.jobs_evicted;
-    }
-    const SimResults compacted = sim.run();
-    for (const SimResults::JobResult& j : compacted.jobs)
-      finish[live[j.id.value()]] = j.finish;
-
-    EXPECT_GT(evicted, 0u);
-    ASSERT_EQ(plain.jobs.size(), jobs.size());
+    const SlicedRun plain = run_sliced(fabric, jobs, name, {}, false);
+    const SlicedRun compacted = run_sliced(fabric, jobs, name, {}, true);
+    EXPECT_GT(compacted.evicted, 0u);
     for (std::size_t i = 0; i < jobs.size(); ++i)
-      EXPECT_EQ(finish[i], plain.jobs[i].finish) << "job " << i;
-    EXPECT_EQ(compacted.events, plain.events);
-    EXPECT_EQ(compacted.flow_touches, plain.flow_touches);
-    EXPECT_EQ(compacted.rate_recomputations, plain.rate_recomputations);
+      EXPECT_EQ(compacted.jobs[i].finish, plain.jobs[i].finish) << "job " << i;
+    EXPECT_EQ(compacted.results.events, plain.results.events);
+    EXPECT_EQ(compacted.results.flow_touches, plain.results.flow_touches);
+    EXPECT_EQ(compacted.results.rate_recomputations,
+              plain.results.rate_recomputations);
+  }
+}
+
+TEST(EventCalendar, CompactionUnderFaults) {
+  // The same comparison under a fault plan, so compaction renumbers the
+  // retry calendar and the parking lot while flows wait in them, and
+  // evicts jobs that failed with flows still parked or backing off.
+  // Jitter is 0 because RetryPolicy::delay seeds the jitter with the flow
+  // id, which compaction renumbers: with jitter on, a flow's backoff would
+  // depend on the compaction cadence, the same id-keyed hazard as ECMP.
+  const BigSwitch fabric(BigSwitch::Config{16});
+  const std::vector<JobSpec> jobs = big_switch_trace();
+  FaultPlanConfig plan;
+  plan.host_crash_rate = 3.0;
+  plan.horizon = 30.0;
+  plan.mean_downtime = 1.0;
+  plan.retry.jitter = 0.0;
+  plan.retry.max_attempts = 2;
+  Simulator::Config config;
+  config.faults = generate_fault_plan(plan, 3, fabric.num_hosts(),
+                                      fabric.topology().link_count());
+  for (const std::string& name : batch_schedulers()) {
+    SCOPED_TRACE(name);
+    const SlicedRun plain = run_sliced(fabric, jobs, name, config, false);
+    const SlicedRun compacted = run_sliced(fabric, jobs, name, config, true);
+    EXPECT_GT(compacted.evicted, 0u);
+    EXPECT_GT(compacted.waiting_at_compaction, 0u);
+    EXPECT_GT(plain.results.failed_jobs, 20u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(compacted.jobs[i].finish, plain.jobs[i].finish) << "job " << i;
+      EXPECT_EQ(compacted.jobs[i].failed, plain.jobs[i].failed) << "job " << i;
+    }
+    EXPECT_EQ(compacted.results.events, plain.results.events);
+    EXPECT_EQ(compacted.results.flow_touches, plain.results.flow_touches);
+    EXPECT_EQ(compacted.results.flow_aborts, plain.results.flow_aborts);
+    EXPECT_EQ(compacted.results.flow_retries, plain.results.flow_retries);
+    EXPECT_EQ(compacted.results.failed_jobs, plain.results.failed_jobs);
   }
 }
 

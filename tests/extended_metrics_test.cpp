@@ -202,31 +202,5 @@ TEST_F(DisruptionFixture, RejectsUnknownLink) {
   EXPECT_THROW(Simulator(fabric_, pfs_, config), std::logic_error);
 }
 
-TEST_F(DisruptionFixture, LinkStatsAccountDeliveredBytes) {
-  Simulator::Config config;
-  config.collect_link_stats = true;
-  Simulator sim(fabric_, pfs_, config);
-  sim.submit(job(200.0, 0, 1));
-  const SimResults r = sim.run();
-  ASSERT_EQ(r.link_bytes.size(), fabric_.topology().link_count());
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  EXPECT_NEAR(r.link_bytes[uplink.value()], 200.0, 1e-3);
-  // Utilization: 200 B over (100 B/s * 2 s) = 1.0 on the used link.
-  EXPECT_NEAR(r.link_utilization(uplink, 100.0), 1.0, 1e-6);
-  // An untouched link carried nothing.
-  const LinkId other =
-      fabric_.topology().find_link(fabric_.host(8), fabric_.edge_of_host(8));
-  EXPECT_DOUBLE_EQ(r.link_bytes[other.value()], 0.0);
-}
-
-TEST_F(DisruptionFixture, LinkStatsOffByDefault) {
-  Simulator sim(fabric_, pfs_);
-  sim.submit(job(100.0, 0, 1));
-  const SimResults r = sim.run();
-  EXPECT_TRUE(r.link_bytes.empty());
-  EXPECT_THROW(r.link_utilization(LinkId{0}, 100.0), std::logic_error);
-}
-
 }  // namespace
 }  // namespace gurita

@@ -15,6 +15,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sched/pfs.h"
+#include "topology/big_switch.h"
 #include "topology/fattree.h"
 
 namespace gurita {
@@ -226,6 +227,45 @@ TEST_F(FaultFixture, HostCrashAbortsAndRetries) {
   EXPECT_TRUE(flow.finished());
   EXPECT_EQ(flow.attempts, 1);
   EXPECT_NEAR(flow.bytes_sent(), 500.0, 1e-6);
+}
+
+TEST(FaultRuntime, FailedJobLeavesNoRetryWakeup) {
+  // A job that fails while one of its flows waits out a backoff takes that
+  // flow's retry entry with it, so the engine never wakes for the dead
+  // retry. Job B's long flow keeps the network busy throughout.
+  const BigSwitch fabric(BigSwitch::Config{8});
+  PfsScheduler pfs;
+  Simulator::Config config;
+  // Host 0 is down when A arrives, so A's first flow parks at release; the
+  // recovery at 0.1 queues it for 0.1 + max_delay = 0.6. Host 2 going down
+  // at 0.2 aborts A's second flow, which has no retry budget: A fails.
+  config.faults.events.push_back(host_event(FaultKind::kHostDown, 0.0, 0));
+  config.faults.events.push_back(host_event(FaultKind::kHostUp, 0.1, 0));
+  config.faults.events.push_back(host_event(FaultKind::kHostDown, 0.2, 2));
+  config.faults.retry.backoff = RetryPolicy::Backoff::kFixed;
+  config.faults.retry.base_delay = 1.0;
+  config.faults.retry.max_delay = 0.5;
+  config.faults.retry.jitter = 0.0;
+  config.faults.retry.max_attempts = 1;
+
+  Simulator sim(fabric, pfs, config);
+  sim.submit(single_flow_job(1e12, 4, 5, 0.0));  // B
+  JobSpec a = single_flow_job(1e12, 0, 1, 0.05);
+  a.coflows[0].flows.push_back(FlowSpec{2, 3, 1e12});
+  sim.submit(a);
+
+  // Events at 0 (B arrives, host 0 down), 0.05, 0.1 and 0.2; the next one
+  // is B's finish, far past the bound.
+  EXPECT_TRUE(sim.run_to(2.0));
+  EXPECT_EQ(sim.now(), 0.2);
+  EXPECT_EQ(sim.partial_results().events, 4u);
+  EXPECT_EQ(sim.partial_results().failed_jobs, 1u);
+
+  const SimResults r = sim.run();
+  EXPECT_EQ(r.flow_retries, 0u);
+  EXPECT_FALSE(r.jobs[0].failed);
+  EXPECT_TRUE(r.jobs[1].failed);
+  EXPECT_EQ(r.jobs[1].finish, 0.2);
 }
 
 TEST_F(FaultFixture, PermanentCrashFailsTheJobInsteadOfHanging) {

@@ -116,9 +116,6 @@ class OracleSimulator {
     Time next_tick = std::numeric_limits<Time>::infinity();
     bool dirty = true;
     SimResults results;
-    live_results_ = &results;
-    if (config_.collect_link_stats)
-      results.link_bytes.assign(fabric_->topology().link_count(), 0.0);
 
     std::vector<CapacityChange> disruptions = config_.disruptions;
     std::sort(disruptions.begin(), disruptions.end(),
@@ -276,7 +273,6 @@ class OracleSimulator {
           c.id, c.job, c.stage, c.release_time, c.finish_time,
           state_.coflow_total_bytes(c.id)});
     }
-    live_results_ = nullptr;
     return results;
   }
 
@@ -294,7 +290,6 @@ class OracleSimulator {
   std::vector<SimFlow*> active_;
   std::vector<std::uint32_t> pos_in_active_;
   std::vector<RateChange> rate_changes_;
-  SimResults* live_results_ = nullptr;
 
   Time now_ = 0;
   std::vector<Rate> capacities_;
@@ -308,10 +303,6 @@ class OracleSimulator {
   void settle(SimFlow& flow) {
     const Time elapsed = now_ - flow.last_touched;
     if (elapsed > 0 && flow.rate > 0) {
-      if (config_.collect_link_stats) {
-        for (LinkId l : flow.path)
-          live_results_->link_bytes[l.value()] += flow.rate * elapsed;
-      }
       const Bytes after = std::max(0.0, flow.remaining - flow.rate * elapsed);
       SimState::CoflowAggregate& agg = aggregate_of(flow);
       agg.base_bytes += flow.remaining - after;

@@ -29,6 +29,7 @@
 #include "obs/trace.h"
 #include "oracle_sim.h"
 #include "snapshot/snapshot.h"
+#include "topology/big_switch.h"
 #include "topology/fattree.h"
 #include "workload/trace_gen.h"
 
@@ -320,7 +321,6 @@ TEST(SnapshotRoundTrip, EverySchedulerByteIdentical) {
   const std::vector<JobSpec> jobs = small_trace(fabric, 11);
   for (const std::string& name : scheduler_names()) {
     Scenario s{fabric, name, jobs, {}, /*with_trace=*/true};
-    s.sim_config.collect_link_stats = true;
     const SimResults reference = run_uninterrupted(s);
     ASSERT_GT(reference.makespan, 0.0);
     expect_split_invariant(s,
@@ -444,7 +444,6 @@ TEST(SnapshotDeterminism, MidConvergenceSplitRebuildsAllocatorState) {
   jobs.push_back(single_flow_job(1000, 0, 1, 4.0));  // B: splits A's links
   jobs.push_back(single_flow_job(500, 8, 9, 1.0));   // disjoint component
   Scenario s{fabric, "gurita", jobs, {}, /*with_trace=*/true};
-  s.sim_config.collect_link_stats = true;
   const SimResults reference = run_uninterrupted(s);
   // Between A's and B's arrivals (2.0), at B's arrival instant (4.0),
   // and mid-drain of the post-split rates (6.5).
@@ -457,7 +456,6 @@ TEST(SnapshotDeterminism, MidConvergenceSplitRebuildsAllocatorState) {
   EXPECT_EQ(reference.makespan, oracle_results.makespan);
   EXPECT_EQ(reference.events, oracle_results.events);
   EXPECT_EQ(reference.rate_recomputations, oracle_results.rate_recomputations);
-  EXPECT_EQ(reference.link_bytes, oracle_results.link_bytes);
   ASSERT_EQ(reference.jobs.size(), oracle_results.jobs.size());
   for (std::size_t i = 0; i < reference.jobs.size(); ++i)
     EXPECT_EQ(reference.jobs[i].finish, oracle_results.jobs[i].finish)
@@ -724,6 +722,123 @@ TEST(SnapshotRestore, RejectsCorruptCalendar) {
   expect_rejected(last, std::bit_cast<std::uint64_t>(-1.0), "heap order");
 }
 
+TEST(SnapshotRestore, RejectsCorruptFaultState) {
+  // The fault section ends the engine section: the parked flow ids, then
+  // the retry calendar's (f64 restart time, u64 flow id) entries. Recovery
+  // and retry handling index the flow store with those ids, so restore
+  // must reject every id it could not run on. The run is built so that at
+  // the pause two flows are parked and two are queued for retry, which
+  // fixes the section's last 64 bytes.
+  const BigSwitch fabric(BigSwitch::Config{8});
+  std::vector<JobSpec> jobs(2);
+  const auto add_flow = [&](JobSpec& job, int src, int dst) {
+    if (job.coflows.empty()) {
+      job.coflows.emplace_back();
+      job.deps = {{}};
+    }
+    job.coflows[0].flows.push_back(FlowSpec{src, dst, 1e12});
+  };
+  add_flow(jobs[0], 4, 5);  // flow 0 transmits throughout
+  add_flow(jobs[1], 0, 1);  // flows 1 and 2 touch host 0
+  add_flow(jobs[1], 7, 0);
+  add_flow(jobs[1], 2, 3);  // flows 3 and 4 touch host 3
+  add_flow(jobs[1], 6, 3);
+  Simulator::Config config;
+  const auto host_event = [&](FaultKind kind, Time time, int host) {
+    FaultEvent e;
+    e.kind = kind;
+    e.time = time;
+    e.host = host;
+    config.faults.events.push_back(e);
+  };
+  // Flows 1 and 2 abort at 0.1 and are queued at 0.2 to restart at 0.7;
+  // flows 3 and 4 abort at 0.3 and stay parked until 1.0.
+  host_event(FaultKind::kHostDown, 0.1, 0);
+  host_event(FaultKind::kHostUp, 0.2, 0);
+  host_event(FaultKind::kHostDown, 0.3, 3);
+  host_event(FaultKind::kHostUp, 1.0, 3);
+  config.faults.retry.backoff = RetryPolicy::Backoff::kFixed;
+  config.faults.retry.base_delay = 0.5;
+  config.faults.retry.jitter = 0.0;
+
+  const auto make_sim = [&](std::unique_ptr<Scheduler>& sched) {
+    sched = make_scheduler("pfs");
+    auto sim = std::make_unique<Simulator>(fabric, *sched, config);
+    for (const JobSpec& job : jobs) sim->submit(job);
+    return sim;
+  };
+  std::unique_ptr<Scheduler> sched;
+  const std::unique_ptr<Simulator> sim = make_sim(sched);
+  ASSERT_TRUE(sim->run_to(0.5));
+  snapshot::Writer w;
+  sim->checkpoint(w);
+  const std::string bytes = w.take();
+
+  // Header (u32 magic, u32 version, u8 kind), the fingerprint section,
+  // then the engine section; each section is prefixed by its u64 length.
+  const std::size_t engine = 9 + 8 + read_le64(bytes, 9);
+  const std::size_t end = engine + 8 + read_le64(bytes, engine);
+  const std::size_t parked = end - 64;  // u64 count, then the ids
+  const std::size_t retry = end - 40;   // u64 count, then the entries
+  ASSERT_EQ(read_le64(bytes, parked), 2u);
+  ASSERT_EQ(read_le64(bytes, parked + 8), 3u);
+  ASSERT_EQ(read_le64(bytes, parked + 16), 4u);
+  ASSERT_EQ(read_le64(bytes, retry), 2u);
+  ASSERT_EQ(std::bit_cast<double>(read_le64(bytes, retry + 8)), 0.2 + 0.5);
+  ASSERT_EQ(read_le64(bytes, retry + 16), 1u);
+  ASSERT_EQ(read_le64(bytes, retry + 32), 2u);
+  const std::size_t second_parked = parked + 16;
+  const std::size_t leaf_key = retry + 24;
+  const std::size_t leaf_flow = retry + 32;
+
+  const auto restore_and_run = [&](const std::string& snap) {
+    std::unique_ptr<Scheduler> sched2;
+    const std::unique_ptr<Simulator> other = make_sim(sched2);
+    snapshot::Reader r(snap);
+    other->restore(r);
+    return other->run();
+  };
+  const auto expect_rejected =
+      [&](std::vector<std::pair<std::size_t, std::uint64_t>> patches,
+          const char* what) {
+        SCOPED_TRACE(what);
+        std::string bad = bytes;
+        for (const auto& [off, word] : patches) write_le64(bad, off, word);
+        try {
+          (void)restore_and_run(bad);
+          ADD_FAILURE() << "corrupt fault state accepted";
+        } catch (const snapshot::SnapshotError& e) {
+          const std::string msg = e.what();
+          EXPECT_TRUE(msg.find("parked") != std::string::npos ||
+                      msg.find("retry") != std::string::npos)
+              << msg;
+        }
+      };
+
+  // Ids past the flow store.
+  expect_rejected({{second_parked, ~0ull}}, "parked id out of range");
+  expect_rejected({{leaf_flow, ~0ull}}, "retry id out of range");
+  // The unpatched checkpoint restores and finishes like the paused run.
+  const SimResults resumed = restore_and_run(bytes);
+  const SimResults reference = sim->run();
+  EXPECT_EQ(resumed.events, reference.events);
+  EXPECT_EQ(resumed.flow_retries, 4u);
+  ASSERT_EQ(resumed.jobs.size(), 2u);
+  EXPECT_EQ(resumed.jobs[1].finish, reference.jobs[1].finish);
+  // Repeated ids, and a flow both parked and queued.
+  expect_rejected({{second_parked, 3}}, "parked id repeated");
+  expect_rejected({{leaf_flow, 1}}, "retry id repeated");
+  expect_rejected({{leaf_flow, 3}}, "parked and queued");
+  // Flow 0 transmits: it is in the active set, not backing off.
+  expect_rejected({{second_parked, 0}}, "parked flow is transmitting");
+  expect_rejected({{leaf_flow, 0}}, "queued flow is transmitting");
+  // A key that is not a number, and a leaf that orders before its parent.
+  expect_rejected({{leaf_key, std::bit_cast<std::uint64_t>(
+                                  std::numeric_limits<double>::quiet_NaN())}},
+                  "NaN key");
+  expect_rejected({{leaf_flow, 1}, {retry + 16, 2}}, "heap order");
+}
+
 // ------------------------------------------------------------------ fuzz ---
 
 /// One fuzz trial: a randomized workload/scheduler/fault draw, checkpointed
@@ -751,7 +866,7 @@ void run_fuzz_trial(std::uint64_t seed) {
   const std::vector<std::string>& names = scheduler_names();
   Scenario s{fabric, names[rng.uniform_int(0, names.size() - 1)], jobs, {},
              /*with_trace=*/rng.next_double() < 0.5};
-  s.sim_config.collect_link_stats = rng.next_double() < 0.5;
+  (void)rng.next_double();  // unused draw: keeps each seed's later draws
   if (rng.next_double() < 0.3)
     s.sim_config.tcp_ramp_time = rng.uniform(1.0, 10.0) * kMillisecond;
   if (rng.next_double() < 0.4) {
@@ -813,7 +928,6 @@ TEST(SnapshotResults, CacheRoundTripsEverything) {
   const FatTree fabric(FatTree::Config{4});
   const std::vector<JobSpec> jobs = small_trace(fabric, 31);
   Scenario s{fabric, "gurita", jobs, {}, /*with_trace=*/true};
-  s.sim_config.collect_link_stats = true;
   const SimResults results = run_uninterrupted(s);
 
   snapshot::Writer w;
