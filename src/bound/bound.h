@@ -27,9 +27,11 @@
 //
 // Both bounds survive restriction to any job subset (serving fewer jobs is
 // a relaxation), which yields per-category and per-class bounds, and both
-// assume *nominal* port capacity — faults, TCP ramp-up and degrading
-// disruptions only slow a run down, so soundness is preserved (a
-// capacity-raising disruption would break it; none exists in this repo).
+// assume *nominal* port capacity. That is sound because the engine never
+// raises a capacity above nominal: the fault plan is its only source of
+// capacity changes, and there kLinkDown sets a link to 0, kLinkUp restores
+// the value saved at the matching kLinkDown, and straggler windows scale
+// rates by a factor validated to lie in (0, 1).
 //
 // The module also builds an *achievable* reference schedule in the spirit
 // of Shafiee–Ghaderi's primal–dual permutation (arXiv 2012.11702): jobs are

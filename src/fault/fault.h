@@ -35,18 +35,6 @@
 
 namespace gurita {
 
-/// A scheduled change to one link's capacity (failure injection: degrade a
-/// link mid-run, restore it later). A capacity of 0 models a hard failure;
-/// note flows already routed across a dead link can never finish — the
-/// engine then throws its stall guard, which is the honest outcome for a
-/// fabric without re-routing. (For faults with retry semantics use
-/// FaultEvent's kLinkDown/kLinkUp instead, which abort and re-admit flows.)
-struct CapacityChange {
-  Time time = 0;
-  LinkId link;
-  Rate new_capacity = 0;
-};
-
 /// Kind of one fault event. Down/start kinds are "faults" (delivered to
 /// Scheduler::on_fault), up/end kinds are "recoveries" (on_recover).
 enum class FaultKind : std::uint8_t {
@@ -124,7 +112,7 @@ struct FaultPlan {
 class ConfigError : public std::logic_error {
  public:
   struct Issue {
-    std::string where;  ///< e.g. "disruptions[3]", "fault_plan.events[0]"
+    std::string where;  ///< e.g. "fault_plan.events[0]", "fault_plan.retry"
     std::string what;   ///< human-readable description of the problem
   };
 

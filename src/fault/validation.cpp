@@ -20,33 +20,6 @@ std::string at(const char* array, std::size_t index) {
 
 }  // namespace
 
-void validate_capacity_changes(const std::vector<CapacityChange>& changes,
-                               std::size_t link_count) {
-  std::vector<ConfigError::Issue> issues;
-  for (std::size_t i = 0; i < changes.size(); ++i) {
-    const CapacityChange& c = changes[i];
-    const std::string where = at("disruptions", i);
-    if (!std::isfinite(c.time) || c.time < 0) {
-      std::ostringstream os;
-      os << "time must be finite and >= 0, got " << c.time;
-      issues.push_back({where, os.str()});
-    }
-    if (!std::isfinite(c.new_capacity) || c.new_capacity < 0) {
-      std::ostringstream os;
-      os << "new_capacity must be finite and >= 0, got " << c.new_capacity;
-      issues.push_back({where, os.str()});
-    }
-    if (!c.link.valid() || c.link.value() >= link_count) {
-      std::ostringstream os;
-      os << "link " << c.link << " does not exist (fabric has " << link_count
-         << " links)";
-      issues.push_back({where, os.str()});
-    }
-  }
-  if (!issues.empty())
-    throw ConfigError("invalid disruption schedule", std::move(issues));
-}
-
 void validate_fault_plan(const FaultPlan& plan, int num_hosts,
                          std::size_t link_count) {
   std::vector<ConfigError::Issue> issues;

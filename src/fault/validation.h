@@ -1,6 +1,6 @@
-// Setup-time validation for disruption schedules and fault plans.
+// Setup-time validation for fault plans.
 //
-// Both validators aggregate every problem they find into one ConfigError
+// The validator aggregates every problem it finds into one ConfigError
 // instead of throwing on the first — a mis-generated plan typically has the
 // same mistake repeated, and seeing all instances at once beats a
 // fix-one-rerun loop. Called by the Simulator constructor so a bad config
@@ -8,18 +8,10 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "fault/fault.h"
 
 namespace gurita {
-
-/// Validates a CapacityChange schedule against a fabric with `link_count`
-/// links (valid ids are 0 .. link_count-1). Rejects non-finite or negative
-/// times, negative capacities and unknown links. Throws ConfigError listing
-/// every offending entry.
-void validate_capacity_changes(const std::vector<CapacityChange>& changes,
-                               std::size_t link_count);
 
 /// Validates a fault plan against a fabric with `num_hosts` hosts and
 /// `link_count` links. Beyond per-event field checks (finite time >= 0,

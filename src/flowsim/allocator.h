@@ -184,12 +184,11 @@ class RateAllocator {
   void add_flow(SimFlow* flow);
   /// Flow left the active set (finish/abort/cancel): unlinks and dirties.
   void remove_flow(SimFlow* flow);
-  /// The flow's stored rate was changed outside the allocator (straggler
-  /// caps) or differs from its pure allocation (TCP ramp / straggler
-  /// windows): dirty its links so the next allocate() re-reports it.
+  /// The flow's stored rate was changed outside the allocator or differs
+  /// from its pure allocation (straggler windows): dirty its links so the
+  /// next allocate() re-reports it.
   void touch_flow(SimFlow* flow);
-  /// The link's capacity changed (disruption, link fault): seed the
-  /// frontier with it.
+  /// The link's capacity changed (link fault): seed the frontier with it.
   void dirty_link(LinkId link);
 
   /// Recomputes rates: mirror-scans `active` for tier/weight changes,

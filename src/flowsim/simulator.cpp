@@ -61,10 +61,9 @@ Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
   capacities_.resize(fabric.topology().link_count());
   for (std::size_t i = 0; i < capacities_.size(); ++i)
     capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
-  // Both schedules are validated up front (fault/validation.h) so a bad
-  // config throws a ConfigError listing every problem before any event
+  // The fault plan is validated up front (fault/validation.h) so a bad
+  // plan throws a ConfigError listing every problem before any event
   // executes — never mid-run.
-  validate_capacity_changes(config_.disruptions, capacities_.size());
   validate_fault_plan(config_.faults, fabric.num_hosts(), capacities_.size());
 
   have_faults_ = !config_.faults.events.empty();
@@ -408,13 +407,6 @@ void Simulator::prepare_structures() {
   tick_ = scheduler_->tick_interval();
   GURITA_CHECK_MSG(tick_ >= 0, "negative tick interval");
 
-  // Failure injection: apply capacity changes in time order.
-  disruptions_ = config_.disruptions;
-  std::sort(disruptions_.begin(), disruptions_.end(),
-            [](const CapacityChange& a, const CapacityChange& b) {
-              return a.time < b.time;
-            });
-
   live_results_ = &results_;
 }
 
@@ -430,29 +422,9 @@ void Simulator::prepare() {
   prepare_structures();
   next_arrival_ = 0;
   next_tick_ = std::numeric_limits<Time>::infinity();
-  next_disruption_ = 0;
   iterations_ = 0;
   dirty_ = true;
   if (prof != nullptr) prof->leave(setup_prev);
-}
-
-void Simulator::apply_due_disruptions() {
-  while (next_disruption_ < disruptions_.size() &&
-         disruptions_[next_disruption_].time <= now_ + kTimeEpsilon) {
-    const CapacityChange& change = disruptions_[next_disruption_++];
-    capacities_[change.link.value()] = change.new_capacity;
-    alloc_.dirty_link(change.link);
-    if (config_.trace &&
-        config_.trace->wants(obs::TraceEventKind::kCapacityChange)) {
-      obs::TraceRecord r;
-      r.kind = obs::TraceEventKind::kCapacityChange;
-      r.time = now_;
-      r.i0 = static_cast<std::int32_t>(change.link.value());
-      r.v0 = change.new_capacity;
-      config_.trace->emit(r);
-    }
-    dirty_ = true;
-  }
 }
 
 void Simulator::step() {
@@ -519,14 +491,10 @@ void Simulator::step_impl() {
       arrive_job(j);
     }
     if (tick_ > 0) next_tick_ = now_ + tick_;
-    apply_due_disruptions();
     dirty_ = true;
     return;
   }
 
-  // A horizon pause may have interrupted this event after its allocation
-  // marked the TCP-ramp refresh; replay that mark on resume.
-  bool any_ramp_capped = pending_ramp_;
   if (dirty_) {
     {
       obs::ScopedPhase assign_phase(prof, obs::Phase::kSchedulerAssign);
@@ -550,28 +518,14 @@ void Simulator::step_impl() {
       Rate target = allocated;
       f.rate = rc.old_rate;  // restore: the flow drained at the old rate
       settle(f);
-      // Straggler windows cap a touching flow at factor × allocation.
-      // Unlike the TCP ramp the cap is constant while the window lasts,
-      // so no refresh loop: straggler start/end marks dirty and forces
-      // affected flows into this report (see apply_fault).
+      // Straggler windows cap a touching flow at factor × allocation. The
+      // cap is constant while the window lasts, so no refresh loop:
+      // straggler start/end marks dirty and forces affected flows into
+      // this report (see apply_fault).
       if (have_faults_) {
         const double sf =
             std::min(straggler_[f.src_host], straggler_[f.dst_host]);
         if (sf < 1.0) target *= sf;
-      }
-      // TCP slow-start ramp: cap the flow at its window-growth rate. A
-      // capped flow's allowance grows as it sends, so while any flow is
-      // capped the engine refreshes rates at ramp-time granularity. A
-      // flow whose allocation did not change cannot become newly capped:
-      // the cap is non-decreasing in bytes sent, and its current rate
-      // already satisfied the older, smaller cap.
-      if (config_.tcp_ramp_time > 0) {
-        const Rate cap = (config_.tcp_initial_window + f.bytes_sent()) /
-                         config_.tcp_ramp_time;
-        if (target > cap) {
-          target = cap;
-          any_ramp_capped = true;
-        }
       }
       set_rate(f, target);
       push_key(f);
@@ -607,38 +561,26 @@ void Simulator::step_impl() {
           : std::numeric_limits<Time>::infinity();
   const Time t_tick =
       tick_ > 0 ? next_tick_ : std::numeric_limits<Time>::infinity();
-  const Time t_disruption = next_disruption_ < disruptions_.size()
-                                ? disruptions_[next_disruption_].time
-                                : std::numeric_limits<Time>::infinity();
   const Time t_fault = have_faults_ && next_fault_ < fault_events_.size()
                            ? fault_events_[next_fault_].time
                            : std::numeric_limits<Time>::infinity();
   const Time t_retry =
       have_faults_ ? next_retry_time() : std::numeric_limits<Time>::infinity();
 
-  Time t_next = std::min(
-      {t_complete, t_arrival, t_tick, t_disruption, t_fault, t_retry});
-  if (any_ramp_capped) {
-    // Refresh while ramping so capped flows pick up their grown windows.
-    t_next = std::min(t_next, now_ + config_.tcp_ramp_time);
-    dirty_ = true;
-  }
+  Time t_next = std::min({t_complete, t_arrival, t_tick, t_fault, t_retry});
   GURITA_CHECK_MSG(std::isfinite(t_next),
                    "simulation stalled: active flows but no next event");
   if (t_next >= horizon_) {
     // Horizon pause (run_to): the event's allocation (if any) already ran
     // at the unchanged clock — exactly where an uninterrupted run performs
-    // it — so only the forward-looking bookkeeping must be undone. Roll
-    // back the iteration accounting, remember the ramp-refresh mark for the
-    // resumed execution, and bail out before the clock advances.
+    // it — and left dirty_ clear, so the resumed step goes straight to the
+    // same projection. Only the iteration accounting must be rolled back
+    // before bailing out, ahead of the clock advance.
     --iterations_;
     --results_.events;
-    pending_ramp_ = any_ramp_capped;
-    if (any_ramp_capped) dirty_ = false;  // pending_ramp_ replays the mark
     paused_at_horizon_ = true;
     return;
   }
-  pending_ramp_ = false;
   GURITA_CHECK_MSG(t_next <= config_.max_time, "simulation exceeded max_time");
   t_next = std::max(t_next, now_);
 
@@ -646,7 +588,6 @@ void Simulator::step_impl() {
   // (last_touched, rate) settle point; advancing the clock is O(1).
   now_ = t_next;
   state_.now_ = now_;
-  apply_due_disruptions();
   // Faults and retries fire before completion processing: a flow whose
   // host dies at the very instant it would have finished is aborted (the
   // abort erases its calendar entry before the pop loop). "Fault beats
@@ -795,6 +736,21 @@ void Simulator::account_memory() {
                    retries_.index_capacity() * sizeof(std::uint32_t));
 }
 
+SimResults::JobResult Simulator::job_result(const SimJob& j) const {
+  SimResults::JobResult jr{j.id, j.arrival_time, j.finish_time, j.total_bytes,
+                           j.num_stages};
+  jr.failed = j.failed;
+  return jr;
+}
+
+SimResults::CoflowResult Simulator::coflow_result(const SimCoflow& c) const {
+  SimResults::CoflowResult cr{c.id,          c.job,
+                              c.stage,       c.release_time,
+                              c.finish_time, state_.coflow_total_bytes(c.id)};
+  cr.failed = state_.jobs_[c.job.value()].failed && !c.finished();
+  return cr;
+}
+
 SimResults Simulator::collect() {
   GURITA_CHECK_MSG(prepared_ && !collected_, "collect before the run drained");
   collected_ = true;
@@ -808,19 +764,11 @@ SimResults Simulator::collect() {
     // Failed jobs set finish_time at abandonment, so every job has a
     // terminal timestamp here either way.
     GURITA_CHECK_MSG(j.finished(), "job left unfinished at end of run");
-    SimResults::JobResult jr{j.id, j.arrival_time, j.finish_time,
-                             j.total_bytes, j.num_stages};
-    jr.failed = j.failed;
-    results_.jobs.push_back(jr);
+    results_.jobs.push_back(job_result(j));
   }
   results_.coflows.reserve(state_.coflows_.size());
-  for (const SimCoflow& c : state_.coflows_) {
-    SimResults::CoflowResult cr{c.id,          c.job,
-                                c.stage,       c.release_time,
-                                c.finish_time, state_.coflow_total_bytes(c.id)};
-    cr.failed = state_.jobs_[c.job.value()].failed && !c.finished();
-    results_.coflows.push_back(cr);
-  }
+  for (const SimCoflow& c : state_.coflows_)
+    results_.coflows.push_back(coflow_result(c));
   live_results_ = nullptr;
   if (prof != nullptr) {
     prof->leave(results_prev);
@@ -928,22 +876,13 @@ Simulator::Compaction Simulator::compact() {
   // Harvest the evicted results exactly as collect() reports them, before
   // the stores move (coflow_total_bytes reads the owning job's spec).
   out.jobs.reserve(out.jobs_evicted);
-  for (const SimJob& j : state_.jobs_) {
-    if (remap.job_map[j.id.value()] != CompactionRemap::kEvicted) continue;
-    SimResults::JobResult jr{j.id, j.arrival_time, j.finish_time,
-                             j.total_bytes, j.num_stages};
-    jr.failed = j.failed;
-    out.jobs.push_back(jr);
-  }
+  for (const SimJob& j : state_.jobs_)
+    if (remap.job_map[j.id.value()] == CompactionRemap::kEvicted)
+      out.jobs.push_back(job_result(j));
   out.coflows.reserve(out.coflows_evicted);
-  for (const SimCoflow& c : state_.coflows_) {
-    if (remap.coflow_map[c.id.value()] != CompactionRemap::kEvicted) continue;
-    SimResults::CoflowResult cr{c.id,          c.job,
-                                c.stage,       c.release_time,
-                                c.finish_time, state_.coflow_total_bytes(c.id)};
-    cr.failed = state_.jobs_[c.job.value()].failed && !c.finished();
-    out.coflows.push_back(cr);
-  }
+  for (const SimCoflow& c : state_.coflows_)
+    if (remap.coflow_map[c.id.value()] == CompactionRemap::kEvicted)
+      out.coflows.push_back(coflow_result(c));
 
   // Flows: stable in-place compaction; pos_in_active_ stays parallel.
   // Active flows all belong to surviving jobs, so none is evicted.

@@ -169,21 +169,12 @@ class Simulator {
     /// Hard wall on main-loop iterations; exceeding it throws with
     /// diagnostics (live-lock guard).
     std::uint64_t max_iterations = 500'000'000;
-    /// Scheduled link-capacity changes (failure injection), any order.
-    /// Validated against the fabric at construction (fault/validation.h).
-    std::vector<CapacityChange> disruptions;
     /// Fault plan (host crashes, link flaps, stragglers, scheduler-state
     /// loss) with abort/retry semantics — see fault/fault.h. Validated at
     /// construction. An empty plan leaves the engine's behaviour and
-    /// results byte-identical to a build without fault support.
+    /// results byte-identical to a build without fault support. The plan
+    /// is the only thing that changes a link's capacity mid-run.
     FaultPlan faults;
-    /// TCP slow-start approximation (§V: "we implement [a] rate limiter
-    /// that behaves like TCP"): a flow's rate is additionally capped at
-    /// (tcp_initial_window + bytes_sent) / tcp_ramp_time — the fluid
-    /// analogue of a congestion window doubling every RTT. 0 disables the
-    /// ramp (pure max-min steady state, the default).
-    Time tcp_ramp_time = 0;
-    Bytes tcp_initial_window = 64 * kKB;
     /// Structured trace sink (obs/trace.h), or nullptr for no tracing. The
     /// engine emits event records and hands the recorder to the scheduler
     /// (Scheduler::set_trace_recorder) so decision records interleave in
@@ -354,7 +345,7 @@ class Simulator {
   /// active set (rebuild()), so snapshots don't serialize it.
   RateAllocator alloc_;
   /// Flows whose stored rate was capped below their pure allocation at the
-  /// last recomputation (TCP ramp, straggler windows). Re-touched before
+  /// last recomputation (straggler windows). Re-touched before
   /// every allocation: the allocator must re-report them (allocation !=
   /// stored rate) exactly as a from-scratch solve would. Rebuilt each
   /// recomputation from the application loop; not serialized — a restored
@@ -376,16 +367,12 @@ class Simulator {
   /// Scheduler coordination interval; cached from tick_interval().
   Time tick_ = 0;
   Time next_tick_ = std::numeric_limits<Time>::infinity();
-  /// Sorted copy of config_.disruptions; recomputed, not serialized.
-  std::vector<CapacityChange> disruptions_;
-  std::size_t next_disruption_ = 0;
   std::uint64_t iterations_ = 0;
   /// Scratch for the completion pop loop (dead between iterations).
   std::vector<FlowId> done_;
 
   Time now_ = 0;
-  /// Current link capacities (nominal, mutated by disruptions and link
-  /// faults).
+  /// Current link capacities (nominal, mutated only by link faults).
   std::vector<Rate> capacities_;
   /// Rates must be recomputed before the next projection (scheduler state,
   /// topology or population changed since the last allocation).
@@ -398,9 +385,6 @@ class Simulator {
   /// step() paused before an event at/beyond horizon_ (transient: reset by
   /// run_to on entry and exit).
   bool paused_at_horizon_ = false;
-  /// A paused event had already marked the TCP-ramp refresh; replay it on
-  /// resume (the allocation itself already ran). Serialized (snapshot v3).
-  bool pending_ramp_ = false;
   /// Flow-store reservation watermark: released flows plus the unreleased
   /// flows of every registered job. admit() grows the store (re-pointing
   /// active_) when a new job pushes this past capacity; release_coflow's
@@ -482,7 +466,7 @@ class Simulator {
   // --- run-loop decomposition (run() == prepare(); while (pending())
   // step(); collect()) ---
   /// Static structures shared by prepare() and restore(): scheduler attach,
-  /// flow-store reservation, arrival order, sorted disruptions, tick cache.
+  /// flow-store reservation, arrival order, tick cache.
   void prepare_structures();
   /// Full fresh-run initialization (prepare_structures + dynamic defaults).
   void prepare();
@@ -498,8 +482,11 @@ class Simulator {
   void account_memory();
   /// Harvests results_ after the loop drains; may be called once.
   SimResults collect();
-  /// Applies due scheduled capacity changes (failure injection).
-  void apply_due_disruptions();
+  /// One terminal job's or coflow's result, as collect() and compact()
+  /// both report it.
+  [[nodiscard]] SimResults::JobResult job_result(const SimJob& j) const;
+  [[nodiscard]] SimResults::CoflowResult coflow_result(
+      const SimCoflow& c) const;
 };
 
 }  // namespace gurita

@@ -70,7 +70,7 @@ const KindSpec& kind_spec(TraceEventKind kind) {
        false,
        false,
        {{"queues", kI0}, {"w0", kV0}, {"w1", kV1}, {"w2", kV2}, {"w3", kV3}}},
-      /* kCapacityChange */
+      /* kCapacityChange: reserved, no longer emitted */
       {"capacity_change", false, false, false, {{"link", kI0}, {"capacity", kV0}}},
       /* kHeavyMark */ {"heavy_mark", true, false, false, {{"bytes", kV0}}},
       /* kFault */

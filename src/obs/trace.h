@@ -41,7 +41,7 @@ enum class TraceEventKind : std::uint8_t {
   kJobFinish = 7,         ///< all coflows of a job drained
   kQueueChange = 8,       ///< scheduler moved a coflow between priority queues
   kStarvationWeights = 9, ///< WRR weights emulating SPQ (starvation mitigation)
-  kCapacityChange = 10,   ///< failure injection changed a link capacity
+  kCapacityChange = 10,   ///< reserved, no longer emitted
   kHeavyMark = 11,        ///< FIFO-LM (Baraat) reclassified a job as heavy
   kFault = 12,            ///< a fault-plan event fired (fault/fault.h)
   kFlowAbort = 13,        ///< a fault aborted a flow; in-flight bytes lost

@@ -50,8 +50,6 @@ class SnapshotCodec {
     w.u64(s.fabric_->topology().link_count());
     w.u64(s.state_.jobs_.size());
     w.u64(s.state_.coflows_.size());
-    w.f64(s.config_.tcp_ramp_time);
-    w.f64(s.config_.tcp_initial_window);
     w.boolean(s.config_.trace != nullptr);
     w.u32(s.config_.trace != nullptr ? s.config_.trace->mask() : 0);
     // Sampler presence + config: a resumed run with a different sampling
@@ -75,9 +73,6 @@ class SnapshotCodec {
           "link count mismatch");
     check(r.u64() == s.state_.jobs_.size(), "job population mismatch");
     check(r.u64() == s.state_.coflows_.size(), "coflow population mismatch");
-    check(r.f64() == s.config_.tcp_ramp_time, "tcp_ramp_time mismatch");
-    check(r.f64() == s.config_.tcp_initial_window,
-          "tcp_initial_window mismatch");
     check(r.boolean() == (s.config_.trace != nullptr),
           "trace recorder attached on one side only");
     check(r.u32() ==
@@ -93,7 +88,7 @@ class SnapshotCodec {
     check(r.boolean() == (sampler != nullptr && sampler->config().wall),
           "sampler wall setting mismatch");
     check(r.u64() == static_fingerprint(s),
-          "job/disruption/fault inputs mismatch");
+          "job/fault inputs mismatch");
     r.end_section(end);
   }
 
@@ -183,9 +178,9 @@ class SnapshotCodec {
   }
 
   /// Hash of the static inputs reconstructed (not serialized) on restore:
-  /// submitted jobs, scheduled disruptions and the fault plan. The flow
-  /// population and routes derive from these plus the topology, which the
-  /// explicit host/link counts already pin down.
+  /// submitted jobs and the fault plan. The flow population and routes
+  /// derive from these plus the topology, which the explicit host/link
+  /// counts already pin down.
   static std::uint64_t static_fingerprint(const Simulator& s) {
     Fnv h;
     for (const SimJob& j : s.state_.jobs_) {
@@ -193,12 +188,6 @@ class SnapshotCodec {
       h.mix(j.total_bytes);
       h.mix(static_cast<std::uint64_t>(j.num_stages));
       h.mix(static_cast<std::uint64_t>(j.coflows.size()));
-    }
-    h.mix(static_cast<std::uint64_t>(s.config_.disruptions.size()));
-    for (const CapacityChange& c : s.config_.disruptions) {
-      h.mix(c.time);
-      h.mix(c.link.value());
-      h.mix(c.new_capacity);
     }
     h.mix(static_cast<std::uint64_t>(s.config_.faults.events.size()));
     for (const FaultEvent& e : s.config_.faults.events) {
@@ -218,14 +207,9 @@ class SnapshotCodec {
     const std::size_t token = w.begin_section();
     w.f64(s.now_);
     w.boolean(s.dirty_);
-    // Horizon-pause carry flag (run_to): every checkpoint lands at a pause
-    // boundary, where the ramp-refresh mark of the rolled-back event is
-    // still pending.
-    w.boolean(s.pending_ramp_);
     w.u64(s.iterations_);
     w.u64(s.next_arrival_);
     w.f64(s.next_tick_);
-    w.u64(s.next_disruption_);
 
     w.u64(s.capacities_.size());
     for (Rate c : s.capacities_) w.f64(c);
@@ -322,33 +306,50 @@ class SnapshotCodec {
     const std::size_t end = r.begin_section();
     s.now_ = r.f64();
     s.dirty_ = r.boolean();
-    s.pending_ramp_ = r.boolean();
     s.iterations_ = r.u64();
     s.next_arrival_ = r.u64();
     s.next_tick_ = r.f64();
-    s.next_disruption_ = r.u64();
 
     const std::uint64_t n_caps = r.u64();
     check(n_caps == s.capacities_.size(), "link capacity vector size");
     for (Rate& c : s.capacities_) c = r.f64();
 
     // prepare_structures() reserved the flow store for the full population;
-    // refill it with the serialized routes (v3, see save_engine).
+    // refill it with the serialized routes (v3, see save_engine). The
+    // engine indexes jobs, coflows, hosts and links with these fields, so
+    // each must name an entity the restoring simulator has.
     const std::uint64_t n_flows = r.u64();
     check(n_flows <= s.state_.flows_.capacity(),
           "flow count exceeds the submitted population");
+    const std::uint64_t n_jobs = s.state_.jobs_.size();
+    const std::uint64_t n_hosts =
+        static_cast<std::uint64_t>(s.fabric_->num_hosts());
+    const auto bad_host = [&](std::int32_t h) {
+      return h < 0 || static_cast<std::uint64_t>(h) >= n_hosts;
+    };
     s.state_.flows_.clear();
     for (std::uint64_t i = 0; i < n_flows; ++i) {
       SimFlow f;
       f.id = FlowId{i};
-      f.job = JobId{r.u64()};
+      const std::uint64_t job = r.u64();
+      corrupt_if(job >= n_jobs, "flow job out of range");
+      f.job = JobId{job};
       f.coflow_index = r.i32();
+      corrupt_if(f.coflow_index < 0 ||
+                     static_cast<std::size_t>(f.coflow_index) >=
+                         s.state_.jobs_[job].coflows.size(),
+                 "flow coflow index out of range");
       f.src_host = r.i32();
       f.dst_host = r.i32();
+      corrupt_if(bad_host(f.src_host) || bad_host(f.dst_host),
+                 "flow host out of range");
       const std::uint64_t n_hops = r.count(8);
       f.path.reserve(n_hops);
-      for (std::uint64_t h = 0; h < n_hops; ++h)
-        f.path.push_back(LinkId{r.u64()});
+      for (std::uint64_t h = 0; h < n_hops; ++h) {
+        const std::uint64_t link = r.u64();
+        corrupt_if(link >= n_caps, "flow path link out of range");
+        f.path.push_back(LinkId{link});
+      }
       f.size = r.f64();
       f.remaining = r.f64();
       f.start_time = r.f64();
@@ -367,8 +368,16 @@ class SnapshotCodec {
     check(r.u64() == s.state_.coflows_.size(), "coflow count");
     for (SimCoflow& c : s.state_.coflows_) {
       c.flows.clear();
-      const std::uint64_t n = r.u64();
-      for (std::uint64_t i = 0; i < n; ++i) c.flows.push_back(FlowId{r.u64()});
+      const std::uint64_t n = r.count(8);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t fid = r.u64();
+        corrupt_if(fid >= n_flows, "coflow flow id out of range");
+        const SimFlow& f = s.state_.flows_[fid];
+        corrupt_if(s.state_.jobs_[f.job.value()].coflows[f.coflow_index] !=
+                       c.id,
+                   "coflow lists a flow of another coflow");
+        c.flows.push_back(FlowId{fid});
+      }
       c.flows_remaining = r.i32();
       c.deps_remaining = r.i32();
       c.release_time = r.f64();
@@ -389,13 +398,21 @@ class SnapshotCodec {
       a.open_connections = r.i32();
     }
 
+    // The active set holds distinct transmitting flows: released, not
+    // finished, not cancelled and not backing off after an abort.
     const std::uint64_t n_active = r.u64();
     check(n_active <= n_flows, "active set larger than the flow store");
     s.active_.clear();
     s.pos_in_active_.assign(s.state_.flows_.size(), 0);
+    std::vector<char> active(n_flows, 0);
     for (std::uint64_t i = 0; i < n_active; ++i) {
       const std::uint64_t fid = r.u64();
       check(fid < s.state_.flows_.size(), "active flow id out of range");
+      const SimFlow& f = s.state_.flows_[fid];
+      corrupt_if(active[fid] != 0, "active flow id repeated");
+      corrupt_if(f.finished() || f.cancelled || f.abort_time >= 0,
+                 "active set holds a flow that is not transmitting");
+      active[fid] = 1;
       s.pos_in_active_[fid] = static_cast<std::uint32_t>(i);
       s.active_.push_back(&s.state_.flows_[fid]);
     }

@@ -50,7 +50,11 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// calendar, with no outstanding counter; restore validates the parked and
 /// retry ids. The link-stats flag, the engine's per-link byte counters and
 /// the results cache's link bytes are gone.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: the TCP-ramp fingerprint fields, the disruption hash and the engine's
+/// ramp carry flag and disruption cursor are gone; restore validates the
+/// flow store's job, coflow, host and link ids, the coflow flow lists and
+/// the active set.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

@@ -15,8 +15,8 @@
 //     the untouched component was *not* re-solved.
 //
 //  3. End-to-end fuzz at the engine API: 200 randomized traces (fabrics,
-//     schedulers, ramps, disruptions, fault plans) run uninterrupted and
-//     again split into nine simulators by checkpoint/restore. Every
+//     schedulers, fault plans) run uninterrupted and again split into
+//     nine simulators by checkpoint/restore. Every
 //     restore rebuilds the allocator, so the first allocation after it is
 //     a full re-solve; results and structured traces must match bitwise.
 //
@@ -500,20 +500,16 @@ Trial draw_trial(std::uint64_t seed) {
   const std::vector<std::string>& names = scheduler_names();
   trial.scheduler = names[rng.uniform_int(0, names.size() - 1)];
 
-  if (rng.next_double() < 0.3)
-    trial.sim_config.tcp_ramp_time = rng.uniform(1.0, 10.0) * kMillisecond;
-
+  // Unused draws, in the order a TCP ramp and link-capacity changes once
+  // took them, so every seed keeps its fault plan.
+  if (rng.next_double() < 0.3) (void)rng.uniform(1.0, 10.0);
   if (rng.next_double() < 0.4) {
     const std::size_t links = trial.fabric->topology().link_count();
     const int n = static_cast<int>(rng.uniform_int(1, 3));
     for (int i = 0; i < n; ++i) {
-      CapacityChange change;
-      change.time = rng.uniform(0.0, 0.5);
-      change.link = LinkId{rng.uniform_int(0, links - 1)};
-      const Rate nominal =
-          trial.fabric->topology().link(change.link).capacity;
-      change.new_capacity = nominal * rng.uniform(0.2, 1.0);
-      trial.sim_config.disruptions.push_back(change);
+      (void)rng.uniform(0.0, 0.5);
+      (void)rng.uniform_int(0, links - 1);
+      (void)rng.uniform(0.2, 1.0);
     }
   }
 

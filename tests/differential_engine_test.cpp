@@ -2,15 +2,15 @@
 // oracle (tests/oracle_sim.h) on randomized workloads.
 //
 // Every trace draws a random fabric (big-switch or fat-tree), a random
-// trace shape (fan-out, skew, arrival pattern), a random scheduler from the
-// registry, and optionally link disruptions and the TCP slow-start ramp —
-// then replays the identical job specs through both engines with fresh
-// scheduler instances and asserts the runs are indistinguishable: same
-// event count, same rate recomputations, bit-identical makespan, per-job
-// and per-coflow times, and per-flow start/finish trajectories. Any
-// divergence indicts the calendar machinery (in-place re-keying, erasure,
-// pop ordering), since that is the only part the oracle leaves
-// out. Failures print the trace seed for standalone reproduction.
+// trace shape (fan-out, skew, arrival pattern) and a random scheduler from
+// the registry, then replays the identical job specs through both engines
+// with fresh scheduler instances and asserts the runs are
+// indistinguishable: same event count, same rate recomputations,
+// bit-identical makespan, per-job and per-coflow times, and per-flow
+// start/finish trajectories. Any divergence indicts the calendar machinery
+// (in-place re-keying, erasure, pop ordering), since that is the only part
+// the oracle leaves out. Failures print the trace seed for standalone
+// reproduction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,7 +33,6 @@ struct Trial {
   std::unique_ptr<Fabric> fabric;
   std::vector<JobSpec> jobs;
   std::string scheduler;
-  Simulator::Config sim_config;
 };
 
 Trial draw_trial(std::uint64_t seed) {
@@ -68,29 +67,6 @@ Trial draw_trial(std::uint64_t seed) {
 
   const std::vector<std::string>& names = scheduler_names();
   trial.scheduler = names[rng.uniform_int(0, names.size() - 1)];
-
-  // TCP slow-start ramp on ~30% of trials: exercises the capped-flow
-  // refresh path where the engine re-dirties itself at ramp granularity.
-  if (rng.next_double() < 0.3)
-    trial.sim_config.tcp_ramp_time = rng.uniform(1.0, 10.0) * kMillisecond;
-
-  // Disruptions on ~40% of trials. Capacities stay strictly positive so
-  // routed flows always finish (a dead link trips the stall guard by
-  // design, which is not what this harness probes).
-  if (rng.next_double() < 0.4) {
-    const std::size_t links = trial.fabric->topology().link_count();
-    const int n = static_cast<int>(rng.uniform_int(1, 3));
-    for (int i = 0; i < n; ++i) {
-      CapacityChange change;
-      change.time = rng.uniform(0.0, 0.5);
-      change.link = LinkId{rng.uniform_int(0, links - 1)};
-      const Rate nominal =
-          trial.fabric->topology().link(change.link).capacity;
-      change.new_capacity = nominal * rng.uniform(0.2, 1.0);
-      trial.sim_config.disruptions.push_back(change);
-    }
-  }
-
   return trial;
 }
 
@@ -142,8 +118,8 @@ void run_differential_trial(std::uint64_t seed) {
   std::unique_ptr<Scheduler> fast_sched = make_scheduler(trial.scheduler);
   std::unique_ptr<Scheduler> oracle_sched = make_scheduler(trial.scheduler);
 
-  Simulator fast(*trial.fabric, *fast_sched, trial.sim_config);
-  OracleSimulator oracle(*trial.fabric, *oracle_sched, trial.sim_config);
+  Simulator fast(*trial.fabric, *fast_sched);
+  OracleSimulator oracle(*trial.fabric, *oracle_sched);
   for (const JobSpec& job : trial.jobs) {
     fast.submit(job);
     oracle.submit(job);
@@ -167,8 +143,8 @@ TEST(DifferentialEngineTest, FuzzFastEngineAgainstOracle) {
   }
 }
 
-// Targeted worst case: everything at once — bursty arrivals, TCP ramp,
-// repeated disruptions on a fat-tree, a tick-driven scheduler.
+// Targeted worst case: everything at once — bursty arrivals, wide mixed
+// DAGs on a fat-tree, a tick-driven scheduler.
 TEST(DifferentialEngineTest, KitchenSinkScenarioMatchesOracle) {
   FatTree::Config ft;
   ft.k = 4;
@@ -184,25 +160,13 @@ TEST(DifferentialEngineTest, KitchenSinkScenarioMatchesOracle) {
   trace.seed = 1234;
   const std::vector<JobSpec> jobs = generate_trace(trace);
 
-  Simulator::Config config;
-  config.tcp_ramp_time = 5 * kMillisecond;
-  const std::size_t links = fabric.topology().link_count();
-  for (int i = 0; i < 6; ++i) {
-    CapacityChange change;
-    change.time = 0.05 * (i + 1);
-    change.link = LinkId{static_cast<std::size_t>(i * 7) % links};
-    change.new_capacity =
-        fabric.topology().link(change.link).capacity * (i % 2 ? 0.25 : 1.0);
-    config.disruptions.push_back(change);
-  }
-
   for (const std::string& name : {std::string("gurita"), std::string("aalo"),
                                   std::string("pfs")}) {
     SCOPED_TRACE("scheduler " + name);
     std::unique_ptr<Scheduler> fast_sched = make_scheduler(name);
     std::unique_ptr<Scheduler> oracle_sched = make_scheduler(name);
-    Simulator fast(fabric, *fast_sched, config);
-    OracleSimulator oracle(fabric, *oracle_sched, config);
+    Simulator fast(fabric, *fast_sched);
+    OracleSimulator oracle(fabric, *oracle_sched);
     for (const JobSpec& job : jobs) {
       fast.submit(job);
       oracle.submit(job);

@@ -1,7 +1,7 @@
 // Tests for the incremental event-calendar engine: the indexed completion
 // calendar (one entry per flow), exact finish times under lazy byte
 // draining, incremental per-coflow aggregates vs brute-force recomputation,
-// rate-zero flows (no calendar entry) across disruptions, compaction's
+// rate-zero flows (no calendar entry) under strict priority, compaction's
 // effect on the counters, and the engine-cost counters bench_engine
 // reports.
 #include <gtest/gtest.h>
@@ -180,20 +180,39 @@ TEST(EventCalendar, StaggeredArrivalRekeysInFlightFlow) {
   EXPECT_NEAR(r.jobs[1].jct(), 2.0, 1e-9);  // arrived t=1, done t=3
 }
 
-// ------------------------------------------------- rate-zero / disruptions
+// ------------------------------------------------------------- rate-zero
+
+/// Strict priority against job 0: its flows sit in tier 1 and get only the
+/// capacity every other job's tier-0 flows leave.
+class StarveJobZeroScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "starve-job-0"; }
+  void assign(Time now, const std::vector<SimFlow*>& active) override {
+    (void)now;
+    for (SimFlow* f : active) {
+      f->tier = f->job.value() == 0 ? 1 : 0;
+      f->weight = 1.0;
+    }
+  }
+};
 
 TEST(EventCalendar, ZeroCapacityStallThenRestore) {
-  // A rate-0 flow has no calendar entry; the disruption that restores the
-  // link must re-key it. 100 B flow: 50 B by t=0.5, stalled during
-  // [0.5, 1.5), finishes at t=2.0.
+  // A rate-0 flow has no calendar entry; the finish that frees its link
+  // must re-key it. Job 0's 100 B flow runs alone: 50 B by t=0.5. Then
+  // job 1's 100 B flow arrives on the same uplink in the higher tier and
+  // takes the whole link, so job 0 stalls during [0.5, 1.5) and finishes
+  // at t=2.0.
   const BigSwitch fabric(BigSwitch::Config{4, 100.0});
-  PfsScheduler pfs;
-  Simulator::Config config;
-  config.disruptions.push_back(CapacityChange{0.5, fabric.uplink(0), 0.0});
-  config.disruptions.push_back(CapacityChange{1.5, fabric.uplink(0), 100.0});
-  Simulator sim(fabric, pfs, config);
+  StarveJobZeroScheduler scheduler;
+  Simulator sim(fabric, scheduler);
   sim.submit(one_flow_job(100.0, 0, 1));
+  sim.submit(one_flow_job(100.0, 0, 2, 0.5));
+  ASSERT_TRUE(sim.run_to(1.0));
+  EXPECT_EQ(sim.active_flow_count(), 2u);
+  EXPECT_EQ(sim.calendar_size(), 1u);  // the starved flow has no entry
   const SimResults r = sim.run();
+  EXPECT_NEAR(r.jobs[1].finish, 1.5, 1e-9);
+  EXPECT_NEAR(r.jobs[0].finish, 2.0, 1e-9);
   EXPECT_NEAR(r.makespan, 2.0, 1e-9);
 }
 

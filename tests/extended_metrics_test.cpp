@@ -1,5 +1,4 @@
-// Tests for extended metrics (CCT stats, slowdowns, Jain fairness) and the
-// engine's failure injection + link utilization statistics.
+// Tests for extended metrics (CCT stats, slowdowns, Jain fairness).
 #include <gtest/gtest.h>
 
 #include "metrics/extended.h"
@@ -127,79 +126,6 @@ TEST(Jain, RejectsDegenerate) {
   EXPECT_THROW(jain_fairness({}), std::logic_error);
   EXPECT_THROW(jain_fairness({0.0, 0.0}), std::logic_error);
   EXPECT_THROW(jain_fairness({-1.0, 2.0}), std::logic_error);
-}
-
-// --------------------------------------------- failure injection + stats
-
-class DisruptionFixture : public ::testing::Test {
- protected:
-  DisruptionFixture() : fabric_(FatTree::Config{4, 100.0}) {}
-  FatTree fabric_;
-  PfsScheduler pfs_;
-
-  JobSpec job(Bytes size, int src, int dst, Time arrival = 0) {
-    JobSpec j;
-    j.arrival_time = arrival;
-    CoflowSpec c;
-    c.flows.push_back(FlowSpec{src, dst, size});
-    j.coflows.push_back(c);
-    j.deps = {{}};
-    return j;
-  }
-};
-
-TEST_F(DisruptionFixture, DegradedLinkSlowsFlows) {
-  // Degrade host 0's uplink to 25% at t=1.
-  Simulator::Config config;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{1.0, uplink, 25.0});
-  Simulator sim(fabric_, pfs_, config);
-  sim.submit(job(200.0, 0, 1));
-  const SimResults r = sim.run();
-  // 100 B in the first second, then 100 B at 25 B/s: finish at 5.
-  EXPECT_NEAR(r.jobs[0].finish, 5.0, 1e-9);
-}
-
-TEST_F(DisruptionFixture, RestoredLinkSpeedsBackUp) {
-  Simulator::Config config;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{0.0, uplink, 25.0});
-  config.disruptions.push_back(CapacityChange{2.0, uplink, 100.0});
-  Simulator sim(fabric_, pfs_, config);
-  sim.submit(job(150.0, 0, 1));
-  const SimResults r = sim.run();
-  // 50 B in [0,2] at 25 B/s, then 100 B at full rate: finish at 3.
-  EXPECT_NEAR(r.jobs[0].finish, 3.0, 1e-9);
-}
-
-TEST_F(DisruptionFixture, UnaffectedPathsKeepFullRate) {
-  Simulator::Config config;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{0.0, uplink, 10.0});
-  Simulator sim(fabric_, pfs_, config);
-  sim.submit(job(100.0, 8, 9));  // different pod entirely
-  const SimResults r = sim.run();
-  EXPECT_NEAR(r.jobs[0].finish, 1.0, 1e-9);
-}
-
-TEST_F(DisruptionFixture, DeadLinkTripsStallGuard) {
-  Simulator::Config config;
-  config.max_time = 100.0;
-  const LinkId uplink =
-      fabric_.topology().find_link(fabric_.host(0), fabric_.edge_of_host(0));
-  config.disruptions.push_back(CapacityChange{0.5, uplink, 0.0});
-  Simulator sim(fabric_, pfs_, config);
-  sim.submit(job(200.0, 0, 1));
-  EXPECT_THROW(sim.run(), std::logic_error);
-}
-
-TEST_F(DisruptionFixture, RejectsUnknownLink) {
-  Simulator::Config config;
-  config.disruptions.push_back(CapacityChange{0.0, LinkId{999999}, 1.0});
-  EXPECT_THROW(Simulator(fabric_, pfs_, config), std::logic_error);
 }
 
 }  // namespace

@@ -186,14 +186,6 @@ TEST_F(FaultFixture, SimulatorRejectsInvalidPlansAndDisruptions) {
   Simulator::Config bad_plan;
   bad_plan.faults.events.push_back(host_event(FaultKind::kHostDown, 0.1, -5));
   EXPECT_THROW(Simulator(fabric_, pfs_, bad_plan), ConfigError);
-
-  Simulator::Config bad_disruption;
-  CapacityChange change;
-  change.time = -1.0;
-  change.link = LinkId{0};
-  change.new_capacity = 10.0;
-  bad_disruption.disruptions.push_back(change);
-  EXPECT_THROW(Simulator(fabric_, pfs_, bad_disruption), ConfigError);
 }
 
 // ------------------------------------------------------- crash + retry ---

@@ -344,21 +344,42 @@ TEST_F(GuritaFixture, SelfDemoteChecksOncePerCoflowUnderInterleavedOrder) {
 
 TEST_F(GuritaFixture, FreshCoflowWithZeroObservationIsNotDemoted) {
   // A released coflow that has not moved a byte (ℓ̈_max = 0, zero bytes)
-  // must yield Ψ̈ = 0 at both the HR and the receiver-local check — never a
-  // demotion, never a NaN from the ε skew ratio. Hold the flow at rate 0
-  // for a full second of δ=0.1 ticks via a dead uplink, then restore; the
-  // flow is small enough that Ψ̈ stays below the first threshold afterwards
-  // too, so any demotion counted must have come from the zero window.
+  // must yield Ψ̈ = 0 at the HR check — never a demotion, never a NaN from
+  // the ε skew ratio. Job 0's flow is born onto a dead uplink, so it parks
+  // at release for a full second of δ=0.1 ticks; the link comes back at
+  // t=1 and the flow restarts after a fixed, jitter-free 0.25 s backoff.
+  // Job 1 keeps the network busy (ticks only run while a flow transmits),
+  // slowed by a straggler window to 5 B/s until t=1. Both flows are small
+  // enough that Ψ̈ stays below the first threshold throughout, so any
+  // demotion counted must have come from the zero window.
   const BigSwitch fabric(BigSwitch::Config{4, 100.0});
   GuritaScheduler gurita(small_scale_config());
   Simulator::Config sim_config;
-  sim_config.disruptions.push_back(CapacityChange{0.0, fabric.uplink(0), 0.0});
-  sim_config.disruptions.push_back(
-      CapacityChange{1.0, fabric.uplink(0), 100.0});
+  FaultPlan& plan = sim_config.faults;
+  const auto add = [&](FaultKind kind, Time time, int host, LinkId link) {
+    FaultEvent e;
+    e.kind = kind;
+    e.time = time;
+    e.host = host;
+    e.link = link;
+    e.factor = kind == FaultKind::kStragglerStart ? 0.05 : 1.0;
+    plan.events.push_back(e);
+  };
+  add(FaultKind::kLinkDown, 0.0, -1, fabric.uplink(0));
+  add(FaultKind::kLinkUp, 1.0, -1, fabric.uplink(0));
+  add(FaultKind::kStragglerStart, 0.0, 2, LinkId{});
+  add(FaultKind::kStragglerEnd, 1.0, 2, LinkId{});
+  plan.retry.backoff = RetryPolicy::Backoff::kFixed;
+  plan.retry.base_delay = 0.25;
+  plan.retry.jitter = 0.0;
   Simulator sim(fabric, gurita, sim_config);
   sim.submit(one_flow_job(50.0, 0, 1));
+  sim.submit(one_flow_job(50.0, 2, 3));
   const SimResults r = sim.run();
-  EXPECT_NEAR(r.makespan, 1.5, 1e-9);
+  EXPECT_EQ(r.flow_aborts, 1u);  // parked at release
+  EXPECT_EQ(r.flow_retries, 1u);
+  EXPECT_NEAR(r.jobs[0].finish, 1.75, 1e-9);  // restart 1.25, 50 B at 100
+  EXPECT_NEAR(r.jobs[1].finish, 1.45, 1e-9);  // 5 B by t=1, then 45 B
   EXPECT_GE(gurita.stats().hr_updates, 10u);  // ticks saw the zero window
   EXPECT_EQ(gurita.stats().demotions, 0u);
   EXPECT_EQ(gurita.stats().self_demotions, 0u);

@@ -6,10 +6,10 @@
 // exactly like the seed engine before the event calendar existed.
 // Everything else (lazy settle-point
 // byte accounting, aggregate maintenance, scheduler hook order, active-list
-// swap-with-last order, arrival coalescing, disruptions, TCP ramp caps) is
-// kept ARITHMETICALLY IDENTICAL to flowsim/simulator.cpp, expression by
-// expression, so real schedulers observe bit-identical state and drive both
-// engines down the same trajectory.
+// swap-with-last order, arrival coalescing) is kept ARITHMETICALLY
+// IDENTICAL to flowsim/simulator.cpp, expression by expression, so real
+// schedulers observe bit-identical state and drive both engines down the
+// same trajectory.
 //
 // That makes the pair a differential oracle: any divergence in event times,
 // JCT/CCT or counters between Simulator and OracleSimulator on the same
@@ -47,12 +47,6 @@ class OracleSimulator {
     capacities_.resize(fabric.topology().link_count());
     for (std::size_t i = 0; i < capacities_.size(); ++i)
       capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
-    for (const CapacityChange& change : config_.disruptions) {
-      GURITA_CHECK_MSG(change.link.value() < capacities_.size(),
-                       "disruption targets an unknown link");
-      GURITA_CHECK_MSG(change.new_capacity >= 0, "negative capacity");
-      GURITA_CHECK_MSG(change.time >= 0, "disruption before time zero");
-    }
   }
   OracleSimulator(const Fabric& fabric, Scheduler& scheduler)
       : OracleSimulator(fabric, scheduler, Simulator::Config{}) {}
@@ -117,21 +111,6 @@ class OracleSimulator {
     bool dirty = true;
     SimResults results;
 
-    std::vector<CapacityChange> disruptions = config_.disruptions;
-    std::sort(disruptions.begin(), disruptions.end(),
-              [](const CapacityChange& a, const CapacityChange& b) {
-                return a.time < b.time;
-              });
-    std::size_t next_disruption = 0;
-    const auto apply_due_disruptions = [&] {
-      while (next_disruption < disruptions.size() &&
-             disruptions[next_disruption].time <= now_ + kTimeEpsilon) {
-        const CapacityChange& change = disruptions[next_disruption++];
-        capacities_[change.link.value()] = change.new_capacity;
-        dirty = true;
-      }
-    };
-
     std::vector<FlowId> done;
     std::uint64_t iterations = 0;
 
@@ -158,12 +137,10 @@ class OracleSimulator {
           arrive_job(j);
         }
         if (tick > 0) next_tick = now_ + tick;
-        apply_due_disruptions();
         dirty = true;
         continue;
       }
 
-      bool any_ramp_capped = false;
       if (dirty) {
         scheduler_->assign(now_, active_);
         allocate_rates(fabric_->topology(), capacities_, active_,
@@ -171,17 +148,9 @@ class OracleSimulator {
         ++results.rate_recomputations;
         for (const RateChange& rc : rate_changes_) {
           SimFlow& f = *rc.flow;
-          Rate target = f.rate;  // the allocator's output
+          const Rate target = f.rate;  // the allocator's output
           f.rate = rc.old_rate;  // restore: the flow drained at the old rate
           settle(f);
-          if (config_.tcp_ramp_time > 0) {
-            const Rate cap = (config_.tcp_initial_window + f.bytes_sent()) /
-                             config_.tcp_ramp_time;
-            if (target > cap) {
-              target = cap;
-              any_ramp_capped = true;
-            }
-          }
           set_rate(f, target);
         }
         dirty = false;
@@ -211,15 +180,8 @@ class OracleSimulator {
               : std::numeric_limits<Time>::infinity();
       const Time t_tick =
           tick > 0 ? next_tick : std::numeric_limits<Time>::infinity();
-      const Time t_disruption = next_disruption < disruptions.size()
-                                    ? disruptions[next_disruption].time
-                                    : std::numeric_limits<Time>::infinity();
 
-      Time t_next = std::min({t_complete, t_arrival, t_tick, t_disruption});
-      if (any_ramp_capped) {
-        t_next = std::min(t_next, now_ + config_.tcp_ramp_time);
-        dirty = true;
-      }
+      Time t_next = std::min({t_complete, t_arrival, t_tick});
       GURITA_CHECK_MSG(std::isfinite(t_next),
                        "oracle stalled: active flows but no next event");
       GURITA_CHECK_MSG(t_next <= config_.max_time,
@@ -228,7 +190,6 @@ class OracleSimulator {
 
       now_ = t_next;
       state_.now_ = now_;
-      apply_due_disruptions();
 
       // ORACLE DIVERGENCE #2: completions by full active-set scan with the
       // engine's exact due predicate, then sorted by flow id — the same

@@ -839,6 +839,184 @@ TEST(SnapshotRestore, RejectsCorruptFaultState) {
   expect_rejected({{leaf_flow, 1}, {retry + 16, 2}}, "heap order");
 }
 
+void write_le32(std::string& bytes, std::size_t off, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    bytes[off + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/// Byte offsets into a simulator checkpoint's engine section (the layout
+/// save_engine writes): each flow's record, the fields after its path,
+/// each coflow's flow list and the active set.
+struct EngineLayout {
+  std::vector<std::size_t> flows;         ///< u64 job, i32 coflow index, ...
+  std::vector<std::size_t> flow_tails;    ///< f64 size, ... bool cancelled
+  std::vector<std::size_t> coflow_lists;  ///< u64 count, then the flow ids
+  std::size_t active = 0;                 ///< u64 count, then the flow ids
+};
+
+EngineLayout engine_layout(const std::string& bytes) {
+  EngineLayout out;
+  // Header (u32 magic, u32 version, u8 kind), the fingerprint section, the
+  // engine section's length, then now, dirty, iterations, next arrival and
+  // next tick.
+  std::size_t p = 9 + 8 + read_le64(bytes, 9) + 8;
+  p += 8 + 1 + 8 + 8 + 8;
+  p += 8 + 8 * read_le64(bytes, p);  // link capacities
+  const std::uint64_t n_flows = read_le64(bytes, p);
+  p += 8;
+  for (std::uint64_t i = 0; i < n_flows; ++i) {
+    out.flows.push_back(p);
+    p += 8 + 3 * 4;                    // job, coflow index, two hosts
+    p += 8 + 8 * read_le64(bytes, p);  // path
+    out.flow_tails.push_back(p);
+    // Six f64 sizes and times, tier, weight, attempts, lost bytes, abort
+    // time, cancelled.
+    p += 6 * 8 + 8 + 8 + 4 + 8 + 8 + 1;
+  }
+  const std::uint64_t n_coflows = read_le64(bytes, p);
+  p += 8;
+  for (std::uint64_t i = 0; i < n_coflows; ++i) {
+    out.coflow_lists.push_back(p);
+    p += 8 + 8 * read_le64(bytes, p) + 4 + 4 + 8 + 8;
+  }
+  const std::uint64_t n_jobs = read_le64(bytes, p);
+  p += 8 + n_jobs * (4 + 8 + 1 + 4);  // job dynamic fields
+  p += n_coflows * (4 * 8 + 4);       // coflow aggregates
+  out.active = p;
+  return out;
+}
+
+/// A paused run whose checkpoint has a known flow store: on an 8-host big
+/// switch, job 0's coflow holds flows 0 and 1, job 1's flow 2 and job 2's
+/// flow 3. Flow 3 finishes at 0.1; the other three transmit through the
+/// pause at 0.5, so the active set is [0, 1, 2].
+struct CorruptibleRun {
+  BigSwitch fabric{BigSwitch::Config{8, 100.0}};
+  std::vector<JobSpec> jobs;
+  std::string bytes;
+  EngineLayout layout;
+
+  CorruptibleRun() {
+    const auto job = [](std::vector<FlowSpec> flows) {
+      JobSpec j;
+      j.coflows.emplace_back();
+      j.coflows[0].flows = std::move(flows);
+      j.deps = {{}};
+      return j;
+    };
+    jobs = {job({FlowSpec{0, 1, 1e6}, FlowSpec{2, 3, 1e6}}),
+            job({FlowSpec{4, 5, 1e6}}), job({FlowSpec{6, 7, 10.0}})};
+    const std::unique_ptr<Scheduler> sched = make_scheduler("pfs");
+    Simulator sim(fabric, *sched);
+    for (const JobSpec& j : jobs) sim.submit(j);
+    EXPECT_TRUE(sim.run_to(0.5));
+    snapshot::Writer w;
+    sim.checkpoint(w);
+    bytes = w.take();
+    layout = engine_layout(bytes);
+  }
+
+  SimResults restore_and_run(const std::string& snap) const {
+    const std::unique_ptr<Scheduler> sched = make_scheduler("pfs");
+    Simulator other(fabric, *sched);
+    for (const JobSpec& j : jobs) other.submit(j);
+    snapshot::Reader r(snap);
+    other.restore(r);
+    return other.run();
+  }
+
+  /// Applies `patch` to a copy of the checkpoint and expects restore to
+  /// throw a SnapshotError whose message contains `message`.
+  template <typename Patch>
+  void expect_rejected(Patch patch, const char* message) const {
+    SCOPED_TRACE(message);
+    std::string bad = bytes;
+    patch(bad);
+    try {
+      (void)restore_and_run(bad);
+      ADD_FAILURE() << "corrupt snapshot accepted";
+    } catch (const snapshot::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+};
+
+TEST(SnapshotRestore, RejectsCorruptFlowStore) {
+  // The engine indexes jobs, coflows, hosts and links with a flow's
+  // fields, and coflow finishes walk the coflow's flow list, so restore
+  // must reject every id it could not run on.
+  const CorruptibleRun run;
+  const EngineLayout& l = run.layout;
+  ASSERT_EQ(l.flows.size(), 4u);
+  ASSERT_EQ(l.coflow_lists.size(), 3u);
+  ASSERT_EQ(read_le64(run.bytes, l.flows[2]), 1u);  // flow 2's job
+  ASSERT_EQ(read_le64(run.bytes, l.flows[0] + 20), 2u);  // two-hop path
+  ASSERT_EQ(read_le64(run.bytes, l.coflow_lists[0]), 2u);
+  ASSERT_EQ(read_le64(run.bytes, l.coflow_lists[0] + 16), 1u);
+  // The unpatched checkpoint restores and finishes.
+  EXPECT_EQ(run.restore_and_run(run.bytes).jobs.size(), 3u);
+
+  run.expect_rejected(
+      [&](std::string& b) { write_le64(b, l.flows[2], 3); },
+      "flow job out of range");
+  run.expect_rejected(
+      [&](std::string& b) { write_le32(b, l.flows[1] + 8, 1); },
+      "flow coflow index out of range");
+  run.expect_rejected(
+      [&](std::string& b) { write_le32(b, l.flows[1] + 8, ~0u); },
+      "flow coflow index out of range");
+  run.expect_rejected(
+      [&](std::string& b) { write_le32(b, l.flows[0] + 12, 8); },
+      "flow host out of range");
+  run.expect_rejected(
+      [&](std::string& b) { write_le32(b, l.flows[3] + 16, ~0u); },
+      "flow host out of range");
+  run.expect_rejected(
+      [&](std::string& b) { write_le64(b, l.flows[2] + 36, 16); },
+      "flow path link out of range");
+  run.expect_rejected(
+      [&](std::string& b) { write_le64(b, l.coflow_lists[0] + 16, 4); },
+      "coflow flow id out of range");
+  // Flow 2 belongs to job 1's coflow, not job 0's.
+  run.expect_rejected(
+      [&](std::string& b) { write_le64(b, l.coflow_lists[0] + 16, 2); },
+      "coflow lists a flow of another coflow");
+}
+
+TEST(SnapshotRestore, RejectsCorruptActiveSet) {
+  // Every active flow is released, unfinished, uncancelled and not backing
+  // off, and appears once: the allocator and the step loop trust that.
+  const CorruptibleRun run;
+  const EngineLayout& l = run.layout;
+  ASSERT_EQ(read_le64(run.bytes, l.active), 3u);
+  ASSERT_EQ(read_le64(run.bytes, l.active + 8), 0u);
+  ASSERT_EQ(read_le64(run.bytes, l.active + 16), 1u);
+  ASSERT_EQ(read_le64(run.bytes, l.active + 24), 2u);
+  const std::size_t abort_time = 76;  // offsets into a flow's tail
+  const std::size_t cancelled = 84;
+  ASSERT_EQ(std::bit_cast<double>(
+                read_le64(run.bytes, l.flow_tails[1] + abort_time)),
+            -1.0);
+
+  run.expect_rejected(
+      [&](std::string& b) { write_le64(b, l.active + 24, 0); },
+      "active flow id repeated");
+  // Flow 3 finished at 0.1.
+  run.expect_rejected(
+      [&](std::string& b) { write_le64(b, l.active + 24, 3); },
+      "active set holds a flow that is not transmitting");
+  run.expect_rejected(
+      [&](std::string& b) { b[l.flow_tails[1] + cancelled] = 1; },
+      "active set holds a flow that is not transmitting");
+  run.expect_rejected(
+      [&](std::string& b) {
+        write_le64(b, l.flow_tails[1] + abort_time,
+                   std::bit_cast<std::uint64_t>(0.25));
+      },
+      "active set holds a flow that is not transmitting");
+}
+
 // ------------------------------------------------------------------ fuzz ---
 
 /// One fuzz trial: a randomized workload/scheduler/fault draw, checkpointed
@@ -866,9 +1044,10 @@ void run_fuzz_trial(std::uint64_t seed) {
   const std::vector<std::string>& names = scheduler_names();
   Scenario s{fabric, names[rng.uniform_int(0, names.size() - 1)], jobs, {},
              /*with_trace=*/rng.next_double() < 0.5};
-  (void)rng.next_double();  // unused draw: keeps each seed's later draws
-  if (rng.next_double() < 0.3)
-    s.sim_config.tcp_ramp_time = rng.uniform(1.0, 10.0) * kMillisecond;
+  // Unused draws (once the link-statistics flag, then a TCP ramp) keep
+  // each seed's later draws.
+  (void)rng.next_double();
+  if (rng.next_double() < 0.3) (void)rng.uniform(1.0, 10.0);
   if (rng.next_double() < 0.4) {
     FaultPlanConfig plan;
     plan.host_crash_rate = rng.uniform(1.0, 8.0);
