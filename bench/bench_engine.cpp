@@ -270,10 +270,10 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const std::vector<int> flow_counts =
       parse_flow_counts(args.get_string("flows", "1000,10000,100000"));
   const int groups = args.get_int("groups", 32);
@@ -282,6 +282,7 @@ int main(int argc, char** argv) {
   const bool profile = args.get_bool("profile", true);
   const bool overhead = args.get_bool("overhead-guard", true);
   const int guard_trials = args.get_int("overhead-trials", 5);
+  args.reject_unread();
 
   std::cout << "=== Engine microbenchmark: per-event flow touches ===\n"
                "No-op ticks add events but no flow touches.\n\n";
@@ -327,4 +328,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << out_path << "\n";
   return guard.breached ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

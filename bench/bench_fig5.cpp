@@ -6,7 +6,7 @@
 // Paper shape to reproduce: up to ~2x vs PFS, ~1.8x vs Baraat, ~1.5x vs
 // Stream, ~parity with Aalo (1.05x trace-driven, 0.99x bursty).
 //
-//   ./bench_fig5 [--num-jobs 300] [--bursty-jobs 400] [--seed 7] [--pods 8]
+//   ./bench_fig5 [--num-jobs 300] [--bursty-jobs 200] [--seed 7] [--pods 8]
 //                [--jobs N]   # worker threads; output identical at any N
 //
 // Telemetry (obs/):
@@ -42,7 +42,6 @@
 #include "exp/runner.h"
 #include "metrics/report.h"
 #include "obs/trace.h"
-#include "snapshot/snapshot.h"
 
 namespace gurita {
 namespace {
@@ -55,10 +54,10 @@ std::string cell(const ComparisonResult& result, const std::string& other) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 300);
   const int bursty_jobs = args.get_int("bursty-jobs", 200);
   const std::uint64_t seed = args.get_u64("seed", 7);
@@ -106,16 +105,11 @@ int main(int argc, char** argv) {
     run.config.obs = obs_options;
     apply_checkpoint_flags(args, run.config);
   }
+  args.reject_unread();
 
-  std::vector<ComparisonResult> results;
-  try {
-    results = run_matrix(runs, jobs);
-  } catch (const snapshot::HaltedError& e) {
-    // Deliberate --checkpoint-halt-after crash: distinct exit status so CI
-    // can assert the halt happened and then re-invoke with --resume-from.
-    std::cerr << "bench_fig5: " << e.what() << "\n";
-    return 75;
-  }
+  // A deliberate --checkpoint-halt-after crash throws HaltedError, which
+  // run_main turns into exit 75; re-invoke with --resume-from.
+  const std::vector<ComparisonResult> results = run_matrix(runs, jobs);
 
   std::cout << "=== Figure 5: average improvement of Gurita per scenario ===\n"
                "Each cell: avg-JCT ratio / mean per-job speedup "
@@ -163,4 +157,10 @@ int main(int argc, char** argv) {
               << total.to_table();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

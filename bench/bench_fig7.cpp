@@ -44,14 +44,15 @@ void print_panel(const std::string& title, const ComparisonResult& result,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 300);
   const int pods = args.get_int("pods", 8);
   const std::uint64_t seed = args.get_u64("seed", 7);
   const int jobs = resolve_jobs(args);
+  args.reject_unread();
 
   std::vector<std::string> all = kOthers;
   all.push_back("gurita");
@@ -69,4 +70,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i)
     print_panel(runs[i].label, results[i], num_jobs, seed, pods);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

@@ -65,16 +65,17 @@ GapReport network_gap(const std::string& label, StructureKind structure,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int trials = args.get_int("trials", 200);
   const int jobs_n = args.get_int("num-jobs", 5);
   const std::uint64_t seed = args.get_u64("seed", 11);
   const int network_jobs = args.get_int("network-jobs", 80);
   const std::uint64_t network_seed = args.get_u64("network-seed", 7);
   const std::string json_path = args.get_string("json", "");
+  args.reject_unread();
 
   Rng rng(seed);
   RunningStats fifo_ratio, tbs_ratio, greedy_ratio;
@@ -176,4 +177,10 @@ int main(int argc, char** argv) {
 
   if (!anchor_ok || !gaps_sound) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

@@ -119,10 +119,10 @@ bool write_json(const std::string& path, const std::vector<BenchRow>& rows,
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 120);
   const int replicates = args.get_int("replicates", 16);
   const std::uint64_t seed = args.get_u64("seed", 7);
@@ -130,6 +130,9 @@ int main(int argc, char** argv) {
       parse_jobs_list(args.get_string("jobs-list", "1,2,4,8"));
   const std::string out_path = args.get_string("out", "BENCH_parallel.json");
   const bool profile = args.get_bool("profile", false);
+  const bool speedup_guard = args.has("speedup-guard");
+  const double guard = args.get_double("speedup-guard", 0.0);
+  args.reject_unread();
 
   SweepSpec sweep;
   sweep.experiment = "bench_parallel";
@@ -182,12 +185,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << out_path << "\n";
 
-  if (args.has("speedup-guard")) {
+  if (speedup_guard) {
     // Guard on the largest worker count's speedup, with the bar scaled to
     // the machine: a 4-core CI runner cannot reach 4x, so it is held to
     // 4 * (4/8) = 2x instead. Below 2 hardware threads there is no
     // parallelism to measure — skip rather than fail.
-    const double guard = args.get_double("speedup-guard", 0.0);
     const int hw = hardware_threads();
     const BenchRow& widest = *std::max_element(
         rows.begin(), rows.end(),
@@ -208,4 +210,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

@@ -40,7 +40,6 @@
 #include "exp/runner.h"
 #include "metrics/report.h"
 #include "obs/trace.h"
-#include "snapshot/snapshot.h"
 
 namespace gurita {
 namespace {
@@ -67,10 +66,10 @@ std::string factor_label(double factor) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 120);
   const std::uint64_t seed = args.get_u64("seed", 7);
   const int pods = args.get_int("pods", 4);
@@ -99,6 +98,7 @@ int main(int argc, char** argv) {
   base.faults.plan.state_loss_rate = 0.5;
   apply_fault_flags(args, base);
   apply_checkpoint_flags(args, base);
+  args.reject_unread();
 
   const std::vector<std::string> schedulers = {"gurita", "gurita_plus", "aalo",
                                                "baraat", "varys"};
@@ -117,15 +117,9 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
 
-  std::vector<ComparisonResult> results;
-  try {
-    results = run_matrix(runs, jobs);
-  } catch (const snapshot::HaltedError& e) {
-    // Deliberate --checkpoint-halt-after crash: distinct exit status so CI
-    // can assert the halt happened and then re-invoke with --resume-from.
-    std::cerr << "bench_resilience: " << e.what() << "\n";
-    return 75;
-  }
+  // A deliberate --checkpoint-halt-after crash throws HaltedError, which
+  // run_main turns into exit 75; re-invoke with --resume-from.
+  const std::vector<ComparisonResult> results = run_matrix(runs, jobs);
 
   // Baseline per scheduler: the smallest requested factor (conventionally
   // 0 — the fault-free run).
@@ -206,4 +200,10 @@ int main(int argc, char** argv) {
               << " (load at ui.perfetto.dev)\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

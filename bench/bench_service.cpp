@@ -1,24 +1,21 @@
 // Open-horizon scheduler daemon driver (service/daemon.h, DESIGN.md §15):
-// streaming admission with overload control, graceful drain on
+// streaming admission behind a bounded queue, graceful drain on
 // SIGTERM/SIGINT, periodic auto-checkpoints and crash recovery.
 //
 //   ./bench_service [--scheduler gurita] [--pods 4] [--num-jobs 500]
-//                   [--seed 7]
 //     source (pick one):
 //                   [--feed FILE.jsonl]      # streamed JSONL feed (feed.h)
 //                   [--arrival-pattern poisson|bursty] [--load 0.7]
 //                   [--arrival-rate R]       # jobs/s; overrides --load
-//     admission control:
-//                   [--shed-policy reject-new|drop-largest|degrade-to-fifo]
-//                   [--queue-cap 64] [--wait-window 512]
+//                   [--seed 7]
+//     admission control (an arrival that finds the queue full is shed):
+//                   [--queue-cap 64]
 //                   [--wm-flows-high N] [--wm-flows-low N]
-//                   [--wm-p99-high T] [--wm-p99-low T]
 //     maintenance:
 //                   [--compact-every 0.25]   # sim s; 0 disables compaction
 //                   [--checkpoint FILE] [--checkpoint-every T]
 //                   [--halt-after N]         # crash sim: exit 75 after N ckpts
 //                   [--recover-from FILE]    # resume a checkpointed run
-//                   [--watchdog-stall S] [--watchdog-marker FILE]
 //     drain:
 //                   [--drain-deadline 60]    # wall s for the drain phase
 //                   [--drain-after T]        # deterministic drain at sim T
@@ -26,9 +23,9 @@
 //                   [--trace FILE] [--trace-binary] [--sample-every T]
 //                   [--json FILE]            # machine-readable report
 //
-// Reports sustained events/sec and the p99 admission wait. Exit codes:
-// 0 success, 1 failure/config error, 75 halted-on-purpose (resume with
-// --recover-from).
+// Reports sustained events/sec and the p99 admission wait. An unknown flag
+// is an error. Exit codes: 0 success, 1 failure/config error, 75
+// halted-on-purpose (resume with --recover-from).
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -41,7 +38,6 @@
 #include "service/daemon.h"
 #include "service/feed.h"
 #include "service/signals.h"
-#include "snapshot/snapshot.h"
 
 namespace gurita::service {
 namespace {
@@ -60,7 +56,8 @@ DaemonOptions options_from_args(const Args& args) {
   const bool use_feed = args.has("feed");
   {
     std::vector<ConfigError::Issue> issues;
-    for (const char* flag : {"arrival-rate", "arrival-pattern", "load"}) {
+    for (const char* flag :
+         {"arrival-rate", "arrival-pattern", "load", "seed"}) {
       if (use_feed && args.has(flag))
         issues.push_back({std::string("--") + flag,
                           "conflicts with --feed (the feed fixes arrivals)"});
@@ -90,19 +87,13 @@ DaemonOptions options_from_args(const Args& args) {
     options.open_loop.service_rate = hosts * options.link_capacity;
   }
 
-  options.shed_policy =
-      shed_policy_from_name(args.get_string("shed-policy", "reject-new"));
   options.queue_capacity =
       static_cast<std::size_t>(args.get_u64("queue-cap", 64));
-  options.wait_window =
-      static_cast<std::size_t>(args.get_u64("wait-window", 512));
   Watermarks& wm = options.watermarks;
   wm.active_flows_high = static_cast<std::size_t>(
       args.get_u64("wm-flows-high", wm.active_flows_high));
   wm.active_flows_low = static_cast<std::size_t>(
       args.get_u64("wm-flows-low", wm.active_flows_low));
-  wm.p99_wait_high = args.get_double("wm-p99-high", wm.p99_wait_high);
-  wm.p99_wait_low = args.get_double("wm-p99-low", wm.p99_wait_low);
 
   options.compact_every = args.get_double("compact-every", 0.25);
   options.checkpoint_path = args.get_string("checkpoint", "");
@@ -110,8 +101,6 @@ DaemonOptions options_from_args(const Args& args) {
   options.halt_after_checkpoints = args.get_int("halt-after", 0);
   options.drain_deadline_wall = args.get_double("drain-deadline", 60.0);
   options.drain_after_sim_time = args.get_double("drain-after", 0);
-  options.watchdog_stall = args.get_double("watchdog-stall", 0);
-  options.watchdog_marker = args.get_string("watchdog-marker", "");
   options.sample_every = args.get_double("sample-every", 0);
   options.max_sim_time = args.get_double("max-sim-time",
                                          options.max_sim_time);
@@ -121,13 +110,13 @@ DaemonOptions options_from_args(const Args& args) {
 }
 
 int run(const Args& args) {
-  apply_log_level(args);
   const std::string recover_from = args.get_string("recover-from", "");
   const std::string trace_path = args.get_string("trace", "");
   const bool trace_binary = args.get_bool("trace-binary", false);
   const std::string json_path = args.get_string("json", "");
 
   DaemonOptions options = options_from_args(args);
+  args.reject_unread();
   const std::string scheduler = options.scheduler;
   install_signal_handlers();
 
@@ -150,7 +139,6 @@ int run(const Args& args) {
   table.add_row({"completed", std::to_string(report.completed)});
   table.add_row({"shed (queue full)", std::to_string(report.shed_queue_full)});
   table.add_row({"shed (drain)", std::to_string(report.shed_drain)});
-  table.add_row({"degrade spells", std::to_string(report.degrade_spells)});
   table.add_row({"compactions", std::to_string(report.compactions)});
   table.add_row({"checkpoints", std::to_string(report.checkpoints)});
   table.add_row({"events", std::to_string(results.events)});
@@ -189,7 +177,6 @@ int run(const Args& args) {
           << "  \"completed\": " << report.completed << ",\n"
           << "  \"shed_queue_full\": " << report.shed_queue_full << ",\n"
           << "  \"shed_drain\": " << report.shed_drain << ",\n"
-          << "  \"degrade_spells\": " << report.degrade_spells << ",\n"
           << "  \"compactions\": " << report.compactions << ",\n"
           << "  \"checkpoints\": " << report.checkpoints << ",\n"
           << "  \"events\": " << results.events << ",\n"
@@ -213,15 +200,8 @@ int run(const Args& args) {
 }  // namespace
 }  // namespace gurita::service
 
+// run_main exits 75 on a deliberate --halt-after crash (resume with
+// --recover-from) and 1 on any other error.
 int main(int argc, char** argv) {
-  try {
-    const gurita::Args args(argc, argv);
-    return gurita::service::run(args);
-  } catch (const gurita::snapshot::HaltedError& e) {
-    std::cerr << "bench_service: " << e.what() << "\n";
-    return 75;  // halted on purpose: resume with --recover-from
-  } catch (const std::exception& e) {
-    std::cerr << "bench_service: FAIL: " << e.what() << "\n";
-    return 1;
-  }
+  return gurita::run_main(argc, argv, gurita::service::run);
 }

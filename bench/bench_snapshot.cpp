@@ -54,10 +54,10 @@ std::string results_bytes(const SimResults& results) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int num_jobs = args.get_int("num-jobs", 300);
   const std::uint64_t seed = args.get_u64("seed", 7);
   const int pods = args.get_int("pods", 8);
@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const bool guard = args.get_bool("guard", false);
   const double guard_threshold = args.get_double("guard-threshold", 0.05);
   const std::string json_path = args.get_string("json", "");
+  args.reject_unread();
   GURITA_CHECK_MSG(checkpoints >= 1, "--checkpoints must be >= 1");
   GURITA_CHECK_MSG(reps >= 1, "--reps must be >= 1");
 
@@ -204,4 +205,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

@@ -12,13 +12,14 @@
 #include "metrics/report.h"
 #include "sched/stream.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const int jobs_n = args.get_int("num-jobs", 200);
   const std::uint64_t seed = args.get_u64("seed", 3);
   const int pods = args.get_int("pods", 8);
+  args.reject_unread();
 
   ExperimentConfig config =
       bursty_scenario(StructureKind::kFbTao, jobs_n, seed, pods);
@@ -73,4 +74,10 @@ int main(int argc, char** argv) {
                "heaviest tail."
             << std::endl;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

@@ -18,10 +18,10 @@
 #include "metrics/report.h"
 #include "workload/trace_io.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
 
   const std::string scheduler_name = args.get_string("scheduler", "gurita");
   const int pods = args.get_int("pods", 8);
@@ -41,21 +41,24 @@ int main(int argc, char** argv) {
     std::cerr << "unknown --arrivals value: " << arrivals << "\n";
     return 1;
   }
+  const std::string load_path = args.get_string("load-trace", "");
+  const std::string save_path = args.get_string("save-trace", "");
+  const std::string csv_path = args.get_string("csv-out", "");
+  args.reject_unread();
 
   const FatTree fabric(FatTree::Config{config.fat_tree_k, config.link_capacity});
   config.trace.num_hosts = fabric.num_hosts();
 
   std::vector<JobSpec> jobs;
   if (args.has("load-trace")) {
-    jobs = load_trace(args.get_string("load-trace", ""));
+    jobs = load_trace(load_path);
     std::cout << "loaded " << jobs.size() << " jobs from trace\n";
   } else {
     jobs = generate_trace(config.trace);
   }
   if (args.has("save-trace")) {
-    save_trace(args.get_string("save-trace", ""), jobs);
-    std::cout << "saved " << jobs.size() << " jobs to "
-              << args.get_string("save-trace", "") << "\n";
+    save_trace(save_path, jobs);
+    std::cout << "saved " << jobs.size() << " jobs to " << save_path << "\n";
   }
 
   const auto scheduler = make_scheduler(scheduler_name);
@@ -93,8 +96,7 @@ int main(int argc, char** argv) {
   std::cout << by_cat.to_string();
 
   if (args.has("csv-out")) {
-    const std::string path = args.get_string("csv-out", "");
-    write_file_atomic(path, /*binary=*/false, [&](std::ostream& csv) {
+    write_file_atomic(csv_path, /*binary=*/false, [&](std::ostream& csv) {
       csv << "job,arrival,finish,jct,total_bytes,category,stages,slowdown\n";
       for (std::size_t i = 0; i < results.jobs.size(); ++i) {
         const auto& j = results.jobs[i];
@@ -104,7 +106,13 @@ int main(int argc, char** argv) {
             << "," << slowdowns[i] << "\n";
       }
     });
-    std::cout << "\nper-job results written to " << path << "\n";
+    std::cout << "\nper-job results written to " << csv_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

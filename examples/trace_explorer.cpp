@@ -349,13 +349,7 @@ int explore_gap_report(const std::string& path) {
   return 0;
 }
 
-int explore_workload(const Args& args) {
-  TraceConfig config;
-  config.num_jobs = args.get_int("num-jobs", 1000);
-  config.seed = args.get_u64("seed", 42);
-  config.structure =
-      structure_from_string(args.get_string("structure", "mixed"));
-
+int explore_workload(const TraceConfig& config) {
   const std::vector<JobSpec> jobs = generate_trace(config);
 
   std::size_t category_count[kNumCategories] = {};
@@ -410,15 +404,27 @@ int explore_workload(const Args& args) {
 }  // namespace
 }  // namespace gurita
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const gurita::Args& args) {
   using namespace gurita;
-  const Args args(argc, argv);
-  apply_log_level(args);
   const std::string gap_path = args.get_string("gap-report", "");
-  if (!gap_path.empty()) return explore_gap_report(gap_path);
   const std::string trace_path = args.get_string("trace", "");
-  if (!trace_path.empty())
-    return explore_trace(trace_path, args.get_string("section", ""),
-                         args.get_bool("timeline", false));
-  return explore_workload(args);
+  const std::string section = args.get_string("section", "");
+  const bool timeline = args.get_bool("timeline", false);
+  TraceConfig workload;
+  workload.num_jobs = args.get_int("num-jobs", 1000);
+  workload.seed = args.get_u64("seed", 42);
+  workload.structure =
+      structure_from_string(args.get_string("structure", "mixed"));
+  args.reject_unread();
+  if (!gap_path.empty()) return explore_gap_report(gap_path);
+  if (!trace_path.empty()) return explore_trace(trace_path, section, timeline);
+  return explore_workload(workload);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return gurita::run_main(argc, argv, run);
 }

@@ -1,6 +1,6 @@
 // Tiny command-line flag parser for bench binaries:
-//   ./bench_fig6 --num-jobs 300 --seed 7 --pods 8 --jobs 4
-// Unknown flags throw, so typos fail loudly.
+//   ./bench_fig7 --num-jobs 300 --seed 7 --pods 8 --jobs 4
+// Unknown flags throw (reject_unread), so typos fail loudly.
 //
 // Conventions shared by every driver: `--num-jobs` sizes the workload,
 // `--seed` picks the trace seed, and `--jobs N` sets the worker-thread
@@ -52,20 +52,37 @@ class Args {
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
   [[nodiscard]] bool has(const std::string& key) const;
 
-  /// All parsed flag names starting with `prefix`, in sorted order. Lets
-  /// the apply_*_flags helpers reject unknown flags in their namespace
-  /// ("--fault-*", "--checkpoint-*") instead of silently ignoring typos.
-  [[nodiscard]] std::vector<std::string> keys_with_prefix(
-      const std::string& prefix) const;
+  /// Throws ConfigError naming, in sorted order, every parsed flag that no
+  /// getter or has() has looked up. A driver calls it once it has read
+  /// every flag it takes (the apply_*_flags helpers below included) and
+  /// before it simulates anything, so a typo such as --num-job or
+  /// --fault-host-rat fails instead of running the defaults.
+  void reject_unread() const;
 
  private:
-  std::map<std::string, std::string> values_;
+  struct Value {
+    std::string text;
+    mutable bool read = false;  ///< looked up by a getter or has()
+  };
+  /// The flag's value, marked read; nullptr when the flag is absent.
+  [[nodiscard]] const std::string* lookup(const std::string& key) const;
+
+  std::map<std::string, Value> values_;
 };
 
 /// Applies the shared --log-level flag (debug|info|warn|error|off) to the
-/// process-wide log level; a no-op when the flag is absent. Every bench
-/// driver calls this right after parsing.
+/// process-wide log level; a no-op when the flag is absent. run_main calls
+/// it right after parsing.
 void apply_log_level(const Args& args);
+
+/// A driver's whole main: parses argv into Args, applies --log-level and
+/// returns `body(args)`. A snapshot::HaltedError (the deliberate
+/// checkpoint-halt crash) prints "<program>: <what>" and returns 75, so a
+/// caller can assert the halt and then resume; any other exception — a
+/// ConfigError for an unknown, repeated or malformed flag included —
+/// prints "<program>: error: <what>" and returns 1 instead of aborting
+/// through std::terminate. <program> is argv[0]'s file name.
+int run_main(int argc, char** argv, int (*body)(const Args&));
 
 struct ExperimentConfig;
 
@@ -86,8 +103,8 @@ struct ExperimentConfig;
 ///   --fault-retry-jitter J        max jitter fraction added to each delay
 ///   --fault-retry-max-attempts N  aborts beyond this fail the job
 /// Any of these flags implies --faults. Throws std::logic_error on an
-/// unknown --fault-retry value, and ConfigError listing every "--fault-*"
-/// flag that is not in the table above (typo protection).
+/// unknown --fault-retry value. Reads every flag of the table, so
+/// Args::reject_unread then names any other "--fault-*" flag.
 void apply_fault_flags(const Args& args, ExperimentConfig& config);
 
 /// Applies the shared checkpoint/resume flags to `config.checkpoint`
@@ -97,8 +114,8 @@ void apply_fault_flags(const Args& args, ExperimentConfig& config);
 ///   --resume-from D            resume from D's artifacts (implies dir D)
 ///   --checkpoint-halt-after N  crash on purpose after N snapshots (> 0);
 ///                              drivers catch HaltedError and exit 75
-/// Throws ConfigError aggregating every problem: unknown "--checkpoint-*"
-/// flags, --checkpoint-every without a directory, a non-positive cadence,
+/// Throws ConfigError aggregating every problem: --checkpoint-every
+/// without a directory, a non-positive cadence,
 /// --checkpoint-halt-after without --checkpoint-every, and conflicting
 /// --checkpoint-dir/--resume-from directories.
 void apply_checkpoint_flags(const Args& args, ExperimentConfig& config);
@@ -113,8 +130,7 @@ void apply_checkpoint_flags(const Args& args, ExperimentConfig& config);
 ///                         NON-deterministic, excluded from fingerprints
 ///   --diagnostics         non-deterministic run health (allocator work,
 ///                         memory peaks, pool stats) in the summary JSON
-/// Throws ConfigError on unknown "--timeline-*" flags or a non-positive
-/// cadence.
+/// Throws ConfigError on a non-positive cadence.
 void apply_timeline_flags(const Args& args, ExperimentConfig& config);
 
 }  // namespace gurita

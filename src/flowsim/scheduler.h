@@ -168,8 +168,8 @@ class Scheduler {
   /// heavy-job marks. The engine wires this automatically when its own
   /// Config::trace is set; tests driving a scheduler through another engine
   /// (the differential oracle) call it directly. nullptr detaches. Virtual
-  /// so forwarding wrappers (the service daemon's degradable scheduler) can
-  /// hand the recorder to the policy they wrap.
+  /// so forwarding wrappers (perfbench's TracedScheduler) can hand the
+  /// recorder to the policy they wrap.
   virtual void set_trace_recorder(obs::TraceRecorder* recorder) {
     trace_ = recorder;
   }

@@ -847,7 +847,7 @@ Simulator::Compaction Simulator::compact() {
   GURITA_CHECK_MSG(prepared_ && !collected_,
                    "compact() outside an open run");
   Compaction out;
-  CompactionRemap remap;
+  CompactionRemap& remap = out.remap;
 
   // Survivors: every job not yet terminal. Terminal (finished or failed)
   // jobs have no active, parked or retrying flows left, so eviction never

@@ -234,14 +234,16 @@ class Simulator {
 
   /// Outcome of one compact() pass: the evicted jobs' results, harvested
   /// exactly as collect() would have reported them (ids are the
-  /// pre-compaction ids; callers tracking external ids map through the
-  /// remap they observed via Scheduler::on_compact).
+  /// pre-compaction ids), and the renumbering the scheduler received via
+  /// on_compact, for callers that track external ids (complete only when
+  /// jobs_evicted > 0; the scheduler is not notified otherwise).
   struct Compaction {
     std::size_t jobs_evicted = 0;
     std::size_t coflows_evicted = 0;
     std::size_t flows_evicted = 0;
     std::vector<SimResults::JobResult> jobs;
     std::vector<SimResults::CoflowResult> coflows;
+    CompactionRemap remap;
   };
 
   /// Open-horizon state eviction: removes every terminal (finished or

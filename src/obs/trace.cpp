@@ -162,7 +162,7 @@ const KindSpec& kind_spec(TraceEventKind kind) {
         {"coflows_evicted", kI1},
         {"flows_evicted", kI2},
         {"jobs_live", kV0}}},
-      /* kDegrade */
+      /* kDegrade: reserved, no longer emitted */
       {"degrade",
        false,
        false,

@@ -55,7 +55,7 @@ enum class TraceEventKind : std::uint8_t {
   kShed = 20,             ///< admission control dropped a job (load shedding)
   kDrainStart = 21,       ///< drain began: admissions stopped
   kCompact = 22,          ///< engine evicted terminal state (compact())
-  kDegrade = 23,          ///< degrade-to-fifo mode entered (i0=1) / left (0)
+  kDegrade = 23,          ///< reserved, no longer emitted
 };
 
 inline constexpr int kNumTraceEventKinds = 24;

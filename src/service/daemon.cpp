@@ -1,13 +1,8 @@
 #include "service/daemon.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <fstream>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -24,6 +19,9 @@ namespace {
 
 constexpr Time kInf = std::numeric_limits<Time>::infinity();
 
+/// Admissions the p99 wait report (DaemonReport::p99_wait) looks back over.
+constexpr std::size_t kWaitWindow = 512;
+
 [[nodiscard]] std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
@@ -36,194 +34,7 @@ constexpr Time kInf = std::numeric_limits<Time>::infinity();
   return fnv_step(h, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Forwarding wrapper around the configured policy. It exists for two
-/// reasons the Scheduler interface cannot cover directly:
-///
-///  * on_compact delivers the remap to the *scheduler*; the daemon needs it
-///    too (its external-id ledger is keyed by engine job ids). The wrapper
-///    keeps a copy of the last remap for the daemon to read.
-///  * degrade-to-fifo: while degraded, assign() bypasses the wrapped policy
-///    and serves flows FIFO by admission order. Engine job ids are assigned
-///    in admission order and compaction renumbers them monotonically, so
-///    the job id value IS the arrival serial — one tier per job, weight 1.
-///
-/// Everything else forwards verbatim, including set_trace_recorder (virtual
-/// exactly so this wrapper can hand the sink to the wrapped policy) and
-/// save/load_state, so a daemon checkpoint embeds the same policy bytes a
-/// batch checkpoint would.
-class ServiceScheduler final : public Scheduler {
- public:
-  explicit ServiceScheduler(std::unique_ptr<Scheduler> inner)
-      : inner_(std::move(inner)) {}
-
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-
-  void attach(const SimState& state) override {
-    Scheduler::attach(state);
-    inner_->attach(state);
-  }
-
-  void on_job_arrival(const SimJob& job, Time now) override {
-    inner_->on_job_arrival(job, now);
-  }
-  void on_coflow_release(const SimCoflow& coflow, Time now) override {
-    inner_->on_coflow_release(coflow, now);
-  }
-  void on_flow_finish(const SimFlow& flow, Time now) override {
-    inner_->on_flow_finish(flow, now);
-  }
-  void on_coflow_finish(const SimCoflow& coflow, Time now) override {
-    inner_->on_coflow_finish(coflow, now);
-  }
-  void on_job_finish(const SimJob& job, Time now) override {
-    inner_->on_job_finish(job, now);
-  }
-  void on_fault(const FaultEvent& event, Time now) override {
-    inner_->on_fault(event, now);
-  }
-  void on_recover(const FaultEvent& event, Time now) override {
-    inner_->on_recover(event, now);
-  }
-  void on_job_fail(const SimJob& job, Time now) override {
-    inner_->on_job_fail(job, now);
-  }
-
-  void on_compact(const CompactionRemap& remap) override {
-    last_remap_ = remap;
-    inner_->on_compact(remap);
-  }
-
-  [[nodiscard]] Time tick_interval() const override {
-    return inner_->tick_interval();
-  }
-  bool on_tick(Time now) override { return inner_->on_tick(now); }
-
-  void assign(Time now, const std::vector<SimFlow*>& active) override {
-    if (!degraded_) {
-      inner_->assign(now, active);
-      return;
-    }
-    for (SimFlow* f : active) {
-      f->tier = static_cast<Tier>(f->job.value());
-      f->weight = 1.0;
-    }
-  }
-
-  void save_state(snapshot::Writer& w) const override {
-    inner_->save_state(w);
-  }
-  void load_state(snapshot::Reader& r) override { inner_->load_state(r); }
-
-  void set_trace_recorder(obs::TraceRecorder* recorder) override {
-    Scheduler::set_trace_recorder(recorder);
-    inner_->set_trace_recorder(recorder);
-  }
-
-  /// Takes effect at the next rate recomputation; the daemon only flips it
-  /// at event boundaries, so the transition point is deterministic.
-  void set_degraded(bool on) { degraded_ = on; }
-  [[nodiscard]] bool degraded() const { return degraded_; }
-  [[nodiscard]] const CompactionRemap& last_remap() const {
-    return last_remap_;
-  }
-
- private:
-  std::unique_ptr<Scheduler> inner_;
-  bool degraded_ = false;
-  CompactionRemap last_remap_;
-};
-
-/// Stall detector for the step loop. The main loop beats at every event
-/// boundary; a watcher thread declares a *soft* stall after `stall` wall
-/// seconds without a beat (the loop, if it ever returns, checkpoints and
-/// exits via HaltedError — the clean "resume me" path) and a *hard* stall
-/// at twice that (marker file + abort; the last auto-checkpoint is the
-/// recovery point). The watcher is an ordinary thread, not a signal
-/// handler, so writing the marker file from it is legal.
-class Watchdog {
- public:
-  Watchdog(double stall_seconds, std::string marker)
-      : stall_(stall_seconds), marker_(std::move(marker)) {
-    thread_ = std::thread([this] { watch(); });
-  }
-
-  ~Watchdog() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  void beat() { beats_.fetch_add(1, std::memory_order_relaxed); }
-  [[nodiscard]] bool soft_stalled() const {
-    return soft_.load(std::memory_order_acquire);
-  }
-
- private:
-  void watch() {
-    using Clock = std::chrono::steady_clock;
-    std::unique_lock<std::mutex> lock(mutex_);
-    std::uint64_t last = beats_.load(std::memory_order_relaxed);
-    Clock::time_point last_progress = Clock::now();
-    while (true) {
-      cv_.wait_for(lock, std::chrono::duration<double>(stall_ / 4),
-                   [this] { return stop_; });
-      if (stop_) return;
-      const std::uint64_t beat = beats_.load(std::memory_order_relaxed);
-      if (beat != last) {
-        last = beat;
-        last_progress = Clock::now();
-        continue;
-      }
-      const double idle =
-          std::chrono::duration<double>(Clock::now() - last_progress).count();
-      if (idle >= stall_) soft_.store(true, std::memory_order_release);
-      if (idle >= 2 * stall_) {
-        if (!marker_.empty()) {
-          std::ofstream out(marker_);
-          out << "gurita_daemon watchdog: step loop stalled for " << idle
-              << "s; recover from the last auto-checkpoint\n";
-          out.flush();
-        }
-        std::abort();
-      }
-    }
-  }
-
-  const double stall_;
-  const std::string marker_;
-  std::atomic<std::uint64_t> beats_{0};
-  std::atomic<bool> soft_{false};
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
-
-const char* to_string(ShedPolicy policy) {
-  switch (policy) {
-    case ShedPolicy::kRejectNew:
-      return "reject-new";
-    case ShedPolicy::kDropLargest:
-      return "drop-largest";
-    case ShedPolicy::kDegradeToFifo:
-      return "degrade-to-fifo";
-  }
-  return "?";
-}
-
-ShedPolicy shed_policy_from_name(const std::string& name) {
-  if (name == "reject-new") return ShedPolicy::kRejectNew;
-  if (name == "drop-largest") return ShedPolicy::kDropLargest;
-  if (name == "degrade-to-fifo") return ShedPolicy::kDegradeToFifo;
-  throw ConfigError("--shed-policy",
-                    {{name, "unknown policy (expected reject-new, "
-                            "drop-largest or degrade-to-fifo)"}});
-}
 
 struct Daemon::Impl {
   /// Maps one engine job to its external identity. Indexed by the CURRENT
@@ -231,7 +42,9 @@ struct Daemon::Impl {
   struct JobMeta {
     std::uint64_t ext_id = 0;       ///< feed id / generator index
     std::uint64_t ext_cf_base = 0;  ///< first external coflow id of the job
-    std::uint64_t sim_cf_base = 0;  ///< first engine coflow id of the job
+    /// First engine coflow id of the job: the engine's own
+    /// job(id).coflows.front(), rebuilt from it on recover.
+    std::uint64_t sim_cf_base = 0;
   };
 
   explicit Impl(DaemonOptions options) : options_(std::move(options)) {
@@ -254,17 +67,10 @@ struct Daemon::Impl {
     }
     if (o.queue_capacity < 1)
       issues.push_back({"queue_capacity", "must be at least 1"});
-    if (o.wait_window < 1)
-      issues.push_back({"wait_window", "must be at least 1"});
     const Watermarks& wm = o.watermarks;
     if (wm.active_flows_low > wm.active_flows_high)
       issues.push_back({"watermarks.active_flows",
                         "low watermark exceeds high (hysteresis inverted)"});
-    if (wm.p99_wait_low > wm.p99_wait_high)
-      issues.push_back({"watermarks.p99_wait",
-                        "low watermark exceeds high (hysteresis inverted)"});
-    if (wm.p99_wait_high != wm.p99_wait_high)
-      issues.push_back({"watermarks.p99_wait", "NaN threshold"});
     if (o.compact_every < 0)
       issues.push_back({"compact_every", "must be >= 0"});
     if (o.checkpoint_every < 0)
@@ -281,8 +87,6 @@ struct Daemon::Impl {
       issues.push_back({"drain_slice", "must be > 0"});
     if (o.drain_after_sim_time < 0)
       issues.push_back({"drain_after_sim_time", "must be >= 0"});
-    if (o.watchdog_stall < 0)
-      issues.push_back({"watchdog_stall", "must be >= 0"});
     if (o.sample_every < 0)
       issues.push_back({"sample_every", "must be >= 0"});
     if (o.sample_every > 0 && o.trace_mask == 0)
@@ -320,8 +124,7 @@ struct Daemon::Impl {
       gen_.emplace(gen_config);
     }
 
-    scheduler_ = std::make_unique<ServiceScheduler>(
-        make_scheduler(options_.scheduler));
+    scheduler_ = make_scheduler(options_.scheduler);
 
     std::uint32_t mask = options_.trace_mask;
     if (options_.sample_every > 0) mask |= obs::TraceRecorder::kTimelineKinds;
@@ -385,54 +188,23 @@ struct Daemon::Impl {
   }
 
   void push_wait(Time wait) {
-    if (waits_.size() < options_.wait_window) {
+    if (waits_.size() < kWaitWindow) {
       waits_.push_back(wait);
     } else {
-      waits_[static_cast<std::size_t>(waits_total_ % options_.wait_window)] =
-          wait;
+      waits_[static_cast<std::size_t>(waits_total_ % kWaitWindow)] = wait;
     }
     ++waits_total_;
   }
 
-  /// Hysteresis filter over the two overload signals; under
-  /// degrade-to-fifo the overload bit doubles as the degraded bit.
+  /// Hysteresis filter over the active-flow count.
   void refresh_overload() {
     const std::size_t flows = sim_->active_flow_count();
-    const Time p99 = wait_p99();
     const Watermarks& wm = options_.watermarks;
-    const bool any_high =
-        flows >= wm.active_flows_high || p99 >= wm.p99_wait_high;
-    const bool all_low = flows < wm.active_flows_low && p99 < wm.p99_wait_low;
-    if (!overloaded_ && any_high) {
+    if (flows >= wm.active_flows_high) {
       overloaded_ = true;
-      if (options_.shed_policy == ShedPolicy::kDegradeToFifo) enter_degrade();
-    } else if (overloaded_ && all_low) {
+    } else if (flows < wm.active_flows_low) {
       overloaded_ = false;
-      if (degraded_) leave_degrade();
     }
-  }
-
-  void enter_degrade() {
-    degraded_ = true;
-    scheduler_->set_degraded(true);
-    ++degrade_spells_;
-    obs::TraceRecord rec;
-    rec.kind = obs::TraceEventKind::kDegrade;
-    rec.time = sim_->now();
-    rec.i0 = 1;
-    rec.i1 = static_cast<std::int32_t>(queue_.size());
-    emit(rec);
-  }
-
-  void leave_degrade() {
-    degraded_ = false;
-    scheduler_->set_degraded(false);
-    obs::TraceRecord rec;
-    rec.kind = obs::TraceEventKind::kDegrade;
-    rec.time = sim_->now();
-    rec.i0 = 0;
-    rec.i1 = static_cast<std::int32_t>(queue_.size());
-    emit(rec);
   }
 
   void admit_now(FeedJob job) {
@@ -468,7 +240,7 @@ struct Daemon::Impl {
     rec.kind = obs::TraceEventKind::kShed;
     rec.time = sim_->now();
     rec.job = job.id;
-    rec.i0 = static_cast<std::int32_t>(options_.shed_policy);
+    rec.i0 = 0;  // the policy field: reject-new is the only policy
     rec.i1 = static_cast<std::int32_t>(reason);
     rec.i2 = static_cast<std::int32_t>(queue_.size());
     rec.v0 = job.spec.total_bytes();
@@ -485,11 +257,10 @@ struct Daemon::Impl {
     }
   }
 
-  /// Routes one arrived job: straight into the engine when healthy (or
-  /// degraded — degrade-to-fifo never drops), into the bounded queue under
-  /// overload, through the shed policy on overflow.
+  /// Routes one arrived job: straight into the engine when healthy, into
+  /// the bounded queue under overload, shed (reject-new) on overflow.
   void dispatch(FeedJob job) {
-    if (!overloaded_ || degraded_) {
+    if (!overloaded_) {
       admit_now(std::move(job));
       return;
     }
@@ -498,46 +269,14 @@ struct Daemon::Impl {
       peak_queue_ = std::max(peak_queue_, queue_.size());
       return;
     }
-    switch (options_.shed_policy) {
-      case ShedPolicy::kRejectNew:
-        shed(job, ShedReason::kQueueFull);
-        return;
-      case ShedPolicy::kDropLargest: {
-        // Evict the largest job among queue + arrival. Ties break toward
-        // the arrival (the latest), then the earliest-queued — any fixed
-        // rule works, it just has to be a rule.
-        std::size_t victim = 0;
-        Bytes victim_bytes = queue_.front().spec.total_bytes();
-        for (std::size_t i = 1; i < queue_.size(); ++i) {
-          const Bytes b = queue_[i].spec.total_bytes();
-          if (b > victim_bytes) {
-            victim = i;
-            victim_bytes = b;
-          }
-        }
-        if (job.spec.total_bytes() >= victim_bytes) {
-          shed(job, ShedReason::kQueueFull);
-          return;
-        }
-        shed(queue_[victim], ShedReason::kQueueFull);
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(victim));
-        queue_.push_back(std::move(job));
-        return;
-      }
-      case ShedPolicy::kDegradeToFifo:
-        // Unreachable: degraded_ is set whenever overloaded_ under this
-        // policy, so the first branch admitted the job.
-        admit_now(std::move(job));
-        return;
-    }
+    shed(job, ShedReason::kQueueFull);
   }
 
   // ---------------------------------------------------------- compaction
 
   /// Harvests a compaction's evicted results into the external-id ledger,
-  /// then rebuilds the meta table through the remap the scheduler wrapper
-  /// captured. The engine skips on_compact entirely when nothing was
-  /// evicted, so the remap is only read when it is fresh.
+  /// then rebuilds the meta table through the compaction's remap (read only
+  /// when something was evicted; it is incomplete otherwise).
   void harvest(const Simulator::Compaction& compaction) {
     for (const SimResults::JobResult& jr : compaction.jobs) {
       const JobMeta& meta = jobs_meta_[jr.id.value()];
@@ -555,7 +294,7 @@ struct Daemon::Impl {
       ledger_coflows_.push_back(out);
     }
     if (compaction.jobs_evicted == 0) return;
-    const CompactionRemap& remap = scheduler_->last_remap();
+    const CompactionRemap& remap = compaction.remap;
     std::vector<JobMeta> survivors;
     survivors.reserve(jobs_meta_.size() - compaction.jobs_evicted);
     for (std::size_t old = 0; old < jobs_meta_.size(); ++old) {
@@ -606,13 +345,9 @@ struct Daemon::Impl {
     w.u64(options_.ecmp_salt);
     w.u8(options_.use_feed ? 0 : 1);
     w.u64(source_fingerprint());
-    w.i32(static_cast<std::int32_t>(options_.shed_policy));
     w.u64(options_.queue_capacity);
     w.u64(options_.watermarks.active_flows_high);
     w.u64(options_.watermarks.active_flows_low);
-    w.f64(options_.watermarks.p99_wait_high);
-    w.f64(options_.watermarks.p99_wait_low);
-    w.u64(options_.wait_window);
     w.f64(options_.compact_every);
     w.f64(options_.checkpoint_every);
     w.u32(recorder_ ? recorder_->mask() : 0);
@@ -657,19 +392,11 @@ struct Daemon::Impl {
     check_u64("ecmp_salt", options_.ecmp_salt, r.u64());
     check_u64("source kind", options_.use_feed ? 0 : 1, r.u8());
     check_u64("source fingerprint", source_fingerprint(), r.u64());
-    check_u64("shed_policy",
-              static_cast<std::uint64_t>(options_.shed_policy),
-              static_cast<std::uint64_t>(r.i32()));
     check_u64("queue_capacity", options_.queue_capacity, r.u64());
     check_u64("watermarks.active_flows_high",
               options_.watermarks.active_flows_high, r.u64());
     check_u64("watermarks.active_flows_low",
               options_.watermarks.active_flows_low, r.u64());
-    check_f64("watermarks.p99_wait_high", options_.watermarks.p99_wait_high,
-              r.f64());
-    check_f64("watermarks.p99_wait_low", options_.watermarks.p99_wait_low,
-              r.f64());
-    check_u64("wait_window", options_.wait_window, r.u64());
     check_f64("compact_every", options_.compact_every, r.f64());
     check_f64("checkpoint_every", options_.checkpoint_every, r.f64());
     check_u64("trace mask", recorder_ ? recorder_->mask() : 0, r.u32());
@@ -701,7 +428,6 @@ struct Daemon::Impl {
       snapshot::write_job_spec(w, job.spec);
     }
     w.boolean(overloaded_);
-    w.boolean(degraded_);
     w.u64(admitted_);
     w.u64(shed_total_);
     w.u64(shed_queue_full_);
@@ -709,7 +435,6 @@ struct Daemon::Impl {
     w.u64(completed_);
     w.u64(compactions_);
     w.u64(checkpoints_);
-    w.u64(degrade_spells_);
     w.f64(next_compact_);
     w.f64(next_checkpoint_);
     w.f64(makespan_);
@@ -725,7 +450,6 @@ struct Daemon::Impl {
     for (const JobMeta& meta : jobs_meta_) {
       w.u64(meta.ext_id);
       w.u64(meta.ext_cf_base);
-      w.u64(meta.sim_cf_base);
     }
     w.u64(ledger_jobs_.size());
     for (const SimResults::JobResult& jr : ledger_jobs_) {
@@ -776,7 +500,6 @@ struct Daemon::Impl {
       queue_.push_back(std::move(job));
     }
     overloaded_ = r.boolean();
-    degraded_ = r.boolean();
     admitted_ = r.u64();
     shed_total_ = r.u64();
     shed_queue_full_ = r.u64();
@@ -784,7 +507,6 @@ struct Daemon::Impl {
     completed_ = r.u64();
     compactions_ = r.u64();
     checkpoints_ = r.u64();
-    degrade_spells_ = r.u64();
     next_compact_ = r.f64();
     next_checkpoint_ = r.f64();
     makespan_ = r.f64();
@@ -803,7 +525,6 @@ struct Daemon::Impl {
       JobMeta meta;
       meta.ext_id = r.u64();
       meta.ext_cf_base = r.u64();
-      meta.sim_cf_base = r.u64();
       jobs_meta_.push_back(meta);
     }
     const std::uint64_t njobs = r.u64();
@@ -832,8 +553,10 @@ struct Daemon::Impl {
       ledger_coflows_.push_back(cr);
     }
     const std::uint64_t nspecs = r.count(snapshot::kMinJobSpecBytes);
-    GURITA_CHECK_MSG(nspecs == nmeta,
-                     "service snapshot: spec count != ledger count");
+    if (nspecs != nmeta)
+      throw snapshot::SnapshotError(
+          "service snapshot: " + std::to_string(nspecs) + " job specs for " +
+          std::to_string(nmeta) + " ledger entries");
     std::vector<JobSpec> specs;
     specs.reserve(nspecs);
     for (std::uint64_t i = 0; i < nspecs; ++i)
@@ -862,9 +585,6 @@ struct Daemon::Impl {
   DaemonReport run_loop() {
     GURITA_CHECK_MSG(!spent_, "Daemon runs are one-shot");
     spent_ = true;
-    if (options_.watchdog_stall > 0)
-      watchdog_ = std::make_unique<Watchdog>(options_.watchdog_stall,
-                                             options_.watchdog_marker);
     // Prepare the engine up front so compact()/checkpoint() are legal at
     // every boundary, including a run whose source is empty.
     if (!sim_->open()) (void)sim_->run_to(sim_->now());
@@ -882,16 +602,6 @@ struct Daemon::Impl {
     Time reached = sim_->now();
 
     while (true) {
-      if (watchdog_ && watchdog_->soft_stalled()) {
-        // The step loop was stalled long enough for the watchdog to notice
-        // but came back before the hard abort: save a resume point and get
-        // out of the way with the "halted, resume me" status.
-        if (options_.checkpoint_every > 0) write_checkpoint();
-        throw snapshot::HaltedError(
-            "gurita_daemon: watchdog declared a stall; checkpoint written, "
-            "resume with --recover-from");
-      }
-      if (watchdog_) watchdog_->beat();
       if (options_.poll_signals) {
         const int sig = pending_signal();
         if (sig != 0) return finish_run(sig, true);
@@ -907,7 +617,6 @@ struct Daemon::Impl {
           // fully drained; release the backlog even if a zero low
           // watermark would keep the stale overload bit latched.
           overloaded_ = false;
-          if (degraded_) leave_degrade();
           service_queue();
           continue;
         }
@@ -986,7 +695,6 @@ struct Daemon::Impl {
               std::chrono::duration<double>(options_.drain_deadline_wall));
       Time bound = sim_->now();
       while (sim_->pending()) {
-        if (watchdog_) watchdog_->beat();
         if (std::chrono::steady_clock::now() >= deadline) {
           report.drain_deadline_expired = true;
           break;
@@ -1034,7 +742,6 @@ struct Daemon::Impl {
     report.completed = completed_;
     report.compactions = compactions_;
     report.checkpoints = checkpoints_;
-    report.degrade_spells = degrade_spells_;
     report.p99_wait = wait_p99();
     report.final_sim_time = sim_->now();
     report.peak_queue_depth = peak_queue_;
@@ -1047,7 +754,6 @@ struct Daemon::Impl {
     report.comparison.collectors.emplace(options_.scheduler,
                                          std::move(collector));
     report.comparison.results.emplace(options_.scheduler, std::move(out));
-    watchdog_.reset();
   }
 
   DaemonReport recover(const std::string& path) {
@@ -1059,7 +765,9 @@ struct Daemon::Impl {
     const std::vector<JobSpec> in_sim = read_dynamic_section(r);
     for (const JobSpec& spec : in_sim) (void)sim_->submit(spec);
     sim_->restore(r);
-    scheduler_->set_degraded(degraded_);
+    for (std::size_t i = 0; i < jobs_meta_.size(); ++i)
+      jobs_meta_[i].sim_cf_base =
+          sim_->state().job(JobId{i}).coflows.front().value();
     if (gen_) gen_->restore_cursor(gen_cursor_);
     return run_loop();
   }
@@ -1068,13 +776,12 @@ struct Daemon::Impl {
 
   DaemonOptions options_;
   std::unique_ptr<FatTree> fabric_;
-  std::unique_ptr<ServiceScheduler> scheduler_;
+  std::unique_ptr<Scheduler> scheduler_;
   std::optional<obs::TraceRecorder> recorder_;
   std::optional<obs::IntervalSampler> sampler_;
   std::optional<obs::MemoryAccountant> accountant_;
   std::optional<OpenLoopGenerator> gen_;
   std::unique_ptr<Simulator> sim_;
-  std::unique_ptr<Watchdog> watchdog_;
   bool spent_ = false;
 
   std::uint64_t next_source_ = 0;  ///< source jobs drawn, staged_ included
@@ -1082,7 +789,6 @@ struct Daemon::Impl {
   std::optional<FeedJob> staged_;
   std::deque<FeedJob> queue_;
   bool overloaded_ = false;
-  bool degraded_ = false;
 
   std::vector<Time> waits_;  ///< recent admission waits (ring, serialized)
   std::uint64_t waits_total_ = 0;
@@ -1103,7 +809,6 @@ struct Daemon::Impl {
   std::uint64_t completed_ = 0;
   std::uint64_t compactions_ = 0;
   std::uint64_t checkpoints_ = 0;
-  std::uint64_t degrade_spells_ = 0;
   std::size_t peak_queue_ = 0;
   std::size_t peak_flows_ = 0;
   std::size_t peak_calendar_ = 0;

@@ -1,39 +1,33 @@
 // Open-horizon scheduler daemon (DESIGN.md §15).
 //
 // The batch harness (exp/experiment.h) answers "how fast does this trace
-// finish"; the daemon answers the operational questions around it: what
-// happens when jobs keep arriving, when offered load exceeds capacity, when
-// the operator sends SIGTERM, when the process is SIGKILLed mid-run. It
-// drives one simulator through the PR-5 prepare/step/collect decomposition
-// in sim-time slices (run_to), admitting jobs at their arrival instants
-// from either a JSONL feed (feed.h) or the open-loop generator
-// (workload/open_loop.h), and layers four robustness mechanisms on top:
+// finish"; the daemon streams a job source through one simulator instead.
+// It drives the engine in sim-time slices (run_to), admitting jobs at their
+// arrival instants from either a JSONL feed (feed.h) or the open-loop
+// generator (workload/open_loop.h), and keeps four mechanisms on top:
 //
-//  * Admission control / backpressure — a bounded admission queue with
-//    hysteresis watermarks on active-flow count and the p99 admission wait
-//    over a recent window. Overflow triggers a deterministic
-//    shed policy; every shed is a typed kShed trace record.
+//  * Admission control — a bounded FIFO admission queue behind a
+//    hysteresis watermark on the active-flow count. An arrival that finds
+//    the queue full is shed (reject-new); every shed is a typed kShed
+//    trace record.
 //  * Graceful drain — a latched SIGTERM/SIGINT (signals.h), the
 //    drain_after_sim_time test hook, or source exhaustion stops admission;
 //    in-flight work drains to completion under a wall-clock deadline and
 //    results export atomically.
-//  * Crash recovery — periodic auto-checkpoints (snapshot v3,
-//    kServiceState) wrapping a full simulator snapshot with the daemon's
-//    own state: source cursor, admission queue, external-id ledger,
-//    overload flags. recover() resumes byte-identically, queued-unadmitted
-//    jobs included. A watchdog thread detects a stalled step loop,
-//    checkpoints at the next boundary and aborts with the exit-75 resume
-//    idiom.
+//  * Crash recovery — periodic auto-checkpoints (kServiceState snapshots)
+//    wrapping a full simulator snapshot with the daemon's own state: source
+//    cursor, admission queue, external-id ledger, overload flag. recover()
+//    resumes byte-identically, queued-unadmitted jobs included.
 //  * State compaction — Simulator::compact() on a sim-time cadence evicts
 //    terminal jobs, keeping engine memory O(active); the daemon carries
 //    evicted results forward in an external-id ledger so the final export
 //    is indistinguishable from an uncompacted run's populations.
 //
-// Determinism: every decision (admit, queue, shed, degrade, compact,
-// checkpoint) happens at an event boundary and is a pure function of
-// simulation state and the options, so identical feed+seed+options produce
-// byte-identical traces, exports and checkpoints; wall-clock only ever
-// *ends* things early (drain deadline, watchdog), never reorders them.
+// Determinism: every decision (admit, queue, shed, compact, checkpoint)
+// happens at an event boundary and is a pure function of simulation state
+// and the options, so identical feed+seed+options produce byte-identical
+// traces, exports and checkpoints; wall-clock only ever *ends* things
+// early (the drain deadline), never reorders them.
 #pragma once
 
 #include <cstdint>
@@ -56,35 +50,20 @@
 
 namespace gurita::service {
 
-/// What to do with a job that arrives while the admission queue is full.
-enum class ShedPolicy : std::int32_t {
-  kRejectNew = 0,      ///< drop the arriving job
-  kDropLargest = 1,    ///< evict the largest queued-or-arriving job by bytes
-  kDegradeToFifo = 2,  ///< never drop: admit directly under FIFO tiers
-};
-
-[[nodiscard]] const char* to_string(ShedPolicy policy);
-/// Inverse of to_string ("reject-new", "drop-largest", "degrade-to-fifo");
-/// throws ConfigError on an unknown name.
-[[nodiscard]] ShedPolicy shed_policy_from_name(const std::string& name);
-
 /// Why a job was shed (kShed record field i1).
 enum class ShedReason : std::int32_t {
   kQueueFull = 0,  ///< admission queue overflow under overload
   kDrain = 1,      ///< queued at drain start; never admitted
 };
 
-/// Overload hysteresis thresholds. The daemon enters overload when ANY
-/// `high` is reached and leaves it only when EVERY signal is back under its
-/// `low` — the classic two-threshold filter that keeps the overload bit
-/// from flapping at the boundary. Defaults are effectively "off" (sized for
-/// fabrics far larger than the tests drive); overload tests lower them.
+/// Overload hysteresis on the active-flow count: the daemon enters
+/// overload when the count reaches `high` and leaves it only once it falls
+/// under `low`, so the overload bit does not flap at the boundary. The
+/// defaults are effectively "off" (sized for fabrics far larger than the
+/// tests drive); overload tests lower them.
 struct Watermarks {
   std::size_t active_flows_high = 200'000;
   std::size_t active_flows_low = 160'000;
-  /// p99 admission wait (sim seconds) over the recent window.
-  Time p99_wait_high = std::numeric_limits<Time>::infinity();
-  Time p99_wait_low = std::numeric_limits<Time>::infinity();
 };
 
 struct DaemonOptions {
@@ -101,11 +80,10 @@ struct DaemonOptions {
   OpenLoopGenerator::Config open_loop;
   std::uint64_t max_jobs = 500;
 
-  ShedPolicy shed_policy = ShedPolicy::kRejectNew;
+  /// Admission queue bound under overload; an arrival that finds it full
+  /// is shed.
   std::size_t queue_capacity = 64;
   Watermarks watermarks;
-  /// Recent-window size for the p99 admission-wait watermark.
-  std::size_t wait_window = 512;
 
   /// Sim-time cadence of Simulator::compact(); 0 disables compaction
   /// (memory then grows with ever-admitted, as batch runs do).
@@ -131,15 +109,8 @@ struct DaemonOptions {
   /// daemons concurrently turn this off — the latch is process-wide.
   bool poll_signals = true;
 
-  /// Watchdog: wall seconds without the step loop reaching a boundary
-  /// before declaring a soft stall (checkpoint + HaltedError at the next
-  /// boundary) and, at twice that, a hard stall (marker file + abort).
-  /// 0 disables the watchdog thread entirely.
-  double watchdog_stall = 0;
-  std::string watchdog_marker;
-
   /// Trace kinds to record (obs/trace.h); 0 attaches no recorder. The
-  /// service kinds (kAdmit/kShed/kDrainStart/kCompact/kDegrade) are in the
+  /// service kinds (kAdmit/kShed/kDrainStart/kCompact) are in the
   /// default mask.
   std::uint32_t trace_mask = 0;
   /// Interval-sampler cadence (kSample/kMemSample timelines plus the
@@ -165,10 +136,9 @@ struct DaemonReport {
   std::uint64_t completed = 0;
   std::uint64_t compactions = 0;
   std::uint64_t checkpoints = 0;
-  std::uint64_t degrade_spells = 0;
 
-  /// p99 admission wait (sim seconds) over the recent window (wait_window)
-  /// at the end of the run — the daemon's "scheduling latency" headline.
+  /// p99 admission wait (sim seconds) over the last 512 admissions at the
+  /// end of the run — the daemon's "scheduling latency" headline.
   /// Window-bounded so a recovered run reports the same value an
   /// uninterrupted one does.
   Time p99_wait = 0;
@@ -207,9 +177,10 @@ class Daemon {
 
   /// Resumes a run from a kServiceState snapshot written by an auto-
   /// checkpoint. The options must match the checkpointed run's (scheduler,
-  /// fabric, source fingerprint, policy, watermarks, cadences) — mismatches
-  /// are aggregated into one ConfigError. Continuation is byte-identical to
-  /// the uninterrupted run, queued-but-unadmitted jobs included. One-shot.
+  /// fabric, source fingerprint, queue bound, watermarks, cadences) —
+  /// mismatches are aggregated into one ConfigError. Continuation is
+  /// byte-identical to the uninterrupted run, queued-but-unadmitted jobs
+  /// included. One-shot.
   [[nodiscard]] DaemonReport recover(const std::string& snapshot_path);
 
  private:

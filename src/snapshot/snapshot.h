@@ -54,7 +54,11 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// ramp carry flag and disruption cursor are gone; restore validates the
 /// flow store's job, coflow, host and link ids, the coflow flow lists and
 /// the active set.
-inline constexpr std::uint32_t kFormatVersion = 7;
+/// v8: the service-state payload drops the shed policy, the p99-wait
+/// watermarks and the wait-window size from its config section, and the
+/// degrade flag, the degrade-spell count and each job's first engine coflow
+/// id (rebuilt from the restored engine) from its dynamic section.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {

@@ -153,13 +153,24 @@ TEST(Args, GetIntRejectsTrailingGarbageNamingTheFlag) {
   }
 }
 
-TEST(Args, KeysWithPrefix) {
-  const Args args =
-      parse({"--fault-horizon", "2", "--faults", "--fault-downtime", "0.5"});
-  const std::vector<std::string> keys = args.keys_with_prefix("fault-");
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "fault-downtime");
-  EXPECT_EQ(keys[1], "fault-horizon");
+TEST(Args, RejectUnreadNamesOnlyFlagsNoGetterRead) {
+  const Args args = parse({"--num-jobs", "5", "--seed", "3", "--num-job", "7",
+                           "--profile", "--bogus-flag", "1"});
+  EXPECT_EQ(args.get_int("num-jobs", 0), 5);
+  EXPECT_TRUE(args.has("seed"));
+  EXPECT_TRUE(args.get_bool("profile", false));
+  EXPECT_EQ(args.get_int("absent", 9), 9);
+  try {
+    args.reject_unread();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    ASSERT_EQ(e.issues().size(), 2u);
+    EXPECT_EQ(e.issues()[0].where, "--bogus-flag");
+    EXPECT_EQ(e.issues()[1].where, "--num-job");
+  }
+  (void)args.get_string("bogus-flag", "");
+  (void)args.get_int("num-job", 0);
+  EXPECT_NO_THROW(args.reject_unread());
 }
 
 TEST(Args, FaultFlagsRejectUnknownNames) {
@@ -168,6 +179,7 @@ TEST(Args, FaultFlagsRejectUnknownNames) {
   ExperimentConfig config;
   try {
     apply_fault_flags(args, config);
+    args.reject_unread();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     ASSERT_EQ(e.issues().size(), 2u);
@@ -230,7 +242,9 @@ TEST(Args, CheckpointFlagsAggregateProblems) {
 TEST(Args, CheckpointFlagsRejectUnknownNames) {
   const Args args = parse({"--checkpoint-evry", "1"});
   ExperimentConfig config;
-  EXPECT_THROW(apply_checkpoint_flags(args, config), ConfigError);
+  apply_checkpoint_flags(args, config);
+  EXPECT_FALSE(config.checkpoint.active());
+  EXPECT_THROW(args.reject_unread(), ConfigError);
 }
 
 TEST(Args, ResumeFromConflictingDirRejected) {

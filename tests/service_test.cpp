@@ -1,10 +1,12 @@
 // Tests for the open-horizon service daemon (src/service/, DESIGN.md §15):
 // hardened feed parsing, aggregated option validation, the async-signal-safe
-// latch, recovery identity checks, and the ServiceDeterminism suite — shed
-// decisions byte-identical across 1/2/8 concurrent daemon instances, a
-// drained run agreeing with the uninterrupted one on every job that finished
-// before the trigger, halt + recover byte-identical exports, and the
-// compaction memory bound. ServiceDeterminism is part of the TSan gate.
+// latch, recovery identity and corrupt-checkpoint checks, and the
+// ServiceDeterminism suite — shed decisions byte-identical across 1/2/8
+// concurrent daemon instances, a drained run agreeing with the
+// uninterrupted one on every job that finished before the trigger, halt +
+// recover byte-identical exports (with and without a non-empty admission
+// queue), and the compaction memory bound. ServiceDeterminism is part of the
+// TSan gate.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -66,15 +68,74 @@ DaemonOptions base_options(std::uint64_t seed, std::uint64_t jobs,
   return o;
 }
 
-/// Overload variant: watermarks and queue small enough that the shed policy
-/// fires constantly at 3x offered load.
+/// Overload variant: watermarks and queue small enough that arrivals queue
+/// and overflow (reject-new) constantly at 3x offered load.
 DaemonOptions overload_options(std::uint64_t jobs) {
   DaemonOptions o = base_options(/*seed=*/11, jobs, /*load=*/3.0);
   o.queue_capacity = 2;
   o.watermarks.active_flows_high = 8;
   o.watermarks.active_flows_low = 4;
-  o.shed_policy = ShedPolicy::kDropLargest;
   return o;
+}
+
+/// Two fields of a kServiceState checkpoint, found by walking the layout
+/// Daemon writes (daemon.cpp, write_dynamic_section) up to the in-engine
+/// job specs.
+struct ServiceCheckpoint {
+  std::uint64_t queued = 0;       ///< admission queue length
+  std::uint64_t live_jobs = 0;    ///< ledger entries of in-engine jobs
+  std::size_t spec_count_at = 0;  ///< byte offset of the spec count
+};
+
+ServiceCheckpoint walk_service_checkpoint(const std::string& bytes) {
+  ServiceCheckpoint out;
+  snapshot::Reader r(bytes);
+  EXPECT_EQ(snapshot::read_header(r), snapshot::PayloadKind::kServiceState);
+  r.skip_to(r.begin_section());  // config section
+  (void)r.begin_section();
+  (void)r.u64();  // source jobs drawn
+  (void)r.u64();  // generator cursor
+  (void)r.f64();
+  if (r.boolean()) {  // staged job
+    (void)r.u64();
+    (void)snapshot::read_job_spec(r);
+  }
+  out.queued = r.u64();
+  for (std::uint64_t i = 0; i < out.queued; ++i) {
+    (void)r.u64();
+    (void)snapshot::read_job_spec(r);
+  }
+  (void)r.boolean();                         // overloaded
+  for (int i = 0; i < 7; ++i) (void)r.u64();  // counters
+  for (int i = 0; i < 3; ++i) (void)r.f64();  // cadences, makespan
+  (void)r.u64();                             // next external coflow id
+  (void)r.u64();                             // waits pushed
+  const std::uint64_t waits = r.u64();
+  for (std::uint64_t i = 0; i < waits; ++i) (void)r.f64();
+  for (int i = 0; i < 4; ++i) (void)r.u64();  // peaks
+  out.live_jobs = r.u64();
+  for (std::uint64_t i = 0; i < out.live_jobs; ++i) {
+    (void)r.u64();  // external id
+    (void)r.u64();  // external coflow base
+  }
+  const std::uint64_t jobs = r.u64();
+  for (std::uint64_t i = 0; i < jobs; ++i) {
+    (void)r.u64();
+    for (int k = 0; k < 3; ++k) (void)r.f64();
+    (void)r.i32();
+    (void)r.boolean();
+  }
+  const std::uint64_t coflows = r.u64();
+  for (std::uint64_t i = 0; i < coflows; ++i) {
+    (void)r.u64();
+    (void)r.u64();
+    (void)r.i32();
+    for (int k = 0; k < 3; ++k) (void)r.f64();
+    (void)r.boolean();
+  }
+  out.spec_count_at = r.position();
+  EXPECT_EQ(r.u64(), out.live_jobs) << "layout walk lost its place";
+  return out;
 }
 
 // ------------------------------------------------------------------- feed
@@ -166,13 +227,6 @@ TEST(ServiceOptions, ValidationAggregatesEveryIssue) {
   }
 }
 
-TEST(ServiceOptions, ShedPolicyNamesRoundTrip) {
-  for (ShedPolicy p : {ShedPolicy::kRejectNew, ShedPolicy::kDropLargest,
-                       ShedPolicy::kDegradeToFifo})
-    EXPECT_EQ(shed_policy_from_name(to_string(p)), p);
-  EXPECT_THROW((void)shed_policy_from_name("drop-smallest"), ConfigError);
-}
-
 // ---------------------------------------------------------------- signals
 
 TEST(ServiceSignals, LatchDeliversAndClears) {
@@ -220,12 +274,45 @@ TEST(ServiceRecover, MismatchedOptionsAreRejectedWithOneError) {
     EXPECT_THROW((void)daemon.recover(snap), ConfigError);
   }
 
-  DaemonOptions wrong_policy = o;
-  wrong_policy.halt_after_checkpoints = 0;
-  wrong_policy.shed_policy = ShedPolicy::kDegradeToFifo;
+  DaemonOptions wrong_queue = o;
+  wrong_queue.halt_after_checkpoints = 0;
+  wrong_queue.queue_capacity = o.queue_capacity + 1;
   {
-    Daemon daemon(std::move(wrong_policy));
+    Daemon daemon(std::move(wrong_queue));
     EXPECT_THROW((void)daemon.recover(snap), ConfigError);
+  }
+}
+
+TEST(ServiceRecover, SpecCountMismatchIsASnapshotError) {
+  // The in-engine job specs must pair one to one with the ledger entries;
+  // a checkpoint that disagrees is corrupt input, not an engine invariant.
+  const std::string dir = test_dir("recover_spec_count");
+  const std::string snap = dir + "/ck.snap";
+  DaemonOptions o = base_options(3, 12, 0.5);
+  o.checkpoint_path = snap;
+  o.checkpoint_every = 10.0;
+  o.halt_after_checkpoints = 1;
+  {
+    DaemonOptions crashing = o;
+    Daemon daemon(std::move(crashing));
+    EXPECT_THROW((void)daemon.run(), snapshot::HaltedError);
+  }
+  o.halt_after_checkpoints = 0;
+
+  std::string bytes = snapshot::read_snapshot_file(snap);
+  const ServiceCheckpoint layout = walk_service_checkpoint(bytes);
+  ASSERT_GT(layout.live_jobs, 0u);
+  for (int i = 0; i < 8; ++i)  // spec count - 1, little-endian
+    bytes[layout.spec_count_at + static_cast<std::size_t>(i)] =
+        static_cast<char>(((layout.live_jobs - 1) >> (8 * i)) & 0xff);
+  snapshot::write_snapshot_file(snap, bytes);
+  Daemon daemon(std::move(o));
+  try {
+    (void)daemon.recover(snap);
+    FAIL() << "a spec count that disagrees with the ledger must throw";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("ledger"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -320,6 +407,40 @@ TEST(ServiceDeterminism, HaltRecoverExportByteIdentical) {
   const std::string got =
       export_bytes(recovered.recover(snap), dir + "/recovered.jsonl");
   EXPECT_EQ(got, want);
+}
+
+TEST(ServiceDeterminism, HaltRecoverWithQueuedJobsByteIdentical) {
+  // An overloaded daemon halts with jobs waiting in its admission queue;
+  // the recovered run must admit and shed exactly what the uninterrupted
+  // one does, queued-but-unadmitted jobs included.
+  const std::string dir = test_dir("halt_recover_queued");
+  const std::string snap = dir + "/ck.snap";
+  constexpr Time kCadence = 100.0;  // the queue holds jobs from t ~ 51 to 146
+
+  Daemon uninterrupted(overload_options(40));
+  const DaemonReport full = uninterrupted.run();
+  EXPECT_GT(full.shed_total, 0u) << "overload config must actually shed";
+  const std::string want = export_bytes(full, dir + "/full.jsonl");
+
+  DaemonOptions crashing = overload_options(40);
+  crashing.checkpoint_path = snap;
+  crashing.checkpoint_every = kCadence;
+  crashing.halt_after_checkpoints = 1;
+  {
+    Daemon daemon(std::move(crashing));
+    EXPECT_THROW((void)daemon.run(), snapshot::HaltedError);
+  }
+  EXPECT_GT(walk_service_checkpoint(snapshot::read_snapshot_file(snap)).queued,
+            0u)
+      << "the halting checkpoint must hold queued jobs";
+
+  DaemonOptions resuming = overload_options(40);
+  resuming.checkpoint_path = snap;
+  resuming.checkpoint_every = kCadence;
+  Daemon recovered(std::move(resuming));
+  const DaemonReport report = recovered.recover(snap);
+  EXPECT_GT(report.shed_total, 0u);
+  EXPECT_EQ(export_bytes(report, dir + "/recovered.jsonl"), want);
 }
 
 TEST(ServiceDeterminism, CompactionBoundsLiveJobsAndStaysDeterministic) {
