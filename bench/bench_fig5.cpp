@@ -16,7 +16,6 @@
 //                       counts and the engine cost counters.
 //   --trace-filter CSV  record kinds ("all", "default", or a comma list of
 //                       kind names — see obs/trace.h)
-//   --trace-binary      write the compact binary format instead of JSONL
 //   --profile           print the engine phase profile summed over all runs
 //   --timeline          deterministic interval sampler: periodic kSample /
 //                       kMemSample records in the trace (byte-identical at
@@ -64,7 +63,6 @@ int run(const gurita::Args& args) {
   const int bursty_pods = args.get_int("pods", 8);
   const int jobs = resolve_jobs(args);
   std::string trace_path = args.get_string("trace", "");
-  const bool trace_binary = args.get_bool("trace-binary", false);
   const bool profile = args.get_bool("profile", false);
   const std::string chrome_path = args.get_string("chrome-trace", "");
 
@@ -137,8 +135,7 @@ int run(const gurita::Args& args) {
     ExportOptions export_options;
     export_options.diagnostics = obs_options.diagnostics;
     const std::size_t total_records =
-        export_traces(labels, results, trace_path, trace_binary,
-                      export_options);
+        export_traces(labels, results, trace_path, export_options);
     std::cout << "trace: " << total_records << " records -> " << trace_path
               << " (summary: " << trace_path << ".summary.json)\n";
   }

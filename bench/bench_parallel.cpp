@@ -24,11 +24,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/fnv.h"
 #include "exp/args.h"
 #include "exp/runner.h"
 #include "obs/profiler.h"
@@ -39,32 +39,22 @@ namespace {
 /// FNV-1a fingerprint of a pooled comparison: bit-exact on every job's
 /// (id, arrival, finish) per scheduler plus the merged cost counters.
 std::uint64_t fingerprint(const ComparisonResult& result) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto mix_double = [&](double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    mix(bits);
-  };
+  Fnv1a h;
   for (const auto& [name, results] : result.results) {
-    for (const char c : name) mix(static_cast<unsigned char>(c));
+    // A name character is mixed as a whole word; the tracked fingerprints
+    // depend on it.
+    for (const char c : name) h.u64(static_cast<unsigned char>(c));
     for (const SimResults::JobResult& j : results.jobs) {
-      mix(j.id.value());
-      mix_double(j.arrival);
-      mix_double(j.finish);
+      h.u64(j.id.value());
+      h.f64(j.arrival);
+      h.f64(j.finish);
     }
-    mix(results.events);
-    mix(results.flow_touches);
-    mix(results.rate_recomputations);
-    mix_double(results.makespan);
+    h.u64(results.events);
+    h.u64(results.flow_touches);
+    h.u64(results.rate_recomputations);
+    h.f64(results.makespan);
   }
-  return h;
+  return h.value();
 }
 
 struct BenchRow {

@@ -21,7 +21,7 @@
 //   --trace FILE   structured trace of every run × scheduler (exp/export.h;
 //                  includes fault / flow_abort / flow_retry / job_fail
 //                  records), plus FILE.summary.json
-//   --trace-filter CSV, --trace-binary, --log-level as everywhere else;
+//   --trace-filter CSV, --log-level as everywhere else;
 //   --timeline / --timeline-every / --timeline-wall / --chrome-trace /
 //   --diagnostics as in bench_fig5.
 //
@@ -78,7 +78,6 @@ int run(const gurita::Args& args) {
       parse_rates(args.get_string("rates", "0,0.5,1,2,4"));
   const std::string json_path = args.get_string("json", "");
   std::string trace_path = args.get_string("trace", "");
-  const bool trace_binary = args.get_bool("trace-binary", false);
   const std::string chrome_path = args.get_string("chrome-trace", "");
 
   ExperimentConfig base = trace_scenario(StructureKind::kFbTao, num_jobs, seed);
@@ -189,8 +188,7 @@ int run(const gurita::Args& args) {
     ExportOptions export_options;
     export_options.diagnostics = base.obs.diagnostics;
     const std::size_t total =
-        export_traces(labels, results, trace_path, trace_binary,
-                      export_options);
+        export_traces(labels, results, trace_path, export_options);
     std::cout << "trace: " << total << " records -> " << trace_path
               << " (summary: " << trace_path << ".summary.json)\n";
   }

@@ -4,7 +4,7 @@
 //
 //   ./bench_service [--scheduler gurita] [--pods 4] [--num-jobs 500]
 //     source (pick one):
-//                   [--feed FILE.jsonl]      # streamed JSONL feed (feed.h)
+//                   [--feed FILE.jsonl]      # JSONL job feed (workload/feed.h)
 //                   [--arrival-pattern poisson|bursty] [--load 0.7]
 //                   [--arrival-rate R]       # jobs/s; overrides --load
 //                   [--seed 7]
@@ -20,7 +20,7 @@
 //                   [--drain-deadline 60]    # wall s for the drain phase
 //                   [--drain-after T]        # deterministic drain at sim T
 //     telemetry:
-//                   [--trace FILE] [--trace-binary] [--sample-every T]
+//                   [--trace FILE] [--sample-every T]
 //                   [--json FILE]            # machine-readable report
 //
 // Reports sustained events/sec and the p99 admission wait. An unknown flag
@@ -36,8 +36,8 @@
 #include "exp/export.h"
 #include "metrics/report.h"
 #include "service/daemon.h"
-#include "service/feed.h"
 #include "service/signals.h"
+#include "workload/feed.h"
 
 namespace gurita::service {
 namespace {
@@ -112,7 +112,6 @@ DaemonOptions options_from_args(const Args& args) {
 int run(const Args& args) {
   const std::string recover_from = args.get_string("recover-from", "");
   const std::string trace_path = args.get_string("trace", "");
-  const bool trace_binary = args.get_bool("trace-binary", false);
   const std::string json_path = args.get_string("json", "");
 
   DaemonOptions options = options_from_args(args);
@@ -161,8 +160,8 @@ int run(const Args& args) {
   std::cout << table.to_string() << std::endl;
 
   if (!trace_path.empty()) {
-    const std::size_t records = export_traces(
-        {"service"}, {report.comparison}, trace_path, trace_binary);
+    const std::size_t records =
+        export_traces({"service"}, {report.comparison}, trace_path);
     std::cout << records << " trace records -> " << trace_path << "\n";
   }
 

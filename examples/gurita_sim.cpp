@@ -4,9 +4,12 @@
 //
 //   ./gurita_sim --scheduler gurita --structure tpcds --num-jobs 200 --seed 7
 //   ./gurita_sim --scheduler pfs --arrivals bursty --pods 16
-//   ./gurita_sim --save-trace /tmp/w.trace            # generate + archive
-//   ./gurita_sim --load-trace /tmp/w.trace --scheduler aalo
-//   ./gurita_sim --csv-out /tmp/jobs.csv              # per-job results CSV
+//   ./gurita_sim --save-trace w.jsonl    # generate + archive (JSONL feed)
+//   ./gurita_sim --load-trace w.jsonl --scheduler aalo
+//   ./gurita_sim --csv-out jobs.csv      # per-job results CSV
+//
+// A saved workload is the JSONL job feed (workload/feed.h), ids 0..n-1, so
+// bench_service --feed can stream the same file.
 #include <fstream>
 #include <iostream>
 
@@ -16,7 +19,7 @@
 #include "exp/registry.h"
 #include "metrics/extended.h"
 #include "metrics/report.h"
-#include "workload/trace_io.h"
+#include "workload/feed.h"
 
 namespace {
 
@@ -51,13 +54,17 @@ int run(const gurita::Args& args) {
 
   std::vector<JobSpec> jobs;
   if (args.has("load-trace")) {
-    jobs = load_trace(load_path);
+    for (FeedJob& job : load_feed(load_path, fabric.num_hosts()))
+      jobs.push_back(std::move(job.spec));
     std::cout << "loaded " << jobs.size() << " jobs from trace\n";
   } else {
     jobs = generate_trace(config.trace);
   }
   if (args.has("save-trace")) {
-    save_trace(save_path, jobs);
+    std::vector<FeedJob> feed(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) feed[i] = {i, jobs[i]};
+    write_file_atomic(save_path, /*binary=*/false,
+                      [&](std::ostream& out) { write_feed(out, feed); });
     std::cout << "saved " << jobs.size() << " jobs to " << save_path << "\n";
   }
 

@@ -9,10 +9,10 @@
 //                    [--structure mixed|tpcds|fbtao]
 //
 // Telemetry mode (--trace FILE): read a structured simulation trace
-// exported by a bench driver (JSONL, or the compact binary format when the
-// file ends in .bin — see obs/trace.h) and summarize the scheduler's
-// behavior: per-kind record counts, the coflow queue-transition matrix with
-// transition causes, Ψ̈ decision-value statistics, and per-queue residency.
+// exported by a bench driver (JSONL; obs/trace.h) and summarize the
+// scheduler's behavior: per-kind record counts, the coflow queue-transition
+// matrix with transition causes, Ψ̈ decision-value statistics, and
+// per-queue residency.
 // When the trace carries interval-sampler records (a bench driver's
 // --timeline flag; obs/sampler.h) a per-section timeline summary is printed
 // too — peak live entities, peak calendar size, and peak accounted memory.
@@ -22,18 +22,20 @@
 //
 // Gap-report mode (--gap-report FILE): summarize a gap-to-bound JSON report
 // written by `bench_optimality --json` (src/bound/gap.h) — per scenario,
-// one row per scheduler with its achieved average JCT, the sound lower
-// bound, the overall/narrow/wide gaps, and the worst per-category gap.
+// the best achieved average JCT, then one row per scheduler with its
+// achieved average JCT, the sound lower bound, the overall/narrow/wide
+// gaps, and the worst per-category gap.
 //
 //   ./trace_explorer --gap-report BENCH_optimality.json
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <vector>
 
+#include "bound/gap.h"
+#include "common/json.h"
 #include "common/stats.h"
 #include "exp/args.h"
 #include "metrics/category.h"
@@ -43,11 +45,6 @@
 
 namespace gurita {
 namespace {
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
 
 const char* cause_name(int cause) {
   switch (static_cast<obs::QueueChangeCause>(cause)) {
@@ -118,16 +115,12 @@ void print_sample_series(const std::vector<obs::TraceSection>& sections) {
 
 int explore_trace(const std::string& path, const std::string& section_filter,
                   bool dump_timeline) {
-  std::ifstream in(path, ends_with(path, ".bin")
-                             ? std::ios::in | std::ios::binary
-                             : std::ios::in);
+  std::ifstream in(path);
   if (!in.is_open()) {
     std::cerr << "cannot open trace file " << path << "\n";
     return 1;
   }
-  std::vector<obs::TraceSection> sections = ends_with(path, ".bin")
-                                                ? obs::read_binary(in)
-                                                : obs::read_jsonl(in);
+  std::vector<obs::TraceSection> sections = obs::read_jsonl(in);
   if (!section_filter.empty()) {
     sections.erase(std::remove_if(sections.begin(), sections.end(),
                                   [&](const obs::TraceSection& s) {
@@ -226,44 +219,34 @@ int explore_trace(const std::string& path, const std::string& section_filter,
   return 0;
 }
 
-/// One parsed gap cell of the report (bound/gap.h JSON layout).
-struct GapCellView {
-  bool ok = false;
-  std::size_t jobs = 0;
-  double achieved = 0, bound = 0, gap = 0;
-};
-
-/// Scans `[from, to)` of the report text for `"key": { ... }` and pulls the
-/// cell fields. The format is this repo's own (GapReport::to_json), so a
-/// targeted scan is enough — no general JSON parser needed.
-GapCellView parse_cell(const std::string& text, std::size_t from,
-                       std::size_t to, const std::string& key) {
-  const std::string needle = "\"" + key + "\": {";
-  const std::size_t p = text.find(needle, from);
-  if (p == std::string::npos || p >= to) return {};
-  const std::size_t end = text.find('}', p);
-  if (end == std::string::npos) return {};
-  const auto field = [&](const char* name) -> double {
-    const std::string fn = std::string("\"") + name + "\": ";
-    const std::size_t q = text.find(fn, p);
-    if (q == std::string::npos || q > end) return 0;
-    return std::strtod(text.c_str() + q + fn.size(), nullptr);
-  };
-  GapCellView c;
-  c.ok = true;
-  c.jobs = static_cast<std::size_t>(field("jobs"));
-  c.achieved = field("achieved");
-  c.bound = field("bound");
-  c.gap = field("gap");
+/// One cell of the report (bound/gap.h JSON layout); empty when absent.
+GapCell read_cell(const JsonValue* v) {
+  GapCell c;
+  if (v == nullptr) return c;
+  c.jobs = v->at("jobs").as_u64();
+  c.achieved = v->at("achieved").as_double();
+  c.bound = v->at("bound").as_double();
   return c;
 }
 
-double parse_scalar(const std::string& text, std::size_t from, std::size_t to,
-                    const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t p = text.find(needle, from);
-  if (p == std::string::npos || p >= to) return 0;
-  return std::strtod(text.c_str() + p + needle.size(), nullptr);
+/// The fields of one GapReport::to_json object this view shows.
+GapReport read_report(const JsonValue& v) {
+  GapReport report;
+  report.scenario = v.at("scenario").string();
+  report.port_load_bound = v.at("port_load_bound").as_double();
+  report.ordering_bound = v.at("ordering_bound").as_double();
+  for (const JsonValue& sv : v.at("schedulers").array()) {
+    SchedulerGap& s = report.schedulers.emplace_back();
+    s.scheduler = sv.at("scheduler").string();
+    s.overall = read_cell(sv.find("overall"));
+    s.narrow = read_cell(sv.find("narrow"));
+    s.wide = read_cell(sv.find("wide"));
+    const JsonValue* categories = sv.find("categories");
+    for (int cat = 0; cat < kNumCategories; ++cat)
+      s.by_category[static_cast<std::size_t>(cat)] = read_cell(
+          categories ? categories->find(category_name(cat)) : nullptr);
+  }
+  return report;
 }
 
 int explore_gap_report(const std::string& path) {
@@ -274,75 +257,54 @@ int explore_gap_report(const std::string& path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  const std::string scenario_key = "\"scenario\": \"";
-  const std::string scheduler_key = "\"scheduler\": \"";
-  std::size_t scen = text.find(scenario_key);
-  if (scen == std::string::npos) {
+  const JsonValue root = parse_json(buffer.str());
+  // bench_optimality --json nests its reports under "network"; a bare
+  // GapReport::to_json object is a single report.
+  std::vector<GapReport> reports;
+  if (const JsonValue* network = root.find("network")) {
+    for (const JsonValue& v : network->array())
+      reports.push_back(read_report(v));
+  } else if (root.find("scenario") != nullptr) {
+    reports.push_back(read_report(root));
+  }
+  if (reports.empty()) {
     std::cerr << path << " holds no gap-report scenarios (expected the JSON "
                          "written by bench_optimality --json)\n";
     return 1;
   }
   std::cout << "Gap-to-bound report " << path << "\n\n";
-  while (scen != std::string::npos) {
-    const std::size_t name_end = text.find('"', scen + scenario_key.size());
-    const std::string scenario =
-        text.substr(scen + scenario_key.size(),
-                    name_end - scen - scenario_key.size());
-    const std::size_t scen_end = text.find(scenario_key, scen + 1);
-    const std::size_t limit =
-        scen_end == std::string::npos ? text.size() : scen_end;
-
-    std::cout << "Scenario " << scenario << ": port-load bound "
-              << TextTable::num(parse_scalar(text, scen, limit,
-                                             "port_load_bound"))
-              << "s, ordering bound "
-              << TextTable::num(parse_scalar(text, scen, limit,
-                                             "ordering_bound"))
-              << "s, S-G reference "
-              << TextTable::num(parse_scalar(text, scen, limit,
-                                             "reference_avg_jct"))
-              << "s\n";
+  for (const GapReport& report : reports) {
+    const SchedulerGap* best = report.best();
+    std::cout << "Scenario " << report.scenario << ": port-load bound "
+              << TextTable::num(report.port_load_bound) << "s, ordering bound "
+              << TextTable::num(report.ordering_bound) << "s, best achieved "
+              << (best ? TextTable::num(best->overall.achieved) + "s (" +
+                             best->scheduler + ")"
+                       : std::string("-"))
+              << "\n";
     TextTable table({"scheduler", "jobs", "achieved JCT(s)", "bound JCT(s)",
                      "gap", "narrow gap", "wide gap", "worst category"});
-    std::size_t sched = text.find(scheduler_key, scen);
-    while (sched != std::string::npos && sched < limit) {
-      const std::size_t sched_name_end =
-          text.find('"', sched + scheduler_key.size());
-      const std::string scheduler = text.substr(
-          sched + scheduler_key.size(),
-          sched_name_end - sched - scheduler_key.size());
-      std::size_t block_end = text.find(scheduler_key, sched + 1);
-      block_end = std::min(block_end == std::string::npos ? limit : block_end,
-                           limit);
-      const GapCellView overall =
-          parse_cell(text, sched, block_end, "overall");
-      const GapCellView narrow = parse_cell(text, sched, block_end, "narrow");
-      const GapCellView wide = parse_cell(text, sched, block_end, "wide");
+    for (const SchedulerGap& s : report.schedulers) {
       double worst_gap = 0;
       std::string worst_cat = "-";
       for (int cat = 0; cat < kNumCategories; ++cat) {
-        const GapCellView c =
-            parse_cell(text, sched, block_end, category_name(cat));
-        if (c.ok && c.jobs > 0 && c.gap > worst_gap) {
-          worst_gap = c.gap;
+        const GapCell& c = s.by_category[static_cast<std::size_t>(cat)];
+        if (c.jobs > 0 && c.gap() > worst_gap) {
+          worst_gap = c.gap();
           worst_cat = category_name(cat);
         }
       }
-      table.add_row({scheduler, std::to_string(overall.jobs),
-                     TextTable::num(overall.achieved),
-                     TextTable::num(overall.bound),
-                     TextTable::num(overall.gap),
-                     narrow.jobs ? TextTable::num(narrow.gap)
+      table.add_row({s.scheduler, std::to_string(s.overall.jobs),
+                     TextTable::num(s.overall.achieved),
+                     TextTable::num(s.overall.bound),
+                     TextTable::num(s.overall.gap()),
+                     s.narrow.jobs ? TextTable::num(s.narrow.gap())
+                                   : std::string("-"),
+                     s.wide.jobs ? TextTable::num(s.wide.gap())
                                  : std::string("-"),
-                     wide.jobs ? TextTable::num(wide.gap) : std::string("-"),
                      worst_cat + " (" + TextTable::num(worst_gap) + ")"});
-      sched = text.find(scheduler_key, sched + 1);
-      if (sched >= limit) break;
     }
     std::cout << table.to_string() << "\n";
-    scen = scen_end;
   }
   std::cout << "gap = achieved / bound; 1.000 means the scheduler met the "
                "sound lower bound exactly.\n";

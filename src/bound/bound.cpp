@@ -51,7 +51,6 @@ BoundAnalysis::BoundAnalysis(const std::vector<JobSpec>& jobs, int num_hosts,
         coflow_port[p] = 0;
       }
       coflow_time[ci] = worst / capacity_;
-      jb.serial_duration += coflow_time[ci];
     }
 
     // Longest path: finish[i] = time[i] + max over deps of finish[dep].
@@ -173,72 +172,6 @@ double BoundAnalysis::ordering_bound(const std::vector<bool>& include) const {
 double BoundAnalysis::average_jct_bound(
     const std::vector<bool>& include) const {
   return std::max(port_load_bound(include), ordering_bound(include));
-}
-
-double BoundAnalysis::reference_average_jct(
-    const std::vector<bool>& include) const {
-  std::vector<std::size_t> subset;
-  for (std::size_t i = 0; i < jobs_.size(); ++i)
-    if (selected(include, i)) subset.push_back(i);
-  if (subset.empty()) return 0;
-
-  // Shafiee–Ghaderi-style primal–dual permutation: repeatedly find the most
-  // loaded port over the unscheduled jobs, place the job with the largest
-  // demand on it LAST, remove it, repeat. Ties break toward the lowest port
-  // then the lowest job index, so the permutation is deterministic.
-  std::vector<double> port_load(port_demand_.size(), 0);
-  std::vector<char> active(jobs_.size(), 0);
-  for (const std::size_t i : subset) active[i] = 1;
-  for (std::size_t p = 0; p < port_demand_.size(); ++p)
-    for (const auto& [ji, seconds] : port_demand_[p])
-      if (active[ji]) port_load[p] += seconds;
-
-  std::vector<std::size_t> order(subset.size());
-  for (std::size_t left = subset.size(); left > 0; --left) {
-    std::size_t worst_port = 0;
-    double worst_load = -1;
-    for (std::size_t p = 0; p < port_load.size(); ++p) {
-      if (port_load[p] > worst_load) {
-        worst_load = port_load[p];
-        worst_port = p;
-      }
-    }
-    // Largest demand on the bottleneck port goes last; jobs absent from
-    // that port cannot be picked unless the port is empty of active jobs
-    // (then any remaining job closes the permutation — take the lowest).
-    std::size_t pick = jobs_.size();
-    double pick_demand = -1;
-    for (const auto& [ji, seconds] : port_demand_[worst_port]) {
-      if (!active[ji]) continue;
-      if (seconds > pick_demand) {
-        pick_demand = seconds;
-        pick = ji;
-      }
-    }
-    if (pick == jobs_.size()) {
-      for (const std::size_t ji : subset)
-        if (active[ji]) {
-          pick = ji;
-          break;
-        }
-    }
-    active[pick] = 0;
-    for (std::size_t p = 0; p < port_demand_.size(); ++p)
-      for (const auto& [ji, seconds] : port_demand_[p])
-        if (ji == pick) port_load[p] -= seconds;
-    order[left - 1] = pick;
-  }
-
-  // Sequential list schedule on the big-switch relaxation: each job runs
-  // alone (its coflows one after another, each finishing exactly at its
-  // max-port time), respecting releases.
-  double t = 0;
-  double total = 0;
-  for (const std::size_t ji : order) {
-    t = std::max(t, jobs_[ji].release) + jobs_[ji].serial_duration;
-    total += t - jobs_[ji].release;
-  }
-  return total / static_cast<double>(order.size());
 }
 
 }  // namespace gurita

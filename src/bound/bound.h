@@ -32,14 +32,6 @@
 // capacity changes, and there kLinkDown sets a link to 0, kLinkUp restores
 // the value saved at the matching kLinkDown, and straggler windows scale
 // rates by a factor validated to lie in (0, 1).
-//
-// The module also builds an *achievable* reference schedule in the spirit
-// of Shafiee–Ghaderi's primal–dual permutation (arXiv 2012.11702): jobs are
-// ordered by repeatedly finding the most loaded port and placing the job
-// with the largest demand on it last, then list-scheduled sequentially on
-// the big-switch relaxation (each job alone runs its coflows in topological
-// order, each meeting its bound-(a) port time exactly). Its average JCT is
-// an upper reference: optimum lies between the bound and the reference.
 #pragma once
 
 #include <cstddef>
@@ -58,9 +50,6 @@ struct JobBound {
   Time release = 0;          ///< arrival time
   /// Bound (a): DAG critical path over per-coflow max-port times (seconds).
   double critical_path = 0;
-  /// Solo duration of the reference schedule: sum of per-coflow max-port
-  /// times over the whole job (coflows served one at a time).
-  double serial_duration = 0;
 };
 
 /// Computes the bounds for one workload on a fabric of `num_hosts` hosts
@@ -91,12 +80,6 @@ class BoundAnalysis {
   /// numerator minus per-job slack — the max with (a) is taken by
   /// average_jct_bound.
   [[nodiscard]] double ordering_bound(
-      const std::vector<bool>& include = {}) const;
-
-  /// Average JCT of the Shafiee–Ghaderi-style reference schedule over the
-  /// subset (achievable on the big-switch relaxation; informational upper
-  /// reference, NOT a bound on real fabric runs).
-  [[nodiscard]] double reference_average_jct(
       const std::vector<bool>& include = {}) const;
 
  private:

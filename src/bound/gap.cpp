@@ -38,6 +38,15 @@ bool GapReport::sound(double tolerance) const {
   return true;
 }
 
+const SchedulerGap* GapReport::best() const {
+  const SchedulerGap* best = nullptr;
+  for (const SchedulerGap& s : schedulers)
+    if (s.overall.jobs > 0 &&
+        (best == nullptr || s.overall.achieved < best->overall.achieved))
+      best = &s;
+  return best;
+}
+
 std::string GapReport::to_json() const {
   std::string out = "{\n";
   out += "  \"scenario\": \"" + scenario + "\",\n";
@@ -45,7 +54,6 @@ std::string GapReport::to_json() const {
   out += "  \"capacity_bytes_per_s\": " + fmt(capacity) + ",\n";
   out += "  \"port_load_bound\": " + fmt(port_load_bound) + ",\n";
   out += "  \"ordering_bound\": " + fmt(ordering_bound) + ",\n";
-  out += "  \"reference_avg_jct\": " + fmt(reference_avg_jct) + ",\n";
   out += "  \"schedulers\": [";
   for (std::size_t i = 0; i < schedulers.size(); ++i) {
     const SchedulerGap& s = schedulers[i];
@@ -105,7 +113,6 @@ GapReport make_gap_report(
   report.capacity = capacity;
 
   const BoundAnalysis analysis(jobs, num_hosts, capacity);
-  report.reference_avg_jct = analysis.reference_average_jct();
   report.port_load_bound = analysis.port_load_bound();
   report.ordering_bound = analysis.ordering_bound();
 

@@ -50,9 +50,6 @@ struct GapReport {
   std::string scenario;
   int num_hosts = 0;
   Rate capacity = 0;
-  /// Average JCT of the Shafiee–Ghaderi reference schedule over all jobs —
-  /// the achievable upper reference bracketing the optimum from above.
-  double reference_avg_jct = 0;
   /// Run-level bound components over all jobs (before per-scheduler
   /// failed-job masking): the port-load and ordering halves of the bound.
   double port_load_bound = 0;
@@ -62,6 +59,11 @@ struct GapReport {
   /// True iff every non-empty cell satisfies bound <= achieved within the
   /// relative tolerance (float headroom for provably tight instances).
   [[nodiscard]] bool sound(double tolerance = 1e-9) const;
+
+  /// The scheduler with the lowest overall achieved average JCT: with the
+  /// bound below it, the tightest bracket on the optimum the report holds.
+  /// nullptr when no scheduler completed a job.
+  [[nodiscard]] const SchedulerGap* best() const;
 
   /// Deterministic JSON object (keys fixed, doubles at %.17g round-trip
   /// precision, only non-empty categories emitted).

@@ -97,23 +97,17 @@ std::string diagnostics_json(const SimResults::Diagnostics& diag) {
 
 std::size_t export_traces(const std::vector<std::string>& labels,
                           const std::vector<ComparisonResult>& results,
-                          const std::string& path, bool binary,
+                          const std::string& path,
                           const ExportOptions& options) {
   GURITA_CHECK_MSG(labels.size() == results.size(),
                    "labels and results must be parallel");
   obs::Registry registry;
   SimResults::Diagnostics diag;
   std::size_t total_records = 0;
-  write_file_atomic(path, binary, [&](std::ostream& out) {
-    if (binary) obs::write_binary_header(out);
+  write_file_atomic(path, /*binary=*/false, [&](std::ostream& out) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       for (const auto& [name, res] : results[i].results) {
-        const std::string label = labels[i] + "/" + name;
-        if (binary) {
-          obs::write_binary_section(out, label, res.trace);
-        } else {
-          obs::write_jsonl(out, res.trace, label);
-        }
+        obs::write_jsonl(out, res.trace, labels[i] + "/" + name);
         obs::export_trace_counters(res.trace, 0, registry);
         res.export_counters(registry);
         observe_latencies(res, registry);

@@ -27,18 +27,18 @@ struct ExportOptions {
   bool diagnostics = false;
 };
 
-/// Exports the traces of `results` to `path` (JSONL, or the compact binary
-/// format when `binary`), one section per run × scheduler labeled
-/// "<labels[i]>/<scheduler>", plus `<path>.summary.json` holding per-kind
-/// record counts, the engine cost counters pooled over every run, and
-/// deterministic latency histograms ("jct", "queue_wait", "retry_backoff")
-/// with p50/p95/p99. The walk is slot order then map (name) order — the
-/// same at any worker count, so the files are byte-identical at any
-/// --jobs (diagnostics excepted; see ExportOptions). `labels` must be
-/// parallel to `results`. Returns the total record count written.
+/// Exports the traces of `results` to `path` as JSONL, one section per
+/// run × scheduler labeled "<labels[i]>/<scheduler>", plus
+/// `<path>.summary.json` holding per-kind record counts, the engine cost
+/// counters pooled over every run, and deterministic latency histograms
+/// ("jct", "queue_wait", "retry_backoff") with p50/p95/p99. The walk is
+/// slot order then map (name) order — the same at any worker count, so the
+/// files are byte-identical at any --jobs (diagnostics excepted; see
+/// ExportOptions). `labels` must be parallel to `results`. Returns the
+/// total record count written.
 std::size_t export_traces(const std::vector<std::string>& labels,
                           const std::vector<ComparisonResult>& results,
-                          const std::string& path, bool binary,
+                          const std::string& path,
                           const ExportOptions& options = {});
 
 /// Exports phase spans (SimResults::spans) and sampler records as a Chrome

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/fnv.h"
 
 namespace gurita {
 
@@ -21,16 +22,6 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// FNV-1a over the experiment name: stable across platforms and runs.
-std::uint64_t hash_name(const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t derive_run_seed(std::uint64_t base_seed,
@@ -38,7 +29,9 @@ std::uint64_t derive_run_seed(std::uint64_t base_seed,
                               std::uint64_t config_index,
                               std::uint64_t replicate) {
   std::uint64_t h = mix64(base_seed);
-  h = mix64(h ^ hash_name(experiment));
+  Fnv1a name;  // stable across platforms and runs
+  name.bytes(experiment);
+  h = mix64(h ^ name.value());
   h = mix64(h ^ config_index);
   h = mix64(h ^ replicate);
   return h;

@@ -46,5 +46,5 @@
 #include "metrics/category.h"   // IWYU pragma: export
 #include "metrics/collector.h"  // IWYU pragma: export
 #include "metrics/extended.h"   // IWYU pragma: export
+#include "workload/feed.h"      // IWYU pragma: export
 #include "workload/trace_gen.h" // IWYU pragma: export
-#include "workload/trace_io.h"  // IWYU pragma: export

@@ -1,11 +1,12 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <istream>
 #include <ostream>
 
+#include "common/json.h"
 #include "obs/registry.h"
 
 namespace gurita::obs {
@@ -189,17 +190,17 @@ double get_slot(const TraceRecord& r, Slot slot) {
   return 0;
 }
 
-void set_slot(TraceRecord& r, Slot slot, double value) {
+void set_slot(TraceRecord& r, Slot slot, const JsonValue& value) {
   switch (slot) {
-    case kI0: r.i0 = static_cast<std::int32_t>(value); break;
-    case kI1: r.i1 = static_cast<std::int32_t>(value); break;
-    case kI2: r.i2 = static_cast<std::int32_t>(value); break;
-    case kV0: r.v0 = value; break;
-    case kV1: r.v1 = value; break;
-    case kV2: r.v2 = value; break;
-    case kV3: r.v3 = value; break;
-    case kV4: r.v4 = value; break;
-    case kV5: r.v5 = value; break;
+    case kI0: r.i0 = value.as_int(); break;
+    case kI1: r.i1 = value.as_int(); break;
+    case kI2: r.i2 = value.as_int(); break;
+    case kV0: r.v0 = value.as_double(); break;
+    case kV1: r.v1 = value.as_double(); break;
+    case kV2: r.v2 = value.as_double(); break;
+    case kV3: r.v3 = value.as_double(); break;
+    case kV4: r.v4 = value.as_double(); break;
+    case kV5: r.v5 = value.as_double(); break;
   }
 }
 
@@ -298,191 +299,50 @@ void write_jsonl(std::ostream& out, const std::vector<TraceRecord>& records,
   }
 }
 
-namespace {
-
-/// Minimal parser for the flat JSON objects write_jsonl produces: string
-/// and number values only, no nesting. Not a general JSON parser.
-struct JsonLine {
-  std::vector<std::pair<std::string, std::string>> pairs;  ///< raw values
-};
-
-JsonLine parse_flat_json(const std::string& line) {
-  JsonLine out;
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto expect = [&](char c) {
-    GURITA_CHECK_MSG(i < line.size() && line[i] == c,
-                     "malformed trace JSONL near position " +
-                         std::to_string(i) + ": " + line);
-    ++i;
-  };
-  const auto parse_string = [&]() -> std::string {
-    expect('"');
-    std::string s;
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\' && i + 1 < line.size()) ++i;
-      s += line[i++];
-    }
-    expect('"');
-    return s;
-  };
-  skip_ws();
-  expect('{');
-  skip_ws();
-  while (i < line.size() && line[i] != '}') {
-    const std::string key = parse_string();
-    skip_ws();
-    expect(':');
-    skip_ws();
-    std::string value;
-    if (line[i] == '"') {
-      value = parse_string();
-    } else {
-      while (i < line.size() && line[i] != ',' && line[i] != '}')
-        value += line[i++];
-    }
-    out.pairs.emplace_back(key, value);
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      skip_ws();
-    }
-  }
-  expect('}');
-  return out;
-}
-
-}  // namespace
-
 std::vector<TraceSection> read_jsonl(std::istream& in) {
   std::vector<TraceSection> sections;
   std::string line;
+  std::size_t lineno = 0;
   while (std::getline(in, line)) {
+    ++lineno;
     if (line.empty()) continue;
-    const JsonLine parsed = parse_flat_json(line);
     TraceRecord r;
-    std::string src;
-    bool have_kind = false;
-    for (const auto& [key, value] : parsed.pairs) {
-      if (key == "kind") {
-        r.kind = kind_from_name(value);
-        have_kind = true;
-      } else if (key == "section") {
-        src = value;
-      }
-    }
-    GURITA_CHECK_MSG(have_kind, "trace line without kind: " + line);
-    const KindSpec& spec = kind_spec(r.kind);
-    for (const auto& [key, value] : parsed.pairs) {
-      if (key == "kind" || key == "section") continue;
-      if (key == "t") {
-        r.time = std::strtod(value.c_str(), nullptr);
-      } else if (key == "job") {
-        r.job = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "coflow") {
-        r.coflow = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "flow") {
-        r.flow = std::strtoull(value.c_str(), nullptr, 10);
-      } else {
-        bool known = false;
-        for (const FieldSpec& f : spec.fields) {
-          if (key == f.name) {
-            set_slot(r, f.slot, std::strtod(value.c_str(), nullptr));
-            known = true;
-            break;
-          }
+    std::string label;
+    try {
+      const JsonValue root = parse_json(line);
+      r.kind = kind_from_name(root.at("kind").string());
+      const KindSpec& spec = kind_spec(r.kind);
+      for (const auto& member : root.members) {
+        const std::string& key = member.first;
+        const JsonValue& value = member.second;
+        if (key == "kind") continue;
+        if (key == "section") {
+          label = value.string();
+        } else if (key == "t") {
+          r.time = value.as_double();
+        } else if (key == "job") {
+          r.job = value.as_u64();
+        } else if (key == "coflow") {
+          r.coflow = value.as_u64();
+        } else if (key == "flow") {
+          r.flow = value.as_u64();
+        } else {
+          const auto field =
+              std::find_if(spec.fields.begin(), spec.fields.end(),
+                           [&](const FieldSpec& f) { return key == f.name; });
+          if (field == spec.fields.end())
+            throw JsonError("unknown field \"" + key + "\" for kind " +
+                            spec.name);
+          set_slot(r, field->slot, value);
         }
-        GURITA_CHECK_MSG(known, "unknown field \"" + key + "\" for kind " +
-                                    spec.name + ": " + line);
       }
+    } catch (const std::logic_error& e) {
+      throw JsonError("trace line " + std::to_string(lineno) + ": " +
+                      e.what());
     }
-    if (sections.empty() || sections.back().label != src)
-      sections.push_back(TraceSection{src, {}});
+    if (sections.empty() || sections.back().label != label)
+      sections.push_back(TraceSection{label, {}});
     sections.back().records.push_back(r);
-  }
-  return sections;
-}
-
-namespace {
-
-constexpr std::uint32_t kBinaryMagic = 0x53424F47u;  // "GOBS" little-endian
-constexpr std::uint32_t kBinaryVersion = 1;
-
-template <typename T>
-void put(std::ostream& out, T v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool get(std::istream& in, T& v) {
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-void write_binary_header(std::ostream& out) {
-  put(out, kBinaryMagic);
-  put(out, kBinaryVersion);
-}
-
-void write_binary_section(std::ostream& out, const std::string& label,
-                          const std::vector<TraceRecord>& records) {
-  put(out, static_cast<std::uint32_t>(label.size()));
-  out.write(label.data(), static_cast<std::streamsize>(label.size()));
-  put(out, static_cast<std::uint64_t>(records.size()));
-  for (const TraceRecord& r : records) {
-    // Field-by-field dump: no struct padding bytes reach the stream.
-    put(out, r.time);
-    put(out, r.job);
-    put(out, r.coflow);
-    put(out, r.flow);
-    put(out, r.v0);
-    put(out, r.v1);
-    put(out, r.v2);
-    put(out, r.v3);
-    put(out, r.v4);
-    put(out, r.v5);
-    put(out, r.i0);
-    put(out, r.i1);
-    put(out, r.i2);
-    put(out, static_cast<std::uint8_t>(r.kind));
-  }
-}
-
-std::vector<TraceSection> read_binary(std::istream& in) {
-  std::uint32_t magic = 0, version = 0;
-  GURITA_CHECK_MSG(get(in, magic) && magic == kBinaryMagic,
-                   "not a gurita binary trace (bad magic)");
-  GURITA_CHECK_MSG(get(in, version) && version == kBinaryVersion,
-                   "unsupported binary trace version");
-  std::vector<TraceSection> sections;
-  std::uint32_t label_len = 0;
-  while (get(in, label_len)) {
-    TraceSection section;
-    section.label.resize(label_len);
-    in.read(section.label.data(), static_cast<std::streamsize>(label_len));
-    std::uint64_t count = 0;
-    GURITA_CHECK_MSG(static_cast<bool>(in) && get(in, count),
-                     "truncated binary trace section header");
-    section.records.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      TraceRecord r;
-      std::uint8_t kind = 0;
-      const bool ok = get(in, r.time) && get(in, r.job) && get(in, r.coflow) &&
-                      get(in, r.flow) && get(in, r.v0) && get(in, r.v1) &&
-                      get(in, r.v2) && get(in, r.v3) && get(in, r.v4) &&
-                      get(in, r.v5) && get(in, r.i0) && get(in, r.i1) &&
-                      get(in, r.i2) && get(in, kind);
-      GURITA_CHECK_MSG(ok, "truncated binary trace record");
-      GURITA_CHECK_MSG(kind < kNumTraceEventKinds,
-                       "binary trace record with unknown kind");
-      r.kind = static_cast<TraceEventKind>(kind);
-      section.records.push_back(r);
-    }
-    sections.push_back(std::move(section));
   }
   return sections;
 }

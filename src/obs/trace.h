@@ -6,8 +6,8 @@
 // release / rate-change / finish, coflow queue transitions with the Ψ̈
 // factor breakdown (ω̈, ε̈, ℓ̈_max, n̈ and the critical-path discount) that
 // produced them, DAG stage releases, WRR starvation weights, capacity
-// changes — into a preallocated append buffer, exportable as JSONL or a
-// compact binary stream (examples/trace_explorer reads both).
+// changes — into a preallocated append buffer, exported as JSONL
+// (examples/trace_explorer and scripts/validate_trace.py read it back).
 //
 // Cost contract (DESIGN.md §10): when no recorder is attached the engine's
 // only overhead is one pointer null-check per emission site; when a
@@ -28,8 +28,8 @@
 
 namespace gurita::obs {
 
-/// Kind of one trace record. The underlying values are part of the binary
-/// export format — append new kinds, never renumber.
+/// Kind of one trace record. The underlying values are part of the
+/// snapshot format (snapshot.h) — append new kinds, never renumber.
 enum class TraceEventKind : std::uint8_t {
   kJobArrival = 0,        ///< job submitted its first coflows
   kCoflowRelease = 1,     ///< DAG dependencies met; the coflow's flows start
@@ -75,7 +75,7 @@ enum class QueueChangeCause : std::int32_t {
 inline constexpr std::uint64_t kNoTraceId = ~0ULL;
 
 /// One typed trace record. Fixed-size POD so the recorder buffer is a flat
-/// array and the binary export is a plain field dump. Field meaning is
+/// array and a snapshot stores it as a plain field dump. Field meaning is
 /// kind-specific (see the JSONL field table in trace.cpp); unused fields
 /// keep their defaults so serialization is deterministic.
 struct TraceRecord {
@@ -203,18 +203,10 @@ void write_jsonl(std::ostream& out, const std::vector<TraceRecord>& records,
                  const std::string& source = "");
 
 /// Reads a JSONL trace written by write_jsonl, grouping consecutive lines
-/// by their "section" field. Throws std::logic_error on a malformed line.
+/// by their "section" field. Each line goes through the one JSON reader
+/// (common/json.h): ids read exactly as u64, and a malformed line, unknown
+/// field or out-of-range value throws JsonError naming the line.
 [[nodiscard]] std::vector<TraceSection> read_jsonl(std::istream& in);
-
-/// Compact binary export: call write_binary_header once, then one
-/// write_binary_section per labeled record run. Fields are dumped in fixed
-/// order (no struct padding), native endianness.
-void write_binary_header(std::ostream& out);
-void write_binary_section(std::ostream& out, const std::string& label,
-                          const std::vector<TraceRecord>& records);
-/// Reads a stream produced by the two writers above. Throws
-/// std::logic_error on a bad magic/version or a truncated section.
-[[nodiscard]] std::vector<TraceSection> read_binary(std::istream& in);
 
 class Registry;
 /// Folds per-kind record counts ("trace.<kind>") and the dropped-record

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/stats.h"
 #include "exp/registry.h"
 #include "fault/fault.h"
@@ -21,18 +22,6 @@ constexpr Time kInf = std::numeric_limits<Time>::infinity();
 
 /// Admissions the p99 wait report (DaemonReport::p99_wait) looks back over.
 constexpr std::size_t kWaitWindow = 512;
-
-[[nodiscard]] std::uint64_t fnv_step(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-[[nodiscard]] std::uint64_t fnv_double(std::uint64_t h, double v) {
-  return fnv_step(h, std::bit_cast<std::uint64_t>(v));
-}
 
 }  // namespace
 
@@ -315,26 +304,26 @@ struct Daemon::Impl {
 
   [[nodiscard]] std::uint64_t source_fingerprint() const {
     if (options_.use_feed) return feed_fingerprint(options_.feed);
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    Fnv1a h;
     const OpenLoopGenerator::Config& g = options_.open_loop;
-    h = fnv_step(h, g.shape.seed);
-    h = fnv_step(h, static_cast<std::uint64_t>(fabric_->num_hosts()));
-    h = fnv_step(h, static_cast<std::uint64_t>(g.shape.structure));
-    h = fnv_step(h, static_cast<std::uint64_t>(g.shape.max_width));
-    h = fnv_double(h, g.shape.width_pareto_alpha);
-    h = fnv_double(h, g.shape.flow_skew_sigma);
-    h = fnv_double(h, g.shape.stage_skew_sigma);
-    h = fnv_step(h, g.shape.category_weights.size());
-    for (const double w : g.shape.category_weights) h = fnv_double(h, w);
-    h = fnv_step(h, static_cast<std::uint64_t>(g.arrivals));
-    h = fnv_double(h, g.load);
-    h = fnv_double(h, g.service_rate);
-    h = fnv_double(h, g.mean_interarrival);
-    h = fnv_step(h, static_cast<std::uint64_t>(g.calibration_jobs));
-    h = fnv_step(h, static_cast<std::uint64_t>(g.burst_size));
-    h = fnv_double(h, g.burst_spacing);
-    h = fnv_step(h, options_.max_jobs);
-    return h;
+    h.u64(g.shape.seed);
+    h.u64(static_cast<std::uint64_t>(fabric_->num_hosts()));
+    h.u64(static_cast<std::uint64_t>(g.shape.structure));
+    h.u64(static_cast<std::uint64_t>(g.shape.max_width));
+    h.f64(g.shape.width_pareto_alpha);
+    h.f64(g.shape.flow_skew_sigma);
+    h.f64(g.shape.stage_skew_sigma);
+    h.u64(g.shape.category_weights.size());
+    for (const double w : g.shape.category_weights) h.f64(w);
+    h.u64(static_cast<std::uint64_t>(g.arrivals));
+    h.f64(g.load);
+    h.f64(g.service_rate);
+    h.f64(g.mean_interarrival);
+    h.u64(static_cast<std::uint64_t>(g.calibration_jobs));
+    h.u64(static_cast<std::uint64_t>(g.burst_size));
+    h.f64(g.burst_spacing);
+    h.u64(options_.max_jobs);
+    return h.value();
   }
 
   void write_config_section(snapshot::Writer& w) const {
@@ -452,24 +441,11 @@ struct Daemon::Impl {
       w.u64(meta.ext_cf_base);
     }
     w.u64(ledger_jobs_.size());
-    for (const SimResults::JobResult& jr : ledger_jobs_) {
-      w.u64(jr.id.value());
-      w.f64(jr.arrival);
-      w.f64(jr.finish);
-      w.f64(jr.total_bytes);
-      w.i32(jr.num_stages);
-      w.boolean(jr.failed);
-    }
+    for (const SimResults::JobResult& jr : ledger_jobs_)
+      snapshot::write_job_result(w, jr);
     w.u64(ledger_coflows_.size());
-    for (const SimResults::CoflowResult& cr : ledger_coflows_) {
-      w.u64(cr.id.value());
-      w.u64(cr.job.value());
-      w.i32(cr.stage);
-      w.f64(cr.release);
-      w.f64(cr.finish);
-      w.f64(cr.total_bytes);
-      w.boolean(cr.failed);
-    }
+    for (const SimResults::CoflowResult& cr : ledger_coflows_)
+      snapshot::write_coflow_result(w, cr);
     // The in-sim population: an open-horizon resume cannot rebuild the
     // admitted job set from the original inputs (it grew at runtime), so
     // the specs travel in the snapshot, in engine-id order, and recover()
@@ -492,7 +468,9 @@ struct Daemon::Impl {
       job.spec = snapshot::read_job_spec(r);
       staged_ = std::move(job);
     }
-    const std::uint64_t queued = r.u64();
+    // Every count below is read through Reader::count, so a hostile count
+    // costs a SnapshotError, never an allocation the bytes cannot back.
+    const std::uint64_t queued = r.count(8 + snapshot::kMinJobSpecBytes);
     for (std::uint64_t i = 0; i < queued; ++i) {
       FeedJob job;
       job.id = r.u64();
@@ -512,46 +490,30 @@ struct Daemon::Impl {
     makespan_ = r.f64();
     next_ext_coflow_ = r.u64();
     waits_total_ = r.u64();
-    const std::uint64_t nwaits = r.u64();
-    waits_.clear();
-    for (std::uint64_t i = 0; i < nwaits; ++i) waits_.push_back(r.f64());
+    const std::uint64_t nwaits = r.count(8);
+    if (nwaits > kWaitWindow)
+      throw snapshot::SnapshotError(
+          "service snapshot: " + std::to_string(nwaits) +
+          " admission waits exceed the " + std::to_string(kWaitWindow) +
+          "-entry window");
+    waits_.resize(nwaits);
+    for (Time& wait : waits_) wait = r.f64();
     peak_queue_ = r.u64();
     peak_flows_ = r.u64();
     peak_calendar_ = r.u64();
     peak_live_ = r.u64();
-    const std::uint64_t nmeta = r.u64();
-    jobs_meta_.clear();
-    for (std::uint64_t i = 0; i < nmeta; ++i) {
-      JobMeta meta;
+    const std::uint64_t nmeta = r.count(16);
+    jobs_meta_.resize(nmeta);
+    for (JobMeta& meta : jobs_meta_) {
       meta.ext_id = r.u64();
       meta.ext_cf_base = r.u64();
-      jobs_meta_.push_back(meta);
     }
-    const std::uint64_t njobs = r.u64();
-    ledger_jobs_.clear();
-    for (std::uint64_t i = 0; i < njobs; ++i) {
-      SimResults::JobResult jr;
-      jr.id = JobId{r.u64()};
-      jr.arrival = r.f64();
-      jr.finish = r.f64();
-      jr.total_bytes = r.f64();
-      jr.num_stages = r.i32();
-      jr.failed = r.boolean();
-      ledger_jobs_.push_back(jr);
-    }
-    const std::uint64_t ncoflows = r.u64();
-    ledger_coflows_.clear();
-    for (std::uint64_t i = 0; i < ncoflows; ++i) {
-      SimResults::CoflowResult cr;
-      cr.id = CoflowId{r.u64()};
-      cr.job = JobId{r.u64()};
-      cr.stage = r.i32();
-      cr.release = r.f64();
-      cr.finish = r.f64();
-      cr.total_bytes = r.f64();
-      cr.failed = r.boolean();
-      ledger_coflows_.push_back(cr);
-    }
+    ledger_jobs_.resize(r.count(snapshot::kJobResultBytes));
+    for (SimResults::JobResult& jr : ledger_jobs_)
+      jr = snapshot::read_job_result(r);
+    ledger_coflows_.resize(r.count(snapshot::kCoflowResultBytes));
+    for (SimResults::CoflowResult& cr : ledger_coflows_)
+      cr = snapshot::read_coflow_result(r);
     const std::uint64_t nspecs = r.count(snapshot::kMinJobSpecBytes);
     if (nspecs != nmeta)
       throw snapshot::SnapshotError(

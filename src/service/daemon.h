@@ -3,7 +3,7 @@
 // The batch harness (exp/experiment.h) answers "how fast does this trace
 // finish"; the daemon streams a job source through one simulator instead.
 // It drives the engine in sim-time slices (run_to), admitting jobs at their
-// arrival instants from either a JSONL feed (feed.h) or the open-loop
+// arrival instants from either a JSONL feed (workload/feed.h) or the open-loop
 // generator (workload/open_loop.h), and keeps four mechanisms on top:
 //
 //  * Admission control — a bounded FIFO admission queue behind a
@@ -44,8 +44,8 @@
 #include "obs/memory.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "service/feed.h"
 #include "topology/fattree.h"
+#include "workload/feed.h"
 #include "workload/open_loop.h"
 
 namespace gurita::service {

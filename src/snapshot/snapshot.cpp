@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/atomic_file.h"
+#include "common/fnv.h"
 
 namespace gurita {
 
@@ -13,23 +14,6 @@ namespace {
 using snapshot::Reader;
 using snapshot::SnapshotError;
 using snapshot::Writer;
-
-/// FNV-1a over 64-bit words; doubles are mixed via their bit pattern so the
-/// fingerprint is exact, not format-rounded.
-class Fnv {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xff;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 14695981039346656037ull;
-};
 
 }  // namespace
 
@@ -182,24 +166,24 @@ class SnapshotCodec {
   /// derive from these plus the topology, which the explicit host/link
   /// counts already pin down.
   static std::uint64_t static_fingerprint(const Simulator& s) {
-    Fnv h;
+    Fnv1a h;
     for (const SimJob& j : s.state_.jobs_) {
-      h.mix(j.arrival_time);
-      h.mix(j.total_bytes);
-      h.mix(static_cast<std::uint64_t>(j.num_stages));
-      h.mix(static_cast<std::uint64_t>(j.coflows.size()));
+      h.f64(j.arrival_time);
+      h.f64(j.total_bytes);
+      h.u64(static_cast<std::uint64_t>(j.num_stages));
+      h.u64(static_cast<std::uint64_t>(j.coflows.size()));
     }
-    h.mix(static_cast<std::uint64_t>(s.config_.faults.events.size()));
+    h.u64(static_cast<std::uint64_t>(s.config_.faults.events.size()));
     for (const FaultEvent& e : s.config_.faults.events) {
-      h.mix(e.time);
-      h.mix(static_cast<std::uint64_t>(e.kind));
-      h.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.host)));
-      h.mix(e.link.value());
-      h.mix(e.factor);
+      h.f64(e.time);
+      h.u64(static_cast<std::uint64_t>(e.kind));
+      h.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.host)));
+      h.u64(e.link.value());
+      h.f64(e.factor);
     }
-    h.mix(s.config_.faults.seed);
-    h.mix(static_cast<std::uint64_t>(s.config_.faults.retry.max_attempts));
-    h.mix(s.config_.faults.retry.base_delay);
+    h.u64(s.config_.faults.seed);
+    h.u64(static_cast<std::uint64_t>(s.config_.faults.retry.max_attempts));
+    h.f64(s.config_.faults.retry.base_delay);
     return h.value();
   }
 
@@ -672,28 +656,56 @@ JobSpec read_job_spec(Reader& r) {
   return spec;
 }
 
+void write_job_result(Writer& w, const SimResults::JobResult& job) {
+  w.u64(job.id.value());
+  w.f64(job.arrival);
+  w.f64(job.finish);
+  w.f64(job.total_bytes);
+  w.i32(job.num_stages);
+  w.boolean(job.failed);
+}
+
+SimResults::JobResult read_job_result(Reader& r) {
+  SimResults::JobResult job;
+  job.id = JobId{r.u64()};
+  job.arrival = r.f64();
+  job.finish = r.f64();
+  job.total_bytes = r.f64();
+  job.num_stages = r.i32();
+  job.failed = r.boolean();
+  return job;
+}
+
+void write_coflow_result(Writer& w, const SimResults::CoflowResult& coflow) {
+  w.u64(coflow.id.value());
+  w.u64(coflow.job.value());
+  w.i32(coflow.stage);
+  w.f64(coflow.release);
+  w.f64(coflow.finish);
+  w.f64(coflow.total_bytes);
+  w.boolean(coflow.failed);
+}
+
+SimResults::CoflowResult read_coflow_result(Reader& r) {
+  SimResults::CoflowResult coflow;
+  coflow.id = CoflowId{r.u64()};
+  coflow.job = JobId{r.u64()};
+  coflow.stage = r.i32();
+  coflow.release = r.f64();
+  coflow.finish = r.f64();
+  coflow.total_bytes = r.f64();
+  coflow.failed = r.boolean();
+  return coflow;
+}
+
 void save_results(Writer& w, const SimResults& results) {
   write_header(w, PayloadKind::kResultsCache);
   const std::size_t token = w.begin_section();
   w.u64(results.jobs.size());
-  for (const SimResults::JobResult& j : results.jobs) {
-    w.u64(j.id.value());
-    w.f64(j.arrival);
-    w.f64(j.finish);
-    w.f64(j.total_bytes);
-    w.i32(j.num_stages);
-    w.boolean(j.failed);
-  }
+  for (const SimResults::JobResult& j : results.jobs) write_job_result(w, j);
   w.u64(results.coflows.size());
-  for (const SimResults::CoflowResult& c : results.coflows) {
-    w.u64(c.id.value());
-    w.u64(c.job.value());
-    w.i32(c.stage);
-    w.f64(c.release);
-    w.f64(c.finish);
-    w.f64(c.total_bytes);
-    w.boolean(c.failed);
-  }
+  for (const SimResults::CoflowResult& c : results.coflows)
+    write_coflow_result(w, c);
   w.f64(results.makespan);
   w.u64(results.rate_recomputations);
   w.u64(results.events);
@@ -716,31 +728,11 @@ SimResults load_results(Reader& r) {
     throw SnapshotError("not a results-cache snapshot");
   const std::size_t end = r.begin_section();
   SimResults results;
-  const std::uint64_t n_jobs = r.count(37);  // u64, 3 f64, i32, bool
-  results.jobs.reserve(n_jobs);
-  for (std::uint64_t i = 0; i < n_jobs; ++i) {
-    SimResults::JobResult j;
-    j.id = JobId{r.u64()};
-    j.arrival = r.f64();
-    j.finish = r.f64();
-    j.total_bytes = r.f64();
-    j.num_stages = r.i32();
-    j.failed = r.boolean();
-    results.jobs.push_back(j);
-  }
-  const std::uint64_t n_coflows = r.count(45);  // 2 u64, i32, 3 f64, bool
-  results.coflows.reserve(n_coflows);
-  for (std::uint64_t i = 0; i < n_coflows; ++i) {
-    SimResults::CoflowResult c;
-    c.id = CoflowId{r.u64()};
-    c.job = JobId{r.u64()};
-    c.stage = r.i32();
-    c.release = r.f64();
-    c.finish = r.f64();
-    c.total_bytes = r.f64();
-    c.failed = r.boolean();
-    results.coflows.push_back(c);
-  }
+  results.jobs.resize(r.count(kJobResultBytes));
+  for (SimResults::JobResult& j : results.jobs) j = read_job_result(r);
+  results.coflows.resize(r.count(kCoflowResultBytes));
+  for (SimResults::CoflowResult& c : results.coflows)
+    c = read_coflow_result(r);
   results.makespan = r.f64();
   results.rate_recomputations = r.u64();
   results.events = r.u64();
@@ -751,10 +743,8 @@ SimResults load_results(Reader& r) {
   results.bytes_lost = r.f64();
   results.bytes_retransmitted = r.f64();
   results.total_recovery_latency = r.f64();
-  const std::uint64_t n_trace = r.count(kTraceRecordBytes);
-  results.trace.reserve(n_trace);
-  for (std::uint64_t i = 0; i < n_trace; ++i)
-    results.trace.push_back(read_trace_record(r));
+  results.trace.resize(r.count(kTraceRecordBytes));
+  for (obs::TraceRecord& rec : results.trace) rec = read_trace_record(r);
   r.end_section(end);
   return results;
 }

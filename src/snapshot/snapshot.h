@@ -58,7 +58,10 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// watermarks and the wait-window size from its config section, and the
 /// degrade flag, the degrade-spell count and each job's first engine coflow
 /// id (rebuilt from the restored engine) from its dynamic section.
-inline constexpr std::uint32_t kFormatVersion = 8;
+/// v9: the feed fingerprint in a feed-sourced service-state payload seeds
+/// FNV-1a with the true offset basis (it was a digit short); the layout is
+/// unchanged.
+inline constexpr std::uint32_t kFormatVersion = 9;
 
 /// Payload kind byte following the header.
 enum class PayloadKind : std::uint8_t {
@@ -98,6 +101,18 @@ void write_job_spec(Writer& w, const JobSpec& spec);
 /// u64 counts (coflows, deps), both zero.
 inline constexpr std::size_t kMinJobSpecBytes = 4 * 8;
 [[nodiscard]] JobSpec read_job_spec(Reader& r);
+
+/// Serializes one result record field-by-field (shared by the results
+/// cache and the service daemon's ledger): a job as u64 id, f64 arrival,
+/// finish and total bytes, i32 stages and the failed flag; a coflow as u64
+/// id and job, i32 stage, f64 release, finish and total bytes and the
+/// failed flag.
+void write_job_result(Writer& w, const SimResults::JobResult& job);
+inline constexpr std::size_t kJobResultBytes = 8 + 3 * 8 + 4 + 1;
+[[nodiscard]] SimResults::JobResult read_job_result(Reader& r);
+void write_coflow_result(Writer& w, const SimResults::CoflowResult& coflow);
+inline constexpr std::size_t kCoflowResultBytes = 2 * 8 + 4 + 3 * 8 + 1;
+[[nodiscard]] SimResults::CoflowResult read_coflow_result(Reader& r);
 
 /// Serializes a finished run's SimResults — jobs, coflows, every counter,
 /// link stats and the trace. The profile is deliberately NOT serialized:

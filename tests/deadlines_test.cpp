@@ -1,13 +1,13 @@
-// Tests for deadline support: JobSpec validation and the trace round-trip.
-// Deadlines are data the trace format, the feed and snapshots carry; no
+// Tests for deadline support: JobSpec validation and the job-file
+// round-trip. Deadlines are data the JSONL feed and snapshots carry; no
 // scheduler reads them.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <sstream>
 #include <stdexcept>
 
 #include "coflow/job.h"
-#include "workload/trace_io.h"
+#include "workload/feed.h"
 
 namespace gurita {
 namespace {
@@ -33,16 +33,16 @@ TEST(Deadlines, ValidationRejectsDeadlineBeforeArrival) {
 }
 
 TEST(Deadlines, TraceRoundTripKeepsDeadline) {
-  const std::string path = ::testing::TempDir() + "deadline_roundtrip.trace";
-  std::vector<JobSpec> jobs = {one_flow_job(100.0, 0, 1, 1.0)};
-  jobs[0].deadline = 7.5;
-  jobs.push_back(one_flow_job(50.0, 1, 2));  // no deadline
-  save_trace(path, jobs);
-  const auto loaded = load_trace(path);
-  std::remove(path.c_str());
+  std::vector<FeedJob> jobs = {{0, one_flow_job(100.0, 0, 1, 1.0)},
+                               {1, one_flow_job(50.0, 1, 2, 1.0)}};
+  jobs[0].spec.deadline = 7.5;  // the second job has none
+  std::ostringstream out;
+  write_feed(out, jobs);
+  std::istringstream in(out.str());
+  const std::vector<FeedJob> loaded = parse_feed(in, "deadlines", 16);
   ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded[0].deadline, 7.5);
-  EXPECT_FALSE(loaded[1].has_deadline());
+  EXPECT_DOUBLE_EQ(loaded[0].spec.deadline, 7.5);
+  EXPECT_FALSE(loaded[1].spec.has_deadline());
 }
 
 }  // namespace

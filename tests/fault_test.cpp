@@ -424,20 +424,13 @@ TEST_F(FaultFixture, CountersExportAndTraceKindsRoundTrip) {
   EXPECT_EQ(registry.counter("fault.flow_retries"), 1u);
   EXPECT_EQ(registry.counter("fault.failed_jobs"), 0u);
 
-  // JSONL and binary exports of the fault kinds parse back identically.
+  // The JSONL export of the fault kinds parses back identically.
   const std::vector<obs::TraceRecord> records = recorder.records();
   std::stringstream jsonl;
   obs::write_jsonl(jsonl, records, "fault-run");
   const auto back = obs::read_jsonl(jsonl);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].records, records);
-
-  std::stringstream binary(std::ios::in | std::ios::out | std::ios::binary);
-  obs::write_binary_header(binary);
-  obs::write_binary_section(binary, "fault-run", records);
-  const auto bin_back = obs::read_binary(binary);
-  ASSERT_EQ(bin_back.size(), 1u);
-  EXPECT_EQ(bin_back[0].records, records);
 
   int aborts = 0, retries = 0, faults = 0;
   for (const obs::TraceRecord& rec : records) {

@@ -1,7 +1,7 @@
 // Tests for the obs/ telemetry subsystem (ISSUE: structured simulation
 // telemetry) and its determinism contracts:
 //
-//  * recorder filtering, caps and export round-trips (JSONL and binary);
+//  * recorder filtering, caps and JSONL export round-trips;
 //  * registry merge == SimResults::merge_counters, and counter pooling is
 //    identical at 1/2/8 workers (the ordered-merge half of DESIGN.md §9
 //    applied to telemetry);
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -222,27 +223,29 @@ TEST(TraceJsonl, MalformedLineThrows) {
   EXPECT_THROW(obs::read_jsonl(not_json), std::logic_error);
 }
 
-TEST(TraceBinary, RoundTripsExactly) {
-  const std::vector<TraceRecord> records = sample_records();
-  std::ostringstream out(std::ios::binary);
-  obs::write_binary_header(out);
-  obs::write_binary_section(out, "run-a/gurita", records);
-  obs::write_binary_section(out, "run-b/aalo", {});
-  std::istringstream in(out.str(), std::ios::binary);
-  const std::vector<obs::TraceSection> sections = obs::read_binary(in);
-  ASSERT_EQ(sections.size(), 2u);
-  EXPECT_EQ(sections[0].label, "run-a/gurita");
-  EXPECT_EQ(sections[1].label, "run-b/aalo");
-  EXPECT_TRUE(sections[1].records.empty());
-  ASSERT_EQ(sections[0].records.size(), records.size());
-  // Binary is a field dump, so equality is exact on every field.
-  for (std::size_t i = 0; i < records.size(); ++i)
-    EXPECT_EQ(sections[0].records[i], records[i]) << "record " << i;
-}
-
-TEST(TraceBinary, BadMagicThrows) {
-  std::istringstream in("not a binary trace", std::ios::binary);
-  EXPECT_THROW(obs::read_binary(in), std::logic_error);
+// %.17g spells non-finite values inf, -inf, nan and -nan; the reader takes
+// every one of them back, and ids above 2^53 come back exactly.
+TEST(TraceJsonl, RoundTripsNonFiniteValuesAndWideIds) {
+  TraceRecord r = queue_change(1.0, 7, 0, 1);
+  r.job = 9007199254740993ull;  // 2^53 + 1: not representable as a double
+  r.v0 = std::numeric_limits<double>::infinity();
+  r.v1 = -std::numeric_limits<double>::infinity();
+  r.v2 = std::numeric_limits<double>::quiet_NaN();
+  r.v3 = -std::numeric_limits<double>::quiet_NaN();
+  std::ostringstream out;
+  obs::write_jsonl(out, {r}, "nonfinite");
+  std::istringstream in(out.str());
+  const std::vector<obs::TraceSection> sections = obs::read_jsonl(in);
+  ASSERT_EQ(sections.size(), 1u);
+  ASSERT_EQ(sections[0].records.size(), 1u);
+  const TraceRecord& back = sections[0].records[0];
+  EXPECT_EQ(back.job, r.job);
+  EXPECT_EQ(back.v0, r.v0);
+  EXPECT_EQ(back.v1, r.v1);
+  EXPECT_TRUE(std::isnan(back.v2));
+  EXPECT_TRUE(std::isnan(back.v3));
+  EXPECT_EQ(back.v4, r.v4);
+  EXPECT_EQ(back.i2, r.i2);
 }
 
 // --------------------------------------------------------------- registry

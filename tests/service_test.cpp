@@ -24,9 +24,9 @@
 #include "fault/fault.h"
 #include "obs/trace.h"
 #include "service/daemon.h"
-#include "service/feed.h"
 #include "service/signals.h"
 #include "snapshot/snapshot.h"
+#include "workload/feed.h"
 
 namespace gurita::service {
 namespace {
@@ -48,8 +48,7 @@ std::string slurp(const std::string& path) {
 
 /// Export a report's trace + summary and return both as one byte string.
 std::string export_bytes(const DaemonReport& report, const std::string& path) {
-  (void)export_traces({"service"}, {report.comparison}, path,
-                      /*binary=*/false);
+  (void)export_traces({"service"}, {report.comparison}, path);
   return slurp(path) + slurp(path + ".summary.json");
 }
 
@@ -82,9 +81,10 @@ DaemonOptions overload_options(std::uint64_t jobs) {
 /// Daemon writes (daemon.cpp, write_dynamic_section) up to the in-engine
 /// job specs.
 struct ServiceCheckpoint {
-  std::uint64_t queued = 0;       ///< admission queue length
-  std::uint64_t live_jobs = 0;    ///< ledger entries of in-engine jobs
-  std::size_t spec_count_at = 0;  ///< byte offset of the spec count
+  std::uint64_t queued = 0;        ///< admission queue length
+  std::uint64_t live_jobs = 0;     ///< ledger entries of in-engine jobs
+  std::size_t waits_count_at = 0;  ///< byte offset of the wait-ring length
+  std::size_t spec_count_at = 0;   ///< byte offset of the spec count
 };
 
 ServiceCheckpoint walk_service_checkpoint(const std::string& bytes) {
@@ -110,6 +110,7 @@ ServiceCheckpoint walk_service_checkpoint(const std::string& bytes) {
   for (int i = 0; i < 3; ++i) (void)r.f64();  // cadences, makespan
   (void)r.u64();                             // next external coflow id
   (void)r.u64();                             // waits pushed
+  out.waits_count_at = r.position();
   const std::uint64_t waits = r.u64();
   for (std::uint64_t i = 0; i < waits; ++i) (void)r.f64();
   for (int i = 0; i < 4; ++i) (void)r.u64();  // peaks
@@ -312,6 +313,40 @@ TEST(ServiceRecover, SpecCountMismatchIsASnapshotError) {
     FAIL() << "a spec count that disagrees with the ledger must throw";
   } catch (const snapshot::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("ledger"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServiceRecover, WaitRingLongerThanItsWindowIsASnapshotError) {
+  // The admission-wait ring holds at most 512 entries; a checkpoint that
+  // claims more is corrupt, even when the bytes after it could back the
+  // count.
+  const std::string dir = test_dir("recover_wait_ring");
+  const std::string snap = dir + "/ck.snap";
+  DaemonOptions o = base_options(3, 12, 0.5);
+  o.checkpoint_path = snap;
+  o.checkpoint_every = 10.0;
+  o.halt_after_checkpoints = 1;
+  {
+    DaemonOptions crashing = o;
+    Daemon daemon(std::move(crashing));
+    EXPECT_THROW((void)daemon.run(), snapshot::HaltedError);
+  }
+  o.halt_after_checkpoints = 0;
+
+  std::string bytes = snapshot::read_snapshot_file(snap);
+  const ServiceCheckpoint layout = walk_service_checkpoint(bytes);
+  const std::uint64_t too_many = 513;
+  for (int i = 0; i < 8; ++i)  // little-endian
+    bytes[layout.waits_count_at + static_cast<std::size_t>(i)] =
+        static_cast<char>((too_many >> (8 * i)) & 0xff);
+  snapshot::write_snapshot_file(snap, bytes);
+  Daemon daemon(std::move(o));
+  try {
+    (void)daemon.recover(snap);
+    FAIL() << "a wait ring past its window must throw";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("window"), std::string::npos)
         << e.what();
   }
 }
