@@ -28,10 +28,14 @@ Checks, in order:
      backwards in time. This is how CI checks that a run resumed from a
      checkpoint (DESIGN.md §12) extends its history instead of rewriting it.
 
+Non-finite values are written as the bare numerals inf, -inf, nan and
+-nan (C's %.17g); they are read as the floats they stand for.
+
 Exit code 0 on success, 1 with a diagnostic on the first failure.
 """
 import collections
 import json
+import re
 import sys
 
 KNOWN_KINDS = {
@@ -60,6 +64,30 @@ CAUSE_HR_DECISION = 1
 PSI_FIELDS = ("omega", "epsilon", "ell_max", "n", "cp_discount", "psi")
 
 
+# A string literal, or a bare non-finite numeral in value position.
+TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"'
+                   r'|(?<=[:,\[])\s*(-?)(inf|nan)(?=\s*[,\]}])')
+
+
+def loads(line):
+    """json.loads that also reads the inf/-inf/nan/-nan numerals the
+    exporter writes for non-finite values (Python's JSON reader spells
+    them Infinity, -Infinity and NaN)."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        pass
+
+    def spell(m):
+        if m.group(2) is None:  # a string literal stays as it is
+            return m.group(0)
+        if m.group(2) == "nan":
+            return "NaN"
+        return "-Infinity" if m.group(1) else "Infinity"
+
+    return json.loads(TOKEN.sub(spell, line))
+
+
 def fail(msg):
     print(f"validate_trace: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -77,7 +105,7 @@ def require_int(rec, lineno, line, kind, fields, minimum=None):
 
 def validate_line(lineno, line, counts, tallies):
     try:
-        rec = json.loads(line)
+        rec = loads(line)
     except json.JSONDecodeError as e:
         fail(f"line {lineno} is not valid JSON ({e}): {line[:120]}")
     if not isinstance(rec.get("t"), (int, float)):
@@ -173,7 +201,7 @@ def read_sections(path):
             if not line:
                 continue
             try:
-                section = json.loads(line).get("section", "")
+                section = loads(line).get("section", "")
             except json.JSONDecodeError as e:
                 fail(f"{path}: not valid JSON ({e}): {line[:120]}")
             sections.setdefault(section, []).append(line)
@@ -199,8 +227,8 @@ def check_continuation(trace_path, partial_path):
                 fail(f"continuation: section {section!r} record {i} was "
                      f"rewritten:\n  partial: {p[:120]}\n  full:    {f[:120]}")
         if len(flines) > len(plines) and plines:
-            t_seam = json.loads(plines[-1])["t"]
-            t_next = json.loads(flines[len(plines)])["t"]
+            t_seam = loads(plines[-1])["t"]
+            t_next = loads(flines[len(plines)])["t"]
             if t_next < t_seam:
                 fail(f"continuation: section {section!r} steps backwards "
                      f"across the seam: t={t_next} after t={t_seam}")

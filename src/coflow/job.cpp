@@ -2,21 +2,27 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-
 namespace gurita {
+
+namespace {
+
+void require(bool ok, const char* what) {
+  if (!ok) throw JobSpecError(what);
+}
+
+}  // namespace
 
 std::vector<int> topological_order(const JobSpec& job) {
   const int n = static_cast<int>(job.coflows.size());
-  GURITA_CHECK_MSG(static_cast<int>(job.deps.size()) == n,
-                   "deps must be sized to coflows");
+  require(static_cast<int>(job.deps.size()) == n,
+          "deps must be sized to coflows");
   // Kahn's algorithm over the deps relation.
   std::vector<int> remaining_deps(n, 0);
   std::vector<std::vector<int>> dependents(n);
   for (int i = 0; i < n; ++i) {
     remaining_deps[i] = static_cast<int>(job.deps[i].size());
     for (int d : job.deps[i]) {
-      GURITA_CHECK_MSG(d >= 0 && d < n, "dependency index out of range");
+      require(d >= 0 && d < n, "dependency index out of range");
       dependents[d].push_back(i);
     }
   }
@@ -32,33 +38,33 @@ std::vector<int> topological_order(const JobSpec& job) {
     for (int v : dependents[u])
       if (--remaining_deps[v] == 0) ready.push_back(v);
   }
-  GURITA_CHECK_MSG(static_cast<int>(order.size()) == n,
-                   "coflow dependency graph has a cycle");
+  require(static_cast<int>(order.size()) == n,
+          "coflow dependency graph has a cycle");
   return order;
 }
 
 void validate(const JobSpec& job, int num_hosts) {
-  GURITA_CHECK_MSG(!job.coflows.empty(), "job has no coflows");
-  GURITA_CHECK_MSG(job.deps.size() == job.coflows.size(),
-                   "deps must be sized to coflows");
-  GURITA_CHECK_MSG(job.arrival_time >= 0, "negative arrival time");
-  GURITA_CHECK_MSG(!job.has_deadline() || job.deadline > job.arrival_time,
-                   "deadline must fall after arrival");
+  require(!job.coflows.empty(), "job has no coflows");
+  require(job.deps.size() == job.coflows.size(),
+          "deps must be sized to coflows");
+  require(job.arrival_time >= 0, "negative arrival time");
+  require(!job.has_deadline() || job.deadline > job.arrival_time,
+          "deadline must fall after arrival");
   const int n = static_cast<int>(job.coflows.size());
   for (int i = 0; i < n; ++i) {
     for (int d : job.deps[i]) {
-      GURITA_CHECK_MSG(d >= 0 && d < n, "dependency index out of range");
-      GURITA_CHECK_MSG(d != i, "coflow depends on itself");
+      require(d >= 0 && d < n, "dependency index out of range");
+      require(d != i, "coflow depends on itself");
     }
-    GURITA_CHECK_MSG(!job.coflows[i].flows.empty(), "coflow has no flows");
+    require(!job.coflows[i].flows.empty(), "coflow has no flows");
     for (const FlowSpec& f : job.coflows[i].flows) {
-      GURITA_CHECK_MSG(f.size > 0, "flow size must be positive");
-      GURITA_CHECK_MSG(f.src_host >= 0 && f.src_host < num_hosts,
-                       "flow src host out of range");
-      GURITA_CHECK_MSG(f.dst_host >= 0 && f.dst_host < num_hosts,
-                       "flow dst host out of range");
-      GURITA_CHECK_MSG(f.src_host != f.dst_host,
-                       "flow src and dst are the same host");
+      require(f.size > 0, "flow size must be positive");
+      require(f.src_host >= 0 && f.src_host < num_hosts,
+              "flow src host out of range");
+      require(f.dst_host >= 0 && f.dst_host < num_hosts,
+              "flow dst host out of range");
+      require(f.src_host != f.dst_host,
+              "flow src and dst are the same host");
     }
   }
   (void)topological_order(job);  // throws on cycles

@@ -12,6 +12,7 @@
 // independent (parallel chains).
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/ids.h"
@@ -19,6 +20,15 @@
 #include "coflow/coflow.h"
 
 namespace gurita {
+
+/// A structurally invalid job spec. The message names the problem only
+/// ("flow src and dst are the same host"), never a source location, since
+/// specs come from user input (feeds, job files). A std::logic_error, so
+/// callers catching that keep working.
+class JobSpecError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
 
 struct JobSpec {
   Time arrival_time = 0;
@@ -45,7 +55,7 @@ struct JobSpec {
 /// Structural sanity: deps sized to coflows, indices in range, no self-dep,
 /// DAG (acyclic), each coflow has >= 1 flow, every flow size > 0, and flow
 /// endpoints within [0, num_hosts) with src != dst.
-/// Throws std::logic_error describing the first violation found.
+/// Throws JobSpecError describing the first violation found.
 void validate(const JobSpec& job, int num_hosts);
 
 /// 1-based stage of every coflow (leaves = 1). Requires a valid DAG.
@@ -55,7 +65,7 @@ void validate(const JobSpec& job, int num_hosts);
 [[nodiscard]] int stage_count(const JobSpec& job);
 
 /// Topological order of coflow indices (dependencies before dependents).
-/// Throws std::logic_error if the dependency graph has a cycle.
+/// Throws JobSpecError if the dependency graph has a cycle.
 [[nodiscard]] std::vector<int> topological_order(const JobSpec& job);
 
 }  // namespace gurita

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -58,13 +59,23 @@ class AdaptiveThresholds {
     w.u64(boundaries_.size());
     for (double v : boundaries_) w.f64(v);
   }
+  /// Restore rejects a reservoir larger than its capacity, a ring slot
+  /// outside it (observe() writes there) and more than queues − 1
+  /// boundaries.
   void load_state(snapshot::Reader& r) {
     total_ = static_cast<std::size_t>(r.u64());
     since_refresh_ = static_cast<std::size_t>(r.u64());
-    next_slot_ = static_cast<std::size_t>(r.u64());
-    reservoir_.resize(static_cast<std::size_t>(r.u64()));
+    const std::uint64_t next_slot = r.u64();
+    corrupt_if(next_slot >= capacity_, "reservoir slot out of range");
+    next_slot_ = static_cast<std::size_t>(next_slot);
+    const std::uint64_t n_samples = r.count(8);
+    corrupt_if(n_samples > capacity_, "reservoir larger than its capacity");
+    reservoir_.resize(static_cast<std::size_t>(n_samples));
     for (double& v : reservoir_) v = r.f64();
-    boundaries_.resize(static_cast<std::size_t>(r.u64()));
+    const std::uint64_t n_boundaries = r.count(8);
+    corrupt_if(n_boundaries >= static_cast<std::uint64_t>(queues_),
+               "more boundaries than queues - 1");
+    boundaries_.resize(static_cast<std::size_t>(n_boundaries));
     for (double& v : boundaries_) v = r.f64();
   }
 
@@ -79,6 +90,11 @@ class AdaptiveThresholds {
   std::vector<double> boundaries_;
 
   void refresh();
+  static void corrupt_if(bool bad, const char* what) {
+    if (bad)
+      throw snapshot::SnapshotError(
+          std::string("corrupt snapshot: adaptive thresholds ") + what);
+  }
 };
 
 }  // namespace gurita

@@ -256,16 +256,9 @@ void GuritaScheduler::self_demote(CoflowId cid, int& queue, Time now) {
 }
 
 void GuritaScheduler::save_state(snapshot::Writer& w) const {
-  w.u64(head_receivers_.size());
-  for (const auto& [jid, hr] : head_receivers_) {
-    w.u64(jid.value());
-    hr.save_state(w);
-  }
-  w.u64(coflow_queue_.size());
-  for (const auto& [cid, queue] : coflow_queue_) {
-    w.u64(cid.value());
-    w.i32(queue);
-  }
+  snapshot::write_table(w, head_receivers_,
+                        [&](const HeadReceiver& hr) { hr.save_state(w); });
+  snapshot::write_table(w, coflow_queue_, [&](int queue) { w.i32(queue); });
   ava_.save_state(w);
   adaptive_.save_state(w);
   w.u64(stats_.hr_updates);
@@ -276,20 +269,15 @@ void GuritaScheduler::save_state(snapshot::Writer& w) const {
 }
 
 void GuritaScheduler::load_state(snapshot::Reader& r) {
-  head_receivers_.clear();
-  const std::uint64_t n_hr = r.u64();
-  for (std::uint64_t i = 0; i < n_hr; ++i) {
-    const JobId jid{r.u64()};
-    HeadReceiver hr(jid);
-    hr.load_state(r);
-    head_receivers_.emplace(jid, std::move(hr));
-  }
-  coflow_queue_.clear();
-  const std::uint64_t n_q = r.u64();
-  for (std::uint64_t i = 0; i < n_q; ++i) {
-    const CoflowId cid{r.u64()};
-    coflow_queue_.emplace(cid, r.i32());
-  }
+  const std::uint64_t n_coflows = state().coflow_count();
+  snapshot::read_table(r, "gurita head receiver", state().job_count(),
+                       head_receivers_, [&](JobId jid) {
+                         HeadReceiver hr(jid);
+                         hr.load_state(r, n_coflows);
+                         return hr;
+                       });
+  snapshot::read_table(r, "gurita coflow queue", n_coflows, coflow_queue_,
+                       [&](CoflowId) { return r.i32(); });
   ava_.load_state(r);
   adaptive_.load_state(r);
   stats_.hr_updates = r.u64();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "coflow/critical_path.h"
 #include "core/blocking_effect.h"
@@ -154,41 +155,30 @@ void GuritaPlusScheduler::assign(Time now, const std::vector<SimFlow*>& active) 
 }
 
 void GuritaPlusScheduler::save_state(snapshot::Writer& w) const {
-  std::vector<std::pair<JobId, std::vector<bool>>> critical(
-      on_critical_.begin(), on_critical_.end());
-  std::sort(critical.begin(), critical.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.u64(critical.size());
-  for (const auto& [jid, flags] : critical) {
-    w.u64(jid.value());
+  snapshot::write_table(w, on_critical_, [&](const std::vector<bool>& flags) {
     w.u64(flags.size());
     for (bool f : flags) w.boolean(f);
-  }
-  std::vector<std::pair<CoflowId, int>> queues(last_queue_.begin(),
-                                               last_queue_.end());
-  std::sort(queues.begin(), queues.end());
-  w.u64(queues.size());
-  for (const auto& [cid, q] : queues) {
-    w.u64(cid.value());
-    w.i32(q);
-  }
+  });
+  snapshot::write_table(w, last_queue_, [&](int q) { w.i32(q); });
 }
 
 void GuritaPlusScheduler::load_state(snapshot::Reader& r) {
-  on_critical_.clear();
-  const std::uint64_t n_critical = r.u64();
-  for (std::uint64_t i = 0; i < n_critical; ++i) {
-    const JobId jid{r.u64()};
-    std::vector<bool> flags(static_cast<std::size_t>(r.count(1)));
-    for (std::size_t k = 0; k < flags.size(); ++k) flags[k] = r.boolean();
-    on_critical_.emplace(jid, std::move(flags));
-  }
-  last_queue_.clear();
-  const std::uint64_t n_queues = r.u64();
-  for (std::uint64_t i = 0; i < n_queues; ++i) {
-    const CoflowId cid{r.u64()};
-    last_queue_.emplace(cid, r.i32());
-  }
+  // assign() indexes a job's flags with its coflows' indices.
+  snapshot::read_table(
+      r, "gurita_plus critical-path flags", state().job_count(), on_critical_,
+      [&](JobId jid) {
+        const std::size_t coflows = state().job(jid).coflows.size();
+        if (r.count(1) != coflows)
+          throw snapshot::SnapshotError(
+              "corrupt snapshot: gurita_plus critical-path flags of job " +
+              std::to_string(jid.value()) + " do not match its " +
+              std::to_string(coflows) + " coflows");
+        std::vector<bool> flags(coflows);
+        for (std::size_t k = 0; k < coflows; ++k) flags[k] = r.boolean();
+        return flags;
+      });
+  snapshot::read_table(r, "gurita_plus coflow queue", state().coflow_count(),
+                       last_queue_, [&](CoflowId) { return r.i32(); });
 }
 
 }  // namespace gurita

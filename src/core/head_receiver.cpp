@@ -42,32 +42,28 @@ const CoflowObservation& HeadReceiver::observation(CoflowId id) const {
 void HeadReceiver::save_state(snapshot::Writer& w) const {
   w.f64(last_update_);
   w.i32(completed_stages_);
-  w.u64(observations_.size());
-  for (const auto& [cid, obs] : observations_) {
-    w.u64(cid.value());
+  snapshot::write_table(w, observations_, [&](const CoflowObservation& obs) {
     w.i32(obs.stage);
     w.f64(obs.open_connections);
     w.f64(obs.ell_max_observed);
     w.f64(obs.ell_avg_observed);
     w.f64(obs.bytes_received);
-  }
+  });
 }
 
-void HeadReceiver::load_state(snapshot::Reader& r) {
+void HeadReceiver::load_state(snapshot::Reader& r, std::uint64_t n_coflows) {
   last_update_ = r.f64();
   completed_stages_ = r.i32();
-  observations_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const CoflowId cid{r.u64()};
-    CoflowObservation obs;
-    obs.stage = r.i32();
-    obs.open_connections = r.f64();
-    obs.ell_max_observed = r.f64();
-    obs.ell_avg_observed = r.f64();
-    obs.bytes_received = r.f64();
-    observations_.emplace(cid, obs);
-  }
+  snapshot::read_table(r, "head receiver observation", n_coflows,
+                       observations_, [&](CoflowId) {
+                         CoflowObservation obs;
+                         obs.stage = r.i32();
+                         obs.open_connections = r.f64();
+                         obs.ell_max_observed = r.f64();
+                         obs.ell_avg_observed = r.f64();
+                         obs.bytes_received = r.f64();
+                         return obs;
+                       });
 }
 
 }  // namespace gurita

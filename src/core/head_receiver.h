@@ -13,6 +13,7 @@
 // engine's instantaneous global state.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -64,9 +65,10 @@ class HeadReceiver {
 
   /// Checkpoint hooks (DESIGN.md §12): the full δ-stale observation cache
   /// travels with the snapshot so a restored run makes identical decisions
-  /// until its next HR round.
+  /// until its next HR round. Restore rejects an observation keyed at or
+  /// above `n_coflows`, the engine's coflow count.
   void save_state(snapshot::Writer& w) const;
-  void load_state(snapshot::Reader& r);
+  void load_state(snapshot::Reader& r, std::uint64_t n_coflows);
 
   /// Compaction support (DESIGN.md §15): adopts the renumbered job id and a
   /// re-keyed observation cache built by GuritaScheduler::on_compact.

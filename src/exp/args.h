@@ -110,7 +110,8 @@ void apply_fault_flags(const Args& args, ExperimentConfig& config);
 /// Applies the shared checkpoint/resume flags to `config.checkpoint`
 /// (experiment.h; DESIGN.md §12):
 ///   --checkpoint-every T       snapshot cadence in simulated seconds (> 0)
-///   --checkpoint-dir D         artifact directory (.ckpt/.done files)
+///   --checkpoint-dir D         artifact directory (one .ckpt per shard,
+///                              final once the shard finished)
 ///   --resume-from D            resume from D's artifacts (implies dir D)
 ///   --checkpoint-halt-after N  crash on purpose after N snapshots (> 0);
 ///                              drivers catch HaltedError and exit 75

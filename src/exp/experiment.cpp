@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/check.h"
 #include "exp/arena.h"
@@ -19,18 +20,26 @@ bool file_exists(const std::string& path) {
   return std::ifstream(path, std::ios::binary).good();
 }
 
-/// Runs `sim` to completion under the checkpoint policy: pause every
-/// `every` simulated seconds (counting from the simulator's current time,
-/// so a resumed run keeps its own cadence) and snapshot, halt deliberately
-/// after `halt_after` snapshots when asked. Pausing and checkpointing are
-/// invisible to the simulation — run_to() pauses are exact, checkpoint() is
-/// const — so the returned results match an uninterrupted run() bit for bit.
-SimResults run_checkpointed(Simulator& sim,
-                            const ExperimentConfig::CheckpointOptions& opts,
-                            const std::string& ckpt_path) {
+/// Drains `sim` under the checkpoint policy: pause every `every` simulated
+/// seconds (counting from the simulator's current time, so a resumed run
+/// keeps its own cadence) and snapshot, halt deliberately after
+/// `halt_after` snapshots when asked; then write the final checkpoint,
+/// which never counts toward `halt_after`, so a later resume of the
+/// finished shard restores instead of re-running. Pausing and
+/// checkpointing are invisible to the simulation — run_to() pauses are
+/// exact, checkpoint() is const — so the results collected afterwards
+/// match an uninterrupted run() bit for bit.
+void run_checkpointed(Simulator& sim,
+                      const ExperimentConfig::CheckpointOptions& opts,
+                      const std::string& ckpt_path) {
+  const auto save = [&] {
+    snapshot::Writer w;
+    sim.checkpoint(w);
+    snapshot::write_snapshot_file(ckpt_path, w.buffer());
+  };
   int snapshots = 0;
   Time bound = sim.now();
-  for (;;) {
+  while (opts.every > 0) {
     // run_to() makes no progress while the next event lies at or beyond
     // the bound, so the bound ratchets forward on its own: an idle gap
     // longer than `every` then costs a few empty slices, never a hang.
@@ -39,16 +48,15 @@ SimResults run_checkpointed(Simulator& sim,
     if (!sim.run_to(bound)) break;
     // A slice that processed no event is neither snapshot nor counted.
     if (sim.partial_results().events == events) continue;
-    snapshot::Writer w;
-    sim.checkpoint(w);
-    snapshot::write_snapshot_file(ckpt_path, w.buffer());
+    save();
     ++snapshots;
     if (opts.halt_after > 0 && snapshots >= opts.halt_after)
       throw snapshot::HaltedError("halted on purpose after " +
                                   std::to_string(snapshots) +
                                   " snapshot(s); resume from " + ckpt_path);
   }
-  return sim.run();
+  (void)sim.run_to(std::numeric_limits<Time>::infinity());
+  save();
 }
 
 }  // namespace
@@ -78,24 +86,10 @@ SimResults run_one(const ExperimentConfig& config,
                    const std::string& checkpoint_key) {
   const bool checkpointing =
       config.checkpoint.active() && !checkpoint_key.empty();
-  const std::string stem =
-      checkpointing ? config.checkpoint.dir + "/" + checkpoint_key : "";
-  const std::string ckpt_path = stem + ".ckpt";
-  const std::string done_path = stem + ".done";
-  if (checkpointing) {
-    // A finished shard's cached results short-circuit the whole run (the
-    // cache holds the byte-identical SimResults, trace included, minus the
-    // wall-clock profile — snapshot/snapshot.h).
-    if (config.checkpoint.resume && file_exists(done_path)) {
-      const std::string bytes = snapshot::read_snapshot_file(done_path);
-      snapshot::Reader r(bytes);
-      if (snapshot::read_header(r) != snapshot::PayloadKind::kResultsCache)
-        throw snapshot::SnapshotError(done_path +
-                                      " is not a results cache snapshot");
-      return snapshot::load_results(r);
-    }
-    std::filesystem::create_directories(config.checkpoint.dir);
-  }
+  const std::string ckpt_path =
+      checkpointing ? config.checkpoint.dir + "/" + checkpoint_key + ".ckpt"
+                    : "";
+  if (checkpointing) std::filesystem::create_directories(config.checkpoint.dir);
   // The worker's arena caches the (immutable) fabric across cells
   // (DESIGN.md §9).
   RunArena& arena = RunArena::local();
@@ -134,34 +128,30 @@ SimResults run_one(const ExperimentConfig& config,
   }
   Simulator sim(fabric, scheduler, sim_config);
   for (const JobSpec& job : jobs) sim.submit(job);
+  // A finished shard's final checkpoint holds its whole outcome: nothing
+  // is left to run, and it reports no wall-clock telemetry.
+  bool finished = false;
   if (checkpointing && config.checkpoint.resume && file_exists(ckpt_path)) {
-    // Mid-flight resume: rebuild the simulator from the same inputs (done
-    // above), then overwrite its dynamic state from the snapshot. The
-    // embedded fingerprint rejects artifacts from a different workload.
+    // Rebuild the simulator from the same inputs (done above), then
+    // overwrite its dynamic state from the snapshot. The embedded
+    // fingerprint rejects artifacts from a different workload.
     const std::string bytes = snapshot::read_snapshot_file(ckpt_path);
     snapshot::Reader r(bytes);
     sim.restore(r);
+    finished = !sim.pending();
   }
-  SimResults results =
-      checkpointing && config.checkpoint.every > 0
-          ? run_checkpointed(sim, config.checkpoint, ckpt_path)
-          : sim.run();
+  if (checkpointing && !finished)
+    run_checkpointed(sim, config.checkpoint, ckpt_path);
+  SimResults results = sim.run();
   if (config.obs.trace || timeline) results.trace = recorder.take();
+  if (finished) return results;
   if (config.obs.profile || config.obs.spans)
     results.profile = profiler.snapshot();
   if (config.obs.spans) results.spans = profiler.take_spans();
   if (config.obs.diagnostics) {
-    // Non-deterministic run health; stays out of the .done results cache
-    // (a cached shard reports zero diagnostics, like the profile).
+    // Non-deterministic run health; not part of any checkpoint.
     results.diagnostics.alloc = sim.allocator_stats();
     results.diagnostics.memory = accountant;
-  }
-  if (checkpointing) {
-    // Record the finished shard so a later resume skips it entirely.
-    snapshot::Writer w;
-    snapshot::write_header(w, snapshot::PayloadKind::kResultsCache);
-    snapshot::save_results(w, results);
-    snapshot::write_snapshot_file(done_path, w.buffer());
   }
   return results;
 }

@@ -62,16 +62,18 @@ struct ExperimentConfig {
   /// Checkpoint/restore (snapshot/). When `dir` is set and the caller
   /// supplies a checkpoint key, run_one snapshots the paused simulator every
   /// `every` simulated seconds to `dir/<key>.<scheduler>.ckpt` (atomic
-  /// write), and records each finished run's results in a matching `.done`
-  /// cache. With `resume` set it picks up from whichever artifact exists —
-  /// `.done` short-circuits the run entirely, `.ckpt` restores mid-flight —
-  /// and the resumed sweep's output is byte-identical to an uninterrupted
-  /// one (snapshot/snapshot.h). `halt_after` > 0 throws HaltedError after
-  /// that many snapshots: a deterministic crash for resume testing.
+  /// write), and once more when the run has drained, before its results
+  /// are collected. With `resume` set it restores from that file — a
+  /// mid-run checkpoint continues the run, a final one only collects, and
+  /// such a finished shard reports no profile, spans or diagnostics — and
+  /// the resumed sweep's output is byte-identical to an uninterrupted one
+  /// (snapshot/snapshot.h). `halt_after` > 0 throws HaltedError after that
+  /// many cadence snapshots (the final checkpoint never counts): a
+  /// deterministic crash for resume testing.
   struct CheckpointOptions {
     Time every = 0;       ///< snapshot cadence in simulated seconds; 0 = off
     std::string dir;      ///< artifact directory; empty disables everything
-    bool resume = false;  ///< resume from dir's .done/.ckpt artifacts
+    bool resume = false;  ///< resume from dir's .ckpt artifacts
     int halt_after = 0;   ///< > 0: HaltedError after N snapshots (testing)
 
     [[nodiscard]] bool active() const { return !dir.empty(); }

@@ -1,7 +1,5 @@
 #include "sched/aalo.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace gurita {
@@ -114,39 +112,19 @@ void AaloScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
 }
 
 void AaloScheduler::save_state(snapshot::Writer& w) const {
-  std::vector<std::pair<CoflowId, std::uint64_t>> ranks(fifo_rank_.begin(),
-                                                        fifo_rank_.end());
-  std::sort(ranks.begin(), ranks.end());
-  w.u64(ranks.size());
-  for (const auto& [cid, rank] : ranks) {
-    w.u64(cid.value());
-    w.u64(rank);
-  }
+  snapshot::write_table(w, fifo_rank_,
+                        [&](std::uint64_t rank) { w.u64(rank); });
   w.u64(next_rank_);
-  std::vector<std::pair<CoflowId, int>> queues(queue_of_.begin(),
-                                               queue_of_.end());
-  std::sort(queues.begin(), queues.end());
-  w.u64(queues.size());
-  for (const auto& [cid, q] : queues) {
-    w.u64(cid.value());
-    w.i32(q);
-  }
+  snapshot::write_table(w, queue_of_, [&](int q) { w.i32(q); });
 }
 
 void AaloScheduler::load_state(snapshot::Reader& r) {
-  fifo_rank_.clear();
-  const std::uint64_t n_ranks = r.u64();
-  for (std::uint64_t i = 0; i < n_ranks; ++i) {
-    const CoflowId cid{r.u64()};
-    fifo_rank_.emplace(cid, r.u64());
-  }
+  const std::uint64_t n_coflows = state().coflow_count();
+  snapshot::read_table(r, "aalo fifo rank", n_coflows, fifo_rank_,
+                       [&](CoflowId) { return r.u64(); });
   next_rank_ = r.u64();
-  queue_of_.clear();
-  const std::uint64_t n_queues = r.u64();
-  for (std::uint64_t i = 0; i < n_queues; ++i) {
-    const CoflowId cid{r.u64()};
-    queue_of_.emplace(cid, r.i32());
-  }
+  snapshot::read_table(r, "aalo coflow queue", n_coflows, queue_of_,
+                       [&](CoflowId) { return r.i32(); });
 }
 
 }  // namespace gurita

@@ -87,38 +87,19 @@ void BaraatScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
 }
 
 void BaraatScheduler::save_state(snapshot::Writer& w) const {
-  std::vector<std::pair<JobId, std::uint64_t>> serials(serial_.begin(),
-                                                       serial_.end());
-  std::sort(serials.begin(), serials.end());
-  w.u64(serials.size());
-  for (const auto& [jid, serial] : serials) {
-    w.u64(jid.value());
-    w.u64(serial);
-  }
+  snapshot::write_table(w, serial_,
+                        [&](std::uint64_t serial) { w.u64(serial); });
   w.u64(next_serial_);
-  std::vector<std::pair<JobId, bool>> heavy(heavy_.begin(), heavy_.end());
-  std::sort(heavy.begin(), heavy.end());
-  w.u64(heavy.size());
-  for (const auto& [jid, h] : heavy) {
-    w.u64(jid.value());
-    w.boolean(h);
-  }
+  snapshot::write_table(w, heavy_, [&](bool h) { w.boolean(h); });
 }
 
 void BaraatScheduler::load_state(snapshot::Reader& r) {
-  serial_.clear();
-  const std::uint64_t n_serials = r.u64();
-  for (std::uint64_t i = 0; i < n_serials; ++i) {
-    const JobId jid{r.u64()};
-    serial_.emplace(jid, r.u64());
-  }
+  const std::uint64_t n_jobs = state().job_count();
+  snapshot::read_table(r, "baraat serial", n_jobs, serial_,
+                       [&](JobId) { return r.u64(); });
   next_serial_ = r.u64();
-  heavy_.clear();
-  const std::uint64_t n_heavy = r.u64();
-  for (std::uint64_t i = 0; i < n_heavy; ++i) {
-    const JobId jid{r.u64()};
-    heavy_.emplace(jid, r.boolean());
-  }
+  snapshot::read_table(r, "baraat heavy mark", n_jobs, heavy_,
+                       [&](JobId) { return r.boolean(); });
 }
 
 }  // namespace gurita

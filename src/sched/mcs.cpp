@@ -1,7 +1,5 @@
 #include "sched/mcs.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace gurita {
@@ -50,23 +48,12 @@ void McsScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
 }
 
 void McsScheduler::save_state(snapshot::Writer& w) const {
-  std::vector<std::pair<CoflowId, int>> queues(queue_of_.begin(),
-                                               queue_of_.end());
-  std::sort(queues.begin(), queues.end());
-  w.u64(queues.size());
-  for (const auto& [cid, q] : queues) {
-    w.u64(cid.value());
-    w.i32(q);
-  }
+  snapshot::write_table(w, queue_of_, [&](int q) { w.i32(q); });
 }
 
 void McsScheduler::load_state(snapshot::Reader& r) {
-  queue_of_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const CoflowId cid{r.u64()};
-    queue_of_.emplace(cid, r.i32());
-  }
+  snapshot::read_table(r, "mcs coflow queue", state().coflow_count(),
+                       queue_of_, [&](CoflowId) { return r.i32(); });
 }
 
 }  // namespace gurita

@@ -1,7 +1,5 @@
 #include "sched/stream.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace gurita {
@@ -41,23 +39,12 @@ void StreamScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
 }
 
 void StreamScheduler::save_state(snapshot::Writer& w) const {
-  std::vector<std::pair<JobId, int>> queues(queue_of_.begin(),
-                                            queue_of_.end());
-  std::sort(queues.begin(), queues.end());
-  w.u64(queues.size());
-  for (const auto& [jid, q] : queues) {
-    w.u64(jid.value());
-    w.i32(q);
-  }
+  snapshot::write_table(w, queue_of_, [&](int q) { w.i32(q); });
 }
 
 void StreamScheduler::load_state(snapshot::Reader& r) {
-  queue_of_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const JobId jid{r.u64()};
-    queue_of_.emplace(jid, r.i32());
-  }
+  snapshot::read_table(r, "stream job queue", state().job_count(), queue_of_,
+                       [&](JobId) { return r.i32(); });
 }
 
 }  // namespace gurita

@@ -13,6 +13,7 @@
 // snapshot/snapshot.h.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -189,5 +190,56 @@ class Reader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+/// Writes an id-keyed table (a map from JobId or CoflowId to a value): the
+/// entry count, then each entry as its u64 key followed by whatever
+/// `write_value(value)` writes, in ascending key order. An unordered map is
+/// sorted first, so the bytes are a pure function of the table's contents.
+template <typename Table, typename WriteValue>
+void write_table(Writer& w, const Table& table, WriteValue write_value) {
+  w.u64(table.size());
+  const auto write_entry = [&](const typename Table::value_type& entry) {
+    w.u64(entry.first.value());
+    write_value(entry.second);
+  };
+  if constexpr (requires { typename Table::key_compare; }) {
+    for (const auto& entry : table) write_entry(entry);
+  } else {
+    std::vector<const typename Table::value_type*> sorted;
+    sorted.reserve(table.size());
+    for (const auto& entry : table) sorted.push_back(&entry);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (const auto* entry : sorted) write_entry(*entry);
+  }
+}
+
+/// Replaces `table` with what write_table wrote. The count goes through
+/// Reader::count, and every key must lie below `bound` (the id space the
+/// table indexes, e.g. the engine's job or coflow count) and strictly above
+/// the previous key; otherwise SnapshotError names the table. `read_value`
+/// is called with each key and returns its value.
+template <typename Table, typename ReadValue>
+void read_table(Reader& r, const char* name, std::uint64_t bound,
+                Table& table, ReadValue read_value) {
+  using Key = typename Table::key_type;
+  table.clear();
+  const std::uint64_t n = r.count(8);  // each entry starts with its u64 key
+  for (std::uint64_t i = 0, previous = 0; i < n; ++i) {
+    const std::uint64_t key = r.u64();
+    if (key >= bound)
+      throw SnapshotError(std::string("corrupt snapshot: ") + name +
+                          " key " + std::to_string(key) +
+                          " out of range (bound " + std::to_string(bound) +
+                          ")");
+    if (i > 0 && key <= previous)
+      throw SnapshotError(std::string("corrupt snapshot: ") + name +
+                          " key " + std::to_string(key) +
+                          " not above the previous key " +
+                          std::to_string(previous));
+    previous = key;
+    table.emplace_hint(table.end(), Key{key}, read_value(Key{key}));
+  }
+}
 
 }  // namespace gurita::snapshot

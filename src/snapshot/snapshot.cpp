@@ -570,7 +570,6 @@ PayloadKind read_header(Reader& r) {
                         std::to_string(kFormatVersion) + ")");
   const std::uint8_t kind = r.u8();
   if (kind != static_cast<std::uint8_t>(PayloadKind::kSimulatorState) &&
-      kind != static_cast<std::uint8_t>(PayloadKind::kResultsCache) &&
       kind != static_cast<std::uint8_t>(PayloadKind::kServiceState))
     throw SnapshotError("unknown snapshot payload kind " +
                         std::to_string(kind));
@@ -696,57 +695,6 @@ SimResults::CoflowResult read_coflow_result(Reader& r) {
   coflow.total_bytes = r.f64();
   coflow.failed = r.boolean();
   return coflow;
-}
-
-void save_results(Writer& w, const SimResults& results) {
-  write_header(w, PayloadKind::kResultsCache);
-  const std::size_t token = w.begin_section();
-  w.u64(results.jobs.size());
-  for (const SimResults::JobResult& j : results.jobs) write_job_result(w, j);
-  w.u64(results.coflows.size());
-  for (const SimResults::CoflowResult& c : results.coflows)
-    write_coflow_result(w, c);
-  w.f64(results.makespan);
-  w.u64(results.rate_recomputations);
-  w.u64(results.events);
-  w.u64(results.flow_touches);
-  w.u64(results.flow_aborts);
-  w.u64(results.flow_retries);
-  w.u64(results.failed_jobs);
-  w.f64(results.bytes_lost);
-  w.f64(results.bytes_retransmitted);
-  w.f64(results.total_recovery_latency);
-  w.u64(results.trace.size());
-  for (const obs::TraceRecord& rec : results.trace)
-    write_trace_record(w, rec);
-  // The profile is intentionally absent (wall-clock telemetry; see header).
-  w.end_section(token);
-}
-
-SimResults load_results(Reader& r) {
-  if (read_header(r) != PayloadKind::kResultsCache)
-    throw SnapshotError("not a results-cache snapshot");
-  const std::size_t end = r.begin_section();
-  SimResults results;
-  results.jobs.resize(r.count(kJobResultBytes));
-  for (SimResults::JobResult& j : results.jobs) j = read_job_result(r);
-  results.coflows.resize(r.count(kCoflowResultBytes));
-  for (SimResults::CoflowResult& c : results.coflows)
-    c = read_coflow_result(r);
-  results.makespan = r.f64();
-  results.rate_recomputations = r.u64();
-  results.events = r.u64();
-  results.flow_touches = r.u64();
-  results.flow_aborts = r.u64();
-  results.flow_retries = r.u64();
-  results.failed_jobs = r.u64();
-  results.bytes_lost = r.f64();
-  results.bytes_retransmitted = r.f64();
-  results.total_recovery_latency = r.f64();
-  results.trace.resize(r.count(kTraceRecordBytes));
-  for (obs::TraceRecord& rec : results.trace) rec = read_trace_record(r);
-  r.end_section(end);
-  return results;
 }
 
 void write_snapshot_file(const std::string& path,

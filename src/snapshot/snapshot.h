@@ -63,10 +63,12 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// unchanged.
 inline constexpr std::uint32_t kFormatVersion = 9;
 
-/// Payload kind byte following the header.
+/// Payload kind byte following the header. Value 2 is reserved: it marked
+/// the retired results cache of a finished batch shard, and read_header
+/// refuses it. A finished shard resumes from its final kSimulatorState
+/// checkpoint instead (exp/experiment.h).
 enum class PayloadKind : std::uint8_t {
   kSimulatorState = 1,  ///< Simulator::checkpoint / Simulator::restore
-  kResultsCache = 2,    ///< save_results / load_results (finished shard)
   kServiceState = 3,    ///< service daemon auto-checkpoint (service/daemon.h)
 };
 
@@ -85,9 +87,9 @@ void write_header(Writer& w, PayloadKind kind);
 /// SnapshotError on a mismatch.
 [[nodiscard]] PayloadKind read_header(Reader& r);
 
-/// Serializes one trace record field-by-field (shared by the simulator
-/// checkpoint and the results cache): f64 time, three u64 ids, six f64
-/// values, three i32 and the u8 kind.
+/// Serializes one trace record field-by-field (the simulator checkpoint's
+/// trace section): f64 time, three u64 ids, six f64 values, three i32 and
+/// the u8 kind.
 void write_trace_record(Writer& w, const obs::TraceRecord& record);
 inline constexpr std::size_t kTraceRecordBytes = 8 + 3 * 8 + 6 * 8 + 3 * 4 + 1;
 [[nodiscard]] obs::TraceRecord read_trace_record(Reader& r);
@@ -102,8 +104,8 @@ void write_job_spec(Writer& w, const JobSpec& spec);
 inline constexpr std::size_t kMinJobSpecBytes = 4 * 8;
 [[nodiscard]] JobSpec read_job_spec(Reader& r);
 
-/// Serializes one result record field-by-field (shared by the results
-/// cache and the service daemon's ledger): a job as u64 id, f64 arrival,
+/// Serializes one result record field-by-field (the service daemon's
+/// ledger of evicted results): a job as u64 id, f64 arrival,
 /// finish and total bytes, i32 stages and the failed flag; a coflow as u64
 /// id and job, i32 stage, f64 release, finish and total bytes and the
 /// failed flag.
@@ -113,13 +115,6 @@ inline constexpr std::size_t kJobResultBytes = 8 + 3 * 8 + 4 + 1;
 void write_coflow_result(Writer& w, const SimResults::CoflowResult& coflow);
 inline constexpr std::size_t kCoflowResultBytes = 2 * 8 + 4 + 3 * 8 + 1;
 [[nodiscard]] SimResults::CoflowResult read_coflow_result(Reader& r);
-
-/// Serializes a finished run's SimResults — jobs, coflows, every counter,
-/// link stats and the trace. The profile is deliberately NOT serialized:
-/// it is wall-clock telemetry outside the determinism contract, and a
-/// resumed sweep's cached shards report zero profile time (EXPERIMENTS.md).
-void save_results(Writer& w, const SimResults& results);
-[[nodiscard]] SimResults load_results(Reader& r);
 
 /// Atomically writes `payload` (a Writer buffer) to `path` via
 /// `<path>.tmp` + rename, so a crash mid-checkpoint never leaves a

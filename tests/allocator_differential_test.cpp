@@ -35,6 +35,7 @@
 #include "flowsim/allocator.h"
 #include "flowsim/simulator.h"
 #include "obs/trace.h"
+#include "same_results.h"
 #include "snapshot/snapshot.h"
 #include "topology/big_switch.h"
 #include "topology/ecmp.h"
@@ -531,42 +532,6 @@ Trial draw_trial(std::uint64_t seed) {
   return trial;
 }
 
-void expect_identical_runs(const SimResults& inc, const SimResults& ora,
-                           const SimState& inc_state,
-                           const SimState& ora_state) {
-  EXPECT_EQ(inc.events, ora.events);
-  EXPECT_EQ(inc.rate_recomputations, ora.rate_recomputations);
-  EXPECT_EQ(inc.makespan, ora.makespan);
-
-  ASSERT_EQ(inc.jobs.size(), ora.jobs.size());
-  for (std::size_t i = 0; i < inc.jobs.size(); ++i) {
-    EXPECT_EQ(inc.jobs[i].id, ora.jobs[i].id) << "job " << i;
-    EXPECT_EQ(inc.jobs[i].arrival, ora.jobs[i].arrival) << "job " << i;
-    EXPECT_EQ(inc.jobs[i].finish, ora.jobs[i].finish) << "job " << i;
-    EXPECT_EQ(inc.jobs[i].total_bytes, ora.jobs[i].total_bytes)
-        << "job " << i;
-  }
-
-  ASSERT_EQ(inc.coflows.size(), ora.coflows.size());
-  for (std::size_t i = 0; i < inc.coflows.size(); ++i) {
-    EXPECT_EQ(inc.coflows[i].release, ora.coflows[i].release)
-        << "coflow " << i;
-    EXPECT_EQ(inc.coflows[i].finish, ora.coflows[i].finish)
-        << "coflow " << i;
-    EXPECT_EQ(inc.coflows[i].total_bytes, ora.coflows[i].total_bytes)
-        << "coflow " << i;
-  }
-
-  ASSERT_EQ(inc_state.flow_count(), ora_state.flow_count());
-  for (std::size_t i = 0; i < inc_state.flow_count(); ++i) {
-    const SimFlow& a = inc_state.flow(FlowId{i});
-    const SimFlow& b = ora_state.flow(FlowId{i});
-    EXPECT_EQ(a.start_time, b.start_time) << "flow " << i;
-    EXPECT_EQ(a.finish_time, b.finish_time) << "flow " << i;
-    EXPECT_EQ(a.size, b.size) << "flow " << i;
-  }
-}
-
 /// One simulator for `trial`, recording into `rec`. With `restore_from`
 /// non-empty it is rebuilt from that snapshot, as a restarted process
 /// would be.
@@ -594,7 +559,8 @@ void run_engine_trial(std::uint64_t seed) {
 
   // Uninterrupted: the frontier carries cached component rates throughout.
   TrialSim whole(trial, "");
-  const SimResults whole_results = whole.sim->run();
+  SimResults whole_results = whole.sim->run();
+  whole_results.trace = whole.rec.take();
 
   // Split at 8 evenly spaced pauses, each slice run by a fresh simulator
   // restored from the previous one's snapshot. restore() rebuilds the
@@ -610,12 +576,11 @@ void run_engine_trial(std::uint64_t seed) {
     bytes = w.take();
   }
   TrialSim last(trial, bytes);
-  const SimResults split_results = last.sim->run();
+  SimResults split_results = last.sim->run();
+  split_results.trace = last.rec.take();
 
-  expect_identical_runs(whole_results, split_results, whole.sim->state(),
-                        last.sim->state());
-  EXPECT_TRUE(whole.rec.take() == last.rec.take())
-      << "structured traces diverged";
+  expect_same_results(whole_results, split_results);
+  expect_same_flows(whole.sim->state(), last.sim->state());
 }
 
 // The main gate: 200 randomized traces, each run uninterrupted and split

@@ -21,6 +21,7 @@
 #include "exp/registry.h"
 #include "flowsim/simulator.h"
 #include "oracle_sim.h"
+#include "same_results.h"
 #include "topology/big_switch.h"
 #include "topology/fattree.h"
 #include "workload/trace_gen.h"
@@ -70,45 +71,6 @@ Trial draw_trial(std::uint64_t seed) {
   return trial;
 }
 
-/// Asserts the two runs are bit-identical in everything the oracle models
-/// (calendar bookkeeping counters — flow_touches — are engine-specific and
-/// excluded by construction).
-void expect_identical_runs(const SimResults& fast, const SimResults& oracle,
-                           const SimState& fast_state,
-                           const SimState& oracle_state) {
-  EXPECT_EQ(fast.events, oracle.events);
-  EXPECT_EQ(fast.rate_recomputations, oracle.rate_recomputations);
-  EXPECT_EQ(fast.makespan, oracle.makespan);
-
-  ASSERT_EQ(fast.jobs.size(), oracle.jobs.size());
-  for (std::size_t i = 0; i < fast.jobs.size(); ++i) {
-    EXPECT_EQ(fast.jobs[i].id, oracle.jobs[i].id) << "job " << i;
-    EXPECT_EQ(fast.jobs[i].arrival, oracle.jobs[i].arrival) << "job " << i;
-    EXPECT_EQ(fast.jobs[i].finish, oracle.jobs[i].finish) << "job " << i;
-    EXPECT_EQ(fast.jobs[i].total_bytes, oracle.jobs[i].total_bytes)
-        << "job " << i;
-  }
-
-  ASSERT_EQ(fast.coflows.size(), oracle.coflows.size());
-  for (std::size_t i = 0; i < fast.coflows.size(); ++i) {
-    EXPECT_EQ(fast.coflows[i].release, oracle.coflows[i].release)
-        << "coflow " << i;
-    EXPECT_EQ(fast.coflows[i].finish, oracle.coflows[i].finish)
-        << "coflow " << i;
-    EXPECT_EQ(fast.coflows[i].total_bytes, oracle.coflows[i].total_bytes)
-        << "coflow " << i;
-  }
-
-  ASSERT_EQ(fast_state.flow_count(), oracle_state.flow_count());
-  for (std::size_t i = 0; i < fast_state.flow_count(); ++i) {
-    const SimFlow& a = fast_state.flow(FlowId{i});
-    const SimFlow& b = oracle_state.flow(FlowId{i});
-    EXPECT_EQ(a.start_time, b.start_time) << "flow " << i;
-    EXPECT_EQ(a.finish_time, b.finish_time) << "flow " << i;
-    EXPECT_EQ(a.size, b.size) << "flow " << i;
-  }
-}
-
 void run_differential_trial(std::uint64_t seed) {
   SCOPED_TRACE("reproduce with trace seed " + std::to_string(seed));
   const Trial trial = draw_trial(seed);
@@ -127,8 +89,10 @@ void run_differential_trial(std::uint64_t seed) {
 
   const SimResults fast_results = fast.run();
   const SimResults oracle_results = oracle.run();
-  expect_identical_runs(fast_results, oracle_results, fast.state(),
-                        oracle.state());
+  // flow_touches counts the calendar's bookkeeping, which the oracle has
+  // none of.
+  expect_same_results(fast_results, oracle_results, /*flow_touches=*/false);
+  expect_same_flows(fast.state(), oracle.state());
 }
 
 // The main gate: 200 randomized traces through both engines. Trial i is
@@ -173,8 +137,8 @@ TEST(DifferentialEngineTest, KitchenSinkScenarioMatchesOracle) {
     }
     const SimResults fast_results = fast.run();
     const SimResults oracle_results = oracle.run();
-    expect_identical_runs(fast_results, oracle_results, fast.state(),
-                          oracle.state());
+    expect_same_results(fast_results, oracle_results, /*flow_touches=*/false);
+    expect_same_flows(fast.state(), oracle.state());
   }
 }
 

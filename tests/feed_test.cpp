@@ -184,7 +184,19 @@ TEST_F(TraceIoFixture, TruncatedDepListRejected) {
 
 TEST_F(TraceIoFixture, SelfFlowRejected) {
   write_file(job_line("[{\"flows\":[{\"src\":3,\"dst\":3,\"bytes\":10}]}]"));
-  EXPECT_THROW((void)load_feed(path_), ConfigError);
+  try {
+    (void)load_feed(path_);
+    FAIL() << "expected throw";
+  } catch (const ConfigError& e) {
+    // The problem and its line, without a source location.
+    ASSERT_EQ(e.issues().size(), 1u);
+    EXPECT_EQ(e.issues()[0].where + ": " + e.issues()[0].what,
+              "line 1: flow src and dst are the same host");
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 1: flow src and dst are the same host"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(TraceIoFixture, NegativeArrivalRejected) {

@@ -15,11 +15,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/adaptive_thresholds.h"
 #include "exp/experiment.h"
 #include "exp/registry.h"
 #include "exp/runner.h"
@@ -28,6 +30,7 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "oracle_sim.h"
+#include "same_results.h"
 #include "snapshot/snapshot.h"
 #include "topology/big_switch.h"
 #include "topology/fattree.h"
@@ -141,6 +144,13 @@ TEST(SnapshotHeader, RoundTripsAndRejectsCorruption) {
     snapshot::Reader r(v.buffer());
     EXPECT_THROW(snapshot::read_header(r), snapshot::SnapshotError);
   }
+  {
+    // Kind 2 marked the retired results cache: a leftover one is refused.
+    std::string leftover = w.buffer();
+    leftover[8] = 2;
+    snapshot::Reader r(leftover);
+    EXPECT_THROW(snapshot::read_header(r), snapshot::SnapshotError);
+  }
 }
 
 TEST(SnapshotHeader, ServiceStatePayloadKindRoundTrips) {
@@ -198,16 +208,20 @@ TEST(SnapshotCodec, HostileCountsThrowBeforeAllocating) {
     snapshot::Reader too_many(w.buffer());
     EXPECT_THROW((void)too_many.count(9), snapshot::SnapshotError);
   }
-  for (const std::uint64_t n_jobs :
+  for (const std::uint64_t n_entries :
        {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
-    SCOPED_TRACE("n_jobs " + std::to_string(n_jobs));
+    SCOPED_TRACE("n_entries " + std::to_string(n_entries));
     snapshot::Writer w;
-    snapshot::write_header(w, snapshot::PayloadKind::kResultsCache);
-    w.u64(8);  // section length: the count alone
-    w.u64(n_jobs);
-    ASSERT_EQ(w.buffer().size(), 25u);
+    w.u64(n_entries);
+    w.u64(0);  // one key, no value
     snapshot::Reader r(w.buffer());
-    EXPECT_THROW((void)snapshot::load_results(r), snapshot::SnapshotError);
+    std::map<JobId, int> table;
+    EXPECT_THROW(snapshot::read_table(r, "probe", ~std::uint64_t{0}, table,
+                                      [&](JobId) -> int {
+                                        ADD_FAILURE() << "entry read";
+                                        return 0;
+                                      }),
+                 snapshot::SnapshotError);
   }
   snapshot::Writer spec;
   spec.f64(1.0);  // arrival
@@ -230,15 +244,6 @@ TEST(SnapshotFile, AtomicWriteAndReadBack) {
 }
 
 // -------------------------------------------------- round-trip harness ---
-
-/// Serializes results through the cache codec: two runs are byte-identical
-/// iff these strings are equal (jobs, coflows, makespan, every counter,
-/// link stats and the trace all travel through it).
-std::string results_bytes(const SimResults& results) {
-  snapshot::Writer w;
-  snapshot::save_results(w, results);
-  return w.take();
-}
 
 struct Scenario {
   const Fabric& fabric;
@@ -293,12 +298,11 @@ SimResults run_split(const Scenario& s, Time split) {
 /// The headline invariant at a set of pause points.
 void expect_split_invariant(const Scenario& s, const std::vector<Time>& splits,
                             const SimResults& reference) {
-  const std::string want = results_bytes(reference);
   for (const Time split : splits) {
     SCOPED_TRACE("scheduler " + s.scheduler + ", split at " +
                  std::to_string(split));
     const SimResults resumed = run_split(s, split);
-    EXPECT_EQ(results_bytes(resumed), want);
+    expect_same_results(resumed, reference);
     EXPECT_EQ(resumed.makespan, reference.makespan);
     EXPECT_EQ(resumed.events, reference.events);
   }
@@ -520,7 +524,6 @@ TEST(SnapshotDeterminism, SamplerTimelineSurvivesSplitBitwise) {
                             "samples (makespan "
                          << reference.makespan << ")";
 
-  const std::string want = results_bytes(reference);
   // Mid-run splits plus a boundary-adjacent one: 0.04 is an exact grid
   // time, so the resumed run must not re-emit that boundary's sample.
   for (const Time split : {0.25 * reference.makespan,
@@ -528,7 +531,7 @@ TEST(SnapshotDeterminism, SamplerTimelineSurvivesSplitBitwise) {
                            0.75 * reference.makespan, 2 * every}) {
     SCOPED_TRACE("split at " + std::to_string(split));
     const SimResults resumed = run_timeline(fabric, jobs, every, &split);
-    EXPECT_EQ(results_bytes(resumed), want);
+    expect_same_results(resumed, reference);
   }
 }
 
@@ -1017,6 +1020,168 @@ TEST(SnapshotRestore, RejectsCorruptActiveSet) {
       "active set holds a flow that is not transmitting");
 }
 
+/// Bytes of the first entry of a scheduler's first table, which starts at
+/// `off` of its payload (the layout each save_state writes through
+/// write_table: u64 key, then the value).
+std::size_t first_entry_bytes(const std::string& name,
+                              const std::string& payload, std::size_t off) {
+  if (name == "gurita") {
+    // Head receiver: last update, completed stages, its observation table
+    // (u64 coflow, i32 stage, four f64).
+    return 8 + 8 + 4 + 8 + read_le64(payload, off + 20) * (8 + 4 + 4 * 8);
+  }
+  if (name == "gurita_plus") return 8 + 8 + read_le64(payload, off + 8);
+  if (name == "aalo" || name == "baraat") return 8 + 8;
+  return 8 + 4;  // mcs, stream: an i32 queue
+}
+
+TEST(SnapshotRestore, RejectsCorruptSchedulerState) {
+  // Schedulers index the engine's jobs and coflows with their table keys
+  // (and compaction remaps them), so restore must reject a key it could
+  // not use: out of range, repeated or out of order. Each case patches the
+  // scheduler section of a real mid-run checkpoint; the section comes last
+  // and holds exactly what save_state writes.
+  const FatTree fabric(FatTree::Config{4});
+  TraceConfig trace;
+  trace.num_jobs = 12;
+  trace.num_hosts = fabric.num_hosts();
+  trace.structure = StructureKind::kMixed;
+  trace.seed = 11;
+  const std::vector<JobSpec> jobs = generate_trace(trace);
+  const Time makespan =
+      run_uninterrupted(Scenario{fabric, "pfs", jobs, {}, false}).makespan;
+
+  for (const std::string name :
+       {"gurita", "gurita_plus", "aalo", "baraat", "mcs", "stream"}) {
+    SCOPED_TRACE("scheduler " + name);
+    std::string bytes;
+    std::string payload;
+    std::uint64_t bound = 0;
+    {
+      const std::unique_ptr<Scheduler> sched = make_scheduler(name);
+      Simulator sim(fabric, *sched);
+      for (const JobSpec& job : jobs) sim.submit(job);
+      ASSERT_TRUE(sim.run_to(0.3 * makespan));
+      snapshot::Writer w;
+      sim.checkpoint(w);
+      bytes = w.take();
+      snapshot::Writer sw;
+      sched->save_state(sw);
+      payload = sw.take();
+      bound = name == "aalo" || name == "mcs" ? sim.state().coflow_count()
+                                              : sim.state().job_count();
+    }
+    const std::size_t base = bytes.size() - payload.size();
+    ASSERT_EQ(bytes.substr(base), payload);
+    ASSERT_EQ(read_le64(bytes, base - 8), payload.size());
+    // Every first table is the payload's first field.
+    ASSERT_GE(read_le64(payload, 0), 2u) << "too few entries to reorder";
+    const std::size_t key0 = base + 8;
+    const std::size_t key1 = key0 + first_entry_bytes(name, payload, 8);
+    const std::uint64_t first = read_le64(bytes, key0);
+    const std::uint64_t second = read_le64(bytes, key1);
+    ASSERT_LT(first, second);
+    ASSERT_LT(second, bound);
+
+    const auto restore = [&](const std::string& snap) {
+      const std::unique_ptr<Scheduler> sched = make_scheduler(name);
+      Simulator other(fabric, *sched);
+      for (const JobSpec& job : jobs) other.submit(job);
+      snapshot::Reader r(snap);
+      other.restore(r);
+    };
+    const auto expect_rejected = [&](const auto& patch, const char* message) {
+      SCOPED_TRACE(message);
+      std::string bad = bytes;
+      patch(bad);
+      try {
+        restore(bad);
+        ADD_FAILURE() << "corrupt scheduler state accepted";
+      } catch (const snapshot::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+      }
+    };
+    // The unpatched checkpoint restores.
+    restore(bytes);
+
+    expect_rejected([&](std::string& b) { write_le64(b, key0, bound); },
+                    "out of range");
+    expect_rejected(
+        [&](std::string& b) { write_le64(b, key0, std::uint64_t{1} << 40); },
+        "out of range");
+    expect_rejected([&](std::string& b) { write_le64(b, key1, first); },
+                    "not above the previous key");
+    // The first two entries swapped whole.
+    const std::size_t key2 = key1 + first_entry_bytes(name, payload,
+                                                      key1 - base);
+    expect_rejected(
+        [&](std::string& b) {
+          b.replace(key0, key2 - key0,
+                    bytes.substr(key1, key2 - key1) +
+                        bytes.substr(key0, key1 - key0));
+        },
+        "not above the previous key");
+    expect_rejected(
+        [&](std::string& b) { write_le64(b, base, payload.size() / 8 + 1); },
+        "bytes left");
+
+    if (name == "gurita_plus") {
+      // decide_priorities() indexes the flags with coflow indices.
+      expect_rejected(
+          [&](std::string& b) {
+            write_le64(b, key0 + 8, read_le64(b, key0 + 8) - 1);
+          },
+          "critical-path flags");
+    }
+    if (name == "gurita") {
+      // Past both tables and the AVA mean (f64 sum, u64 count): the
+      // adaptive learner's total, since-refresh, next slot and reservoir
+      // count.
+      std::size_t p = 8;
+      for (std::uint64_t i = read_le64(payload, 0); i > 0; --i)
+        p += first_entry_bytes(name, payload, p);
+      p += 8 + read_le64(payload, p) * (8 + 4) + 16;
+      const std::size_t next_slot = base + p + 16;
+      const std::size_t reservoir = base + p + 24;
+      ASSERT_EQ(read_le64(bytes, next_slot), 0u);
+      ASSERT_EQ(read_le64(bytes, reservoir), 0u);
+      expect_rejected([&](std::string& b) { write_le64(b, next_slot, 1024); },
+                      "reservoir slot out of range");
+      expect_rejected(
+          [&](std::string& b) {
+            write_le64(b, reservoir, std::uint64_t{1} << 40);
+          },
+          "bytes left");
+    }
+  }
+}
+
+TEST(SnapshotRestore, RejectsAdaptiveThresholdsPastTheirCapacity) {
+  // A reservoir of 8 samples over 4 queues holds at most 8 samples and 3
+  // boundaries.
+  const auto state = [](std::uint64_t samples, std::uint64_t boundaries) {
+    snapshot::Writer w;
+    w.u64(samples);  // total observations
+    w.u64(0);        // since refresh
+    w.u64(0);        // next slot
+    w.u64(samples);
+    for (std::uint64_t i = 0; i < samples; ++i) w.f64(1.0);
+    w.u64(boundaries);
+    for (std::uint64_t i = 0; i < boundaries; ++i) w.f64(1.0);
+    return w.take();
+  };
+  const auto load = [](const std::string& bytes) {
+    AdaptiveThresholds learner(4, 8);
+    snapshot::Reader r(bytes);
+    learner.load_state(r);
+    EXPECT_TRUE(r.done());
+  };
+  load(state(8, 3));
+  EXPECT_THROW(load(state(9, 3)), snapshot::SnapshotError);
+  EXPECT_THROW(load(state(8, 4)), snapshot::SnapshotError);
+}
+
 // ------------------------------------------------------------------ fuzz ---
 
 /// One fuzz trial: a randomized workload/scheduler/fault draw, checkpointed
@@ -1061,9 +1226,9 @@ void run_fuzz_trial(std::uint64_t seed) {
 
   const SimResults reference = run_uninterrupted(s);
   const Time split = rng.uniform(0.0, 1.0) * reference.makespan;
-  const SimResults resumed = run_split(s, split);
-  EXPECT_EQ(results_bytes(resumed), results_bytes(reference))
-      << "scheduler " << s.scheduler << ", split " << split;
+  SCOPED_TRACE("scheduler " + s.scheduler + ", split " +
+               std::to_string(split));
+  expect_same_results(run_split(s, split), reference);
 }
 
 TEST(SnapshotRoundTrip, FuzzRandomSplitAgainstUninterrupted) {
@@ -1101,36 +1266,19 @@ TEST(SnapshotRoundTrip, RestoredRunMatchesOracle) {
   }
 }
 
-// ------------------------------------------------------ results cache ---
-
-TEST(SnapshotResults, CacheRoundTripsEverything) {
-  const FatTree fabric(FatTree::Config{4});
-  const std::vector<JobSpec> jobs = small_trace(fabric, 31);
-  Scenario s{fabric, "gurita", jobs, {}, /*with_trace=*/true};
-  const SimResults results = run_uninterrupted(s);
-
-  snapshot::Writer w;
-  snapshot::save_results(w, results);
-  snapshot::Reader r(w.buffer());
-  const SimResults loaded = snapshot::load_results(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(results_bytes(loaded), results_bytes(results));
-  EXPECT_EQ(loaded.trace.size(), results.trace.size());
-  EXPECT_EQ(loaded.makespan, results.makespan);
-}
-
 // --------------------------------------- experiment runner halt/resume ---
 
-/// Byte-level comparison of two pooled comparisons: per-scheduler results
-/// serialized through the cache codec (covers jobs, coflows, counters,
-/// link stats and traces; the wall-clock profile is outside the contract).
+/// Bitwise comparison of two pooled comparisons, scheduler by scheduler
+/// (jobs, coflows, counters and traces; the wall-clock profile is outside
+/// the contract).
 void expect_same_comparison(const ComparisonResult& a,
                             const ComparisonResult& b) {
   ASSERT_EQ(a.results.size(), b.results.size());
   for (const auto& [name, results] : a.results) {
+    SCOPED_TRACE(name);
     const auto it = b.results.find(name);
-    ASSERT_NE(it, b.results.end()) << name;
-    EXPECT_EQ(results_bytes(results), results_bytes(it->second)) << name;
+    ASSERT_NE(it, b.results.end());
+    expect_same_results(results, it->second);
   }
 }
 
@@ -1177,14 +1325,20 @@ TEST(SnapshotDeterminism, HaltedRunResumesByteIdentical) {
 
     ExperimentConfig resumed = checkpointed;
     resumed.checkpoint.resume = true;
+    resumed.obs.profile = true;
     const ComparisonResult got = compare_schedulers(resumed, names, "cell0");
     expect_same_comparison(got, want);
 
-    // A second resume short-circuits through the .done caches and still
-    // reports the identical bytes.
-    const ComparisonResult cached =
+    // A second resume restores every shard from its final checkpoint and
+    // still reports the identical bytes. Nothing runs, so no shard reports
+    // a profiled run.
+    const ComparisonResult finished =
         compare_schedulers(resumed, names, "cell0");
-    expect_same_comparison(cached, want);
+    expect_same_comparison(finished, want);
+    for (const std::string& name : names) {
+      EXPECT_EQ(got.results.at(name).profile.runs, 1u) << name;
+      EXPECT_EQ(finished.results.at(name).profile.runs, 0u) << name;
+    }
   }
 }
 
