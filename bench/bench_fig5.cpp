@@ -22,7 +22,6 @@
 //                       any --jobs; defaults the export to timeline.jsonl
 //                       when --trace is absent)
 //   --timeline-every T  sampling cadence in simulated seconds (default 0.05)
-//   --timeline-wall     opt-in wall-clock samples (NOT deterministic)
 //   --chrome-trace FILE Chrome Trace Event JSON (phase spans + sampler
 //                       tracks) for ui.perfetto.dev / chrome://tracing
 //   --diagnostics       non-deterministic run health (allocator work,

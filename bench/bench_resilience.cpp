@@ -22,8 +22,8 @@
 //                  includes fault / flow_abort / flow_retry / job_fail
 //                  records), plus FILE.summary.json
 //   --trace-filter CSV, --log-level as everywhere else;
-//   --timeline / --timeline-every / --timeline-wall / --chrome-trace /
-//   --diagnostics as in bench_fig5.
+//   --timeline / --timeline-every / --chrome-trace / --diagnostics as in
+//   bench_fig5.
 //
 // Checkpoint/restore (exp/args.h; DESIGN.md §12): --checkpoint-every,
 // --checkpoint-dir, --resume-from, --checkpoint-halt-after. A deliberate

@@ -5,13 +5,15 @@ Usage: validate_trace.py TRACE.jsonl [TRACE.jsonl.summary.json]
                          [--continuation PARTIAL.jsonl]
 
 Checks, in order:
-  1. every line parses as JSON and carries "t" (a number) and a known "kind";
+  1. every line parses as JSON and carries "t" (a number) and a known "kind"
+     (the reserved kinds capacity_change, degrade and wall_sample, which no
+     writer emits, are rejected);
   2. kQueueChange records carry the queue transition (old/new/cause) and, for
      Gurita HR decisions, the full Psi factor breakdown (omega, epsilon,
      ell_max, n, cp_discount, psi); fault-model records (fault, flow_abort,
      flow_retry, job_fail) carry their typed fields; interval-sampler
-     records (sample, mem_sample, wall_sample — a bench driver's --timeline
-     flag) carry theirs, and mem_sample's total_bytes equals the sum of its
+     records (sample, mem_sample — a bench driver's --timeline flag) carry
+     theirs, and mem_sample's total_bytes equals the sum of its
      per-subsystem fields;
   3. the event stream pairs up, fault-aware:
        job_arrival    == job_finish + job_fail
@@ -21,7 +23,9 @@ Checks, in order:
      (a parked flow cancelled by its job's failure already produced a
      flow_abort, so it is counted by cancelled_parked, not here);
   4. when the summary is given, per-kind line counts equal the registry's
-     "trace.<kind>" counters exactly;
+     "trace.<kind>" counters exactly, and its "engine.makespan" gauge (the
+     largest makespan of the pooled runs) is at least the "t" of every
+     job_finish and job_fail record;
   5. with --continuation, TRACE must be a *seamless continuation* of
      PARTIAL: section by section, PARTIAL's records are a byte-exact prefix
      of TRACE's, and the first record TRACE adds past the seam never steps
@@ -41,12 +45,15 @@ import sys
 KNOWN_KINDS = {
     "job_arrival", "coflow_release", "flow_release", "flow_rate_change",
     "flow_finish", "coflow_finish", "stage_complete", "job_finish",
-    "queue_change", "starvation_weights", "capacity_change", "heavy_mark",
+    "queue_change", "starvation_weights", "heavy_mark",
     "fault", "flow_abort", "flow_retry", "job_fail",
-    "sample", "mem_sample", "wall_sample",
+    "sample", "mem_sample",
     # Open-horizon service records (src/service/, DESIGN.md §15).
-    "admit", "shed", "drain_start", "compact", "degrade",
+    "admit", "shed", "drain_start", "compact",
 }
+# Kind names that keep their number in obs/trace.h but that no writer
+# emits any more; a trace holding one was not written by this build.
+RESERVED_KINDS = {"capacity_change", "wall_sample", "degrade"}
 # Interval-sampler record fields (obs/sampler.h; --timeline in the bench
 # drivers). kSample counts live entities and engine counters; kMemSample
 # carries logical per-subsystem byte totals.
@@ -55,7 +62,6 @@ SAMPLE_NUM_FIELDS = ("events", "events_per_sec", "calendar", "flow_touches",
                      "rate_recomputations", "trace_records")
 MEM_SAMPLE_FIELDS = ("state_bytes", "calendar_bytes", "retry_bytes",
                      "trace_bytes", "active_set_bytes", "total_bytes")
-WALL_SAMPLE_FIELDS = ("wall_ms", "events", "events_per_wall_sec")
 # FaultKind enum range (fault/fault.h).
 NUM_FAULT_KINDS = 7
 # QueueChangeCause::kHrDecision — the cause whose records must carry the
@@ -111,9 +117,14 @@ def validate_line(lineno, line, counts, tallies):
     if not isinstance(rec.get("t"), (int, float)):
         fail(f"line {lineno} has no numeric 't': {line[:120]}")
     kind = rec.get("kind")
+    if kind in RESERVED_KINDS:
+        fail(f"line {lineno} has reserved kind {kind!r}, which no writer "
+             f"emits: {line[:120]}")
     if kind not in KNOWN_KINDS:
         fail(f"line {lineno} has unknown kind {kind!r}: {line[:120]}")
     counts[kind] += 1
+    if kind in ("job_finish", "job_fail"):
+        tallies["last_job_end"] = max(tallies["last_job_end"], rec["t"])
     if kind == "queue_change":
         for field in ("old", "new", "cause"):
             if not isinstance(rec.get(field), int):
@@ -164,11 +175,6 @@ def validate_line(lineno, line, counts, tallies):
         if rec["total_bytes"] != total:
             fail(f"line {lineno} mem_sample total_bytes={rec['total_bytes']} "
                  f"!= sum of subsystems {total}: {line[:120]}")
-    elif kind == "wall_sample":
-        for field in WALL_SAMPLE_FIELDS:
-            if not isinstance(rec.get(field), (int, float)):
-                fail(f"line {lineno} wall_sample lacks numeric '{field}': "
-                     f"{line[:120]}")
     elif kind == "admit":
         require_int(rec, lineno, line, kind, ("queue_depth",), minimum=0)
         for field in ("arrival", "queue_wait"):
@@ -188,8 +194,6 @@ def validate_line(lineno, line, counts, tallies):
         require_int(rec, lineno, line, kind,
                     ("jobs_evicted", "coflows_evicted", "flows_evicted"),
                     minimum=0)
-    elif kind == "degrade":
-        require_int(rec, lineno, line, kind, ("entered",))
 
 
 def read_sections(path):
@@ -291,9 +295,12 @@ def main():
             if counts[kind] != expected:
                 fail(f"count mismatch for {kind}: trace has {counts[kind]} "
                      f"records, summary counter says {expected}")
-        if registry.get("trace.dropped", 0):
-            fail(f"trace dropped {registry['trace.dropped']} records "
-                 f"(recorder cap hit); raise the cap for CI smoke runs")
+        makespan = summary.get("gauges", {}).get("engine.makespan")
+        if not isinstance(makespan, (int, float)):
+            fail("summary lacks a numeric 'engine.makespan' gauge")
+        if makespan < tallies["last_job_end"]:
+            fail(f"summary engine.makespan={makespan} is below the last job "
+                 f"end t={tallies['last_job_end']}")
 
     by_kind = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"validate_trace: OK: {lines} records ({by_kind})")

@@ -270,15 +270,13 @@ void apply_checkpoint_flags(const Args& args, ExperimentConfig& config) {
 
 void apply_timeline_flags(const Args& args, ExperimentConfig& config) {
   ExperimentConfig::ObsOptions& obs = config.obs;
-  const bool timeline = args.get_bool("timeline", false) ||
-                        args.has("timeline-every") ||
-                        args.get_bool("timeline-wall", false);
+  const bool timeline =
+      args.get_bool("timeline", false) || args.has("timeline-every");
   if (timeline) {
     obs.timeline_every = args.get_double("timeline-every", 0.05);
     if (!(obs.timeline_every > 0))
       throw ConfigError("invalid timeline flags",
                         {{"--timeline-every", "wants a positive cadence"}});
-    obs.timeline_wall = args.get_bool("timeline-wall", false);
   }
   obs.diagnostics = args.get_bool("diagnostics", false);
 }

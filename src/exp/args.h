@@ -127,10 +127,8 @@ void apply_checkpoint_flags(const Args& args, ExperimentConfig& config);
 ///                         default cadence (0.05 simulated seconds)
 ///   --timeline-every T    sampling cadence in simulated seconds (> 0;
 ///                         implies --timeline)
-///   --timeline-wall       also emit wall-clock samples (kWallSample) —
-///                         NON-deterministic, excluded from fingerprints
 ///   --diagnostics         non-deterministic run health (allocator work,
-///                         memory peaks, pool stats) in the summary JSON
+///                         memory peaks) in the summary JSON
 /// Throws ConfigError on a non-positive cadence.
 void apply_timeline_flags(const Args& args, ExperimentConfig& config);
 

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "exp/arena.h"
 #include "exp/registry.h"
 #include "exp/runner.h"
 #include "snapshot/snapshot.h"
@@ -81,36 +80,29 @@ double ComparisonResult::per_job_speedup(const std::string& reference,
   return mean_per_job_speedup(ref->second, oth->second, category);
 }
 
-SimResults run_one(const ExperimentConfig& config,
-                   const std::vector<JobSpec>& jobs, Scheduler& scheduler,
-                   const std::string& checkpoint_key) {
+namespace {
+
+/// run_one on a fabric the caller built from `config`'s fabric fields.
+SimResults run_on(const FatTree& fabric, const ExperimentConfig& config,
+                  const std::vector<JobSpec>& jobs, Scheduler& scheduler,
+                  const std::string& checkpoint_key) {
   const bool checkpointing =
       config.checkpoint.active() && !checkpoint_key.empty();
   const std::string ckpt_path =
       checkpointing ? config.checkpoint.dir + "/" + checkpoint_key + ".ckpt"
                     : "";
   if (checkpointing) std::filesystem::create_directories(config.checkpoint.dir);
-  // The worker's arena caches the (immutable) fabric across cells
-  // (DESIGN.md §9).
-  RunArena& arena = RunArena::local();
-  const FatTree& fabric = arena.fabric(FatTree::Config{
-      config.fat_tree_k, config.link_capacity, config.ecmp_salt});
   // Per-run recorder/profiler/sampler on the stack: each run owns its
   // telemetry and the parallel runner pools the snapshots in slot order
   // (absorb), so the exported trace is byte-identical at any worker count.
   const bool timeline = config.obs.timeline_every > 0;
   std::uint32_t mask = config.obs.trace_mask;
-  if (timeline) {
-    mask |= obs::TraceRecorder::kTimelineKinds;
-    if (config.obs.timeline_wall)
-      mask |= obs::mask_of(obs::TraceEventKind::kWallSample);
-  }
+  if (timeline) mask |= obs::TraceRecorder::kTimelineKinds;
   obs::TraceRecorder recorder(mask);
   obs::PhaseProfiler profiler;
   if (config.obs.spans) profiler.enable_spans();
   obs::IntervalSampler sampler(obs::IntervalSampler::Config{
-      timeline ? config.obs.timeline_every : 1.0,
-      /*memory=*/true, config.obs.timeline_wall});
+      timeline ? config.obs.timeline_every : 1.0});
   obs::MemoryAccountant accountant;
   Simulator::Config sim_config;
   if (config.obs.trace || timeline) sim_config.trace = &recorder;
@@ -156,24 +148,35 @@ SimResults run_one(const ExperimentConfig& config,
   return results;
 }
 
+FatTree build_fabric(const ExperimentConfig& config) {
+  return FatTree(FatTree::Config{config.fat_tree_k, config.link_capacity,
+                                 config.ecmp_salt});
+}
+
+}  // namespace
+
+SimResults run_one(const ExperimentConfig& config,
+                   const std::vector<JobSpec>& jobs, Scheduler& scheduler,
+                   const std::string& checkpoint_key) {
+  return run_on(build_fabric(config), config, jobs, scheduler,
+                checkpoint_key);
+}
+
 ComparisonResult compare_schedulers(const ExperimentConfig& config,
                                     const std::vector<std::string>& names,
                                     const std::string& checkpoint_key) {
+  // One fabric per cell: it sizes the workload and carries every
+  // scheduler's run (FatTree is immutable after construction).
+  const FatTree fabric = build_fabric(config);
   TraceConfig trace = config.trace;
-  // Sizing only — but grabbing it from the arena (same worker, usually the
-  // same config run_one asks for) makes this lookup free instead of a
-  // second full FatTree construction per cell.
-  RunArena& arena = RunArena::local();
-  const FatTree& fabric = arena.fabric(
-      FatTree::Config{config.fat_tree_k, config.link_capacity});
   trace.num_hosts = fabric.num_hosts();
   const std::vector<JobSpec> jobs = generate_trace(trace);
 
   ComparisonResult out;
   for (const std::string& name : names) {
     const std::unique_ptr<Scheduler> scheduler = make_scheduler(name);
-    SimResults results = run_one(
-        config, jobs, *scheduler,
+    SimResults results = run_on(
+        fabric, config, jobs, *scheduler,
         checkpoint_key.empty() ? checkpoint_key : checkpoint_key + "." + name);
     JctCollector collector;
     collector.add(results);

@@ -34,15 +34,12 @@ struct ExperimentConfig {
     /// kMemSample are OR-ed into the mask); the resulting timeline is
     /// byte-identical at any worker count (DESIGN.md §14).
     double timeline_every = 0;
-    /// Also emit opt-in wall-clock samples (kWallSample) at each boundary.
-    /// NOT deterministic — excluded from fingerprints and determinism legs.
-    bool timeline_wall = false;
     /// Capture per-slice phase spans into SimResults::spans for
     /// Chrome-trace export (implies profile). Wall-clock telemetry.
     bool spans = false;
     /// Harvest non-deterministic run health (allocator work counters,
     /// reserved memory footprint) into SimResults::diagnostics. Kept out
-    /// of determinism fingerprints, result caches and snapshots.
+    /// of determinism fingerprints and snapshots.
     bool diagnostics = false;
   };
   ObsOptions obs;

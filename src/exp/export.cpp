@@ -108,7 +108,7 @@ std::size_t export_traces(const std::vector<std::string>& labels,
     for (std::size_t i = 0; i < results.size(); ++i) {
       for (const auto& [name, res] : results[i].results) {
         obs::write_jsonl(out, res.trace, labels[i] + "/" + name);
-        obs::export_trace_counters(res.trace, 0, registry);
+        obs::export_trace_counters(res.trace, registry);
         res.export_counters(registry);
         observe_latencies(res, registry);
         if (options.diagnostics) diag.merge(res.diagnostics);
@@ -146,8 +146,7 @@ void export_chrome_trace(const std::vector<std::string>& labels,
       track.spans = res.spans;
       for (const obs::TraceRecord& r : res.trace)
         if (r.kind == obs::TraceEventKind::kSample ||
-            r.kind == obs::TraceEventKind::kMemSample ||
-            r.kind == obs::TraceEventKind::kWallSample)
+            r.kind == obs::TraceEventKind::kMemSample)
           track.samples.push_back(r);
       tracks.push_back(std::move(track));
     }

@@ -30,7 +30,8 @@ struct ExportOptions {
 /// Exports the traces of `results` to `path` as JSONL, one section per
 /// run × scheduler labeled "<labels[i]>/<scheduler>", plus
 /// `<path>.summary.json` holding per-kind record counts, the engine cost
-/// counters pooled over every run, and deterministic latency histograms
+/// counters pooled over every run (counters summed, the makespan gauge the
+/// max), and deterministic latency histograms
 /// ("jct", "queue_wait", "retry_backoff") with p50/p95/p99. The walk is
 /// slot order then map (name) order — the same at any worker count, so the
 /// files are byte-identical at any --jobs (diagnostics excepted; see

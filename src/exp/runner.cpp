@@ -87,24 +87,13 @@ void run_sharded(std::size_t n, int jobs,
 
 std::vector<ComparisonResult> run_matrix(const std::vector<ExperimentRun>& runs,
                                          int jobs) {
-  // Result slots are cache-line aligned while the workers write them: a
-  // ComparisonResult is a pair of small maps, so adjacent slots of a plain
-  // vector share lines and concurrent writers false-share on the final
-  // move-assign of every run. The padded slots are moved into the plain
-  // return vector afterwards (serial, so no sharing by then).
-  struct alignas(64) Slot {
-    ComparisonResult value;
-  };
-  std::vector<Slot> slots(runs.size());
+  std::vector<ComparisonResult> results(runs.size());
   run_sharded(runs.size(), jobs, [&](std::size_t i) {
-    slots[i].value = compare_schedulers(runs[i].config, runs[i].schedulers,
-                                        runs[i].checkpoint_key.empty()
-                                            ? "cell" + std::to_string(i)
-                                            : runs[i].checkpoint_key);
+    results[i] = compare_schedulers(runs[i].config, runs[i].schedulers,
+                                    runs[i].checkpoint_key.empty()
+                                        ? "cell" + std::to_string(i)
+                                        : runs[i].checkpoint_key);
   });
-  std::vector<ComparisonResult> results;
-  results.reserve(runs.size());
-  for (Slot& slot : slots) results.push_back(std::move(slot.value));
   return results;
 }
 

@@ -52,7 +52,7 @@ void SimResults::export_counters(obs::Registry& registry) const {
   registry.add("fault.flow_aborts", flow_aborts);
   registry.add("fault.flow_retries", flow_retries);
   registry.add("fault.failed_jobs", failed_jobs);
-  registry.set_gauge("engine.makespan", makespan);
+  registry.max_gauge("engine.makespan", makespan);
 }
 
 Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
@@ -214,7 +214,7 @@ void Simulator::release_coflow(SimCoflow& coflow) {
     alloc_.add_flow(&stored);
     ++agg.open_connections;
     push_key(stored);
-    ++live_results_->flow_touches;
+    ++results_.flow_touches;
     if (tr && tr->wants(obs::TraceEventKind::kFlowRelease)) {
       obs::TraceRecord r;
       r.kind = obs::TraceEventKind::kFlowRelease;
@@ -325,8 +325,8 @@ void Simulator::finish_flow(SimFlow& flow) {
   remove_from_active(flow);
   flow.finish_time = now_;
   // Bytes this flow lost to aborts were all re-sent by the time it finished.
-  live_results_->bytes_retransmitted += flow.lost_bytes;
-  ++live_results_->flow_touches;
+  results_.bytes_retransmitted += flow.lost_bytes;
+  ++results_.flow_touches;
   obs::TraceRecorder* tr = config_.trace;
   if (tr && tr->wants(obs::TraceEventKind::kFlowFinish)) {
     obs::TraceRecord r;
@@ -406,15 +406,12 @@ void Simulator::prepare_structures() {
 
   tick_ = scheduler_->tick_interval();
   GURITA_CHECK_MSG(tick_ >= 0, "negative tick interval");
-
-  live_results_ = &results_;
 }
 
 void Simulator::prepare() {
   GURITA_CHECK_MSG(config_.sampler == nullptr || config_.trace != nullptr,
                    "interval sampler requires a trace recorder");
   prepared_ = true;
-  if (config_.sampler != nullptr) config_.sampler->start_wall();
   obs::PhaseProfiler* prof = config_.profiler;
   if (prof != nullptr) prof->begin_run();
   const int setup_prev =
@@ -769,7 +766,6 @@ SimResults Simulator::collect() {
   results_.coflows.reserve(state_.coflows_.size());
   for (const SimCoflow& c : state_.coflows_)
     results_.coflows.push_back(coflow_result(c));
-  live_results_ = nullptr;
   if (prof != nullptr) {
     prof->leave(results_prev);
     prof->end_run();
@@ -1051,7 +1047,7 @@ Bytes Simulator::tear_down(SimFlow& flow) {
   agg.base_bytes -= sent;
   flow.remaining = flow.size;
   flow.lost_bytes += sent;
-  live_results_->bytes_lost += sent;
+  results_.bytes_lost += sent;
   --agg.open_connections;
   calendar_.erase(flow.id);
   remove_from_active(flow);
@@ -1063,8 +1059,8 @@ void Simulator::abort_flow(SimFlow& flow, FaultKind cause,
   const Bytes sent = tear_down(flow);
   if (count_attempt) ++flow.attempts;
   flow.abort_time = now_;
-  ++live_results_->flow_aborts;
-  ++live_results_->flow_touches;
+  ++results_.flow_aborts;
+  ++results_.flow_touches;
   dirty_ = true;
   obs::TraceRecorder* tr = config_.trace;
   if (tr && tr->wants(obs::TraceEventKind::kFlowAbort)) {
@@ -1115,7 +1111,7 @@ void Simulator::fail_job(SimJob& job) {
         tear_down(f);
         f.cancelled = true;
         ++cancelled_running;
-        ++live_results_->flow_touches;
+        ++results_.flow_touches;
         dirty_ = true;
       }
     }
@@ -1128,7 +1124,7 @@ void Simulator::fail_job(SimJob& job) {
   }
   job.failed = true;
   job.finish_time = now_;
-  ++live_results_->failed_jobs;
+  ++results_.failed_jobs;
   obs::TraceRecorder* tr = config_.trace;
   if (tr && tr->wants(obs::TraceEventKind::kJobFail)) {
     obs::TraceRecord r;
@@ -1178,7 +1174,7 @@ void Simulator::fire_due_retries() {
     }
     // Restart from byte zero (abort_flow already rewound the byte state).
     const Time latency = now_ - f.abort_time;
-    live_results_->total_recovery_latency += latency;
+    results_.total_recovery_latency += latency;
     f.abort_time = -1;
     f.last_touched = now_;
     SimState::CoflowAggregate& agg = aggregate_of(f);
@@ -1187,8 +1183,8 @@ void Simulator::fire_due_retries() {
     active_.push_back(&f);
     alloc_.add_flow(&f);
     push_key(f);
-    ++live_results_->flow_retries;
-    ++live_results_->flow_touches;
+    ++results_.flow_retries;
+    ++results_.flow_touches;
     dirty_ = true;
     obs::TraceRecorder* tr = config_.trace;
     if (tr && tr->wants(obs::TraceEventKind::kFlowRetry)) {
@@ -1292,7 +1288,7 @@ void Simulator::apply_fault(const FaultEvent& event) {
         // stored rate now disagrees with the cached allocation: dirty the
         // flow's links or the next recomputation would never re-report it.
         alloc_.touch_flow(&f);
-        ++live_results_->flow_touches;
+        ++results_.flow_touches;
       }
       break;
     }

@@ -122,8 +122,8 @@ struct SimResults {
 
   /// Non-deterministic run health (allocator work counters, reserved
   /// memory footprint). Populated by the experiment harness only when
-  /// diagnostics are requested; excluded from determinism fingerprints,
-  /// result caches and snapshots — a restored run re-solves everything on
+  /// diagnostics are requested; excluded from determinism fingerprints
+  /// and snapshots — a restored run re-solves everything on
   /// its first allocation, so these legitimately differ between a resumed
   /// and an uninterrupted run whose simulation bytes are identical.
   struct Diagnostics {
@@ -150,11 +150,11 @@ struct SimResults {
   /// "engine.flow_touches", "engine.rate_recomputations"), the integer fault counters
   /// ("fault.flow_aborts", "fault.flow_retries", "fault.failed_jobs"),
   /// plus the "engine.makespan" gauge. The double-valued fault totals
-  /// (bytes, latency) are deliberately not exported: registry gauges merge
+  /// (bytes, latency) are deliberately not exported: registry gauges fold
   /// by max, which would disagree with merge_counters' summation.
-  /// Registry::merge over per-run exports agrees with merge_counters
-  /// (counters sum, makespan maxes) — the regression tests hold the two
-  /// pooling paths to identical totals at any worker count.
+  /// Exporting several runs into one registry agrees with merge_counters
+  /// (counters sum, makespan maxes) — the regression tests hold the
+  /// summary export to those totals at any worker count.
   void export_counters(obs::Registry& registry) const;
 
   [[nodiscard]] double average_jct() const;
@@ -186,7 +186,7 @@ class Simulator {
     obs::PhaseProfiler* profiler = nullptr;
     /// Deterministic interval sampler (obs/sampler.h), or nullptr. Requires
     /// Config::trace: samples are emitted into the recorder as kSample /
-    /// kMemSample (and opt-in kWallSample) records. Polled after every
+    /// kMemSample records. Polled after every
     /// processed event; sim-time sample fields are pure functions of the
     /// serialized engine state, so timelines are byte-identical across
     /// worker counts and checkpoint/restore splits (DESIGN.md §14). Must
@@ -357,7 +357,6 @@ class Simulator {
   /// Owned here (not a run() local) so a paused run's partial counters are
   /// part of the snapshot; collect() moves it out.
   SimResults results_;
-  SimResults* live_results_ = nullptr;
 
   // --- run-loop state (locals of the old monolithic run(), hoisted so a
   // run can pause at any event boundary and the pause state is exactly
@@ -477,7 +476,7 @@ class Simulator {
   /// event body (idle early-outs included) is sampled.
   void step();
   void step_impl();
-  /// Emits due kSample/kMemSample/kWallSample records (Config::sampler) and
+  /// Emits due kSample/kMemSample records (Config::sampler) and
   /// refreshes the memory accountant. Called after every event.
   void poll_sampler();
   /// Observes the current reserved footprint into Config::memory.

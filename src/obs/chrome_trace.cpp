@@ -104,10 +104,6 @@ void write_chrome_trace(std::ostream& out,
                       {"retry", r.v2},
                       {"trace", r.v3},
                       {"active_set", r.v4}});
-      } else if (r.kind == TraceEventKind::kWallSample) {
-        // Wall tracks use the wall clock itself as their timestamp.
-        emit_counter(line, out, first, pid, "events_per_wall_sec", r.v0 * 1e3,
-                     {{"events_per_wall_sec", r.v2}});
       }
     }
   }

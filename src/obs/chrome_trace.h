@@ -26,8 +26,7 @@ struct ChromeTrack {
   std::string name;
   /// Exclusive phase slices (PhaseProfiler::take_spans).
   std::vector<PhaseSpan> spans;
-  /// Sampler records; kinds other than kSample/kMemSample/kWallSample are
-  /// ignored.
+  /// Sampler records; kinds other than kSample/kMemSample are ignored.
   std::vector<TraceRecord> samples;
 };
 

@@ -1,9 +1,5 @@
 #include "obs/memory.h"
 
-#include <string>
-
-#include "obs/registry.h"
-
 namespace gurita::obs {
 
 const char* MemoryAccountant::subsystem_name(Subsystem s) {
@@ -16,17 +12,6 @@ const char* MemoryAccountant::subsystem_name(Subsystem s) {
     case Subsystem::kFaultRuntime: return "fault_runtime";
   }
   return "?";
-}
-
-void MemoryAccountant::export_to(Registry& registry) const {
-  for (int s = 0; s < kNumSubsystems; ++s) {
-    registry.set_gauge(
-        std::string("mem.") + subsystem_name(static_cast<Subsystem>(s)) +
-            ".peak_bytes",
-        static_cast<double>(peak_[static_cast<std::size_t>(s)]));
-  }
-  registry.set_gauge("mem.total.peak_bytes",
-                     static_cast<double>(peak_total_));
 }
 
 }  // namespace gurita::obs

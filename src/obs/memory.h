@@ -7,8 +7,10 @@
 // including the allocator's membership/scratch arrays. Reserved capacity
 // depends on growth history (restore, admit, compact), so the accountant
 // is diagnostics-only: it is never serialized, never fingerprinted, and
-// only surfaces in exports behind --diagnostics (DESIGN.md §14). The engine feeds it at sample boundaries and at
-// collect(); peaks merge by max across runs, matching gauge semantics.
+// only surfaces in exports behind --diagnostics (DESIGN.md §14), where
+// export_traces renders its peaks in the summary's "diagnostics.memory"
+// object. The engine feeds it at sample boundaries and at collect(); peaks
+// merge by max across runs.
 #pragma once
 
 #include <array>
@@ -16,8 +18,6 @@
 #include <cstdint>
 
 namespace gurita::obs {
-
-class Registry;
 
 class MemoryAccountant {
  public:
@@ -59,10 +59,6 @@ class MemoryAccountant {
       if (other.peak_[i] > peak_[i]) peak_[i] = other.peak_[i];
     if (other.peak_total_ > peak_total_) peak_total_ = other.peak_total_;
   }
-
-  /// Gauges "mem.<subsystem>.peak_bytes" and "mem.total.peak_bytes" —
-  /// gauge max-merge preserves peak semantics across shards.
-  void export_to(Registry& registry) const;
 
  private:
   std::array<std::uint64_t, kNumSubsystems> current_{};

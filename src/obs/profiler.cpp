@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "obs/registry.h"
-
 namespace gurita::obs {
 
 const char* phase_name(Phase phase) {
@@ -72,19 +70,6 @@ std::string PhaseProfile::to_table() const {
                 100.0 * coverage());
   out += buf;
   return out;
-}
-
-void PhaseProfile::export_to(Registry& registry) const {
-  for (int p = 0; p < kNumPhases; ++p) {
-    const Entry& e = phases[static_cast<std::size_t>(p)];
-    const std::string base =
-        std::string("profile.") + phase_name(static_cast<Phase>(p));
-    registry.add(base + ".ns", e.ns);
-    registry.add(base + ".count", e.count);
-  }
-  registry.add("profile.run_wall_ns", run_wall_ns);
-  registry.add("profile.runs", runs);
-  registry.set_gauge("profile.coverage", coverage());
 }
 
 }  // namespace gurita::obs

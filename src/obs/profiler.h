@@ -28,8 +28,6 @@
 
 namespace gurita::obs {
 
-class Registry;
-
 /// Engine phases, in report order.
 enum class Phase : int {
   kSetup = 0,           ///< run() preamble: reserve, arrival sort
@@ -83,11 +81,6 @@ struct PhaseProfile {
   /// Fixed-width report: one row per phase with ms, % of wall and entry
   /// count, plus the wall/coverage footer BENCH reports embed.
   [[nodiscard]] std::string to_table() const;
-
-  /// Folds phase times into `registry` as counters
-  /// ("profile.<phase>.ns" / ".count", "profile.run_wall_ns") and the
-  /// coverage as a gauge ("profile.coverage").
-  void export_to(Registry& registry) const;
 };
 
 /// Accumulates exclusive per-phase time for one engine run at a time.
@@ -141,21 +134,17 @@ class PhaseProfiler {
   [[nodiscard]] const PhaseProfile& snapshot() const { return profile_; }
 
   /// Turns on per-slice span capture (for Chrome-trace export); at most
-  /// `cap` spans are kept, further slices are counted as dropped. Disabled
-  /// capture costs nothing beyond the existing accrue() work.
-  void enable_spans(std::size_t cap = kDefaultSpanCap) {
-    spans_enabled_ = true;
-    span_cap_ = cap;
-  }
+  /// kSpanCap spans are kept, further slices are not recorded.
+  /// Disabled capture costs nothing beyond the existing accrue() work.
+  void enable_spans() { spans_enabled_ = true; }
   /// Moves the captured spans out (the profiler keeps recording afterwards).
   [[nodiscard]] std::vector<PhaseSpan> take_spans() {
     std::vector<PhaseSpan> out = std::move(spans_);
     spans_.clear();
     return out;
   }
-  [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
 
-  static constexpr std::size_t kDefaultSpanCap = 1 << 20;
+  static constexpr std::size_t kSpanCap = 1 << 20;
 
  private:
   /// Attributes the time since the last switch point to the current phase.
@@ -171,10 +160,7 @@ class PhaseProfiler {
   }
 
   void record_span(Clock::time_point now) {
-    if (spans_.size() >= span_cap_) {
-      ++spans_dropped_;
-      return;
-    }
+    if (spans_.size() >= kSpanCap) return;
     const auto since = [this](Clock::time_point t) {
       return static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
@@ -188,9 +174,7 @@ class PhaseProfiler {
   Clock::time_point mark_{};
   Clock::time_point run_start_{};
   bool spans_enabled_ = false;
-  std::size_t span_cap_ = 0;
   std::vector<PhaseSpan> spans_;
-  std::uint64_t spans_dropped_ = 0;
   /// Zero point of span timestamps: the first begin_run().
   Clock::time_point epoch_{};
   bool have_epoch_ = false;

@@ -1,22 +1,9 @@
 #include "obs/registry.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
 namespace gurita::obs {
-
-void Registry::merge(const Registry& other) {
-  for (const auto& [name, value] : other.counters_) counters_[name] += value;
-  for (const auto& [name, value] : other.gauges_) {
-    auto [it, inserted] = gauges_.emplace(name, value);
-    if (!inserted) it->second = std::max(it->second, value);
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    auto [it, inserted] = histograms_.try_emplace(name, h);
-    if (!inserted) it->second.merge(h);
-  }
-}
 
 std::string Registry::to_json() const {
   std::string out = "{\n  \"counters\": {";

@@ -1,26 +1,26 @@
 // Counter / gauge registry.
 //
-// A named, ordered collection of monotone counters (std::uint64_t, merged
-// by summing) and gauges (double, merged by max — the semantics of
-// makespan, the registry's canonical gauge). The engine's per-run cost
-// counters (SimResults) are the first client: SimResults::export_counters
-// projects them into a registry, and merging per-shard registries in shard
-// order is guaranteed to agree with SimResults::merge_counters — the
-// ordered-merge half of the parallel runner's determinism contract
-// (DESIGN.md §9/§10; the equivalence is enforced by tests/obs_test.cpp
-// across 1/2/8 workers).
+// A named, ordered collection of monotone counters (std::uint64_t, folded
+// by summing) and gauges (double, folded by max — the semantics of
+// makespan, the registry's canonical gauge). Pooling happens as values are
+// written: export_traces (exp/export.h) projects every run's
+// SimResults::export_counters into one registry, so the summary's counters
+// are the sums and its makespan the max over the pooled runs — the same
+// totals SimResults::merge_counters gives (DESIGN.md §10; enforced by
+// tests/obs_test.cpp across 1/2/8 workers).
 //
-// Names are dot-scoped by convention ("engine.events", "trace.queue_change",
-// "profile.allocator.ns"); storage is a std::map so every iteration,
-// export and merge is deterministic in name order.
+// Names are dot-scoped by convention ("engine.events", "trace.queue_change");
+// storage is a std::map so every iteration and export is deterministic in
+// name order.
 //
 // Histograms (common/stats LogHistogram) are the third member kind:
-// log-bucketed distributions (JCT, queue wait, retry backoff, allocator
-// component sizes) whose merge — bucket-count summation — is commutative
-// and associative like the counters', so pooled exports are byte-identical
-// at any worker count. Every JSON export carries p50/p95/p99 per histogram.
+// log-bucketed distributions (JCT, queue wait, retry backoff) whose
+// pooling — bucket-count summation — is order-independent like the
+// counters', so pooled exports are byte-identical at any worker count.
+// Every JSON export carries p50/p95/p99 per histogram.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -36,9 +36,10 @@ class Registry {
   void add(const std::string& name, std::uint64_t delta = 1) {
     counters_[name] += delta;
   }
-  /// Sets gauge `name` (overwrites; merge() takes the max across shards).
-  void set_gauge(const std::string& name, double value) {
-    gauges_[name] = value;
+  /// Folds `value` into gauge `name` by max (creating it at `value`).
+  void max_gauge(const std::string& name, double value) {
+    auto [it, inserted] = gauges_.emplace(name, value);
+    if (!inserted) it->second = std::max(it->second, value);
   }
 
   /// Counter value, 0 if absent.
@@ -73,13 +74,6 @@ class Registry {
   [[nodiscard]] const std::map<std::string, LogHistogram>& histograms() const {
     return histograms_;
   }
-
-  /// Folds another registry in: counters sum, gauges take the max,
-  /// histograms sum bucket counts. All three operations are commutative
-  /// and associative, so any merge order over the same shard set yields
-  /// the same registry; pooling in shard order additionally matches
-  /// SimResults::merge_counters byte for byte.
-  void merge(const Registry& other);
 
   /// Deterministic JSON object:
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}, keys in

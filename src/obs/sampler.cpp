@@ -20,37 +20,16 @@ void IntervalSampler::emit(TraceRecorder& sink, const SimSample& sim,
   s.v5 = static_cast<double>(sim.trace_records);
   sink.emit(s);
 
-  if (config_.memory) {
-    TraceRecord m;
-    m.kind = TraceEventKind::kMemSample;
-    m.time = t;
-    m.v0 = static_cast<double>(mem.state_bytes);
-    m.v1 = static_cast<double>(mem.calendar_bytes);
-    m.v2 = static_cast<double>(mem.retry_bytes);
-    m.v3 = static_cast<double>(mem.trace_bytes);
-    m.v4 = static_cast<double>(mem.active_set_bytes);
-    m.v5 = static_cast<double>(mem.total());
-    sink.emit(m);
-  }
-
-  if (config_.wall) {
-    const double wall_ms =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                WallClock::now() - wall_start_)
-                                .count()) /
-        1e6;
-    TraceRecord w;
-    w.kind = TraceEventKind::kWallSample;
-    w.time = t;
-    w.v0 = wall_ms;
-    w.v1 = static_cast<double>(sim.events);
-    const double wall_delta_s = (wall_ms - last_wall_ms_) / 1e3;
-    w.v2 = wall_delta_s > 0
-               ? static_cast<double>(sim.events - last_events_) / wall_delta_s
-               : 0.0;
-    sink.emit(w);
-    last_wall_ms_ = wall_ms;
-  }
+  TraceRecord m;
+  m.kind = TraceEventKind::kMemSample;
+  m.time = t;
+  m.v0 = static_cast<double>(mem.state_bytes);
+  m.v1 = static_cast<double>(mem.calendar_bytes);
+  m.v2 = static_cast<double>(mem.retry_bytes);
+  m.v3 = static_cast<double>(mem.trace_bytes);
+  m.v4 = static_cast<double>(mem.active_set_bytes);
+  m.v5 = static_cast<double>(mem.total());
+  sink.emit(m);
 
   last_events_ = sim.events;
   ++k_;

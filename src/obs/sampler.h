@@ -1,9 +1,9 @@
 // Deterministic interval sampler: periodic run-health samples on a uniform
 // sim-time grid.
 //
-// The sampler owns a boundary cursor k and emits one kSample record (plus a
-// kMemSample and, opt-in, a kWallSample) for every grid point k*every the
-// simulation clock crosses, stamped at the grid time. Boundaries are
+// The sampler owns a boundary cursor k and emits one kSample and one
+// kMemSample record for every grid point k*every the simulation clock
+// crosses, stamped at the grid time. Boundaries are
 // computed by multiplication, never by accumulation, so a run restored from
 // a checkpoint lands on bit-identical grid times. The engine polls the
 // sampler after every processed event (flowsim/simulator.cpp), which is the
@@ -15,12 +15,11 @@
 //
 // Determinism contract (DESIGN.md §14): every field of kSample/kMemSample
 // is a pure function of serialized simulation state — event counters,
-// container *sizes* (never capacities), live-entity counts. Wall-clock
-// readings are confined to kWallSample, which is opt-in, excluded from the
-// default kind mask, and never used in determinism checks.
+// container *sizes* (never capacities), live-entity counts. The sampler
+// reads no clock; wall time per phase comes from the phase profiler
+// (obs/profiler.h), never from a trace record.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 
@@ -35,11 +34,6 @@ class IntervalSampler {
   struct Config {
     /// Sim-time sampling interval; must be > 0.
     double every = 0;
-    /// Also emit per-subsystem memory samples (kMemSample) at each boundary.
-    bool memory = true;
-    /// Opt-in wall-clock samples (kWallSample): NOT deterministic, excluded
-    /// from fingerprints and determinism legs.
-    bool wall = false;
   };
 
   /// Deterministic run-health fields, gathered by the engine at a poll
@@ -87,17 +81,9 @@ class IntervalSampler {
   /// first event boundary at or past the grid time).
   void emit(TraceRecorder& sink, const SimSample& sim, const MemSample& mem);
 
-  /// Starts (or restarts) the wall clock for kWallSample deltas; called at
-  /// prepare()/restore(). Harmless when wall sampling is off.
-  void start_wall() {
-    wall_start_ = WallClock::now();
-    last_wall_ms_ = 0;
-  }
-
   // --- checkpoint plumbing (snapshot/snapshot.cpp) ---
   /// Serialized cursor: boundary index and the event count at the previous
-  /// boundary (for the events/sec delta). Wall state is deliberately not
-  /// part of it.
+  /// boundary (for the events/sec delta).
   struct Cursor {
     std::uint64_t k = 1;
     std::uint64_t last_events = 0;
@@ -109,16 +95,12 @@ class IntervalSampler {
   }
 
  private:
-  using WallClock = std::chrono::steady_clock;
-
   Config config_;
   /// Next boundary index; the grid starts at 1*every (everything is zero
   /// at t=0, so the origin sample carries no information).
   std::uint64_t k_ = 1;
   /// Event count at the previously emitted boundary.
   std::uint64_t last_events_ = 0;
-  WallClock::time_point wall_start_{};
-  double last_wall_ms_ = 0;
 };
 
 }  // namespace gurita::obs

@@ -126,7 +126,7 @@ const KindSpec& kind_spec(TraceEventKind kind) {
         {"trace_bytes", kV3},
         {"active_set_bytes", kV4},
         {"total_bytes", kV5}}},
-      /* kWallSample */
+      /* kWallSample: reserved, no longer emitted */
       {"wall_sample",
        false,
        false,
@@ -348,10 +348,9 @@ std::vector<TraceSection> read_jsonl(std::istream& in) {
 }
 
 void export_trace_counters(const std::vector<TraceRecord>& records,
-                           std::uint64_t dropped, Registry& registry) {
+                           Registry& registry) {
   for (const TraceRecord& r : records)
     registry.add(std::string("trace.") + kind_name(r.kind));
-  if (dropped > 0) registry.add("trace.dropped", dropped);
 }
 
 }  // namespace gurita::obs

@@ -5,8 +5,8 @@
 // time. This module records exactly those decisions as typed records — flow
 // release / rate-change / finish, coflow queue transitions with the Ψ̈
 // factor breakdown (ω̈, ε̈, ℓ̈_max, n̈ and the critical-path discount) that
-// produced them, DAG stage releases, WRR starvation weights, capacity
-// changes — into a preallocated append buffer, exported as JSONL
+// produced them, DAG stage releases, WRR starvation weights, faults —
+// into a preallocated append buffer, exported as JSONL
 // (examples/trace_explorer and scripts/validate_trace.py read it back).
 //
 // Cost contract (DESIGN.md §10): when no recorder is attached the engine's
@@ -49,7 +49,7 @@ enum class TraceEventKind : std::uint8_t {
   kJobFail = 15,          ///< a job exhausted retries and was abandoned
   kSample = 16,           ///< periodic run-health sample (obs/sampler.h)
   kMemSample = 17,        ///< periodic per-subsystem memory sample
-  kWallSample = 18,       ///< opt-in wall-clock sample; NOT deterministic
+  kWallSample = 18,       ///< reserved, no longer emitted
   // --- open-horizon service records (src/service/, DESIGN.md §15) ---
   kAdmit = 19,            ///< daemon admitted a streamed job into the engine
   kShed = 20,             ///< admission control dropped a job (load shedding)
@@ -119,22 +119,19 @@ class TraceRecorder {
   /// Every kind except the two per-recomputation firehoses (flow rate
   /// changes and WRR weight snapshots), which dominate trace volume without
   /// carrying scheduling decisions, and the periodic sampler kinds, which
-  /// only fire when an IntervalSampler is attached (--timeline /
-  /// --timeline-wall opt into their mask bits). Opt in via --trace-filter.
+  /// only fire when an IntervalSampler is attached (--timeline opts into
+  /// their mask bits). Opt in via --trace-filter.
   static constexpr std::uint32_t kDefaultKinds =
       kAllKinds & ~mask_of(TraceEventKind::kFlowRateChange) &
       ~mask_of(TraceEventKind::kStarvationWeights) &
       ~mask_of(TraceEventKind::kSample) &
-      ~mask_of(TraceEventKind::kMemSample) &
-      ~mask_of(TraceEventKind::kWallSample);
+      ~mask_of(TraceEventKind::kMemSample);
   /// The sim-time-driven sampler kinds (deterministic; fingerprinted like
   /// any other trace record).
   static constexpr std::uint32_t kTimelineKinds =
       mask_of(TraceEventKind::kSample) | mask_of(TraceEventKind::kMemSample);
 
-  explicit TraceRecorder(std::uint32_t mask = kDefaultKinds,
-                         std::size_t max_records = 0)
-      : mask_(mask), max_records_(max_records) {
+  explicit TraceRecorder(std::uint32_t mask = kDefaultKinds) : mask_(mask) {
     records_.reserve(kInitialReserve);
   }
 
@@ -144,22 +141,14 @@ class TraceRecorder {
     return (mask_ & mask_of(kind)) != 0;
   }
 
-  /// Appends `record` if its kind passes the filter. When a record cap is
-  /// configured and reached, further records are counted as dropped
-  /// instead of appended (the kept prefix stays contiguous in time).
+  /// Appends `record` if its kind passes the filter.
   void emit(const TraceRecord& record) {
-    if (!wants(record.kind)) return;
-    if (max_records_ != 0 && records_.size() >= max_records_) {
-      ++dropped_;
-      return;
-    }
-    records_.push_back(record);
+    if (wants(record.kind)) records_.push_back(record);
   }
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const {
     return records_;
   }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint32_t mask() const { return mask_; }
 
   /// Moves the buffer out (the recorder is empty afterwards).
@@ -172,18 +161,15 @@ class TraceRecorder {
   /// Refills the buffer from a checkpoint (snapshot/, DESIGN.md §12):
   /// subsequent emissions append after the restored prefix, so a resumed
   /// run's export is a seamless continuation of the original's. The mask
-  /// and record cap are construction-time config and must match the
-  /// checkpointed run's (the snapshot fingerprint enforces the mask).
-  void restore(std::vector<TraceRecord> records, std::uint64_t dropped) {
+  /// is construction-time config and must match the checkpointed run's
+  /// (the snapshot fingerprint enforces it).
+  void restore(std::vector<TraceRecord> records) {
     records_ = std::move(records);
-    dropped_ = dropped;
   }
 
  private:
   static constexpr std::size_t kInitialReserve = 1 << 12;
   std::uint32_t mask_;
-  std::size_t max_records_;
-  std::uint64_t dropped_ = 0;
   std::vector<TraceRecord> records_;
 };
 
@@ -209,9 +195,8 @@ void write_jsonl(std::ostream& out, const std::vector<TraceRecord>& records,
 [[nodiscard]] std::vector<TraceSection> read_jsonl(std::istream& in);
 
 class Registry;
-/// Folds per-kind record counts ("trace.<kind>") and the dropped-record
-/// count ("trace.dropped") into `registry`.
+/// Folds per-kind record counts ("trace.<kind>") into `registry`.
 void export_trace_counters(const std::vector<TraceRecord>& records,
-                           std::uint64_t dropped, Registry& registry);
+                           Registry& registry);
 
 }  // namespace gurita::obs

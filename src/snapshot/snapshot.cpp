@@ -42,8 +42,6 @@ class SnapshotCodec {
     const obs::IntervalSampler* sampler = s.config_.sampler;
     w.boolean(sampler != nullptr);
     w.f64(sampler != nullptr ? sampler->config().every : 0.0);
-    w.boolean(sampler != nullptr && sampler->config().memory);
-    w.boolean(sampler != nullptr && sampler->config().wall);
     w.u64(static_fingerprint(s));
     w.end_section(token);
   }
@@ -67,10 +65,6 @@ class SnapshotCodec {
           "interval sampler attached on one side only");
     check(r.f64() == (sampler != nullptr ? sampler->config().every : 0.0),
           "sampler interval mismatch");
-    check(r.boolean() == (sampler != nullptr && sampler->config().memory),
-          "sampler memory setting mismatch");
-    check(r.boolean() == (sampler != nullptr && sampler->config().wall),
-          "sampler wall setting mismatch");
     check(r.u64() == static_fingerprint(s),
           "job/fault inputs mismatch");
     r.end_section(end);
@@ -458,7 +452,6 @@ class SnapshotCodec {
     const obs::TraceRecorder* tr = s.config_.trace;
     w.boolean(tr != nullptr);
     if (tr != nullptr) {
-      w.u64(tr->dropped());
       w.u64(tr->records().size());
       for (const obs::TraceRecord& rec : tr->records())
         snapshot::write_trace_record(w, rec);
@@ -473,13 +466,12 @@ class SnapshotCodec {
     check(attached == (s.config_.trace != nullptr),
           "trace recorder presence");
     if (attached) {
-      const std::uint64_t dropped = r.u64();
       const std::uint64_t n = r.count(snapshot::kTraceRecordBytes);
       std::vector<obs::TraceRecord> records;
       records.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i)
         records.push_back(snapshot::read_trace_record(r));
-      s.config_.trace->restore(std::move(records), dropped);
+      s.config_.trace->restore(std::move(records));
     }
     r.end_section(end);
   }
@@ -487,8 +479,7 @@ class SnapshotCodec {
   /// Sampler boundary cursor: grid index and the event count at the last
   /// emitted boundary. Already-emitted sample records ride the trace
   /// section; the cursor makes the *next* boundary land exactly where the
-  /// uninterrupted run's would. Wall-clock state is deliberately absent
-  /// (DESIGN.md §14).
+  /// uninterrupted run's would (DESIGN.md §14).
   static void save_sampler(const Simulator& s, Writer& w) {
     const std::size_t token = w.begin_section();
     const obs::IntervalSampler* sampler = s.config_.sampler;
@@ -546,9 +537,6 @@ void Simulator::restore(snapshot::Reader& r) {
   // because allocation is a pure function of (flows, tiers, weights, caps).
   alloc_.rebuild(active_);
   prepared_ = true;
-  // Wall deltas restart from the resume point (wall state is not part of
-  // the snapshot; only sim-time samples are deterministic).
-  if (config_.sampler != nullptr) config_.sampler->start_wall();
   if (prof != nullptr) prof->leave(setup_prev);
 }
 

@@ -61,7 +61,9 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// v9: the feed fingerprint in a feed-sourced service-state payload seeds
 /// FNV-1a with the true offset basis (it was a digit short); the layout is
 /// unchanged.
-inline constexpr std::uint32_t kFormatVersion = 9;
+/// v10: the fingerprint drops the sampler's memory and wall switches (two
+/// bools) and the trace section drops its dropped-record count (one u64).
+inline constexpr std::uint32_t kFormatVersion = 10;
 
 /// Payload kind byte following the header. Value 2 is reserved: it marked
 /// the retired results cache of a finished batch shard, and read_header

@@ -1,10 +1,11 @@
 // Tests for the obs/ telemetry subsystem (ISSUE: structured simulation
 // telemetry) and its determinism contracts:
 //
-//  * recorder filtering, caps and JSONL export round-trips;
-//  * registry merge == SimResults::merge_counters, and counter pooling is
-//    identical at 1/2/8 workers (the ordered-merge half of DESIGN.md §9
-//    applied to telemetry);
+//  * recorder filtering and JSONL export round-trips;
+//  * the summary export pools counters like SimResults::merge_counters
+//    (makespan the max), byte-identically at 1/2/8 workers (the
+//    ordered-merge half of DESIGN.md §9 applied to telemetry), and its
+//    --diagnostics splice stays valid JSON;
 //  * same seed + same workload ⇒ byte-identical exported trace at any
 //    worker count;
 //  * differential check: the event-calendar engine and the reference oracle
@@ -16,14 +17,18 @@
 //    grid without perturbing the run (DESIGN.md §14).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "exp/experiment.h"
+#include "exp/export.h"
 #include "exp/registry.h"
 #include "flowsim/simulator.h"
 #include "obs/memory.h"
@@ -79,18 +84,6 @@ TEST(TraceRecorder, EmptyMaskKeepsNothing) {
   TraceRecorder rec(/*mask=*/0);
   rec.emit(queue_change(1.0, 1, 0, 1));
   EXPECT_TRUE(rec.records().empty());
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
-TEST(TraceRecorder, CapCountsDropped) {
-  TraceRecorder rec(TraceRecorder::kAllKinds, /*max_records=*/2);
-  for (int i = 0; i < 5; ++i)
-    rec.emit(queue_change(static_cast<double>(i), 1, i, i + 1));
-  EXPECT_EQ(rec.records().size(), 2u);
-  EXPECT_EQ(rec.dropped(), 3u);
-  // The kept prefix is the earliest records.
-  EXPECT_EQ(rec.records()[0].time, 0.0);
-  EXPECT_EQ(rec.records()[1].time, 1.0);
 }
 
 TEST(TraceRecorder, TakeMovesBufferOut) {
@@ -254,37 +247,23 @@ TEST(Registry, CountersAndGauges) {
   obs::Registry reg;
   reg.add("a.events");
   reg.add("a.events", 4);
-  reg.set_gauge("a.makespan", 2.5);
+  reg.max_gauge("a.makespan", 2.5);
+  reg.max_gauge("a.makespan", 1.0);  // max, not last write
   EXPECT_EQ(reg.counter("a.events"), 5u);
   EXPECT_EQ(reg.counter("absent"), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge("a.makespan"), 2.5);
   EXPECT_DOUBLE_EQ(reg.gauge("absent"), 0.0);
 }
 
-TEST(Registry, MergeSumsCountersMaxesGauges) {
-  obs::Registry a, b;
-  a.add("events", 2);
-  a.set_gauge("makespan", 1.0);
-  b.add("events", 3);
-  b.add("only_b", 1);
-  b.set_gauge("makespan", 0.5);
-  b.set_gauge("only_b", 7.0);
-  a.merge(b);
-  EXPECT_EQ(a.counter("events"), 5u);
-  EXPECT_EQ(a.counter("only_b"), 1u);
-  EXPECT_DOUBLE_EQ(a.gauge("makespan"), 1.0);  // max, not last-write
-  EXPECT_DOUBLE_EQ(a.gauge("only_b"), 7.0);
-}
-
 TEST(Registry, ToJsonIsNameOrderedAndStable) {
   obs::Registry reg;
   reg.add("z.last", 1);
   reg.add("a.first", 2);
-  reg.set_gauge("m.gauge", 0.5);
+  reg.max_gauge("m.gauge", 0.5);
   const std::string json = reg.to_json();
   EXPECT_LT(json.find("a.first"), json.find("z.last"));
   obs::Registry same;
-  same.set_gauge("m.gauge", 0.5);
+  same.max_gauge("m.gauge", 0.5);
   same.add("a.first", 2);
   same.add("z.last", 1);
   EXPECT_EQ(json, same.to_json());  // insertion order is irrelevant
@@ -297,10 +276,9 @@ TEST(Registry, ExportTraceCountersCountsPerKind) {
   TraceRecord fr;
   fr.kind = TraceEventKind::kFlowFinish;
   records.push_back(fr);
-  obs::export_trace_counters(records, /*dropped=*/4, reg);
+  obs::export_trace_counters(records, reg);
   EXPECT_EQ(reg.counter("trace.queue_change"), 2u);
   EXPECT_EQ(reg.counter("trace.flow_finish"), 1u);
-  EXPECT_EQ(reg.counter("trace.dropped"), 4u);
 }
 
 // ------------------------------------------- counter pooling equivalence
@@ -310,63 +288,121 @@ ExperimentConfig small_config(std::uint64_t seed) {
   return config;
 }
 
-// Registry::merge over per-run exports must agree with pooling the raw
-// counters through SimResults::merge_counters (the two documented pooling
-// paths for engine cost counters).
-TEST(RegistryMerge, MatchesMergeCounters) {
-  std::vector<SimResults> per_seed;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ExperimentConfig config = small_config(seed);
-    const std::vector<JobSpec> jobs = generate_trace(config.trace);
-    std::unique_ptr<Scheduler> sched = make_scheduler("gurita");
-    per_seed.push_back(run_one(config, jobs, *sched));
-  }
-
-  SimResults pooled = per_seed[0];
-  for (std::size_t i = 1; i < per_seed.size(); ++i)
-    pooled.merge_counters(per_seed[i]);
-
-  obs::Registry merged;
-  for (const SimResults& res : per_seed) {
-    obs::Registry shard;
-    res.export_counters(shard);
-    merged.merge(shard);
-  }
-
-  obs::Registry direct;
-  pooled.export_counters(direct);
-  EXPECT_EQ(direct.to_json(), merged.to_json());
-  EXPECT_EQ(merged.counter("engine.events"), pooled.events);
-  EXPECT_EQ(merged.counter("engine.flow_touches"), pooled.flow_touches);
-  EXPECT_EQ(merged.counter("engine.rate_recomputations"),
-            pooled.rate_recomputations);
-  EXPECT_DOUBLE_EQ(merged.gauge("engine.makespan"), pooled.makespan);
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
-// Pooled counters must come out identical at 1, 2 and 8 workers: the
+/// Exports `results` (one labeled cell each) through export_traces and
+/// returns the summary JSON's bytes.
+std::string export_summary(const std::vector<ComparisonResult>& results,
+                           const std::string& leaf,
+                           const ExportOptions& options = {}) {
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < results.size(); ++i)
+    labels.push_back("cell" + std::to_string(i));
+  const std::string path = ::testing::TempDir() + "gurita_obs_" + leaf;
+  (void)export_traces(labels, results, path, options);
+  return slurp(path + ".summary.json");
+}
+
+// The summary export is the one pooling path for the registry: its engine
+// and fault counters must equal SimResults::merge_counters over the same
+// runs, and its makespan gauge the largest makespan, not the last run's.
+TEST(RegistryMerge, MatchesMergeCounters) {
+  std::vector<ComparisonResult> cells;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    cells.push_back(compare_schedulers(small_config(seed), {"gurita"}));
+
+  SimResults pooled = cells[0].results.at("gurita");
+  for (std::size_t i = 1; i < cells.size(); ++i)
+    pooled.merge_counters(cells[i].results.at("gurita"));
+  ASSERT_LT(cells.back().results.at("gurita").makespan, pooled.makespan)
+      << "the last run holds the largest makespan, so max and last agree";
+
+  const JsonValue summary = parse_json(export_summary(cells, "pool.jsonl"));
+  obs::Registry direct;
+  pooled.export_counters(direct);
+  for (const auto& [name, value] : direct.counters())
+    EXPECT_EQ(summary.at("counters").at(name).as_u64(), value) << name;
+  ASSERT_EQ(direct.gauges().size(), 1u);
+  EXPECT_EQ(summary.at("gauges").at("engine.makespan").as_double(),
+            pooled.makespan);
+}
+
+// The summary comes out byte-identical at 1, 2 and 8 workers: the
 // replicates are merged in replicate order regardless of which worker ran
-// them (DESIGN.md §9), and the registry projection inherits that.
+// them (DESIGN.md §9), and the export walks the pooled results in a fixed
+// order.
 TEST(RegistryMerge, WorkerCountInvariant) {
   const std::vector<std::string> names = {"gurita", "aalo"};
-  std::vector<std::string> jsons;
+  std::vector<std::string> summaries;
   for (const int jobs : {1, 2, 8}) {
     const ComparisonResult result =
         compare_schedulers_seeds(small_config(7), names, /*num_seeds=*/4, jobs);
-    obs::Registry reg;
-    for (const auto& [name, res] : result.results) {
-      obs::Registry shard;
-      res.export_counters(shard);
-      // Prefix with the scheduler name so the two schedulers' counters
-      // stay distinguishable in the pooled registry.
-      for (const auto& [k, v] : shard.counters()) reg.add(name + "." + k, v);
-      for (const auto& [k, v] : shard.gauges()) {
-        if (v > reg.gauge(name + "." + k)) reg.set_gauge(name + "." + k, v);
-      }
-    }
-    jsons.push_back(reg.to_json());
+    summaries.push_back(export_summary(
+        {result}, "workers" + std::to_string(jobs) + ".jsonl"));
+    const double makespan = std::max(result.results.at("gurita").makespan,
+                                     result.results.at("aalo").makespan);
+    EXPECT_EQ(
+        parse_json(summaries.back()).at("gauges").at("engine.makespan")
+            .as_double(),
+        makespan);
   }
-  EXPECT_EQ(jsons[0], jsons[1]) << "1 worker vs 2 workers";
-  EXPECT_EQ(jsons[0], jsons[2]) << "1 worker vs 8 workers";
+  EXPECT_EQ(summaries[0], summaries[1]) << "1 worker vs 2 workers";
+  EXPECT_EQ(summaries[0], summaries[2]) << "1 worker vs 8 workers";
+}
+
+// --diagnostics splices a non-fingerprinted object into the summary: the
+// result must still parse, carry the pooled allocator counters and memory
+// peaks, and cutting the object out must leave the plain summary's bytes.
+TEST(ExportTraces, DiagnosticsSpliceIsValidJson) {
+  ExperimentConfig config = small_config(3);
+  config.obs.diagnostics = true;
+  std::vector<ComparisonResult> cells;
+  cells.push_back(compare_schedulers(config, {"gurita", "aalo"}));
+  config.trace.seed = 4;
+  cells.push_back(compare_schedulers(config, {"gurita", "aalo"}));
+
+  SimResults::Diagnostics pooled;
+  for (const ComparisonResult& cell : cells)
+    for (const auto& [name, res] : cell.results) pooled.merge(res.diagnostics);
+  ASSERT_GT(pooled.alloc.allocations, 0u);
+  ASSERT_GT(pooled.memory.peak_total(), 0u);
+
+  const std::string plain = export_summary(cells, "plain.jsonl");
+  const std::string spliced =
+      export_summary(cells, "diag.jsonl", ExportOptions{/*diagnostics=*/true});
+  const JsonValue summary = parse_json(spliced);
+  const JsonValue& alloc = summary.at("diagnostics").at("alloc");
+  EXPECT_EQ(alloc.at("allocations").as_u64(), pooled.alloc.allocations);
+  EXPECT_EQ(alloc.at("flows_solved").as_u64(), pooled.alloc.flows_solved);
+  EXPECT_EQ(alloc.at("components_solved").as_u64(),
+            pooled.alloc.components_solved);
+  EXPECT_EQ(alloc.at("dirty_links").as_u64(), pooled.alloc.dirty_links);
+  EXPECT_EQ(alloc.at("waterfill_rounds").as_u64(),
+            pooled.alloc.waterfill_rounds);
+  EXPECT_EQ(alloc.at("live_link_visits").as_u64(),
+            pooled.alloc.live_link_visits);
+  EXPECT_EQ(alloc.at("component_flows").at("count").as_u64(),
+            pooled.alloc.component_flows.total());
+  const JsonValue& memory = summary.at("diagnostics").at("memory");
+  using S = obs::MemoryAccountant::Subsystem;
+  for (int i = 0; i < obs::MemoryAccountant::kNumSubsystems; ++i) {
+    const S s = static_cast<S>(i);
+    const std::string key =
+        std::string(obs::MemoryAccountant::subsystem_name(s)) + "_peak_bytes";
+    EXPECT_EQ(memory.at(key).as_u64(), pooled.memory.peak(s)) << key;
+  }
+  EXPECT_EQ(memory.at("total_peak_bytes").as_u64(),
+            pooled.memory.peak_total());
+
+  const std::size_t cut = spliced.find(",\n  \"diagnostics\": ");
+  ASSERT_NE(cut, std::string::npos);
+  EXPECT_EQ(spliced.substr(0, cut) + "\n}\n", plain);
 }
 
 // ----------------------------------------------------- trace determinism
@@ -520,11 +556,6 @@ TEST(Profiler, CoversEngineRunWithoutPerturbingIt) {
   const std::string table = p.to_table();
   EXPECT_NE(table.find("allocator"), std::string::npos);
   EXPECT_NE(table.find("coverage"), std::string::npos);
-
-  obs::Registry reg;
-  p.export_to(reg);
-  EXPECT_EQ(reg.counter("profile.run_wall_ns"), p.run_wall_ns);
-  EXPECT_GT(reg.gauge("profile.coverage"), 0.0);
 }
 
 // ------------------------------------------------- registry histograms
@@ -548,21 +579,6 @@ TEST(RegistryHistograms, ObserveAndJsonPercentiles) {
   EXPECT_DOUBLE_EQ(reg.histogram("jct").percentile(100), 10000.0);
   // Re-declaring with a different base is a bug, not a silent resplit.
   EXPECT_THROW(reg.histogram("jct", 2.0), std::logic_error);
-}
-
-TEST(RegistryHistograms, MergeSumsBucketsCommutatively) {
-  obs::Registry a, b;
-  a.observe("jct", 5.0);
-  a.observe("only_a", 1.0);
-  b.observe("jct", 50.0);
-  b.observe("jct", 0.0);
-  obs::Registry ab = a, ba = b;
-  ab.merge(b);
-  ba.merge(a);
-  EXPECT_EQ(ab.to_json(), ba.to_json());
-  EXPECT_EQ(ab.histograms().at("jct").total(), 3u);
-  EXPECT_EQ(ab.histograms().at("jct").zeros(), 1u);
-  EXPECT_EQ(ab.histograms().at("only_a").total(), 1u);
 }
 
 // The export-layer projection: pooled results observed into latency
@@ -665,7 +681,7 @@ TEST(Sampler, EngineTimelineDoesNotPerturbTheRun) {
   EXPECT_EQ(timed.events, plain.events);
   EXPECT_EQ(timed.flow_touches, plain.flow_touches);
 
-  std::size_t samples = 0, mem_samples = 0, wall_samples = 0;
+  std::size_t samples = 0, mem_samples = 0;
   double prev = 0;
   for (const TraceRecord& r : timed.trace) {
     if (r.kind == TraceEventKind::kSample) {
@@ -678,14 +694,11 @@ TEST(Sampler, EngineTimelineDoesNotPerturbTheRun) {
       prev = r.time;
     } else if (r.kind == TraceEventKind::kMemSample) {
       ++mem_samples;
-    } else if (r.kind == TraceEventKind::kWallSample) {
-      ++wall_samples;
     }
   }
   EXPECT_GT(samples, 0u) << "makespan " << timed.makespan
                          << " crossed no 0.02 s boundary";
   EXPECT_EQ(samples, mem_samples);
-  EXPECT_EQ(wall_samples, 0u) << "wall samples must be opt-in";
 }
 
 std::string pooled_timeline_jsonl(int jobs) {
@@ -728,11 +741,6 @@ TEST(MemoryAccountant, PeaksFoldAndMergeByMax) {
   EXPECT_EQ(a.peak(S::kState), 100u);
   EXPECT_EQ(a.peak(S::kTrace), 500u);
   EXPECT_EQ(a.peak_total(), 570u);
-
-  obs::Registry reg;
-  a.export_to(reg);
-  EXPECT_DOUBLE_EQ(reg.gauge("mem.state.peak_bytes"), 100.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("mem.total.peak_bytes"), 570.0);
 }
 
 // -------------------------------------------------- engine trace content

@@ -173,19 +173,14 @@ TEST(ResolveJobsTest, ResolvesHardwareAndExplicitCounts) {
   }
 }
 
-// The per-worker arena (exp/arena.h) caches fabrics across cells. Reuse
-// must be invisible: running the same sweep repeatedly on one thread —
-// each pass reusing the fabrics the previous pass built — must serialize
-// identically to the first pass, and identically at every worker count
-// (workers inherit whatever their arena accumulated from earlier cells in
-// the same process).
+// No state survives a sweep: running the same sweep repeatedly in one
+// process must serialize identically to the first pass, on the calling
+// thread alone and at every worker count (fresh worker threads each call).
 TEST(ParallelRunnerTest, ArenaReuseKeepsRepeatedSweepsByteIdentical) {
   const std::string first = serialize_reports(run_sweep(small_sweep(), 1));
   ASSERT_FALSE(first.empty());
-  // Same thread, now-warm arena: cached fabric.
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 1)), first);
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 1)), first);
-  // Warm and cold workers mixed (fresh worker threads each call).
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 2)), first);
   EXPECT_EQ(serialize_reports(run_sweep(small_sweep(), 8)), first);
 }
