@@ -59,13 +59,6 @@ class TickingPfsScheduler final : public Scheduler {
     (void)now;
     return false;
   }
-  void assign(Time now, const std::vector<SimFlow*>& active) override {
-    (void)now;
-    for (SimFlow* f : active) {
-      f->tier = 0;
-      f->weight = 1.0;
-    }
-  }
 
  private:
   Time delta_;

@@ -288,38 +288,26 @@ void GuritaScheduler::load_state(snapshot::Reader& r) {
 }
 
 void GuritaScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
+  (void)active;
   // Continuous receiver-local threshold check: exactly once per released,
   // unfinished coflow. coflow_queue_ is that set (entries are added at
   // release and erased at finish), so iterating it directly never depends
   // on the active list keeping a coflow's flows contiguous — the old
   // previous-flow dedup silently skipped coflows under interleaved orders.
-  for (auto& [cid, queue] : coflow_queue_) self_demote(cid, queue, now);
-  if (!config_.starvation_mitigation) {
-    for (SimFlow* f : active) {
-      const SimJob& job = state().job(f->job);
-      f->tier = coflow_queue(job.coflows[f->coflow_index]);
-      f->weight = 1.0;
-    }
-    return;
+  // Every active flow's coflow has a row, so writing the rows with open
+  // connections covers the active set.
+  std::vector<QueuedCoflow> table;
+  for (auto& [cid, queue] : coflow_queue_) {
+    self_demote(cid, queue, now);
+    const int open = state().coflow_open_connections(cid);
+    if (open > 0) table.push_back(QueuedCoflow{cid, queue, open});
   }
-
-  // WRR emulation of SPQ: per-queue demand is the number of active flows
-  // currently assigned to the queue ("arrival rate ... can be retrieved
-  // from switches"); queue weights come from the SPQ waiting-time model and
-  // are split evenly among the queue's flows. Every flow lives in one
-  // allocator tier so nothing starves.
-  std::vector<double> demand(static_cast<std::size_t>(config_.queues), 0.0);
-  std::vector<int> queue_of_flow(active.size(), 0);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const SimJob& job = state().job(active[i]->job);
-    const int q = coflow_queue(job.coflows[active[i]->coflow_index]);
-    queue_of_flow[i] = q;
-    demand[static_cast<std::size_t>(q)] += 1.0;
-  }
-  const std::vector<double> weights = wrr_weights_from_demand(
-      demand, config_.wrr_total_utilization, config_.wrr_min_queue_ratio);
+  const std::vector<double> weights = enforce_queues(
+      table, config_.queues, config_.starvation_mitigation,
+      config_.wrr_total_utilization, config_.wrr_min_queue_ratio);
   obs::TraceRecorder* tr = trace_recorder();
-  if (tr && tr->wants(obs::TraceEventKind::kStarvationWeights)) {
+  if (config_.starvation_mitigation && tr &&
+      tr->wants(obs::TraceEventKind::kStarvationWeights)) {
     obs::TraceRecord r;
     r.kind = obs::TraceEventKind::kStarvationWeights;
     r.time = now;
@@ -330,13 +318,7 @@ void GuritaScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
     if (weights.size() > 3) r.v3 = weights[3];
     tr->emit(r);
   }
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const int q = queue_of_flow[i];
-    const double flows_in_q = demand[static_cast<std::size_t>(q)];
-    active[i]->tier = 0;
-    active[i]->weight =
-        std::max(weights[static_cast<std::size_t>(q)] / flows_in_q, 1e-9);
-  }
+  for (const QueuedCoflow& c : table) set_priority(c.coflow, c.tier, c.weight);
 }
 
 }  // namespace gurita

@@ -95,11 +95,11 @@ void GuritaPlusScheduler::assign(Time now, const std::vector<SimFlow*>& active) 
   obs::TraceRecorder* tr = trace_recorder();
   const bool trace_queues =
       tr != nullptr && tr->wants(obs::TraceEventKind::kQueueChange);
-  std::map<std::uint64_t, int> queue_of_coflow;
+  std::vector<QueuedCoflow> table;
   for (const auto& [cid, a] : agg) {
     const double psi = psi_stage.at({a.job.value(), a.stage});
     const int q = thresholds_.level(psi);
-    queue_of_coflow[cid] = q;
+    table.push_back(QueuedCoflow{CoflowId{cid}, q, static_cast<int>(a.width)});
     if (trace_queues) {
       auto [it, first_sight] = last_queue_.emplace(CoflowId{cid}, -1);
       if (it->second != q) {
@@ -124,34 +124,9 @@ void GuritaPlusScheduler::assign(Time now, const std::vector<SimFlow*>& active) 
       }
     }
   }
-
-  std::vector<int> queue_of_flow(active.size(), 0);
-  std::vector<double> demand(static_cast<std::size_t>(config_.queues), 0.0);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const SimFlow* f = active[i];
-    const SimJob& job = state().job(f->job);
-    const CoflowId cid = job.coflows[f->coflow_index];
-    const int q = queue_of_coflow.at(cid.value());
-    queue_of_flow[i] = q;
-    demand[static_cast<std::size_t>(q)] += 1.0;
-  }
-
-  if (!config_.starvation_mitigation) {
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      active[i]->tier = queue_of_flow[i];
-      active[i]->weight = 1.0;
-    }
-    return;
-  }
-  const std::vector<double> weights = wrr_weights_from_demand(
-      demand, config_.wrr_total_utilization, config_.wrr_min_queue_ratio);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const int q = queue_of_flow[i];
-    active[i]->tier = 0;
-    active[i]->weight = std::max(
-        weights[static_cast<std::size_t>(q)] / demand[static_cast<std::size_t>(q)],
-        1e-9);
-  }
+  enforce_queues(table, config_.queues, config_.starvation_mitigation,
+                 config_.wrr_total_utilization, config_.wrr_min_queue_ratio);
+  for (const QueuedCoflow& c : table) set_priority(c.coflow, c.tier, c.weight);
 }
 
 void GuritaPlusScheduler::save_state(snapshot::Writer& w) const {

@@ -1,5 +1,7 @@
 #include "core/starvation.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace gurita {
@@ -63,6 +65,27 @@ std::vector<double> wrr_weights_from_demand(const std::vector<double>& demand,
       rho[i] = demand[i] / total * total_utilization;
   }
   return wrr_weights(spq_waiting_times(rho), min_queue_ratio);
+}
+
+std::vector<double> enforce_queues(std::vector<QueuedCoflow>& table,
+                                   int queues, bool wrr,
+                                   double total_utilization,
+                                   double min_queue_ratio) {
+  // Whole flow counts sum exactly in any order.
+  std::vector<double> demand(static_cast<std::size_t>(queues), 0.0);
+  for (const QueuedCoflow& c : table) {
+    GURITA_CHECK_MSG(!wrr || c.flows > 0, "WRR row without active flows");
+    demand[static_cast<std::size_t>(c.queue)] += c.flows;
+  }
+  const std::vector<double> weights =
+      wrr ? wrr_weights_from_demand(demand, total_utilization, min_queue_ratio)
+          : std::vector<double>{};
+  for (QueuedCoflow& c : table) {
+    const auto q = static_cast<std::size_t>(c.queue);
+    c.tier = wrr ? 0 : c.queue;
+    c.weight = wrr ? std::max(weights[q] / demand[q], 1e-9) : 1.0;
+  }
+  return weights;
 }
 
 }  // namespace gurita

@@ -19,6 +19,8 @@
 
 #include <vector>
 
+#include "flowsim/state.h"
+
 namespace gurita {
 
 /// Relative SPQ waiting times W_i for per-queue loads `rho` (each >= 0,
@@ -45,5 +47,24 @@ namespace gurita {
 [[nodiscard]] std::vector<double> wrr_weights_from_demand(
     const std::vector<double>& demand, double total_utilization = 0.9,
     double min_queue_ratio = 1.0);
+
+/// A coflow, its queue and its active flows (the WRR demand unit); the
+/// tier and weight are enforce_queues' output.
+struct QueuedCoflow {
+  CoflowId coflow;
+  int queue = 0;
+  int flows = 0;
+  Tier tier = 0;
+  double weight = 1.0;
+};
+
+/// Maps a queue table onto priorities. SPQ: queue q is tier q, weight 1.
+/// WRR emulation: all in tier 0, and queue q's weight W_q (from its share
+/// n_q of the active flows) splits evenly, max(W_q / n_q, 1e-9) per
+/// coflow. Returns W (empty under SPQ). WRR rows need flows > 0.
+std::vector<double> enforce_queues(std::vector<QueuedCoflow>& table,
+                                   int queues, bool wrr,
+                                   double total_utilization,
+                                   double min_queue_ratio);
 
 }  // namespace gurita

@@ -223,26 +223,6 @@ void ComparisonResult::absorb(const ComparisonResult& other) {
   }
 }
 
-ComparisonResult compare_schedulers_seeds(ExperimentConfig config,
-                                          const std::vector<std::string>& names,
-                                          int num_seeds, int jobs) {
-  GURITA_CHECK_MSG(num_seeds >= 1, "need at least one seed");
-  // Legacy seed schedule (seed, seed+1, ...): every replicate's workload is
-  // fixed up front, so the replicates are independent runs that can execute
-  // on any worker in any order.
-  std::vector<ExperimentRun> runs(static_cast<std::size_t>(num_seeds));
-  for (int s = 0; s < num_seeds; ++s) {
-    runs[static_cast<std::size_t>(s)].config = config;
-    runs[static_cast<std::size_t>(s)].schedulers = names;
-    ++config.trace.seed;
-  }
-  const std::vector<ComparisonResult> one = run_matrix(runs, jobs);
-  // Ordered merge: replicate order, regardless of completion order.
-  ComparisonResult pooled;
-  for (const ComparisonResult& r : one) pooled.absorb(r);
-  return pooled;
-}
-
 ExperimentConfig trace_scenario(StructureKind structure, int num_jobs,
                                 std::uint64_t seed) {
   ExperimentConfig config;

@@ -124,18 +124,6 @@ struct ComparisonResult {
     const ExperimentConfig& config, const std::vector<std::string>& names,
     const std::string& checkpoint_key = "");
 
-/// Statistical variant: repeats compare_schedulers over `num_seeds`
-/// workloads (seed, seed+1, ... — the legacy schedule, kept so recorded
-/// results stay reproducible) and pools the per-job results, so improvement
-/// factors and speedups average across trace randomness. The replicates
-/// run sharded over `jobs` workers (exp/runner.h); the pooled result is
-/// bit-identical at any `jobs` value, including the serial default.
-/// New sweeps should prefer run_sweep (runner.h), whose replicate seeds
-/// derive from the full (experiment, config, replicate) key.
-[[nodiscard]] ComparisonResult compare_schedulers_seeds(
-    ExperimentConfig config, const std::vector<std::string>& names,
-    int num_seeds, int jobs = 1);
-
 /// Canonical configurations for the paper's scenarios.
 /// Trace-driven (§V, Figs. 5/6/8): 8-pod fat-tree, Poisson arrivals.
 [[nodiscard]] ExperimentConfig trace_scenario(StructureKind structure,

@@ -262,16 +262,12 @@ void RateAllocator::reset(const Topology* topo, std::size_t flow_capacity) {
   ent_prev_.clear();
   slot_offset_.clear();
   in_.clear();
-  tier_mirror_.clear();
-  weight_mirror_.clear();
   old_rate_.clear();
   flow_mark_.clear();
   affected_.clear();
   component_.clear();
   slot_offset_.reserve(flow_capacity);
   in_.reserve(flow_capacity);
-  tier_mirror_.reserve(flow_capacity);
-  weight_mirror_.reserve(flow_capacity);
   old_rate_.reserve(flow_capacity);
   flow_mark_.reserve(flow_capacity);
   scratch_.ensure(links);
@@ -282,8 +278,6 @@ void RateAllocator::ensure_flow(std::size_t fid) {
   const std::size_t n = std::max(fid + 1, in_.size() * 2);
   in_.resize(n, 0);
   slot_offset_.resize(n, kNil);
-  tier_mirror_.resize(n, 0);
-  weight_mirror_.resize(n, 0.0);
   old_rate_.resize(n, 0.0);
   flow_mark_.resize(n, 0);
 }
@@ -316,8 +310,6 @@ void RateAllocator::add_flow(SimFlow* flow) {
     dirty_link(flow->path[k]);
   }
   in_[fid] = 1;
-  tier_mirror_[fid] = flow->tier;
-  weight_mirror_[fid] = flow->weight;
 }
 
 void RateAllocator::remove_flow(SimFlow* flow) {
@@ -366,22 +358,12 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
 
   {
     obs::ScopedPhase frontier(profiler, obs::Phase::kAllocFrontier);
-    // Priority rewrites leave no event trail of their own: schedulers
-    // mutate tier/weight in place during assign(). One O(active) mirror
-    // scan per recomputation catches them — still O(1) per flow, versus
-    // a full sort + re-solve.
-    for (SimFlow* f : active) {
-      const std::size_t fid = f->id.value();
-      if (f->tier != tier_mirror_[fid] || f->weight != weight_mirror_[fid]) {
-        tier_mirror_[fid] = f->tier;
-        weight_mirror_[fid] = f->weight;
-        for (LinkId l : f->path) dirty_link(l);
-      }
-    }
-    // Frontier closure: a dirty link re-solves its flows; a re-solved flow
-    // re-solves every link it crosses (its share there may shift). The
-    // fixpoint is the union of the link-connected components containing
-    // any seed — exactly the set whose rates can legally change.
+    // Frontier closure (priority changes are already in the frontier:
+    // the PriorityWriter touches their flows): a dirty link re-solves its
+    // flows; a re-solved flow re-solves every link it crosses (its share
+    // there may shift). The fixpoint is the union of the link-connected
+    // components containing any seed — exactly the set whose rates can
+    // legally change.
     for (std::size_t i = 0; i < dirty_list_.size(); ++i) {
       const std::size_t l = dirty_list_[i].value();
       for (std::int32_t e = head_[l]; e != kNil; e = ent_next_[e]) {
@@ -474,7 +456,6 @@ std::size_t WaterfillScratch::memory_bytes() const {
 std::size_t RateAllocator::memory_bytes() const {
   return vec_bytes(head_) + vec_bytes(ent_flow_) + vec_bytes(ent_next_) +
          vec_bytes(ent_prev_) + vec_bytes(slot_offset_) + vec_bytes(in_) +
-         vec_bytes(tier_mirror_) + vec_bytes(weight_mirror_) +
          vec_bytes(old_rate_) + vec_bytes(flow_mark_) +
          vec_bytes(link_dirty_) + vec_bytes(dirty_list_) +
          vec_bytes(affected_) + vec_bytes(component_) +

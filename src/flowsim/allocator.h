@@ -18,9 +18,10 @@
 // spare capacity.
 //
 // RateAllocator is the engine's allocator: event hooks (flow add/remove,
-// link capacity change, rate cap) seed a dirty-link frontier; allocate()
-// closes the frontier over shared-bottleneck dependencies and re-solves
-// only the affected link-connected components with solve_component.
+// link capacity change, rate cap, priority change) seed a dirty-link
+// frontier; allocate() closes the frontier over shared-bottleneck
+// dependencies and re-solves only the affected link-connected components
+// with solve_component.
 // Unaffected flows keep their cached rates, which purity (rates are a
 // function of (component flows, tiers, weights, caps) only) guarantees are
 // the bits a full re-solve would produce. The from-scratch solver it is
@@ -149,8 +150,8 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
 ///
 /// The engine notifies it of every event that can change an allocation:
 /// flow arrival/finish/abort (add_flow/remove_flow), link capacity changes
-/// (dirty_link) and direct rate caps (touch_flow); scheduler priority
-/// rewrites are caught by allocate()'s tier/weight mirror scan. allocate()
+/// (dirty_link), and rate caps and priority changes (touch_flow, which the
+/// PriorityWriter in state.h calls for every flow it rewrites). allocate()
 /// then closes the dirty-link frontier over the link <-> flow adjacency
 /// (flat SoA membership lists), re-solves only the affected components with
 /// the shared kernel, and reports exactly the flows whose rate moved — in
@@ -184,18 +185,17 @@ class RateAllocator {
   void add_flow(SimFlow* flow);
   /// Flow left the active set (finish/abort/cancel): unlinks and dirties.
   void remove_flow(SimFlow* flow);
-  /// The flow's stored rate was changed outside the allocator or differs
-  /// from its pure allocation (straggler windows): dirty its links so the
-  /// next allocate() re-reports it.
+  /// The flow's priority changed, or its stored rate differs from its pure
+  /// allocation (straggler windows): dirty its links so the next allocate()
+  /// re-solves it. A no-op for a flow that is not a member.
   void touch_flow(SimFlow* flow);
   /// The link's capacity changed (link fault): seed the frontier with it.
   void dirty_link(LinkId link);
 
-  /// Recomputes rates: mirror-scans `active` for tier/weight changes,
-  /// closes the dirty frontier, re-solves affected components, and fills
-  /// `changed` (cleared first) with the flows whose rate moved, in
-  /// `active` order — the same list a from-scratch solve would produce.
-  /// `profiler` (may be null) receives the kAllocFrontier /
+  /// Recomputes rates: closes the dirty frontier, re-solves affected
+  /// components, and fills `changed` (cleared first) with the flows whose
+  /// rate moved, in `active` order — the same list a from-scratch solve
+  /// would produce. `profiler` (may be null) receives the kAllocFrontier /
   /// kAllocConverge sub-phases.
   void allocate(const std::vector<Rate>& capacities,
                 const std::vector<SimFlow*>& active,
@@ -229,8 +229,6 @@ class RateAllocator {
   // --- per-flow-id state (grown on demand) ---
   std::vector<std::int32_t> slot_offset_;///< first entry slot, kNil if none
   std::vector<char> in_;                 ///< currently a member
-  std::vector<Tier> tier_mirror_;        ///< tier at last allocation
-  std::vector<double> weight_mirror_;    ///< weight at last allocation
   std::vector<Rate> old_rate_;           ///< rate when marked affected
   std::vector<std::uint8_t> flow_mark_;  ///< 0 clean / 1 affected / 2 claimed
 

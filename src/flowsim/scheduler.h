@@ -2,8 +2,8 @@
 //
 // The engine owns mechanism (events, DAG release, rate allocation); a
 // Scheduler owns policy: it observes simulation events and, whenever rates
-// must be recomputed, assigns each active flow a (tier, weight) pair that
-// the tiered weighted max-min allocator turns into rates (allocator.h).
+// must be recomputed, gives each coflow a (tier, weight) priority through
+// set_priority that the tiered weighted max-min allocator turns into rates.
 //
 // Decentralized schemes must restrict themselves to information a receiver
 // could observe locally (bytes received, open connections) refreshed at
@@ -141,11 +141,15 @@ class Scheduler {
     return false;
   }
 
-  /// Sets `tier` and `weight` on every active flow. Called by the engine
-  /// immediately before each rate recomputation. `active` is the engine's
-  /// persistent active list (arrival order modulo swap-with-last removals);
-  /// schedulers must not rely on its order and cannot reorder it.
-  virtual void assign(Time now, const std::vector<SimFlow*>& active) = 0;
+  /// Called immediately before each rate recomputation; must set_priority
+  /// every coflow with a flow in `active`, every call (a restored run
+  /// starts all coflows at the default). `active` is the engine's active
+  /// list (arrival order modulo swap-with-last removals); do not rely on
+  /// its order. The default writes nothing: (0, 1.0) is fair sharing.
+  virtual void assign(Time now, const std::vector<SimFlow*>& active) {
+    (void)now;
+    (void)active;
+  }
 
   // --- checkpoint/restore extension (snapshot/, DESIGN.md §12) ---
 
@@ -178,6 +182,14 @@ class Scheduler {
   [[nodiscard]] const SimState& state() const {
     GURITA_CHECK_MSG(state_ != nullptr, "scheduler used before attach()");
     return *state_;
+  }
+
+  /// Gives coflow `id` its priority: lower tiers are served strictly
+  /// first, weights (> 0) split a tier. Rewriting an unchanged one is free.
+  void set_priority(CoflowId id, Tier tier, double weight) {
+    PriorityWriter* writer = state().writer_;
+    GURITA_CHECK_MSG(writer != nullptr, "state has no priority writer");
+    writer->set(id, tier, weight);
   }
 
   /// The attached trace sink, or nullptr. Emission sites follow the engine's

@@ -58,6 +58,7 @@ void SimResults::export_counters(obs::Registry& registry) const {
 Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
                      Config config)
     : fabric_(&fabric), scheduler_(&scheduler), config_(std::move(config)) {
+  state_.writer_ = &writer_;
   capacities_.resize(fabric.topology().link_count());
   for (std::size_t i = 0; i < capacities_.size(); ++i)
     capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
@@ -202,6 +203,8 @@ void Simulator::release_coflow(SimCoflow& coflow) {
     f.remaining = fs.size;
     f.start_time = now_;
     f.last_touched = now_;
+    f.tier = coflow.tier;
+    f.weight = coflow.weight;
     f.path = fabric_->route(fid, fs.src_host, fs.dst_host);
     state_.flows_.push_back(std::move(f));
     coflow.flows.push_back(fid);

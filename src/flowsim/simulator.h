@@ -346,6 +346,8 @@ class Simulator {
   /// The incremental rate allocator. Holds only state rebuildable from the
   /// active set (rebuild()), so snapshots don't serialize it.
   RateAllocator alloc_;
+  /// The run's priority writer (state.h); schedulers reach it via state_.
+  PriorityWriter writer_{&state_, &alloc_};
   /// Flows whose stored rate was capped below their pure allocation at the
   /// last recomputation (straggler windows). Re-touched before
   /// every allocation: the allocator must re-report them (allocation !=

@@ -1,8 +1,27 @@
 #include "flowsim/state.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "flowsim/allocator.h"
 
 namespace gurita {
+
+void PriorityWriter::set(CoflowId id, Tier tier, double weight) {
+  SimCoflow& c = state->coflows_.at(id.value());
+  if (c.tier == tier && std::bit_cast<std::uint64_t>(c.weight) ==
+                            std::bit_cast<std::uint64_t>(weight))
+    return;
+  c.tier = tier;
+  c.weight = weight;
+  for (FlowId fid : c.flows) {
+    SimFlow& f = state->flows_[fid.value()];
+    if (f.finished()) continue;
+    f.tier = tier;
+    f.weight = weight;
+    if (allocator != nullptr) allocator->touch_flow(&f);
+  }
+}
 
 Bytes SimState::coflow_bytes_sent(CoflowId id) const {
   GURITA_CHECK_MSG(id.value() < aggregates_.size(), "coflow id out of range");

@@ -1,7 +1,7 @@
 // Runtime state of the flow-level simulation: flows, coflows and jobs with
-// their progress, plus the scheduling attributes the active scheduler
-// assigns. Schedulers receive `const SimState&` and may only mutate the
-// (tier, weight) attributes through the engine's assignment pass.
+// their progress, plus the (tier, weight) priority the active scheduler
+// gives each coflow. Schedulers receive `const SimState&` and change only
+// priorities, through the engine's PriorityWriter (Scheduler::set_priority).
 //
 // Lazy byte accounting: the engine does NOT sweep every flow on every
 // event. A flow's `remaining` is exact only as of `last_touched` (the last
@@ -47,7 +47,7 @@ struct SimFlow {
   /// rate change and at finish.
   Time last_touched = 0;
 
-  // --- set by the scheduler ---
+  // --- the coflow's priority, copied for the kernel by PriorityWriter ---
   Tier tier = 0;
   double weight = 1.0;
 
@@ -95,6 +95,9 @@ struct SimCoflow {
   int deps_remaining = 0;
   Time release_time = -1;  ///< when dependencies completed and flows started
   Time finish_time = -1;
+  /// Priority written by the scheduler; (0, 1.0) — fair sharing — until then.
+  Tier tier = 0;
+  double weight = 1.0;
 
   [[nodiscard]] bool released() const { return release_time >= 0; }
   [[nodiscard]] bool finished() const { return finish_time >= 0; }
@@ -121,6 +124,19 @@ struct SimJob {
   /// Number of fully completed stages: the largest k such that every coflow
   /// with stage <= k has finished. Maintained by the engine.
   int completed_stages = 0;
+};
+
+class RateAllocator;
+class SimState;
+
+/// The one writer of priorities (DESIGN.md §13). set() returns at once on
+/// a bitwise-equal value; otherwise it stores the priority on the coflow,
+/// copies it onto the coflow's unfinished flows and touches each in the
+/// allocator, so the next allocation re-solves just their components.
+struct PriorityWriter {
+  SimState* state;
+  RateAllocator* allocator;  ///< null when nothing is incremental (oracle)
+  void set(CoflowId id, Tier tier, double weight);
 };
 
 /// The complete simulation state; owned by the engine, read by schedulers.
@@ -185,6 +201,8 @@ class SimState {
   /// arithmetic so real schedulers drive both engines to the same
   /// trajectory. Test-only; never linked into the library.
   friend class OracleSimulator;
+  friend struct PriorityWriter;
+  friend class Scheduler;  ///< set_priority reaches writer_
 
   /// Incrementally maintained per-coflow aggregate. Invariant, for every
   /// time t between the last boundary and the next rate change:
@@ -210,6 +228,7 @@ class SimState {
   std::vector<SimJob> jobs_;
   std::vector<CoflowAggregate> aggregates_;  ///< parallel to coflows_
   Time now_ = 0;
+  PriorityWriter* writer_ = nullptr;  ///< the owning engine's
 };
 
 }  // namespace gurita

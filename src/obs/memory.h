@@ -24,7 +24,7 @@ class MemoryAccountant {
   enum class Subsystem : int {
     kState = 0,       ///< flow/coflow/job stores, aggregates, flow paths
     kCalendar = 1,    ///< completion calendar heap array
-    kAllocator = 2,   ///< membership lists, mirrors, scratch (allocator.h)
+    kAllocator = 2,   ///< membership lists, flow marks, scratch (allocator.h)
     kTrace = 3,       ///< trace recorder buffer
     kActiveSet = 4,   ///< active set + per-flow position tables
     kFaultRuntime = 5 ///< parked/retry/fault-plan runtime vectors

@@ -31,7 +31,7 @@ namespace gurita::obs {
 /// Engine phases, in report order.
 enum class Phase : int {
   kSetup = 0,           ///< run() preamble: reserve, arrival sort
-  kSchedulerAssign = 1, ///< Scheduler::assign (priority → tier/weight)
+  kSchedulerAssign = 1, ///< Scheduler::assign and its priority writes
   kAllocator = 2,       ///< RateAllocator::allocate + settle/re-key
   kCalendarDrain = 3,   ///< stale-entry pops, next-event pick, due pops
   kCompletion = 4,      ///< finish_flow / finish_coflow bookkeeping
@@ -40,8 +40,8 @@ enum class Phase : int {
   kTick = 7,            ///< Scheduler::on_tick coordination rounds
   kResults = 8,         ///< end-of-run result assembly
   kFault = 9,           ///< fault application, aborts, retries (fault/)
-  kAllocFrontier = 10,  ///< incremental allocator: mirror scan + closure
-  kAllocConverge = 11,  ///< water-filling kernel over affected components
+  kAllocFrontier = 10,  ///< incremental allocator: frontier closure
+  kAllocConverge = 11,  ///< kernel over affected components + changed list
   kSampling = 12,       ///< interval sampler polls (obs/sampler.h)
 };
 

@@ -1,5 +1,7 @@
 #include "sched/aalo.h"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace gurita {
@@ -74,9 +76,14 @@ void AaloScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
   obs::TraceRecorder* tr = trace_recorder();
   const bool trace_queues =
       tr != nullptr && tr->wants(obs::TraceEventKind::kQueueChange);
-  for (SimFlow* f : active) {
+  // Each coflow is decided once, at its first flow in `active`, so
+  // demotion records keep first-appearance order.
+  ++epoch_;
+  seen_.resize(std::max(seen_.size(), state().coflow_count()), 0);
+  for (const SimFlow* f : active) {
     const SimJob& job = state().job(f->job);
     const CoflowId cid = job.coflows[f->coflow_index];
+    if (std::exchange(seen_[cid.value()], epoch_) == epoch_) continue;
     auto qit = queue_of_.find(cid);
     GURITA_CHECK_MSG(qit != queue_of_.end(), "flow of an unknown coflow");
     // Global instantaneous signal: bytes this coflow has sent so far.
@@ -99,15 +106,13 @@ void AaloScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
       }
       qit->second = level;
     }
-    const Tier queue = qit->second;
+    Tier tier = qit->second;
     if (config_.intra_queue_fifo) {
       const Tier rank = static_cast<Tier>(fifo_rank_.at(cid));
       GURITA_CHECK_MSG(rank < kQueueStride, "FIFO rank overflowed tier stride");
-      f->tier = queue * kQueueStride + rank;
-    } else {
-      f->tier = queue;
+      tier = tier * kQueueStride + rank;
     }
-    f->weight = 1.0;
+    set_priority(cid, tier, 1.0);
   }
 }
 

@@ -73,6 +73,9 @@ class AaloScheduler final : public Scheduler {
   std::uint64_t next_rank_ = 0;
   /// Demotion is monotone: remember the deepest queue reached.
   std::unordered_map<CoflowId, int> queue_of_;
+  /// assign() scratch: seen_[coflow] == epoch_ once decided in this call.
+  std::vector<std::uint64_t> seen_;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace gurita

@@ -51,7 +51,6 @@ void BaraatScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
   // block the queue behind them).
   GURITA_CHECK_MSG(config_.base_multiplexing >= 1,
                    "base multiplexing must be >= 1");
-  std::unordered_map<JobId, Tier> tier_of;
   Tier tier = 0;
   int light_in_group = 0;
   for (const auto& [serial, id] : jobs) {
@@ -73,16 +72,15 @@ void BaraatScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
         }
       }
     }
-    tier_of[id] = tier;
+    // The job's running coflows share its group's tier.
+    for (CoflowId cid : state().job(id).coflows) {
+      const SimCoflow& c = state().coflow(cid);
+      if (c.released() && !c.finished()) set_priority(cid, tier, 1.0);
+    }
     if (!heavy && ++light_in_group >= config_.base_multiplexing) {
       ++tier;
       light_in_group = 0;
     }
-  }
-
-  for (SimFlow* f : active) {
-    f->tier = tier_of.at(f->job);
-    f->weight = 1.0;
   }
 }
 

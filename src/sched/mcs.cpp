@@ -38,13 +38,10 @@ bool McsScheduler::on_tick(Time now) {
 
 void McsScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
   (void)now;
-  for (SimFlow* f : active) {
-    const CoflowId cid = state().job(f->job).coflows[f->coflow_index];
-    const auto it = queue_of_.find(cid);
-    GURITA_CHECK_MSG(it != queue_of_.end(), "flow of an unknown coflow");
-    f->tier = it->second;
-    f->weight = 1.0;
-  }
+  (void)active;
+  // Every released, unfinished coflow has a row, so every active flow's
+  // coflow is written.
+  for (const auto& [cid, queue] : queue_of_) set_priority(cid, queue, 1.0);
 }
 
 void McsScheduler::save_state(snapshot::Writer& w) const {

@@ -2,8 +2,8 @@
 //
 // "A scheduling scheme that divides the resource capacity equally among
 // flows traversing the same link" (§V): exactly (unweighted) max-min
-// fairness, which is what TCP approximates in steady state. Every flow is
-// placed in one tier with weight 1.
+// fairness, which is what TCP approximates in steady state. Every coflow
+// keeps the default priority — one tier, weight 1 — so PFS writes none.
 #pragma once
 
 #include "flowsim/scheduler.h"
@@ -13,14 +13,6 @@ namespace gurita {
 class PfsScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "pfs"; }
-
-  void assign(Time now, const std::vector<SimFlow*>& active) override {
-    (void)now;
-    for (SimFlow* f : active) {
-      f->tier = 0;
-      f->weight = 1.0;
-    }
-  }
 };
 
 }  // namespace gurita

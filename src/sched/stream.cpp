@@ -17,7 +17,6 @@ bool StreamScheduler::on_tick(Time now) {
   (void)now;
   bool changed = false;
   for (auto& [id, q] : queue_of_) {
-    if (state().job(id).finished()) continue;
     // Demotion only: priority never climbs back (bytes sent is monotone).
     const int level = thresholds_.level(state().job_bytes_sent(id));
     if (level > q) {
@@ -30,11 +29,13 @@ bool StreamScheduler::on_tick(Time now) {
 
 void StreamScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
   (void)now;
-  for (SimFlow* f : active) {
-    const auto it = queue_of_.find(f->job);
-    GURITA_CHECK_MSG(it != queue_of_.end(), "flow of an unknown job");
-    f->tier = it->second;
-    f->weight = 1.0;
+  (void)active;
+  // Every live job has a row; its running coflows inherit the job's queue.
+  for (const auto& [id, q] : queue_of_) {
+    for (CoflowId cid : state().job(id).coflows) {
+      const SimCoflow& c = state().coflow(cid);
+      if (c.released() && !c.finished()) set_priority(cid, q, 1.0);
+    }
   }
 }
 

@@ -43,8 +43,14 @@ class StreamScheduler final : public Scheduler {
   }
   bool on_tick(Time now) override;
   void on_job_arrival(const SimJob& job, Time now) override;
-  /// Re-keys the per-job queue table across an engine compaction (also
-  /// drops finished jobs' leftover entries).
+  /// Finished and failed jobs leave the queue table.
+  void on_job_finish(const SimJob& job, Time) override {
+    queue_of_.erase(job.id);
+  }
+  void on_job_fail(const SimJob& job, Time) override {
+    queue_of_.erase(job.id);
+  }
+  /// Re-keys the per-job queue table across an engine compaction.
   void on_compact(const CompactionRemap& remap) override;
   void assign(Time now, const std::vector<SimFlow*>& active) override;
   /// Checkpoint hooks (DESIGN.md §12): the stale per-job queue table,
@@ -56,7 +62,7 @@ class StreamScheduler final : public Scheduler {
  private:
   Config config_;
   ExpThresholds thresholds_;
-  /// Job priority as of the last δ refresh (stale between ticks).
+  /// Live jobs' priority as of the last δ refresh (stale between ticks).
   std::unordered_map<JobId, int> queue_of_;
 };
 

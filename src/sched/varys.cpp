@@ -40,17 +40,10 @@ void VarysScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
     order.emplace_back(bottleneck_bytes(flows, now) / config_.port_rate, cid);
   std::sort(order.begin(), order.end());
 
-  std::unordered_map<std::uint64_t, Tier> tier_of;
   Tier tier = 0;
   for (const auto& [gamma, cid] : order) {
     (void)gamma;
-    tier_of[cid] = tier++;
-  }
-
-  for (SimFlow* f : active) {
-    const CoflowId cid = state().job(f->job).coflows[f->coflow_index];
-    f->tier = tier_of.at(cid.value());
-    f->weight = 1.0;
+    set_priority(CoflowId{cid}, tier++, 1.0);
   }
 }
 

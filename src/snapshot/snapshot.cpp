@@ -192,10 +192,10 @@ class SnapshotCodec {
     w.u64(s.capacities_.size());
     for (Rate c : s.capacities_) w.f64(c);
 
-    // Flow store: everything except the id (the index). The route travels
-    // verbatim (v3): it was drawn by ECMP-hashing the flow's id at release,
-    // and compaction renumbers ids — recomputing from the current id would
-    // silently re-route every compacted flow.
+    // Flow store: everything except the id (the index) and the priority
+    // (v11). The route travels verbatim (v3): it was drawn by ECMP-hashing
+    // the flow's id at release, and compaction renumbers ids — recomputing
+    // from the current id would silently re-route every compacted flow.
     w.u64(s.state_.flows_.size());
     for (const SimFlow& f : s.state_.flows_) {
       w.u64(f.job.value());
@@ -210,8 +210,6 @@ class SnapshotCodec {
       w.f64(f.finish_time);
       w.f64(f.rate);
       w.f64(f.last_touched);
-      w.i64(f.tier);
-      w.f64(f.weight);
       w.i32(f.attempts);
       w.f64(f.lost_bytes);
       w.f64(f.abort_time);
@@ -334,8 +332,6 @@ class SnapshotCodec {
       f.finish_time = r.f64();
       f.rate = r.f64();
       f.last_touched = r.f64();
-      f.tier = r.i64();
-      f.weight = r.f64();
       f.attempts = r.i32();
       f.lost_bytes = r.f64();
       f.abort_time = r.f64();
@@ -394,6 +390,14 @@ class SnapshotCodec {
       s.pos_in_active_[fid] = static_cast<std::uint32_t>(i);
       s.active_.push_back(&s.state_.flows_[fid]);
     }
+    // Gurita's WRR demand reads open connections: they must count each
+    // coflow's flows in the active set.
+    std::vector<std::int32_t> open(s.state_.coflows_.size(), 0);
+    for (const SimFlow* f : s.active_)
+      ++open[s.state_.jobs_[f->job.value()].coflows[f->coflow_index].value()];
+    for (std::size_t c = 0; c < open.size(); ++c)
+      corrupt_if(s.state_.aggregates_[c].open_connections != open[c],
+                 "coflow open connections disagree with the active set");
 
     load_calendar(s, r, s.calendar_, "calendar",
                   " entry for a flow outside the active set",

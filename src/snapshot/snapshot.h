@@ -63,7 +63,10 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// unchanged.
 /// v10: the fingerprint drops the sampler's memory and wall switches (two
 /// bools) and the trace section drops its dropped-record count (one u64).
-inline constexpr std::uint32_t kFormatVersion = 10;
+/// v11: the flow record drops its tier and weight (an i64 and an f64); no
+/// coflow priority is written either, since the next assign() rewrites
+/// every live one. Restore checks open connections against the active set.
+inline constexpr std::uint32_t kFormatVersion = 11;
 
 /// Payload kind byte following the header. Value 2 is reserved: it marked
 /// the retired results cache of a finished batch shard, and read_header

@@ -92,14 +92,15 @@ struct LockstepHarness {
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(idx));
   }
 
-  /// In-place scheduler rewrite: no allocator hook on purpose — the
-  /// mirror scan must catch it.
+  /// A priority rewrite, reported the way the engine's PriorityWriter
+  /// reports one: touch_flow on the flow whose (tier, weight) moved.
   void reprioritize(Rng& rng, std::size_t idx) {
     SimFlow* f = active[idx];
     if (rng.next_double() < 0.5)
       f->tier = static_cast<Tier>((f->tier + 1) % 3);
     else
       f->weight = rng.uniform(0.1, 5.0);
+    alloc.touch_flow(f);
   }
 
   void change_capacity(Rng& rng) {

@@ -17,6 +17,7 @@
 #include "exp/registry.h"
 #include "topology/fattree.h"
 #include "workload/trace_gen.h"
+#include "seeded_comparison.h"
 
 namespace gurita {
 namespace {

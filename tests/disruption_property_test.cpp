@@ -11,6 +11,7 @@
 #include "fault/plan.h"
 #include "flowsim/simulator.h"
 #include "topology/fattree.h"
+#include "seeded_comparison.h"
 
 namespace gurita {
 namespace {

@@ -189,10 +189,9 @@ class StarveJobZeroScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "starve-job-0"; }
   void assign(Time now, const std::vector<SimFlow*>& active) override {
     (void)now;
-    for (SimFlow* f : active) {
-      f->tier = f->job.value() == 0 ? 1 : 0;
-      f->weight = 1.0;
-    }
+    for (const SimFlow* f : active)
+      set_priority(state().job(f->job).coflows[f->coflow_index],
+                   f->job.value() == 0 ? 1 : 0, 1.0);
   }
 };
 
@@ -231,11 +230,9 @@ class AggregateAuditScheduler final : public Scheduler {
   }
   void assign(Time now, const std::vector<SimFlow*>& active) override {
     audit(now);
-    for (SimFlow* f : active) {
-      const SimJob& job = state().job(f->job);
-      f->tier = static_cast<Tier>(job.id.value());
-      f->weight = 1.0;
-    }
+    for (const SimFlow* f : active)
+      set_priority(state().job(f->job).coflows[f->coflow_index],
+                   static_cast<Tier>(f->job.value()), 1.0);
   }
   [[nodiscard]] int audits() const { return audits_; }
 
@@ -315,13 +312,6 @@ class NoOpTickPfsScheduler final : public Scheduler {
   bool on_tick(Time now) override {
     (void)now;
     return false;
-  }
-  void assign(Time now, const std::vector<SimFlow*>& active) override {
-    (void)now;
-    for (SimFlow* f : active) {
-      f->tier = 0;
-      f->weight = 1.0;
-    }
   }
 
  private:

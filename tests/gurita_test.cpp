@@ -187,13 +187,6 @@ TEST_F(GuritaFixture, HeadReceiverObservationFields) {
       }
       return false;
     }
-    void assign(Time now, const std::vector<SimFlow*>& active) override {
-      (void)now;
-      for (SimFlow* f : active) {
-        f->tier = 0;
-        f->weight = 1.0;
-      }
-    }
     HeadReceiver hr_{JobId{0}};
     bool captured_ = false;
   };

@@ -6,6 +6,7 @@
 #include "coflow/critical_path.h"
 #include "exp/experiment.h"
 #include "exp/registry.h"
+#include "seeded_comparison.h"
 
 namespace gurita {
 namespace {

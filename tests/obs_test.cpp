@@ -39,6 +39,7 @@
 #include "oracle_sim.h"
 #include "topology/big_switch.h"
 #include "workload/trace_gen.h"
+#include "seeded_comparison.h"
 
 namespace gurita {
 namespace {

@@ -44,6 +44,7 @@ class OracleSimulator {
   OracleSimulator(const Fabric& fabric, Scheduler& scheduler,
                   Simulator::Config config)
       : fabric_(&fabric), scheduler_(&scheduler), config_(std::move(config)) {
+    state_.writer_ = &writer_;
     capacities_.resize(fabric.topology().link_count());
     for (std::size_t i = 0; i < capacities_.size(); ++i)
       capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
@@ -244,6 +245,9 @@ class OracleSimulator {
   Scheduler* scheduler_;
   Simulator::Config config_;
   SimState state_;
+  /// Priorities reach flows through the same writer as in the engine, but
+  /// with no allocator to dirty: every allocation here re-solves all.
+  PriorityWriter writer_{&state_, nullptr};
   bool ran_ = false;
 
   // Same active-list discipline as the fast engine (swap-with-last
@@ -310,6 +314,8 @@ class OracleSimulator {
       f.remaining = fs.size;
       f.start_time = now_;
       f.last_touched = now_;
+      f.tier = coflow.tier;
+      f.weight = coflow.weight;
       f.path = fabric_->route(fid, fs.src_host, fs.dst_host);
       state_.flows_.push_back(std::move(f));
       coflow.flows.push_back(fid);

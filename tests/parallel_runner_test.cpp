@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "exp/experiment.h"
 #include "exp/runner.h"
+#include "seeded_comparison.h"
 
 namespace gurita {
 namespace {

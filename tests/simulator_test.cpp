@@ -7,6 +7,7 @@
 #include "coflow/shapes.h"
 #include "flowsim/simulator.h"
 #include "sched/pfs.h"
+#include "topology/big_switch.h"
 #include "topology/fattree.h"
 
 namespace gurita {
@@ -289,11 +290,8 @@ class TickProbe final : public Scheduler {
   }
   void assign(Time now, const std::vector<SimFlow*>& active) override {
     (void)now;
+    (void)active;
     ++assigns_;
-    for (SimFlow* f : active) {
-      f->tier = 0;
-      f->weight = 1.0;
-    }
   }
   int ticks() const { return ticks_; }
   int assigns() const { return assigns_; }
@@ -327,6 +325,57 @@ TEST_F(SimFixture, UnchangedTicksDoNotRecompute) {
   const SimResults rb = sim_b.run();
 
   EXPECT_LT(ra.rate_recomputations, rb.rate_recomputations);
+}
+
+/// Writes every active coflow's priority on every assign and reports a
+/// change on every tick, so each tick allocates: job 0's coflow gets
+/// (1, job0_weight), every other coflow (1, 2.0).
+class PriorityTableScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "priority-table"; }
+  [[nodiscard]] Time tick_interval() const override { return 0.1; }
+  bool on_tick(Time now) override {
+    (void)now;
+    return true;
+  }
+  void assign(Time now, const std::vector<SimFlow*>& active) override {
+    (void)now;
+    for (const SimFlow* f : active)
+      set_priority(state().job(f->job).coflows[f->coflow_index], 1,
+                   f->job.value() == 0 ? job0_weight : 2.0);
+  }
+  double job0_weight = 1.5;
+};
+
+TEST(PriorityWriter, DirtiesOnlyTheComponentWhosePriorityMoved) {
+  // Big switch: job 0's two flows leave host 0 (one component), job 1's
+  // flow 4 -> 5 is a second component. Nothing finishes before t = 10.
+  const BigSwitch fabric(BigSwitch::Config{8, 100.0});
+  PriorityTableScheduler scheduler;
+  Simulator sim(fabric, scheduler);
+  JobSpec fan_out = single_flow_job(1000.0, 0, 1);
+  fan_out.coflows[0].flows.push_back(FlowSpec{0, 2, 1000.0});
+  sim.submit(fan_out);
+  sim.submit(single_flow_job(1000.0, 4, 5));
+  ASSERT_TRUE(sim.run_to(0.05));
+  const AllocStats first = sim.allocator_stats();
+  ASSERT_EQ(first.allocations, 1u);
+  ASSERT_EQ(first.flows_solved, 3u);
+  ASSERT_EQ(first.components_solved, 2u);
+
+  // Nine ticks rewrite the same priorities: nine allocations, no flow
+  // re-solved.
+  ASSERT_TRUE(sim.run_to(0.95));
+  EXPECT_EQ(sim.allocator_stats().allocations, 10u);
+  EXPECT_EQ(sim.allocator_stats().flows_solved, first.flows_solved);
+
+  // Job 0's coflow moves: its component alone is re-solved.
+  scheduler.job0_weight = 3.0;
+  ASSERT_TRUE(sim.run_to(1.05));
+  const AllocStats last = sim.allocator_stats();
+  EXPECT_EQ(last.allocations, 11u);
+  EXPECT_EQ(last.flows_solved, first.flows_solved + 2);
+  EXPECT_EQ(last.components_solved, first.components_solved + 1);
 }
 
 TEST_F(SimFixture, FlowPathsAssignedViaEcmp) {

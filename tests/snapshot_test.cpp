@@ -436,7 +436,7 @@ TEST(SnapshotRoundTrip, MidStageRelease) {
 
 // Checkpoint between two allocator-dirtying events. The snapshot codec
 // never serializes the incremental allocator's scratch state (per-link
-// membership lists, mirrors, dirty frontier) — restore rebuilds it from
+// membership lists, dirty frontier) — restore rebuilds it from
 // the active set alone, and the rebuilt bookkeeping must finish the run
 // byte-identically. Flow B's arrival right after the split is the probe:
 // it splits A's bottleneck, so a stale or missing membership list would
@@ -846,11 +846,12 @@ void write_le32(std::string& bytes, std::size_t off, std::uint32_t v) {
 
 /// Byte offsets into a simulator checkpoint's engine section (the layout
 /// save_engine writes): each flow's record, the fields after its path,
-/// each coflow's flow list and the active set.
+/// each coflow's flow list, the coflow aggregates and the active set.
 struct EngineLayout {
   std::vector<std::size_t> flows;         ///< u64 job, i32 coflow index, ...
   std::vector<std::size_t> flow_tails;    ///< f64 size, ... bool cancelled
   std::vector<std::size_t> coflow_lists;  ///< u64 count, then the flow ids
+  std::size_t aggregates = 0;  ///< per coflow: four f64, i32 open connections
   std::size_t active = 0;                 ///< u64 count, then the flow ids
 };
 
@@ -869,9 +870,8 @@ EngineLayout engine_layout(const std::string& bytes) {
     p += 8 + 3 * 4;                    // job, coflow index, two hosts
     p += 8 + 8 * read_le64(bytes, p);  // path
     out.flow_tails.push_back(p);
-    // Six f64 sizes and times, tier, weight, attempts, lost bytes, abort
-    // time, cancelled.
-    p += 6 * 8 + 8 + 8 + 4 + 8 + 8 + 1;
+    // Six f64 sizes and times, attempts, lost bytes, abort time, cancelled.
+    p += 6 * 8 + 4 + 8 + 8 + 1;
   }
   const std::uint64_t n_coflows = read_le64(bytes, p);
   p += 8;
@@ -881,7 +881,8 @@ EngineLayout engine_layout(const std::string& bytes) {
   }
   const std::uint64_t n_jobs = read_le64(bytes, p);
   p += 8 + n_jobs * (4 + 8 + 1 + 4);  // job dynamic fields
-  p += n_coflows * (4 * 8 + 4);       // coflow aggregates
+  out.aggregates = p;
+  p += n_coflows * (4 * 8 + 4);
   out.active = p;
   return out;
 }
@@ -993,8 +994,12 @@ TEST(SnapshotRestore, RejectsCorruptActiveSet) {
   ASSERT_EQ(read_le64(run.bytes, l.active + 8), 0u);
   ASSERT_EQ(read_le64(run.bytes, l.active + 16), 1u);
   ASSERT_EQ(read_le64(run.bytes, l.active + 24), 2u);
-  const std::size_t abort_time = 76;  // offsets into a flow's tail
-  const std::size_t cancelled = 84;
+  const std::size_t abort_time = 60;  // offsets into a flow's tail
+  const std::size_t cancelled = 68;
+  const std::size_t open_connections = 4 * 8;  // into a coflow's aggregate
+  // Job 0's coflow has two open connections: flows 0 and 1.
+  ASSERT_EQ(read_le64(run.bytes, l.aggregates + open_connections) & 0xffffffffu,
+            2u);
   ASSERT_EQ(std::bit_cast<double>(
                 read_le64(run.bytes, l.flow_tails[1] + abort_time)),
             -1.0);
@@ -1015,6 +1020,11 @@ TEST(SnapshotRestore, RejectsCorruptActiveSet) {
                    std::bit_cast<std::uint64_t>(0.25));
       },
       "active set holds a flow that is not transmitting");
+  run.expect_rejected(
+      [&](std::string& b) {
+        write_le32(b, l.aggregates + open_connections, 1);
+      },
+      "coflow open connections disagree with the active set");
 }
 
 /// Bytes of the first entry of a scheduler's first table, which starts at

@@ -118,6 +118,34 @@ TEST(WrrFromDemand, RejectsNegativeDemand) {
 // --------------------------------------------------------------- AVA here
 // (small enough to share the binary)
 
+TEST(EnforceQueues, MapsQueuesToSpqTiersOrSplitWrrWeights) {
+  const auto table = [] {
+    return std::vector<QueuedCoflow>{{CoflowId{7}, 0, 1},
+                                      {CoflowId{3}, 1, 2},
+                                      {CoflowId{5}, 1, 2}};
+  };
+  std::vector<QueuedCoflow> spq = table();
+  EXPECT_TRUE(enforce_queues(spq, 3, false, 0.97, 16.0).empty());
+  for (const QueuedCoflow& c : spq) {
+    EXPECT_EQ(c.tier, c.queue);
+    EXPECT_EQ(c.weight, 1.0);
+  }
+  // WRR: one tier; queue q's weight W_q splits over its n_q active flows
+  // (1 in queue 0, 4 in queue 1); queue 2 is empty but keeps a weight.
+  std::vector<QueuedCoflow> wrr = table();
+  const std::vector<double> w = enforce_queues(wrr, 3, true, 0.97, 16.0);
+  EXPECT_EQ(w, wrr_weights_from_demand({1.0, 4.0, 0.0}, 0.97, 16.0));
+  EXPECT_EQ(wrr[0].tier, 0);
+  EXPECT_EQ(wrr[0].weight, w[0]);
+  EXPECT_EQ(wrr[1].tier, 0);
+  EXPECT_EQ(wrr[1].weight, w[1] / 4.0);
+  EXPECT_EQ(wrr[2].weight, w[1] / 4.0);
+  // A row without active flows has no WRR share to take.
+  std::vector<QueuedCoflow> idle{{CoflowId{1}, 0, 0}};
+  EXPECT_THROW((void)enforce_queues(idle, 3, true, 0.97, 16.0),
+               std::logic_error);
+}
+
 TEST(Ava, NoObservationsIsConservative) {
   const AvaEstimator ava;
   EXPECT_FALSE(ava.likely_critical(1e12));
@@ -155,20 +183,16 @@ class TwoTierScheduler final : public Scheduler {
   std::string name() const override { return "two_tier"; }
   void assign(Time now, const std::vector<SimFlow*>& active) override {
     (void)now;
-    if (!wrr_) {
-      for (SimFlow* f : active) {
-        f->tier = f->job.value() % 2 == 0 ? 0 : 1;
-        f->weight = 1.0;
-      }
-      return;
-    }
     std::vector<double> demand(2, 0.0);
-    for (SimFlow* f : active) demand[f->job.value() % 2] += 1.0;
+    for (const SimFlow* f : active) demand[f->job.value() % 2] += 1.0;
     const auto weights = wrr_weights_from_demand(demand);
-    for (SimFlow* f : active) {
+    for (const SimFlow* f : active) {
       const std::size_t q = f->job.value() % 2;
-      f->tier = 0;
-      f->weight = std::max(weights[q] / std::max(demand[q], 1.0), 1e-9);
+      const CoflowId cid = state().job(f->job).coflows[f->coflow_index];
+      if (wrr_)
+        set_priority(cid, 0, std::max(weights[q] / demand[q], 1e-9));
+      else
+        set_priority(cid, static_cast<Tier>(q), 1.0);
     }
   }
 
