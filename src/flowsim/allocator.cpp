@@ -60,9 +60,11 @@ void validate_flows(SimFlow* const* flows, std::size_t n) {
   }
 }
 
-/// One tier group's progressive filling. `group[0..n)` all share one tier,
-/// passed validate_flows, and `residual` (indexed by LinkId value) must be
-/// valid for every link the group touches and is consumed in place. The
+/// One tier group's progressive filling. `group[0..n)` all share one tier
+/// and passed validate_flows. Each link the group touches starts at
+/// `start[l]` (indexed by LinkId value); when `out` is non-null the group's
+/// final residuals are written back to `out[l]` (the carried residual of a
+/// multi-tier component passes the same array as both). The
 /// arithmetic — including the bottleneck tolerance clauses — is the
 /// original allocator's verbatim, so rates are bit-identical to the
 /// historical implementation whenever the bottleneck shares are not within
@@ -82,8 +84,8 @@ void validate_flows(SimFlow* const* flows, std::size_t n) {
 /// caller, it measured 4–10% slower on perfbench fat8-trace (gcc 12,
 /// Release, 4-core x86-64).
 [[gnu::noinline]] KernelWork waterfill_group(SimFlow* const* group,
-                                             std::size_t n, Rate* residual,
-                                             WaterfillScratch& s) {
+                                             std::size_t n, const Rate* start,
+                                             Rate* out, WaterfillScratch& s) {
   std::size_t path_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     group[i]->rate = 0;
@@ -130,7 +132,7 @@ void validate_flows(SimFlow* const* flows, std::size_t n) {
   for (std::uint32_t p = 0; p < npos; ++p) {
     base += s.unfrozen[p];
     s.off[p] = base;
-    s.pos_residual[p] = residual[s.touched[p].value()];
+    s.pos_residual[p] = start[s.touched[p].value()];
     s.share[p] = link_share(s.pos_residual[p], s.weight[p], s.unfrozen[p]);
     s.live[p] = p;
   }
@@ -199,25 +201,51 @@ void validate_flows(SimFlow* const* flows, std::size_t n) {
     GURITA_CHECK_MSG(froze_any, "waterfill failed to make progress");
   }
 
-  // Hand the residuals back by LinkId for the next tier group and leave
-  // link_pos all-sentinel for the next group's build.
-  for (std::uint32_t p = 0; p < npos; ++p) {
-    const std::size_t l = s.touched[p].value();
-    residual[l] = s.pos_residual[p];
-    s.link_pos[l] = WaterfillScratch::kNoPos;
+  // Hand the residuals back by LinkId for the next tier group, if there is
+  // one, and leave link_pos all-sentinel for the next group's build.
+  if (out != nullptr) {
+    for (std::uint32_t p = 0; p < npos; ++p)
+      out[s.touched[p].value()] = s.pos_residual[p];
   }
+  for (std::uint32_t p = 0; p < npos; ++p)
+    s.link_pos[s.touched[p].value()] = WaterfillScratch::kNoPos;
   return work;
 }
 
+void add_work(AllocStats* stats, const KernelWork& work) {
+  if (stats == nullptr) return;
+  stats->waterfill_rounds += work.rounds;
+  stats->live_link_visits += work.live_link_visits;
+}
+
 }  // namespace
+
+void waterfill_tier(const Topology& topo, SimFlow* const* group,
+                    std::size_t n, Rate* residual, WaterfillScratch& scratch) {
+  validate_flows(group, n);
+  GURITA_CHECK_MSG(n == 0 || group[0]->tier == group[n - 1]->tier,
+                   "waterfill_tier wants one tier group");
+  scratch.ensure(topo.link_count());
+  (void)waterfill_group(group, n, residual, residual, scratch);
+}
 
 void solve_component(const Topology& topo, SimFlow* const* flows,
                      std::size_t n, const std::vector<Rate>& capacities,
                      WaterfillScratch& scratch, AllocStats* stats) {
   validate_flows(flows, n);
   scratch.ensure(topo.link_count());
-  // Residual capacity, initialized lazily for just this component's links
-  // and carried across its tier groups (SPQ: lower tiers consume first).
+  if (n == 0) return;
+  // One tier group (the component is sorted by tier): nothing is carried
+  // to a later group, so every link starts at its capacity and no residual
+  // is written back.
+  if (flows[0]->tier == flows[n - 1]->tier) {
+    add_work(stats,
+             waterfill_group(flows, n, capacities.data(), nullptr, scratch));
+    return;
+  }
+  // Several tier groups: residual capacity, initialized lazily for just
+  // this component's links and carried across its groups (SPQ: lower tiers
+  // consume first).
   for (std::size_t i = 0; i < n; ++i) {
     for (LinkId l : flows[i]->path) {
       if (scratch.residual_init[l.value()]) continue;
@@ -226,24 +254,18 @@ void solve_component(const Topology& topo, SimFlow* const* flows,
       scratch.residual_links.push_back(l);
     }
   }
-  KernelWork work;
+  Rate* residual = scratch.residual.data();
   std::size_t i = 0;
   while (i < n) {
     const std::size_t start = i;
     const Tier tier = flows[i]->tier;
     while (i < n && flows[i]->tier == tier) ++i;
-    const KernelWork group = waterfill_group(
-        flows + start, i - start, scratch.residual.data(), scratch);
-    work.rounds += group.rounds;
-    work.live_link_visits += group.live_link_visits;
+    add_work(stats, waterfill_group(flows + start, i - start, residual,
+                                    residual, scratch));
   }
   for (LinkId l : scratch.residual_links)
     scratch.residual_init[l.value()] = 0;
   scratch.residual_links.clear();
-  if (stats != nullptr) {
-    stats->waterfill_rounds += work.rounds;
-    stats->live_link_visits += work.live_link_visits;
-  }
 }
 
 // --- RateAllocator -----------------------------------------------------------

@@ -105,8 +105,10 @@ struct AllocStats {
 struct WaterfillScratch {
   // --- LinkId-indexed (sized by ensure) ---
   std::vector<std::uint32_t> link_pos;     ///< position, kNoPos outside a group
-  /// Residual carried across tier groups; after solve_component it holds
-  /// the component's final residuals.
+  /// Residual carried across the tier groups of a multi-tier component.
+  /// Scratch only: a single-tier component never touches it, and no caller
+  /// may read it after solve_component (waterfill_tier hands a group's
+  /// residuals back through the caller's own array).
   std::vector<Rate> residual;
   std::vector<char> residual_init;         ///< residual[l] is initialized
   std::vector<LinkId> residual_links;      ///< links with residual_init set
@@ -142,9 +144,23 @@ struct WaterfillScratch {
 /// previous groups left (SPQ). Residual capacity starts at `capacities` for
 /// every link the component touches. Writes flow rates. When `stats` is
 /// non-null the kernel's rounds and live-link visits are added to it.
+///
+/// A component whose first and last flow share a tier is one group: the
+/// kernel reads its links' capacities directly and carries nothing. Only a
+/// multi-tier component builds the LinkId-indexed carried residual
+/// (WaterfillScratch::residual). Both paths run the same kernel on the same
+/// operands, so the rates are the same bits either way.
 void solve_component(const Topology& topo, SimFlow* const* flows,
                      std::size_t n, const std::vector<Rate>& capacities,
                      WaterfillScratch& scratch, AllocStats* stats);
+
+/// One tier group through the same kernel: `group[0..n)` shares one tier;
+/// `residual` (indexed by LinkId value) must cover every link the group
+/// touches and is consumed in place. This is solve_component's per-group
+/// step with the residual made explicit, for callers that chain groups
+/// themselves and read the residuals back (the test oracles).
+void waterfill_tier(const Topology& topo, SimFlow* const* group,
+                    std::size_t n, Rate* residual, WaterfillScratch& scratch);
 
 /// Incremental water-filling allocator (DESIGN.md §13).
 ///

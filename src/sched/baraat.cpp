@@ -7,25 +7,35 @@ namespace gurita {
 
 void BaraatScheduler::on_job_arrival(const SimJob& job, Time now) {
   (void)now;
-  serial_.emplace(job.id, next_serial_++);
+  // A job a state loss already re-seeded at this instant keeps its serial.
+  const auto [it, fresh] = serial_.emplace(job.id, next_serial_++);
+  if (fresh) fifo_.emplace_back(it->second, job.id);
   heavy_.emplace(job.id, false);
+}
+
+void BaraatScheduler::on_job_finish(const SimJob& job, Time now) {
+  (void)now;
+  drop_from_fifo(job.id);
 }
 
 void BaraatScheduler::on_fault(const FaultEvent& event, Time now) {
   if (event.kind != FaultKind::kSchedulerStateLoss) return;
   serial_.clear();
   heavy_.clear();
+  fifo_.clear();
   next_serial_ = 0;
   for (std::size_t j = 0; j < state().job_count(); ++j) {
     const SimJob& job = state().job(JobId(j));
     if (job.finished() || job.arrival_time > now) continue;
-    serial_.emplace(job.id, next_serial_++);
+    serial_.emplace(job.id, next_serial_);
+    fifo_.emplace_back(next_serial_++, job.id);
     heavy_.emplace(job.id, false);
   }
 }
 
 void BaraatScheduler::on_job_fail(const SimJob& job, Time now) {
   (void)now;
+  drop_from_fifo(job.id);
   serial_.erase(job.id);
   heavy_.erase(job.id);
 }
@@ -33,28 +43,38 @@ void BaraatScheduler::on_job_fail(const SimJob& job, Time now) {
 void BaraatScheduler::on_compact(const CompactionRemap& remap) {
   remap_table(serial_, remap.job_map);
   remap_table(heavy_, remap.job_map);
+  std::erase_if(fifo_, [&](const std::pair<std::uint64_t, JobId>& e) {
+    return remap.job_evicted(e.second);
+  });
+  for (auto& [serial, id] : fifo_) id = JobId{remap.job_map[id.value()]};
+}
+
+void BaraatScheduler::drop_from_fifo(JobId id) {
+  const auto it = serial_.find(id);
+  if (it == serial_.end()) return;
+  const std::pair<std::uint64_t, JobId> entry{it->second, id};
+  const auto pos = std::lower_bound(fifo_.begin(), fifo_.end(), entry);
+  if (pos != fifo_.end() && *pos == entry) fifo_.erase(pos);
 }
 
 void BaraatScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
-  // Jobs with at least one active flow, in FIFO (serial) order.
-  std::vector<std::pair<std::uint64_t, JobId>> jobs;
-  for (const SimFlow* f : active) {
-    const auto it = serial_.find(f->job);
-    GURITA_CHECK_MSG(it != serial_.end(), "flow of an unknown job");
-    jobs.emplace_back(it->second, f->job);
-  }
-  std::sort(jobs.begin(), jobs.end());
-  jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
-
-  // Form service groups: each tier holds up to `base_multiplexing` light
-  // jobs; heavy jobs ride along without occupying a slot (they no longer
-  // block the queue behind them).
+  // Form service groups over the live jobs with an open flow, in FIFO
+  // (serial) order: each tier holds up to `base_multiplexing` light jobs;
+  // heavy jobs ride along without occupying a slot (they no longer block
+  // the queue behind them).
   GURITA_CHECK_MSG(config_.base_multiplexing >= 1,
                    "base multiplexing must be >= 1");
   Tier tier = 0;
   int light_in_group = 0;
-  for (const auto& [serial, id] : jobs) {
+  std::size_t open_flows = 0;
+  for (const auto& [serial, id] : fifo_) {
     (void)serial;
+    // A coflow's open connections are its flows in the active set.
+    std::size_t open = 0;
+    for (CoflowId cid : state().job(id).coflows)
+      open += static_cast<std::size_t>(state().coflow_open_connections(cid));
+    if (open == 0) continue;
+    open_flows += open;
     const Bytes sent = state().job_bytes_sent(id);
     const bool heavy = sent > config_.heavy_threshold;
     if (heavy) {
@@ -82,6 +102,10 @@ void BaraatScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
       light_in_group = 0;
     }
   }
+  // Every active flow belongs to a job in the view; a shortfall means a
+  // live job with open flows lost (or never got) its serial.
+  GURITA_CHECK_MSG(open_flows == active.size(),
+                   "active flow of a job with no serial");
 }
 
 void BaraatScheduler::save_state(snapshot::Writer& w) const {
@@ -98,6 +122,10 @@ void BaraatScheduler::load_state(snapshot::Reader& r) {
   next_serial_ = r.u64();
   snapshot::read_table(r, "baraat heavy mark", n_jobs, heavy_,
                        [&](JobId) { return r.boolean(); });
+  fifo_.clear();
+  for (const auto& [id, serial] : serial_)
+    if (!state().job(id).finished()) fifo_.emplace_back(serial, id);
+  std::sort(fifo_.begin(), fifo_.end());
 }
 
 }  // namespace gurita

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/units.h"
 #include "flowsim/scheduler.h"
@@ -38,6 +40,8 @@ class BaraatScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "baraat"; }
 
   void on_job_arrival(const SimJob& job, Time now) override;
+  /// Drops the finished job from the FIFO view (its serial stays).
+  void on_job_finish(const SimJob& job, Time now) override;
   /// kSchedulerStateLoss forgets the arrival-order serials and heavy marks.
   /// Live jobs re-seed serials in ascending job-id order — which matches
   /// arrival order for the workloads we generate, but heavy jobs become
@@ -46,21 +50,29 @@ class BaraatScheduler final : public Scheduler {
   void on_fault(const FaultEvent& event, Time now) override;
   /// Drops the failed job's serial and heavy mark.
   void on_job_fail(const SimJob& job, Time now) override;
-  /// Re-keys the serial and heavy tables across an engine compaction (also
-  /// drops finished jobs' leftover entries). Serials keep their values, so
-  /// the FIFO order over survivors is unchanged.
+  /// Re-keys the serial and heavy tables and the FIFO view across an engine
+  /// compaction (also drops finished jobs' leftover entries). Serials keep
+  /// their values, so the FIFO order over survivors is unchanged.
   void on_compact(const CompactionRemap& remap) override;
+  /// Walks the live jobs in serial order and groups those with an open
+  /// flow; O(live jobs and their coflows), never O(active flows).
   void assign(Time now, const std::vector<SimFlow*>& active) override;
   /// Checkpoint hooks (DESIGN.md §12): arrival serials and heavy marks,
   /// serialized in sorted-key order (the tables themselves stay unordered —
-  /// assign() builds its own sorted view each call).
+  /// assign() reads the FIFO view, which load_state rebuilds from them).
   void save_state(snapshot::Writer& w) const override;
   void load_state(snapshot::Reader& r) override;
 
  private:
+  /// Removes `id`'s entry from fifo_, if it has one.
+  void drop_from_fifo(JobId id);
+
   Config config_;
   std::unordered_map<JobId, std::uint64_t> serial_;
   std::uint64_t next_serial_ = 0;
+  /// (serial, job) of every arrived job that has neither finished nor
+  /// failed, ascending: the FIFO order assign() walks.
+  std::vector<std::pair<std::uint64_t, JobId>> fifo_;
   /// Jobs already reclassified as heavy; the light→heavy transition fires
   /// exactly one kHeavyMark trace record per job.
   std::unordered_map<JobId, bool> heavy_;

@@ -23,6 +23,7 @@
 // Failures print the trace seed for standalone reproduction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <string>
@@ -40,6 +41,7 @@
 #include "topology/big_switch.h"
 #include "topology/ecmp.h"
 #include "topology/fattree.h"
+#include "waterfill_scan_oracle.h"
 #include "workload/trace_gen.h"
 
 namespace gurita {
@@ -454,6 +456,167 @@ TEST(AllocatorDifferentialTimeline, ExternalRateCapRedirtiesItsLinks) {
   ASSERT_EQ(changed.size(), 1u);
   EXPECT_EQ(changed[0].flow->id, a.id);
   EXPECT_EQ(changed[0].old_rate, 10.0);
+}
+
+// ------------------------------------------ mixed-tier components ---
+
+/// `links` parallel host->switch links; flows pick the links they cross.
+struct MixedStar {
+  Topology topo;
+  std::vector<LinkId> l;
+  std::vector<Rate> caps;
+
+  explicit MixedStar(const std::vector<Rate>& capacities) : caps(capacities) {
+    const NodeId sw = topo.add_node(NodeKind::kEdgeSwitch, 0, 0);
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      const NodeId h = topo.add_node(NodeKind::kHost, 0, static_cast<int>(i));
+      l.push_back(topo.add_link(h, sw, 100.0));
+    }
+  }
+};
+
+SimFlow tiered_flow(std::uint64_t id, std::vector<LinkId> path, Tier tier,
+                    double weight) {
+  SimFlow f;
+  f.id = FlowId{id};
+  f.size = 1000;
+  f.remaining = 1000;
+  f.path = std::move(path);
+  f.tier = tier;
+  f.weight = weight;
+  return f;
+}
+
+/// One allocation of `active` by `alloc`, checked bitwise against the
+/// from-scratch oracle on clones (rates and the changed list) and, per
+/// component, against the scan kernel chaining its tier groups from the
+/// capacities — a reference that never takes the single-tier shortcut.
+void expect_mixed_allocation(const MixedStar& star, RateAllocator& alloc,
+                             const std::vector<SimFlow*>& active,
+                             const std::vector<std::vector<std::uint64_t>>&
+                                 components) {
+  std::vector<SimFlow> clones;
+  for (const SimFlow* f : active) clones.push_back(*f);
+  std::vector<SimFlow*> clone_ptrs;
+  for (SimFlow& f : clones) clone_ptrs.push_back(&f);
+  std::vector<RateChange> want_changed;
+  allocate_rates(star.topo, star.caps, clone_ptrs, &want_changed);
+
+  std::vector<SimFlow> scanned = clones;
+  test::ScanScratch scan(star.topo.link_count());
+  for (const std::vector<std::uint64_t>& ids : components) {
+    std::vector<SimFlow*> comp;
+    for (SimFlow& f : scanned)
+      if (std::find(ids.begin(), ids.end(), f.id.value()) != ids.end())
+        comp.push_back(&f);
+    std::sort(comp.begin(), comp.end(), [](const SimFlow* a, const SimFlow* b) {
+      if (a->tier != b->tier) return a->tier < b->tier;
+      return a->id < b->id;
+    });
+    std::vector<Rate> residual = star.caps;
+    std::size_t i = 0;
+    while (i < comp.size()) {
+      const std::size_t start = i;
+      while (i < comp.size() && comp[i]->tier == comp[start]->tier) ++i;
+      test::scan_waterfill_group(comp.data() + start, i - start,
+                                 residual.data(), scan);
+    }
+  }
+
+  std::vector<RateChange> got_changed;
+  alloc.allocate(star.caps, active, &got_changed, /*profiler=*/nullptr);
+
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    EXPECT_EQ(bits(active[i]->rate), bits(clones[i].rate))
+        << "flow " << active[i]->id << " vs allocate_rates";
+    EXPECT_EQ(bits(active[i]->rate), bits(scanned[i].rate))
+        << "flow " << active[i]->id << " vs the scan kernel";
+  }
+  ASSERT_EQ(got_changed.size(), want_changed.size());
+  for (std::size_t i = 0; i < got_changed.size(); ++i) {
+    EXPECT_EQ(got_changed[i].flow->id, want_changed[i].flow->id) << i;
+    EXPECT_EQ(bits(got_changed[i].old_rate), bits(want_changed[i].old_rate))
+        << i;
+  }
+}
+
+TEST(AllocatorDifferentialMixedTiers, OneAllocationSolvesBothKinds) {
+  // Five components in one allocation:
+  //   A (single tier): 0 and 1 share l0, 1 also crosses l1 (30).
+  //   B (three tiers): tier 0 drains l3, tier 1 gets l2's remainder and
+  //     l4's, tier 2 what l4 has left.
+  //   C (single tier): 5 crosses the dead l5 (capacity 0) and l6; 6 takes
+  //     the rest of l6.
+  //   D (single flow): 7 alone on l7.
+  //   E (two tiers): tier 0 saturates l8, so tier 1 gets 0 there.
+  MixedStar star({100, 30, 80, 40, 60, 0, 90, 50, 70, 70});
+  const auto& l = star.l;
+  std::vector<SimFlow> flows = {
+      tiered_flow(0, {l[0]}, 0, 1.0),
+      tiered_flow(1, {l[0], l[1]}, 0, 2.0),
+      tiered_flow(2, {l[2], l[3]}, 0, 1.0),
+      tiered_flow(3, {l[2], l[4]}, 1, 1.0),
+      tiered_flow(4, {l[4]}, 2, 3.0),
+      tiered_flow(5, {l[5], l[6]}, 1, 1.0),
+      tiered_flow(6, {l[6]}, 1, 1.0),
+      tiered_flow(7, {l[7]}, 4, 0.5),
+      tiered_flow(8, {l[8]}, 0, 1.0),
+      tiered_flow(9, {l[8], l[9]}, 1, 1.0),
+      tiered_flow(10, {l[9]}, 1, 2.0),
+  };
+  const std::vector<std::vector<std::uint64_t>> components = {
+      {0, 1}, {2, 3, 4}, {5, 6}, {7}, {8, 9, 10}};
+  std::vector<SimFlow*> active;
+  RateAllocator alloc;
+  alloc.reset(&star.topo, 16);
+  for (SimFlow& f : flows) {
+    active.push_back(&f);
+    alloc.add_flow(&f);
+  }
+  expect_mixed_allocation(star, alloc, active, components);
+  EXPECT_EQ(alloc.stats().components_solved, 5u);
+  EXPECT_EQ(flows[5].rate, 0.0);
+  EXPECT_EQ(flows[6].rate, 90.0);
+  EXPECT_EQ(flows[9].rate, 0.0);
+
+  // C becomes multi-tier and B single-tier in the same allocation: the
+  // kinds swap, and A, D and E stay cached.
+  flows[6].tier = 0;
+  alloc.touch_flow(&flows[6]);
+  flows[3].tier = 0;
+  flows[4].tier = 0;
+  alloc.touch_flow(&flows[3]);
+  alloc.touch_flow(&flows[4]);
+  expect_mixed_allocation(star, alloc, active, components);
+  EXPECT_EQ(alloc.stats().components_solved, 7u);
+  EXPECT_EQ(flows[5].rate, 0.0);
+}
+
+TEST(AllocatorDifferentialMixedTiers, SingleTierLeavesCarriedResidualAlone) {
+  // A single-tier component reads capacities directly: the carried
+  // LinkId residual stays untouched. A multi-tier one fills it and clears
+  // its bookkeeping again.
+  MixedStar star({100, 0, 50});
+  const auto& l = star.l;
+  WaterfillScratch scratch;
+  std::vector<SimFlow> one = {tiered_flow(0, {l[0], l[1]}, 3, 1.0),
+                              tiered_flow(1, {l[0], l[2]}, 3, 1.0)};
+  std::vector<SimFlow*> ptrs = {&one[0], &one[1]};
+  solve_component(star.topo, ptrs.data(), ptrs.size(), star.caps, scratch,
+                  nullptr);
+  EXPECT_EQ(one[0].rate, 0.0);
+  EXPECT_EQ(one[1].rate, 50.0);
+  for (Rate r : scratch.residual) EXPECT_EQ(bits(r), bits(0.0));
+  EXPECT_TRUE(scratch.residual_links.empty());
+
+  one[1].tier = 4;
+  solve_component(star.topo, ptrs.data(), ptrs.size(), star.caps, scratch,
+                  nullptr);
+  EXPECT_EQ(one[1].rate, 50.0);
+  EXPECT_EQ(scratch.residual[l[2].value()], 0.0);
+  EXPECT_EQ(scratch.residual[l[0].value()], 50.0);
+  EXPECT_TRUE(scratch.residual_links.empty());
+  for (char init : scratch.residual_init) EXPECT_EQ(init, 0);
 }
 
 // ---------------------------------------------------- engine-level fuzz ---

@@ -30,13 +30,10 @@ inline void waterfill(const Topology& topo, std::vector<SimFlow*>& group,
   for (const SimFlow* f : group)
     GURITA_CHECK_MSG(f->tier == group.front()->tier,
                      "waterfill wants one tier group");
-  // One tier is one kernel group; solve_component starts it at `residual`
-  // and leaves the consumed residuals in scratch.residual.
+  // One tier is one kernel group; waterfill_tier starts it at `residual`
+  // and writes the consumed residuals back into it.
   WaterfillScratch scratch;
-  solve_component(topo, group.data(), group.size(), residual, scratch,
-                  nullptr);
-  for (const SimFlow* f : group)
-    for (LinkId l : f->path) residual[l.value()] = scratch.residual[l.value()];
+  waterfill_tier(topo, group.data(), group.size(), residual.data(), scratch);
 }
 
 namespace oracle_detail {
