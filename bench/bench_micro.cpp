@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "sched/pfs.h"
 #include "topology/big_switch.h"
-#include "topology/ecmp.h"
 #include "topology/fattree.h"
 #include "workload/trace_gen.h"
 
@@ -30,24 +29,24 @@ void BM_FatTreeBuild(benchmark::State& state) {
 BENCHMARK(BM_FatTreeBuild)->Arg(4)->Arg(8)->Arg(16)->Arg(48);
 
 void BM_EcmpRoute(benchmark::State& state) {
-  const FatTree ft(FatTree::Config{8, gbps(10.0)});
-  const EcmpRouter router(ft);
+  const FatTree ft(FatTree::Config{static_cast<int>(state.range(0)),
+                                   gbps(10.0)});
+  const std::uint64_t hosts = static_cast<std::uint64_t>(ft.num_hosts());
   std::uint64_t i = 0;
   for (auto _ : state) {
-    const auto path = router.route(FlowId{i}, static_cast<int>(i % 128),
-                                   static_cast<int>((i * 7 + 1) % 128) == static_cast<int>(i % 128)
-                                       ? static_cast<int>((i * 7 + 2) % 128)
-                                       : static_cast<int>((i * 7 + 1) % 128));
+    const int src = static_cast<int>(i % hosts);
+    int dst = static_cast<int>((i * 7 + 1) % hosts);
+    if (dst == src) dst = static_cast<int>((i * 7 + 2) % hosts);
+    const auto path = ft.route(FlowId{i}, src, dst);
     benchmark::DoNotOptimize(path.data());
     ++i;
   }
 }
-BENCHMARK(BM_EcmpRoute);
+BENCHMARK(BM_EcmpRoute)->Arg(8)->Arg(48);
 
 void BM_Waterfill(benchmark::State& state) {
   const int num_flows = static_cast<int>(state.range(0));
   const FatTree ft(FatTree::Config{8, gbps(10.0)});
-  const EcmpRouter router(ft);
   std::vector<SimFlow> flows(static_cast<std::size_t>(num_flows));
   for (int i = 0; i < num_flows; ++i) {
     SimFlow& f = flows[static_cast<std::size_t>(i)];
@@ -56,7 +55,7 @@ void BM_Waterfill(benchmark::State& state) {
     f.start_time = 0;
     const int src = i % 128;
     const int dst = (i * 31 + 1) % 128 == src ? (src + 1) % 128 : (i * 31 + 1) % 128;
-    f.path = router.route(f.id, src, dst);
+    f.path = ft.route(f.id, src, dst);
     f.tier = i % 4;
     f.weight = 1.0;
   }
@@ -65,7 +64,7 @@ void BM_Waterfill(benchmark::State& state) {
   for (auto& f : flows) ptrs.push_back(&f);
   std::vector<Rate> capacities(ft.topology().link_count());
   for (std::size_t l = 0; l < capacities.size(); ++l)
-    capacities[l] = ft.topology().link(LinkId{l}).capacity;
+    capacities[l] = ft.topology().capacity(LinkId{l});
   // A full solve through the engine's allocator: every flow arrives, so
   // the first allocate() re-solves every component.
   RateAllocator alloc;

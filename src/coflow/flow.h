@@ -6,7 +6,7 @@
 namespace gurita {
 
 /// One sender → receiver transfer. Host indices refer to the fabric's host
-/// numbering (FatTree::host).
+/// numbering (fattree.h).
 struct FlowSpec {
   int src_host = 0;
   int dst_host = 0;

@@ -1,6 +1,6 @@
 // Strongly typed integer identifiers.
 //
-// Every entity in the simulator (node, link, flow, coflow, job) is referred
+// Every entity in the simulator (link, flow, coflow, job) is referred
 // to by an id. Using a distinct C++ type per entity kind makes it impossible
 // to pass a FlowId where a LinkId is expected — a class of bug that plain
 // `int` ids invite in event-driven simulators.
@@ -63,14 +63,11 @@ class TypedId {
   underlying_type value_ = invalid().value_;
 };
 
-struct NodeTag {};
 struct LinkTag {};
 struct FlowTag {};
 struct CoflowTag {};
 struct JobTag {};
 
-/// Identifies a node (host or switch) in the topology.
-using NodeId = TypedId<NodeTag>;
 /// Identifies a directed link in the topology.
 using LinkId = TypedId<LinkTag>;
 /// Identifies a single network flow.

@@ -34,7 +34,7 @@
 #include "common/stats.h"
 #include "flowsim/state.h"
 #include "obs/profiler.h"
-#include "topology/graph.h"
+#include "topology/topology.h"
 
 namespace gurita {
 

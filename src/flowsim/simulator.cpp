@@ -61,7 +61,7 @@ Simulator::Simulator(const Fabric& fabric, Scheduler& scheduler,
   state_.writer_ = &writer_;
   capacities_.resize(fabric.topology().link_count());
   for (std::size_t i = 0; i < capacities_.size(); ++i)
-    capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
+    capacities_[i] = fabric.topology().capacity(LinkId{i});
   // The fault plan is validated up front (fault/validation.h) so a bad
   // plan throws a ConfigError listing every problem before any event
   // executes — never mid-run.

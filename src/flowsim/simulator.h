@@ -258,7 +258,7 @@ class Simulator {
   /// identical to an uncompacted one — finishes, events and flow_touches
   /// (EventCalendar.CompactionKeepsEveryCounter). On a fat-tree the two
   /// agree job-for-job in population but not in trajectory: ECMP hashes the
-  /// flow id (EcmpRouter::hash), and compaction renumbers ids, so flows
+  /// flow id (FatTree::route), and compaction renumbers ids, so flows
   /// released after a compaction can take different paths (ROADMAP item 2).
   Compaction compact();
 

@@ -15,7 +15,6 @@
 
 // Fabrics
 #include "topology/big_switch.h"  // IWYU pragma: export
-#include "topology/ecmp.h"        // IWYU pragma: export
 #include "topology/fabric.h"      // IWYU pragma: export
 #include "topology/fattree.h"     // IWYU pragma: export
 

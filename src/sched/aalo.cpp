@@ -6,13 +6,7 @@
 
 namespace gurita {
 
-namespace {
-/// Room for FIFO ranks below one queue step in the composite tier.
-constexpr Tier kQueueStride = 1LL << 40;
-}  // namespace
-
 void AaloScheduler::on_coflow_release(const SimCoflow& coflow, Time now) {
-  fifo_rank_.emplace(coflow.id, next_rank_++);
   queue_of_.emplace(coflow.id, 0);
   obs::TraceRecorder* tr = trace_recorder();
   if (tr && tr->wants(obs::TraceEventKind::kQueueChange)) {
@@ -30,9 +24,7 @@ void AaloScheduler::on_coflow_release(const SimCoflow& coflow, Time now) {
 
 void AaloScheduler::on_fault(const FaultEvent& event, Time now) {
   if (event.kind != FaultKind::kSchedulerStateLoss) return;
-  fifo_rank_.clear();
   queue_of_.clear();
-  next_rank_ = 0;
   obs::TraceRecorder* tr = trace_recorder();
   const bool trace_queues =
       tr != nullptr && tr->wants(obs::TraceEventKind::kQueueChange);
@@ -42,7 +34,6 @@ void AaloScheduler::on_fault(const FaultEvent& event, Time now) {
     for (CoflowId cid : job.coflows) {
       const SimCoflow& coflow = state().coflow(cid);
       if (!coflow.released() || coflow.finished()) continue;
-      fifo_rank_.emplace(cid, next_rank_++);
       queue_of_.emplace(cid, 0);
       if (trace_queues) {
         obs::TraceRecord r;
@@ -61,14 +52,10 @@ void AaloScheduler::on_fault(const FaultEvent& event, Time now) {
 
 void AaloScheduler::on_job_fail(const SimJob& job, Time now) {
   (void)now;
-  for (CoflowId cid : job.coflows) {
-    fifo_rank_.erase(cid);
-    queue_of_.erase(cid);
-  }
+  for (CoflowId cid : job.coflows) queue_of_.erase(cid);
 }
 
 void AaloScheduler::on_compact(const CompactionRemap& remap) {
-  remap_table(fifo_rank_, remap.coflow_map);
   remap_table(queue_of_, remap.coflow_map);
 }
 
@@ -106,28 +93,16 @@ void AaloScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
       }
       qit->second = level;
     }
-    Tier tier = qit->second;
-    if (config_.intra_queue_fifo) {
-      const Tier rank = static_cast<Tier>(fifo_rank_.at(cid));
-      GURITA_CHECK_MSG(rank < kQueueStride, "FIFO rank overflowed tier stride");
-      tier = tier * kQueueStride + rank;
-    }
-    set_priority(cid, tier, 1.0);
+    set_priority(cid, qit->second, 1.0);
   }
 }
 
 void AaloScheduler::save_state(snapshot::Writer& w) const {
-  snapshot::write_table(w, fifo_rank_,
-                        [&](std::uint64_t rank) { w.u64(rank); });
-  w.u64(next_rank_);
   snapshot::write_table(w, queue_of_, [&](int q) { w.i32(q); });
 }
 
 void AaloScheduler::load_state(snapshot::Reader& r) {
   const std::uint64_t n_coflows = state().coflow_count();
-  snapshot::read_table(r, "aalo fifo rank", n_coflows, fifo_rank_,
-                       [&](CoflowId) { return r.u64(); });
-  next_rank_ = r.u64();
   snapshot::read_table(r, "aalo coflow queue", n_coflows, queue_of_,
                        [&](CoflowId) { return r.i32(); });
 }

@@ -7,8 +7,8 @@
 // as they send more. Across queues, higher-priority queues are served
 // first. Within a queue, Aalo's D-CLAS supports FIFO (by coflow release
 // time) or fair sharing among the queue's coflows; with few queues strict
-// FIFO over-serializes mid-size coflows, so fair sharing — which the Aalo
-// paper reports performing comparably — is the default here.
+// FIFO over-serializes mid-size coflows, so this implements fair sharing,
+// which the Aalo paper reports performing comparably (DESIGN.md §5.1).
 //
 // Matching the paper's simulation setup, Aalo enjoys a global,
 // instantaneous view: its signal is refreshed at every rate recomputation
@@ -31,46 +31,36 @@ class AaloScheduler final : public Scheduler {
     int queues = 4;
     Bytes first_threshold = 10 * kMB;
     double multiplier = 10.0;
-    /// Strict FIFO among coflows of one queue (Aalo's default design) vs
-    /// fair sharing within the queue (comparable per the Aalo paper, and
-    /// much stronger with only 4 queues).
-    bool intra_queue_fifo = false;
   };
 
   AaloScheduler() : AaloScheduler(Config{}) {}
   explicit AaloScheduler(const Config& config)
-      : config_(config),
-        thresholds_(config.queues, config.first_threshold, config.multiplier) {}
+      : thresholds_(config.queues, config.first_threshold, config.multiplier) {}
 
   [[nodiscard]] std::string name() const override { return "aalo"; }
 
   void on_coflow_release(const SimCoflow& coflow, Time now) override;
   /// kSchedulerStateLoss models an Aalo coordinator restart: attained-service
-  /// queues and global FIFO ranks are forgotten. Live coflows re-register at
-  /// the highest queue with fresh ranks in deterministic (job, coflow)
-  /// order; D-CLAS then re-demotes them from the (still exact) bytes-sent
-  /// signal at the next recomputation.
+  /// queues are forgotten. Live coflows re-register at the highest queue in
+  /// deterministic (job, coflow) order; D-CLAS then re-demotes them from the
+  /// (still exact) bytes-sent signal at the next recomputation.
   void on_fault(const FaultEvent& event, Time now) override;
-  /// Drops the failed job's coflows from the rank and queue tables.
+  /// Drops the failed job's coflows from the queue table.
   void on_job_fail(const SimJob& job, Time now) override;
-  /// Re-keys the rank and queue tables across an engine compaction (also
-  /// drops finished coflows' leftover entries, keeping both tables
-  /// O(active) in the open-horizon daemon).
+  /// Re-keys the queue table across an engine compaction (also drops
+  /// finished coflows' leftover entries, keeping it O(active) in the
+  /// open-horizon daemon).
   void on_compact(const CompactionRemap& remap) override;
   void assign(Time now, const std::vector<SimFlow*>& active) override;
-  /// Checkpoint hooks (DESIGN.md §12): FIFO ranks and monotone queue marks.
-  /// The tables stay unordered (assign() only looks keys up, never iterates
-  /// them) and are serialized in sorted-key order so the bytes are a pure
-  /// function of logical state.
+  /// Checkpoint hooks (DESIGN.md §12): the monotone queue marks. The table
+  /// stays unordered (assign() only looks keys up, never iterates it) and
+  /// is serialized in sorted-key order so the bytes are a pure function of
+  /// logical state.
   void save_state(snapshot::Writer& w) const override;
   void load_state(snapshot::Reader& r) override;
 
  private:
-  Config config_;
   ExpThresholds thresholds_;
-  /// FIFO rank: order in which coflows were released (globally).
-  std::unordered_map<CoflowId, std::uint64_t> fifo_rank_;
-  std::uint64_t next_rank_ = 0;
   /// Demotion is monotone: remember the deepest queue reached.
   std::unordered_map<CoflowId, int> queue_of_;
   /// assign() scratch: seen_[coflow] == epoch_ once decided in this call.

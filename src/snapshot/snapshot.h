@@ -66,7 +66,9 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// v11: the flow record drops its tier and weight (an i64 and an f64); no
 /// coflow priority is written either, since the next assign() rewrites
 /// every live one. Restore checks open connections against the active set.
-inline constexpr std::uint32_t kFormatVersion = 11;
+/// v12: Aalo's scheduler section drops its FIFO-rank table and rank counter
+/// (the intra-queue FIFO option is gone); it holds the queue table only.
+inline constexpr std::uint32_t kFormatVersion = 12;
 
 /// Payload kind byte following the header. Value 2 is reserved: it marked
 /// the retired results cache of a finished batch shard, and read_header

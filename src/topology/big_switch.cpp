@@ -5,26 +5,17 @@ namespace gurita {
 BigSwitch::BigSwitch(const Config& config) : num_hosts_(config.num_hosts) {
   GURITA_CHECK_MSG(config.num_hosts >= 2, "big switch needs >= 2 hosts");
   GURITA_CHECK_MSG(config.port_rate > 0, "port rate must be positive");
-  core_ = topo_.add_node(NodeKind::kCoreSwitch, -1, 0);
-  hosts_.reserve(static_cast<std::size_t>(num_hosts_));
-  uplinks_.reserve(static_cast<std::size_t>(num_hosts_));
-  downlinks_.reserve(static_cast<std::size_t>(num_hosts_));
-  for (int h = 0; h < num_hosts_; ++h) {
-    const NodeId host = topo_.add_node(NodeKind::kHost, 0, h);
-    hosts_.push_back(host);
-    uplinks_.push_back(topo_.add_link(host, core_, config.port_rate));
-    downlinks_.push_back(topo_.add_link(core_, host, config.port_rate));
-  }
+  topo_ = Topology(2 * static_cast<std::size_t>(num_hosts_), config.port_rate);
 }
 
 LinkId BigSwitch::uplink(int host) const {
   GURITA_CHECK_MSG(host >= 0 && host < num_hosts_, "host out of range");
-  return uplinks_[static_cast<std::size_t>(host)];
+  return LinkId{2 * static_cast<std::uint64_t>(host)};
 }
 
 LinkId BigSwitch::downlink(int host) const {
   GURITA_CHECK_MSG(host >= 0 && host < num_hosts_, "host out of range");
-  return downlinks_[static_cast<std::size_t>(host)];
+  return LinkId{2 * static_cast<std::uint64_t>(host) + 1};
 }
 
 std::vector<LinkId> BigSwitch::route(FlowId flow, int src_host,

@@ -3,8 +3,9 @@
 // ingress (uplink) and egress (downlink) ports — the abstraction under
 // which Varys/Aalo-style analyses reason about coflows.
 //
-// Realized as N hosts around a single switch node with one duplex link per
-// host; every route is exactly [src uplink, dst downlink].
+// Realized as one duplex port per host: host h's uplink (host → core) is
+// link 2h and its downlink (core → host) is link 2h + 1. Every route is
+// exactly [src uplink, dst downlink].
 #pragma once
 
 #include "common/units.h"
@@ -34,10 +35,6 @@ class BigSwitch final : public Fabric {
  private:
   int num_hosts_;
   Topology topo_;
-  NodeId core_;
-  std::vector<NodeId> hosts_;
-  std::vector<LinkId> uplinks_;
-  std::vector<LinkId> downlinks_;
 };
 
 }  // namespace gurita

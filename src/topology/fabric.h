@@ -1,5 +1,5 @@
 // Fabric abstraction: what the flow simulator needs from a network — a
-// directed capacity graph, a host count, and a (stable-per-flow) route
+// per-link capacity table, a host count, and a (stable-per-flow) route
 // between two hosts.
 //
 // Two concrete fabrics implement it:
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "topology/graph.h"
+#include "topology/topology.h"
 
 namespace gurita {
 

@@ -1,63 +1,58 @@
 #include "topology/fattree.h"
 
-#include "topology/ecmp.h"
+#include <climits>
+#include <string>
 
 namespace gurita {
 
-std::vector<LinkId> FatTree::route(FlowId flow, int src_host,
-                                   int dst_host) const {
-  return EcmpRouter(*this, ecmp_salt_).route(flow, src_host, dst_host);
+namespace {
+
+std::uint64_t mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
+std::uint64_t ecmp_hash(std::uint64_t salt, FlowId flow, int src_host,
+                        int dst_host) {
+  std::uint64_t h = salt ^ 0x9e3779b97f4a7c15ULL;
+  h = mix(h ^ flow.value());
+  h = mix(h ^ static_cast<std::uint64_t>(src_host));
+  h = mix(h ^ static_cast<std::uint64_t>(dst_host));
+  return h;
+}
+
+/// k^3/4 = k·(k/2)^2, after checking that k is valid and that an int host
+/// index holds every host. (k/2)^2 cannot overflow 64 bits for any int k.
+int host_count(int k) {
+  GURITA_CHECK_MSG(k >= 2 && k % 2 == 0, "fat-tree k must be even, >= 2");
+  const std::int64_t per_pod = std::int64_t{k / 2} * (k / 2);
+  GURITA_CHECK_MSG(per_pod <= INT_MAX / k,
+                   "fat-tree k = " + std::to_string(k) +
+                       " has more hosts (k^3/4) than an int host index "
+                       "holds; k must be below 2048");
+  return static_cast<int>(per_pod * k);
+}
+
+}  // namespace
+
 FatTree::FatTree(const Config& config)
-    : k_(config.k), half_(config.k / 2), ecmp_salt_(config.ecmp_salt) {
-  GURITA_CHECK_MSG(k_ >= 2 && k_ % 2 == 0, "fat-tree k must be even, >= 2");
-  GURITA_CHECK_MSG(config.link_capacity > 0, "capacity must be positive");
+    : k_(config.k),
+      half_(config.k / 2),
+      num_hosts_(host_count(config.k)),
+      ecmp_salt_(config.ecmp_salt),
+      // 6H = 1.5·k^3 links, laid out as fattree.h documents.
+      topo_(6 * static_cast<std::size_t>(num_hosts_), config.link_capacity) {}
 
-  const int hosts_per_pod = half_ * half_;
-  hosts_.reserve(static_cast<std::size_t>(k_) * hosts_per_pod);
-  edges_.reserve(static_cast<std::size_t>(k_) * half_);
-  aggs_.reserve(static_cast<std::size_t>(k_) * half_);
-  cores_.reserve(static_cast<std::size_t>(half_) * half_);
-
-  for (int pod = 0; pod < k_; ++pod) {
-    for (int e = 0; e < half_; ++e)
-      edges_.push_back(topo_.add_node(NodeKind::kEdgeSwitch, pod, e));
-    for (int a = 0; a < half_; ++a)
-      aggs_.push_back(topo_.add_node(NodeKind::kAggSwitch, pod, a));
-    for (int h = 0; h < hosts_per_pod; ++h)
-      hosts_.push_back(topo_.add_node(NodeKind::kHost, pod, h));
-  }
-  for (int group = 0; group < half_; ++group) {
-    for (int member = 0; member < half_; ++member)
-      cores_.push_back(
-          topo_.add_node(NodeKind::kCoreSwitch, -1, group * half_ + member));
-  }
-
-  // host <-> edge
-  for (int h = 0; h < num_hosts(); ++h)
-    topo_.add_duplex(hosts_[h], edge_of_host(h), config.link_capacity);
-  // edge <-> agg (full bipartite within pod)
-  for (int pod = 0; pod < k_; ++pod)
-    for (int e = 0; e < half_; ++e)
-      for (int a = 0; a < half_; ++a)
-        topo_.add_duplex(edge_switch(pod, e), agg_switch(pod, a),
-                         config.link_capacity);
-  // agg <-> core: agg `g` of each pod connects to all cores in group `g`
-  for (int pod = 0; pod < k_; ++pod)
-    for (int g = 0; g < half_; ++g)
-      for (int m = 0; m < half_; ++m)
-        topo_.add_duplex(agg_switch(pod, g), core_switch(g, m),
-                         config.link_capacity);
+std::vector<LinkId> FatTree::route(FlowId flow, int src_host,
+                                   int dst_host) const {
+  const std::uint64_t h = ecmp_hash(ecmp_salt_, flow, src_host, dst_host);
+  // Split the hash into two independent choices (up path, core member).
+  return path(src_host, dst_host, h & 0xffffffffULL, h >> 32);
 }
 
 void FatTree::check_host(int h) const {
-  GURITA_CHECK_MSG(h >= 0 && h < num_hosts(), "host index out of range");
-}
-
-NodeId FatTree::host(int h) const {
-  check_host(h);
-  return hosts_[h];
+  GURITA_CHECK_MSG(h >= 0 && h < num_hosts_, "host index out of range");
 }
 
 int FatTree::pod_of_host(int h) const {
@@ -65,37 +60,11 @@ int FatTree::pod_of_host(int h) const {
   return h / (half_ * half_);
 }
 
-NodeId FatTree::edge_of_host(int h) const {
-  check_host(h);
-  const int pod = pod_of_host(h);
-  const int within = h % (half_ * half_);
-  return edge_switch(pod, within / half_);
-}
-
-NodeId FatTree::edge_switch(int pod, int index) const {
-  GURITA_CHECK_MSG(pod >= 0 && pod < k_ && index >= 0 && index < half_,
-                   "edge switch coordinates out of range");
-  return edges_[pod * half_ + index];
-}
-
-NodeId FatTree::agg_switch(int pod, int index) const {
-  GURITA_CHECK_MSG(pod >= 0 && pod < k_ && index >= 0 && index < half_,
-                   "agg switch coordinates out of range");
-  return aggs_[pod * half_ + index];
-}
-
-NodeId FatTree::core_switch(int group, int member) const {
-  GURITA_CHECK_MSG(group >= 0 && group < half_ && member >= 0 &&
-                       member < half_,
-                   "core switch coordinates out of range");
-  return cores_[group * half_ + member];
-}
-
 std::size_t FatTree::path_count(int src_host, int dst_host) const {
   check_host(src_host);
   check_host(dst_host);
   GURITA_CHECK_MSG(src_host != dst_host, "path between identical hosts");
-  if (edge_of_host(src_host) == edge_of_host(dst_host)) return 1;
+  if (src_host / half_ == dst_host / half_) return 1;  // same edge switch
   if (pod_of_host(src_host) == pod_of_host(dst_host))
     return static_cast<std::size_t>(half_);
   return static_cast<std::size_t>(half_) * half_;
@@ -108,49 +77,36 @@ std::vector<LinkId> FatTree::path(int src_host, int dst_host,
   check_host(dst_host);
   GURITA_CHECK_MSG(src_host != dst_host, "path between identical hosts");
 
-  const NodeId src = hosts_[src_host];
-  const NodeId dst = hosts_[dst_host];
-  const NodeId src_edge = edge_of_host(src_host);
-  const NodeId dst_edge = edge_of_host(dst_host);
+  // The link-id format of fattree.h. Edge switches are numbered pod-major
+  // (pod·n + e), so host h's edge switch is h / n.
+  const std::uint64_t n = static_cast<std::uint64_t>(half_);
+  const std::uint64_t src = static_cast<std::uint64_t>(src_host);
+  const std::uint64_t dst = static_cast<std::uint64_t>(dst_host);
+  const std::uint64_t edge_agg_base = 2 * static_cast<std::uint64_t>(num_hosts_);
+  const std::uint64_t agg_core_base =
+      edge_agg_base + 2 * static_cast<std::uint64_t>(k_) * n * n;
+  const LinkId host_up{2 * src};
+  const LinkId host_down{2 * dst + 1};
 
-  std::vector<LinkId> links;
-  const auto push = [&](NodeId a, NodeId b) {
-    const LinkId id = topo_.find_link(a, b);
-    GURITA_CHECK_MSG(id.valid(), "fat-tree path traversed a missing link");
-    links.push_back(id);
+  if (src / n == dst / n) return {host_up, host_down};
+
+  const std::uint64_t agg = up_choice % n;
+  const auto edge_agg = [&](std::uint64_t edge) {
+    return edge_agg_base + 2 * (edge * n + agg);
   };
+  const LinkId edge_up{edge_agg(src / n)};
+  const LinkId edge_down{edge_agg(dst / n) + 1};
+  const std::uint64_t src_pod = src / (n * n);
+  const std::uint64_t dst_pod = dst / (n * n);
 
-  if (src_edge == dst_edge) {
-    push(src, src_edge);
-    push(src_edge, dst);
-    return links;
-  }
+  if (src_pod == dst_pod) return {host_up, edge_up, edge_down, host_down};
 
-  const int src_pod = pod_of_host(src_host);
-  const int dst_pod = pod_of_host(dst_host);
-  const int agg_idx = static_cast<int>(up_choice % static_cast<std::uint64_t>(half_));
-
-  if (src_pod == dst_pod) {
-    const NodeId agg = agg_switch(src_pod, agg_idx);
-    push(src, src_edge);
-    push(src_edge, agg);
-    push(agg, dst_edge);
-    push(dst_edge, dst);
-    return links;
-  }
-
-  const int member =
-      static_cast<int>(core_choice % static_cast<std::uint64_t>(half_));
-  const NodeId up_agg = agg_switch(src_pod, agg_idx);
-  const NodeId core = core_switch(agg_idx, member);
-  const NodeId down_agg = agg_switch(dst_pod, agg_idx);
-  push(src, src_edge);
-  push(src_edge, up_agg);
-  push(up_agg, core);
-  push(core, down_agg);
-  push(down_agg, dst_edge);
-  push(dst_edge, dst);
-  return links;
+  const std::uint64_t member = core_choice % n;
+  const auto agg_core = [&](std::uint64_t pod) {
+    return agg_core_base + 2 * ((pod * n + agg) * n + member);
+  };
+  return {host_up, edge_up, LinkId{agg_core(src_pod)},
+          LinkId{agg_core(dst_pod) + 1}, edge_down, host_down};
 }
 
 }  // namespace gurita

@@ -2,19 +2,31 @@
 // the topology used in the paper's evaluation: 8 pods → 128 servers and
 // 80 switches; 48 pods → 27,648 servers and 2,880 switches.
 //
-// Layout for even k:
-//   - k pods; each pod has k/2 edge switches and k/2 aggregation switches;
-//   - each edge switch serves k/2 hosts → k^3/4 hosts total;
-//   - (k/2)^2 core switches in k/2 groups of k/2; core group g attaches to
+// Layout for even k, with n = k/2:
+//   - k pods; each pod has n edge switches and n aggregation switches;
+//   - each edge switch serves n hosts → H = k^3/4 hosts total, numbered
+//     pod-major, so host h hangs off edge switch h / n of pod h / n^2;
+//   - n^2 core switches in n groups of n; core group g attaches to
 //     aggregation switch g of every pod.
+//
+// Link ids are computed from these coordinates, never looked up. The
+// format (every route, fault plan and snapshot depends on it):
+//   - host h: host→edge is 2h, edge→host is 2h + 1;
+//   - pod p, edge e, agg a, with i = (p·n + e)·n + a: edge→agg is
+//     2H + 2i, agg→edge is 2H + 2i + 1;
+//   - pod p, agg g, core member m, with j = (p·n + g)·n + m: agg→core is
+//     2H + 2k·n^2 + 2j, core→agg is 2H + 2k·n^2 + 2j + 1;
+// which makes 6H = 1.5·k^3 links, all of one capacity.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/units.h"
 #include "topology/fabric.h"
-#include "topology/graph.h"
+#include "topology/topology.h"
 
 namespace gurita {
 
@@ -26,35 +38,29 @@ class FatTree final : public Fabric {
     std::uint64_t ecmp_salt = 0;       ///< perturbs ECMP hashing
   };
 
+  /// Throws if k is odd, below 2, or so large (k >= 2048) that the host
+  /// count overflows an int host index; nothing is allocated first.
   explicit FatTree(const Config& config);
 
   [[nodiscard]] const Topology& topology() const override { return topo_; }
   [[nodiscard]] int k() const { return k_; }
-  [[nodiscard]] int num_hosts() const override { return k_ * k_ * k_ / 4; }
+  [[nodiscard]] int num_hosts() const override { return num_hosts_; }
 
-  /// ECMP route (Fabric interface): hashes (flow, src, dst) with the
-  /// configured salt into one of the equal-cost paths.
+  /// ECMP route (Fabric interface). Real switches hash the 5-tuple to pick
+  /// among equal-cost next hops; this hashes (flow, src, dst) with the
+  /// configured salt — stable for a flow's lifetime, independent across
+  /// flows — into path()'s two choices.
   [[nodiscard]] std::vector<LinkId> route(FlowId flow, int src_host,
                                           int dst_host) const override;
   [[nodiscard]] int num_switches() const {
     return k_ * k_ + k_ * k_ / 4;  // k*(k/2 edge + k/2 agg) + (k/2)^2 core
   }
 
-  /// NodeId of host `h` in [0, num_hosts).
-  [[nodiscard]] NodeId host(int h) const;
   [[nodiscard]] int pod_of_host(int h) const;
-  /// Edge switch serving host `h`.
-  [[nodiscard]] NodeId edge_of_host(int h) const;
-
-  [[nodiscard]] NodeId edge_switch(int pod, int index) const;
-  [[nodiscard]] NodeId agg_switch(int pod, int index) const;
-  /// Core switch in group `group` (attached to agg index `group`), member
-  /// `member`, both in [0, k/2).
-  [[nodiscard]] NodeId core_switch(int group, int member) const;
 
   /// Shortest path (as directed link ids) from src host to dst host.
-  /// `up_choice` / `core_choice` pick among the equal-cost alternatives
-  /// (callers hash flow identity into them; ECMP lives in ecmp.h).
+  /// `up_choice` picks the aggregation index (and so the core group) and
+  /// `core_choice` the core member, each modulo k/2.
   /// Precondition: src_host != dst_host.
   [[nodiscard]] std::vector<LinkId> path(int src_host, int dst_host,
                                          std::uint64_t up_choice,
@@ -66,12 +72,9 @@ class FatTree final : public Fabric {
  private:
   int k_;
   int half_;  // k/2
+  int num_hosts_;
   std::uint64_t ecmp_salt_;
   Topology topo_;
-  std::vector<NodeId> hosts_;
-  std::vector<NodeId> edges_;  // pod-major: pod * half_ + index
-  std::vector<NodeId> aggs_;   // pod-major
-  std::vector<NodeId> cores_;  // group-major: group * half_ + member
   void check_host(int h) const;
 };
 

@@ -39,7 +39,6 @@
 #include "same_results.h"
 #include "snapshot/snapshot.h"
 #include "topology/big_switch.h"
-#include "topology/ecmp.h"
 #include "topology/fattree.h"
 #include "waterfill_scan_oracle.h"
 #include "workload/trace_gen.h"
@@ -54,7 +53,6 @@ namespace {
 /// every comparison, so it cannot inherit state to compare against.
 struct LockstepHarness {
   const FatTree fabric;
-  const EcmpRouter router;
   std::vector<Rate> caps;
   std::deque<SimFlow> store;  // stable addresses across growth
   std::vector<SimFlow*> active;
@@ -63,11 +61,11 @@ struct LockstepHarness {
   std::uint64_t next_id = 0;
 
   explicit LockstepHarness(std::uint64_t salt)
-      : fabric(FatTree::Config{4, 100.0}), router(fabric, salt) {
+      : fabric(FatTree::Config{4, 100.0, salt}) {
     const Topology& topo = fabric.topology();
     caps.resize(topo.link_count());
     for (std::size_t l = 0; l < topo.link_count(); ++l)
-      caps[l] = topo.link(LinkId{l}).capacity;
+      caps[l] = topo.capacity(LinkId{l});
     alloc.reset(&topo, /*flow_capacity=*/64);
   }
 
@@ -79,7 +77,7 @@ struct LockstepHarness {
     f.id = FlowId{next_id++};
     f.size = 1000;
     f.remaining = 1000;
-    f.path = router.route(f.id, src, dst);
+    f.path = fabric.route(f.id, src, dst);
     f.tier = static_cast<Tier>(rng.uniform_int(0, 2));
     f.weight = rng.uniform(0.1, 5.0);
     store.push_back(std::move(f));
@@ -108,7 +106,7 @@ struct LockstepHarness {
   void change_capacity(Rng& rng) {
     const LinkId l{rng.uniform_int(0, caps.size() - 1)};
     caps[l.value()] =
-        fabric.topology().link(l).capacity * rng.uniform(0.05, 1.0);
+        fabric.topology().capacity(l) * rng.uniform(0.05, 1.0);
     alloc.dirty_link(l);
   }
 
@@ -127,7 +125,7 @@ struct LockstepHarness {
     if (!down.empty() && rng.next_double() < 0.5) {
       const LinkId l = down.front();
       down.erase(down.begin());
-      caps[l.value()] = fabric.topology().link(l).capacity;
+      caps[l.value()] = fabric.topology().capacity(l);
       alloc.dirty_link(l);
       return;
     }
@@ -226,11 +224,10 @@ TEST(AllocatorDifferentialLockstep, FuzzEveryEventAgainstOracle) {
 // reaching the same state through different dirty-event orders — including
 // a detour through an extra flow — yields bitwise identical rates.
 TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
-  const FatTree fabric(FatTree::Config{4, 100.0});
-  const EcmpRouter router(fabric, 7);
+  const FatTree fabric(FatTree::Config{4, 100.0, 7});
   std::vector<Rate> caps(fabric.topology().link_count());
   for (std::size_t l = 0; l < caps.size(); ++l)
-    caps[l] = fabric.topology().link(LinkId{l}).capacity;
+    caps[l] = fabric.topology().capacity(LinkId{l});
 
   auto make_population = [&] {
     std::vector<SimFlow> flows;
@@ -239,7 +236,7 @@ TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
       f.id = FlowId{i};
       f.size = 1000;
       f.remaining = 1000;
-      f.path = router.route(f.id, static_cast<int>(i % 16),
+      f.path = fabric.route(f.id, static_cast<int>(i % 16),
                             static_cast<int>((i * 5 + 3) % 16));
       f.tier = static_cast<Tier>(i % 3);
       f.weight = 1.0 + static_cast<double>(i % 4);
@@ -275,7 +272,7 @@ TEST(AllocatorDifferentialLockstep, AllocationIndependentOfEventOrder) {
     extra.id = FlowId{99};
     extra.size = 1000;
     extra.remaining = 1000;
-    extra.path = router.route(extra.id, 0, 8);
+    extra.path = fabric.route(extra.id, 0, 8);
     active.push_back(&extra);
     alloc.add_flow(&extra);
     alloc.allocate(caps, active, nullptr, nullptr);
@@ -328,16 +325,10 @@ struct TwoPairFixture {
   std::vector<Rate> caps;
 
   TwoPairFixture() {
-    const NodeId h0 = topo.add_node(NodeKind::kHost, 0, 0);
-    const NodeId s1 = topo.add_node(NodeKind::kEdgeSwitch, 0, 0);
-    const NodeId h1 = topo.add_node(NodeKind::kHost, 0, 1);
-    const NodeId h2 = topo.add_node(NodeKind::kHost, 0, 2);
-    const NodeId s2 = topo.add_node(NodeKind::kEdgeSwitch, 0, 1);
-    const NodeId h3 = topo.add_node(NodeKind::kHost, 0, 3);
-    up1 = topo.add_link(h0, s1, 90.0);
-    down1 = topo.add_link(s1, h1, 90.0);
-    up2 = topo.add_link(h2, s2, 100.0);
-    down2 = topo.add_link(s2, h3, 100.0);
+    up1 = topo.add_link(90.0);
+    down1 = topo.add_link(90.0);
+    up2 = topo.add_link(100.0);
+    down2 = topo.add_link(100.0);
     caps = {90.0, 90.0, 100.0, 100.0};
   }
 
@@ -467,10 +458,8 @@ struct MixedStar {
   std::vector<Rate> caps;
 
   explicit MixedStar(const std::vector<Rate>& capacities) : caps(capacities) {
-    const NodeId sw = topo.add_node(NodeKind::kEdgeSwitch, 0, 0);
     for (std::size_t i = 0; i < caps.size(); ++i) {
-      const NodeId h = topo.add_node(NodeKind::kHost, 0, static_cast<int>(i));
-      l.push_back(topo.add_link(h, sw, 100.0));
+      l.push_back(topo.add_link(100.0));
     }
   }
 };

@@ -16,7 +16,7 @@
 #include "common/stats.h"
 #include "flowsim/allocator.h"
 #include "flowsim/state.h"
-#include "topology/graph.h"
+#include "topology/topology.h"
 
 namespace gurita {
 
@@ -150,7 +150,7 @@ inline void allocate_rates(const Topology& topo,
                            const std::vector<SimFlow*>& flows) {
   std::vector<Rate> capacities(topo.link_count());
   for (std::size_t i = 0; i < capacities.size(); ++i)
-    capacities[i] = topo.link(LinkId{i}).capacity;
+    capacities[i] = topo.capacity(LinkId{i});
   allocate_rates(topo, capacities, flows);
 }
 

@@ -9,24 +9,20 @@
 #include "allocator_oracle.h"
 #include "common/rng.h"
 #include "flowsim/allocator.h"
-#include "topology/ecmp.h"
 #include "topology/fattree.h"
 
 namespace gurita {
 namespace {
 
-/// A tiny line topology: h0 -> s -> h1, both directed links capacity `cap`.
+/// A tiny line: two directed links in series (h0 -> s -> h1), both of
+/// capacity `cap`.
 struct LineFixture {
   Topology topo;
-  NodeId h0, sw, h1;
   LinkId up, down;
 
   explicit LineFixture(Rate cap = 100.0) {
-    h0 = topo.add_node(NodeKind::kHost, 0, 0);
-    sw = topo.add_node(NodeKind::kEdgeSwitch, 0, 0);
-    h1 = topo.add_node(NodeKind::kHost, 0, 1);
-    up = topo.add_link(h0, sw, cap);
-    down = topo.add_link(sw, h1, cap);
+    up = topo.add_link(cap);
+    down = topo.add_link(cap);
   }
 };
 
@@ -83,13 +79,12 @@ TEST(Waterfill, WeightedSharesProportional) {
 
 TEST(Waterfill, CapacityNeverExceeded) {
   const FatTree ft(FatTree::Config{4, 100.0});
-  const EcmpRouter router(ft);
   std::vector<SimFlow> flows;
   for (std::uint64_t i = 0; i < 40; ++i) {
     const int src = static_cast<int>(i % 16);
     const int dst = static_cast<int>((i * 5 + 3) % 16);
     if (src == dst) continue;
-    SimFlow f = make_flow(i, router.route(FlowId{i}, src, dst), 0,
+    SimFlow f = make_flow(i, ft.route(FlowId{i}, src, dst), 0,
                           1.0 + static_cast<double>(i % 3));
     flows.push_back(std::move(f));
   }
@@ -98,7 +93,7 @@ TEST(Waterfill, CapacityNeverExceeded) {
   allocate_rates(ft.topology(), ptrs);
   for (std::size_t l = 0; l < ft.topology().link_count(); ++l) {
     EXPECT_LE(sum_rate_on(flows, LinkId{l}),
-              ft.topology().link(LinkId{l}).capacity * (1 + 1e-9));
+              ft.topology().capacity(LinkId{l}) * (1 + 1e-9));
   }
 }
 
@@ -108,11 +103,8 @@ TEST(Waterfill, WorkConserving) {
   // a bottlenecked group saturates the bottleneck.
   LineFixture fx(100.0);
   // Second, independent path: h2 -> sw2 -> h3.
-  const NodeId h2 = fx.topo.add_node(NodeKind::kHost, 0, 2);
-  const NodeId sw2 = fx.topo.add_node(NodeKind::kEdgeSwitch, 0, 1);
-  const NodeId h3 = fx.topo.add_node(NodeKind::kHost, 0, 3);
-  const LinkId up2 = fx.topo.add_link(h2, sw2, 40.0);
-  const LinkId down2 = fx.topo.add_link(sw2, h3, 40.0);
+  const LinkId up2 = fx.topo.add_link(40.0);
+  const LinkId down2 = fx.topo.add_link(40.0);
 
   std::vector<SimFlow> flows = {make_flow(0, {fx.up, fx.down}),
                                 make_flow(1, {fx.up, fx.down}),
@@ -129,11 +121,8 @@ TEST(Waterfill, MaxMinBeatsBottleneckSplitting) {
   // Classic max-min: flows A (link1 only), B (link1+link2), C (link2 only).
   // A and B share link1; B is also constrained by link2 shared with C.
   Topology topo;
-  const NodeId n0 = topo.add_node(NodeKind::kHost, 0, 0);
-  const NodeId n1 = topo.add_node(NodeKind::kHost, 0, 1);
-  const NodeId n2 = topo.add_node(NodeKind::kHost, 0, 2);
-  const LinkId l1 = topo.add_link(n0, n1, 100.0);
-  const LinkId l2 = topo.add_link(n1, n2, 60.0);
+  const LinkId l1 = topo.add_link(100.0);
+  const LinkId l2 = topo.add_link(60.0);
 
   std::vector<SimFlow> flows = {make_flow(0, {l1}), make_flow(1, {l1, l2}),
                                 make_flow(2, {l2})};
@@ -159,8 +148,7 @@ TEST(Waterfill, StrictTierPriority) {
 TEST(Waterfill, LowerTierGetsLeftovers) {
   LineFixture fx(100.0);
   // High-priority flow limited elsewhere: add a slow private hop.
-  const NodeId hx = fx.topo.add_node(NodeKind::kHost, 0, 9);
-  const LinkId slow = fx.topo.add_link(hx, fx.h0, 30.0);
+  const LinkId slow = fx.topo.add_link(30.0);
   std::vector<SimFlow> flows = {
       make_flow(0, {slow, fx.up, fx.down}, /*tier=*/0),
       make_flow(1, {fx.up, fx.down}, /*tier=*/5)};
@@ -229,15 +217,14 @@ TEST(Waterfill, PureFunctionOfFlowSet) {
   // The allocation depends only on the flow *set* and the capacities, not
   // on the order flows are presented in: components are solved over a
   // (tier, id)-sorted copy, so any permutation yields bitwise equal rates.
-  const FatTree ft(FatTree::Config{4, 100.0});
-  const EcmpRouter router(ft, 3);
+  const FatTree ft(FatTree::Config{4, 100.0, 3});
   auto make_population = [&] {
     std::vector<SimFlow> flows;
     for (std::uint64_t i = 0; i < 24; ++i) {
       const int src = static_cast<int>(i % 16);
       const int dst = static_cast<int>((i * 7 + 5) % 16);
       if (src == dst) continue;
-      flows.push_back(make_flow(i, router.route(FlowId{i}, src, dst),
+      flows.push_back(make_flow(i, ft.route(FlowId{i}, src, dst),
                                 static_cast<Tier>(i % 3),
                                 1.0 + static_cast<double>(i % 5)));
     }
@@ -262,8 +249,7 @@ class AllocatorProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AllocatorProperty, SaturatedBottleneckPerFlow) {
   Rng rng(GetParam());
-  const FatTree ft(FatTree::Config{4, 100.0});
-  const EcmpRouter router(ft, GetParam());
+  const FatTree ft(FatTree::Config{4, 100.0, GetParam()});
   std::vector<SimFlow> flows;
   const int n = 3 + static_cast<int>(rng.uniform_int(0, 25));
   for (int i = 0; i < n; ++i) {
@@ -271,7 +257,7 @@ TEST_P(AllocatorProperty, SaturatedBottleneckPerFlow) {
     int dst = static_cast<int>(rng.uniform_int(0, 15));
     if (dst == src) dst = (dst + 1) % 16;
     flows.push_back(make_flow(static_cast<std::uint64_t>(i),
-                              router.route(FlowId{static_cast<std::uint64_t>(i)}, src, dst),
+                              ft.route(FlowId{static_cast<std::uint64_t>(i)}, src, dst),
                               static_cast<Tier>(rng.uniform_int(0, 2)),
                               rng.uniform(0.1, 5.0)));
   }
@@ -282,7 +268,7 @@ TEST_P(AllocatorProperty, SaturatedBottleneckPerFlow) {
   // Capacity respected on every link.
   for (std::size_t l = 0; l < ft.topology().link_count(); ++l)
     EXPECT_LE(sum_rate_on(flows, LinkId{l}),
-              ft.topology().link(LinkId{l}).capacity * (1 + 1e-9));
+              ft.topology().capacity(LinkId{l}) * (1 + 1e-9));
 
   // Each flow with a positive rate has a nearly-saturated link on its path
   // (otherwise its rate could grow: not max-min).
@@ -291,7 +277,7 @@ TEST_P(AllocatorProperty, SaturatedBottleneckPerFlow) {
     bool saturated = false;
     for (LinkId l : f.path) {
       const double used = sum_rate_on(flows, l);
-      if (used >= ft.topology().link(l).capacity * (1 - 1e-6))
+      if (used >= ft.topology().capacity(l) * (1 - 1e-6))
         saturated = true;
     }
     EXPECT_TRUE(saturated) << "flow " << f.id << " could be raised";

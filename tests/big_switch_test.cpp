@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/registry.h"
+#include "fattree_graph_oracle.h"
 #include "flowsim/simulator.h"
 #include "sched/mcs.h"
 #include "sched/pfs.h"
@@ -18,9 +19,22 @@ namespace {
 TEST(BigSwitch, Structure) {
   const BigSwitch bs(BigSwitch::Config{16, 100.0});
   EXPECT_EQ(bs.num_hosts(), 16);
-  EXPECT_EQ(bs.topology().node_count(), 17u);  // hosts + core
   EXPECT_EQ(bs.topology().link_count(), 32u);  // up + down per host
-  EXPECT_EQ(bs.topology().count(NodeKind::kCoreSwitch), 1u);
+  // Port ids are the graph builder's: hosts around one core node.
+  const test::BigSwitchGraph oracle(16, 100.0);
+  const test::Graph& g = oracle.graph();
+  EXPECT_EQ(g.node_count(), 17u);  // hosts + core
+  EXPECT_EQ(g.link_count(), bs.topology().link_count());
+  for (int h = 0; h < 16; ++h) {
+    EXPECT_EQ(bs.uplink(h), oracle.uplink(h));
+    EXPECT_EQ(bs.downlink(h), oracle.downlink(h));
+    EXPECT_EQ(g.link(bs.uplink(h)).src, oracle.host(h));
+    EXPECT_EQ(g.link(bs.uplink(h)).dst, oracle.core());
+    EXPECT_EQ(g.link(bs.downlink(h)).src, oracle.core());
+    EXPECT_EQ(g.link(bs.downlink(h)).dst, oracle.host(h));
+  }
+  for (std::uint64_t l = 0; l < g.link_count(); ++l)
+    EXPECT_EQ(bs.topology().capacity(LinkId{l}), g.link(LinkId{l}).capacity);
 }
 
 TEST(BigSwitch, RoutesAreTwoHops) {

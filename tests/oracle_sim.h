@@ -47,7 +47,7 @@ class OracleSimulator {
     state_.writer_ = &writer_;
     capacities_.resize(fabric.topology().link_count());
     for (std::size_t i = 0; i < capacities_.size(); ++i)
-      capacities_[i] = fabric.topology().link(LinkId{i}).capacity;
+      capacities_[i] = fabric.topology().capacity(LinkId{i});
   }
   OracleSimulator(const Fabric& fabric, Scheduler& scheduler)
       : OracleSimulator(fabric, scheduler, Simulator::Config{}) {}

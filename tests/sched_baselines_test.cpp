@@ -192,23 +192,6 @@ TEST_F(BaselineFixture, AaloPrioritizesFreshCoflows) {
   EXPECT_NEAR(r.jobs[0].finish, 5.0, 1e-6);
 }
 
-TEST_F(BaselineFixture, AaloFifoWithinQueue) {
-  AaloScheduler::Config config;
-  config.queues = 2;
-  config.first_threshold = 1e9;  // nobody demotes: all in queue 0
-  config.intra_queue_fifo = true;
-  AaloScheduler aalo(config);
-  Simulator sim(fabric_, aalo);
-  sim.submit(one_flow_job(100.0, 0, 1, 0.0));
-  sim.submit(one_flow_job(100.0, 0, 1, 0.0));
-  const SimResults r = sim.run();
-  // Intra-queue FIFO: first released coflow runs first, completions at 1, 2.
-  std::vector<double> finishes = {r.jobs[0].finish, r.jobs[1].finish};
-  std::sort(finishes.begin(), finishes.end());
-  EXPECT_NEAR(finishes[0], 1.0, 1e-9);
-  EXPECT_NEAR(finishes[1], 2.0, 1e-9);
-}
-
 TEST_F(BaselineFixture, AaloPerStagePriorityResets) {
   // Unlike Stream, Aalo demotes *coflows*, so a job's later small coflow
   // starts fresh in the top queue even after an elephant first stage.

@@ -1038,8 +1038,8 @@ std::size_t first_entry_bytes(const std::string& name,
     return 8 + 8 + 4 + 8 + read_le64(payload, off + 20) * (8 + 4 + 4 * 8);
   }
   if (name == "gurita_plus") return 8 + 8 + read_le64(payload, off + 8);
-  if (name == "aalo" || name == "baraat") return 8 + 8;
-  return 8 + 4;  // mcs, stream: an i32 queue
+  if (name == "baraat") return 8 + 8;
+  return 8 + 4;  // aalo, mcs, stream: an i32 queue
 }
 
 TEST(SnapshotRestore, RejectsCorruptSchedulerState) {

@@ -16,7 +16,6 @@
 #include "allocator_oracle.h"
 #include "common/rng.h"
 #include "flowsim/allocator.h"
-#include "topology/ecmp.h"
 #include "topology/fattree.h"
 #include "waterfill_scan_oracle.h"
 
@@ -124,7 +123,7 @@ void expect_component_bitwise(const Topology& topo, Case c,
 std::vector<Rate> nominal_capacities(const Topology& topo) {
   std::vector<Rate> caps(topo.link_count());
   for (std::size_t l = 0; l < caps.size(); ++l)
-    caps[l] = topo.link(LinkId{l}).capacity;
+    caps[l] = topo.capacity(LinkId{l});
   return caps;
 }
 
@@ -133,7 +132,9 @@ std::vector<Rate> nominal_capacities(const Topology& topo) {
 /// are failed (capacity 0) or perturbed.
 Case random_fattree_case(const FatTree& ft, std::uint64_t seed) {
   Rng rng(seed);
-  const EcmpRouter router(ft, seed);
+  // The same fabric, ECMP-salted by the seed.
+  const FatTree salted(
+      FatTree::Config{ft.k(), ft.topology().capacity(LinkId{0}), seed});
   const int hosts = ft.num_hosts();
   Case c;
   c.capacities = nominal_capacities(ft.topology());
@@ -154,7 +155,7 @@ Case random_fattree_case(const FatTree& ft, std::uint64_t seed) {
     const double weight = rng.uniform_int(0, 2) == 0
                               ? rng.uniform(0.1, 5.0)
                               : kWeights[rng.uniform_int(0, 7)];
-    c.flows.push_back(make_flow(id.value(), router.route(id, src, dst),
+    c.flows.push_back(make_flow(id.value(), salted.route(id, src, dst),
                                 static_cast<Tier>(rng.uniform_int(0, tiers - 1)),
                                 weight));
   }
@@ -240,10 +241,8 @@ struct Star {
   std::vector<LinkId> links;
 
   explicit Star(const std::vector<Rate>& caps) {
-    const NodeId sw = topo.add_node(NodeKind::kEdgeSwitch, 0, 0);
     for (std::size_t i = 0; i < caps.size(); ++i) {
-      const NodeId h = topo.add_node(NodeKind::kHost, 0, static_cast<int>(i));
-      links.push_back(topo.add_link(h, sw, caps[i]));
+      links.push_back(topo.add_link(caps[i]));
     }
   }
   Case make_case() const { return Case{{}, nominal_capacities(topo)}; }
@@ -264,13 +263,12 @@ TEST(WaterfillDifferentialEdges, ExactTies) {
   expect_component_bitwise(star.topo, c, scratch);
 
   // The same on a whole fat-tree: a symmetric permutation of equal flows.
-  const FatTree ft(FatTree::Config{4, 100.0});
-  const EcmpRouter router(ft, 1);
+  const FatTree ft(FatTree::Config{4, 100.0, 1});
   Case sym{{}, nominal_capacities(ft.topology())};
   for (int h = 0; h < ft.num_hosts(); ++h) {
     const FlowId fid{static_cast<std::uint64_t>(h)};
     sym.flows.push_back(make_flow(
-        fid.value(), router.route(fid, h, (h + 4) % ft.num_hosts()), 0, 1.0));
+        fid.value(), ft.route(fid, h, (h + 4) % ft.num_hosts()), 0, 1.0));
   }
   expect_groups_bitwise(ft.topology(), sym);
 }
