@@ -77,6 +77,56 @@ void BM_Waterfill(benchmark::State& state) {
 }
 BENCHMARK(BM_Waterfill)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+/// The engine's steady state on the 8-pod fabric: ~90 active flows that
+/// form one link-connected component, and one event per allocation. Each
+/// iteration one flow leaves and re-enters, so both allocations re-solve
+/// the whole component: this isolates the per-allocation walk (component
+/// discovery, sort, kernel) from full rebuilds.
+void BM_AllocateIncremental(benchmark::State& state) {
+  constexpr int kFlows = 90;
+  const FatTree ft(FatTree::Config{8, gbps(10.0)});
+  std::vector<SimFlow> flows(kFlows);
+  std::vector<SimFlow*> ptrs;
+  for (int i = 0; i < kFlows; ++i) {
+    SimFlow& f = flows[static_cast<std::size_t>(i)];
+    f.id = FlowId{static_cast<std::uint64_t>(i)};
+    f.size = f.remaining = 1e6;
+    f.path = ft.route(f.id, i % 32, 32 + (i * 37) % 96);
+    ptrs.push_back(&f);
+  }
+  std::vector<Rate> capacities(ft.topology().link_count());
+  for (std::size_t l = 0; l < capacities.size(); ++l)
+    capacities[l] = ft.topology().capacity(LinkId{l});
+  RateAllocator alloc;
+  alloc.reset(&ft.topology(), flows.size());
+  for (SimFlow* f : ptrs) alloc.add_flow(f);
+  std::vector<RateChange> changed;
+  alloc.allocate(capacities, ptrs, &changed, nullptr);
+  const AllocStats before = alloc.stats();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    SimFlow* f = ptrs[i];
+    alloc.remove_flow(f);
+    ptrs.erase(ptrs.begin() + static_cast<std::ptrdiff_t>(i));
+    alloc.allocate(capacities, ptrs, &changed, nullptr);
+    ptrs.insert(ptrs.begin() + static_cast<std::ptrdiff_t>(i), f);
+    alloc.add_flow(f);
+    alloc.allocate(capacities, ptrs, &changed, nullptr);
+    benchmark::DoNotOptimize(changed.data());
+    i = (i + 1) % ptrs.size();
+  }
+  const AllocStats& after = alloc.stats();
+  const double allocs =
+      static_cast<double>(after.allocations - before.allocations);
+  state.counters["flows_per_alloc"] =
+      static_cast<double>(after.flows_solved - before.flows_solved) / allocs;
+  state.counters["components_per_alloc"] =
+      static_cast<double>(after.components_solved -
+                          before.components_solved) /
+      allocs;
+}
+BENCHMARK(BM_AllocateIncremental);
+
 void BM_CriticalPath(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(1);

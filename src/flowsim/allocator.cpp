@@ -287,7 +287,7 @@ void RateAllocator::reset(const Topology* topo, std::size_t flow_capacity) {
   old_rate_.clear();
   flow_mark_.clear();
   affected_.clear();
-  component_.clear();
+  component_off_.clear();
   slot_offset_.reserve(flow_capacity);
   in_.reserve(flow_capacity);
   old_rate_.reserve(flow_capacity);
@@ -380,60 +380,57 @@ void RateAllocator::allocate(const std::vector<Rate>& capacities,
 
   {
     obs::ScopedPhase frontier(profiler, obs::Phase::kAllocFrontier);
-    // Frontier closure (priority changes are already in the frontier:
-    // the PriorityWriter touches their flows): a dirty link re-solves its
-    // flows; a re-solved flow re-solves every link it crosses (its share
-    // there may shift). The fixpoint is the union of the link-connected
-    // components containing any seed — exactly the set whose rates can
-    // legally change.
-    for (std::size_t i = 0; i < dirty_list_.size(); ++i) {
-      const std::size_t l = dirty_list_[i].value();
-      for (std::int32_t e = head_[l]; e != kNil; e = ent_next_[e]) {
+    // One breadth-first walk of the membership lists finds the components
+    // to re-solve. dirty_list_ holds the event seeds (priority changes are
+    // among them: the PriorityWriter touches their flows). A claimed link
+    // re-solves its flows; a re-solved flow re-solves every link it
+    // crosses (its share there may shift). Each seed not yet claimed starts
+    // a search that ends with exactly its link-connected component, left in
+    // affected_ as the slice [component_off_[c], component_off_[c + 1]); a
+    // seed whose flows all left yields no slice. The slices together are
+    // the union of the components containing any seed — exactly the set
+    // whose rates can legally change.
+    const auto claim = [this](LinkId link) {
+      link_claimed_[link.value()] = 1;
+      claimed_links_.push_back(link);
+      for (std::int32_t e = head_[link.value()]; e != kNil; e = ent_next_[e]) {
         SimFlow* f = ent_flow_[e];
         const std::size_t fid = f->id.value();
         if (flow_mark_[fid] != 0) continue;
         flow_mark_[fid] = 1;
         old_rate_[fid] = f->rate;
         affected_.push_back(f);
-        for (LinkId pl : f->path) dirty_link(pl);
       }
+    };
+    component_off_.assign(1, 0);
+    for (LinkId seed : dirty_list_) {
+      if (link_claimed_[seed.value()]) continue;
+      const std::size_t begin = affected_.size();
+      claim(seed);
+      for (std::size_t i = begin; i < affected_.size(); ++i)
+        for (LinkId l : affected_[i]->path)
+          if (!link_claimed_[l.value()]) claim(l);
+      if (affected_.size() > begin)
+        component_off_.push_back(static_cast<std::uint32_t>(affected_.size()));
     }
-    stats_.dirty_links += dirty_list_.size();
+    stats_.dirty_links += claimed_links_.size();
     stats_.flows_solved += affected_.size();
   }
 
   {
     obs::ScopedPhase converge(profiler, obs::Phase::kAllocConverge);
-    // Split the affected set into its components (the closure above pulled
-    // in every member of each) and re-solve each with the shared kernel.
-    for (SimFlow* seed : affected_) {
-      if (flow_mark_[seed->id.value()] != 1) continue;
-      component_.clear();
-      component_.push_back(seed);
-      flow_mark_[seed->id.value()] = 2;
-      for (std::size_t i = 0; i < component_.size(); ++i) {
-        for (LinkId l : component_[i]->path) {
-          if (link_claimed_[l.value()]) continue;
-          link_claimed_[l.value()] = 1;
-          claimed_links_.push_back(l);
-          for (std::int32_t e = head_[l.value()]; e != kNil;
-               e = ent_next_[e]) {
-            SimFlow* f = ent_flow_[e];
-            if (flow_mark_[f->id.value()] != 1) continue;
-            flow_mark_[f->id.value()] = 2;
-            component_.push_back(f);
-          }
-        }
-      }
-      std::sort(component_.begin(), component_.end(),
-                [](const SimFlow* a, const SimFlow* b) {
-                  if (a->tier != b->tier) return a->tier < b->tier;
-                  return a->id < b->id;
-                });
-      solve_component(*topo_, component_.data(), component_.size(),
-                      capacities, scratch_, &stats_);
+    // Re-solve each component with the shared kernel, its flows sorted
+    // by (tier, id). Solves are pure, so their order is unobservable.
+    for (std::size_t c = 0; c + 1 < component_off_.size(); ++c) {
+      SimFlow** first = affected_.data() + component_off_[c];
+      const std::size_t n = component_off_[c + 1] - component_off_[c];
+      std::sort(first, first + n, [](const SimFlow* a, const SimFlow* b) {
+        if (a->tier != b->tier) return a->tier < b->tier;
+        return a->id < b->id;
+      });
+      solve_component(*topo_, first, n, capacities, scratch_, &stats_);
       ++stats_.components_solved;
-      stats_.component_flows.add(static_cast<double>(component_.size()));
+      stats_.component_flows.add(static_cast<double>(n));
     }
 
     // Changed flows, in active order — the exact list (content and order)
@@ -480,7 +477,7 @@ std::size_t RateAllocator::memory_bytes() const {
          vec_bytes(ent_prev_) + vec_bytes(slot_offset_) + vec_bytes(in_) +
          vec_bytes(old_rate_) + vec_bytes(flow_mark_) +
          vec_bytes(link_dirty_) + vec_bytes(dirty_list_) +
-         vec_bytes(affected_) + vec_bytes(component_) +
+         vec_bytes(affected_) + vec_bytes(component_off_) +
          vec_bytes(link_claimed_) + vec_bytes(claimed_links_) +
          scratch_.memory_bytes();
 }

@@ -18,10 +18,11 @@
 // spare capacity.
 //
 // RateAllocator is the engine's allocator: event hooks (flow add/remove,
-// link capacity change, rate cap, priority change) seed a dirty-link
-// frontier; allocate() closes the frontier over shared-bottleneck
-// dependencies and re-solves only the affected link-connected components
-// with solve_component.
+// link capacity change, rate cap, priority change) seed dirty links;
+// allocate() walks the link <-> flow membership once from those seeds,
+// which both closes the frontier over shared-bottleneck dependencies and
+// discovers the affected link-connected components, then re-solves only
+// those with solve_component.
 // Unaffected flows keep their cached rates, which purity (rates are a
 // function of (component flows, tiers, weights, caps) only) guarantees are
 // the bits a full re-solve would produce. The from-scratch solver it is
@@ -71,7 +72,7 @@ struct AllocStats {
   std::uint64_t allocations = 0;       ///< allocate() calls
   std::uint64_t flows_solved = 0;      ///< flows passed through the kernel
   std::uint64_t components_solved = 0; ///< components re-converged
-  std::uint64_t dirty_links = 0;       ///< frontier size after closure
+  std::uint64_t dirty_links = 0;       ///< links the walk claimed (closure)
   std::uint64_t waterfill_rounds = 0;  ///< progressive-filling rounds
   /// Live-list entries the rounds' bottleneck scans visited (each round
   /// scans its live list once for the minimum and once to collect).
@@ -168,11 +169,12 @@ void waterfill_tier(const Topology& topo, SimFlow* const* group,
 /// flow arrival/finish/abort (add_flow/remove_flow), link capacity changes
 /// (dirty_link), and rate caps and priority changes (touch_flow, which the
 /// PriorityWriter in state.h calls for every flow it rewrites). allocate()
-/// then closes the dirty-link frontier over the link <-> flow adjacency
-/// (flat SoA membership lists), re-solves only the affected components with
-/// the shared kernel, and reports exactly the flows whose rate moved — in
-/// active-list order, bitwise identical to what a from-scratch solve of
-/// the whole active set would report.
+/// then runs one breadth-first walk of the link <-> flow adjacency (flat
+/// SoA membership lists) from the dirty seeds: each search claims one
+/// affected component as a slice of the worklist. It re-solves those
+/// components with the shared kernel and reports exactly the flows whose
+/// rate moved — in active-list order, bitwise identical to what a
+/// from-scratch solve of the whole active set would report.
 ///
 /// The class owns no simulation state that cannot be rebuilt: a restored
 /// simulator calls rebuild(active) and the first allocation re-solves
@@ -208,11 +210,11 @@ class RateAllocator {
   /// The link's capacity changed (link fault): seed the frontier with it.
   void dirty_link(LinkId link);
 
-  /// Recomputes rates: closes the dirty frontier, re-solves affected
-  /// components, and fills `changed` (cleared first) with the flows whose
+  /// Recomputes rates: one walk from the dirty seeds finds the affected
+  /// components (kAllocFrontier), each is sorted by (tier, id) and
+  /// re-solved, and `changed` (cleared first) is filled with the flows whose
   /// rate moved, in `active` order — the same list a from-scratch solve
-  /// would produce. `profiler` (may be null) receives the kAllocFrontier /
-  /// kAllocConverge sub-phases.
+  /// would produce (kAllocConverge). `profiler` may be null.
   void allocate(const std::vector<Rate>& capacities,
                 const std::vector<SimFlow*>& active,
                 std::vector<RateChange>* changed,
@@ -246,14 +248,15 @@ class RateAllocator {
   std::vector<std::int32_t> slot_offset_;///< first entry slot, kNil if none
   std::vector<char> in_;                 ///< currently a member
   std::vector<Rate> old_rate_;           ///< rate when marked affected
-  std::vector<std::uint8_t> flow_mark_;  ///< 0 clean / 1 affected / 2 claimed
+  std::vector<std::uint8_t> flow_mark_;  ///< 1 while in affected_, else 0
 
-  // --- dirty frontier + per-allocation worklists ---
+  // --- event seeds + per-allocation worklists ---
   std::vector<char> link_dirty_;         ///< link is in dirty_list_
-  std::vector<LinkId> dirty_list_;
-  std::vector<SimFlow*> affected_;       ///< closure of the frontier
-  std::vector<SimFlow*> component_;      ///< one component, sorted (tier,id)
-  std::vector<char> link_claimed_;       ///< link visited by component BFS
+  std::vector<LinkId> dirty_list_;       ///< seed links since last allocate
+  std::vector<SimFlow*> affected_;       ///< components, one slice each
+  /// Component c is affected_[component_off_[c], component_off_[c + 1]).
+  std::vector<std::uint32_t> component_off_;
+  std::vector<char> link_claimed_;       ///< link reached by the walk
   std::vector<LinkId> claimed_links_;
 
   WaterfillScratch scratch_;

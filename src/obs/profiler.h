@@ -40,8 +40,8 @@ enum class Phase : int {
   kTick = 7,            ///< Scheduler::on_tick coordination rounds
   kResults = 8,         ///< end-of-run result assembly
   kFault = 9,           ///< fault application, aborts, retries (fault/)
-  kAllocFrontier = 10,  ///< incremental allocator: frontier closure
-  kAllocConverge = 11,  ///< kernel over affected components + changed list
+  kAllocFrontier = 10,  ///< allocator walk: closure + component discovery
+  kAllocConverge = 11,  ///< per-component sort + kernel, changed list
   kSampling = 12,       ///< interval sampler polls (obs/sampler.h)
 };
 

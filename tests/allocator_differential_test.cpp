@@ -12,7 +12,10 @@
 //  2. Hand-computed dirty-frontier timelines: an arrival that splits a
 //     bottleneck, a finish that relaxes one, and an external rate cap
 //     (the straggler pattern) — each with AllocStats assertions proving
-//     the untouched component was *not* re-solved.
+//     the untouched component was *not* re-solved; the one-walk discovery
+//     cases (several seeds in one component, seeds that find no flow,
+//     components seeded in reverse id order); and the work counters of a
+//     seeded engine run under five schedulers.
 //
 //  3. End-to-end fuzz at the engine API: 200 randomized traces (fabrics,
 //     schedulers, fault plans) run uninterrupted and again split into
@@ -31,6 +34,7 @@
 
 #include "allocator_oracle.h"
 #include "common/rng.h"
+#include "exp/experiment.h"
 #include "exp/registry.h"
 #include "fault/plan.h"
 #include "flowsim/allocator.h"
@@ -606,6 +610,168 @@ TEST(AllocatorDifferentialMixedTiers, SingleTierLeavesCarriedResidualAlone) {
   EXPECT_EQ(scratch.residual[l[0].value()], 50.0);
   EXPECT_TRUE(scratch.residual_links.empty());
   for (char init : scratch.residual_init) EXPECT_EQ(init, 0);
+}
+
+// ------------------------------------------ one-walk component discovery ---
+
+/// AllocStats movement across one allocation.
+struct StatsDelta {
+  std::uint64_t flows_solved, components_solved, dirty_links,
+      waterfill_rounds, component_samples, empty_components;
+};
+
+StatsDelta stats_delta(const AllocStats& before, const AllocStats& after) {
+  return {after.flows_solved - before.flows_solved,
+          after.components_solved - before.components_solved,
+          after.dirty_links - before.dirty_links,
+          after.waterfill_rounds - before.waterfill_rounds,
+          after.component_flows.total() - before.component_flows.total(),
+          after.component_flows.zeros() - before.component_flows.zeros()};
+}
+
+TEST(AllocatorDifferentialDiscovery, ThreeSeedsInOneComponentSolveItOnce) {
+  // Component X = {0, 1, 2} chained over l0-l1-l2; Y = {3, 4} on l3-l4.
+  MixedStar star({100, 60, 80, 50, 70});
+  const auto& l = star.l;
+  std::vector<SimFlow> flows = {
+      tiered_flow(0, {l[0], l[1]}, 0, 1.0),
+      tiered_flow(1, {l[1], l[2]}, 0, 2.0),
+      tiered_flow(2, {l[2]}, 1, 1.0),
+      tiered_flow(3, {l[3]}, 0, 1.0),
+      tiered_flow(4, {l[3], l[4]}, 0, 1.0),
+      tiered_flow(5, {l[0]}, 0, 1.0),
+  };
+  std::vector<SimFlow*> active;
+  RateAllocator alloc;
+  alloc.reset(&star.topo, 8);
+  for (std::size_t i = 0; i < 5; ++i) {
+    active.push_back(&flows[i]);
+    alloc.add_flow(&flows[i]);
+  }
+  expect_mixed_allocation(star, alloc, active, {{0, 1, 2}, {3, 4}});
+
+  // Three seeds, all in X: an arrival on l0, a capacity change on l2 and
+  // a priority change on flow 1 (l1, l2).
+  const AllocStats before = alloc.stats();
+  active.push_back(&flows[5]);
+  alloc.add_flow(&flows[5]);
+  star.caps[2] = 40;
+  alloc.dirty_link(l[2]);
+  flows[1].weight = 0.5;
+  alloc.touch_flow(&flows[1]);
+  expect_mixed_allocation(star, alloc, active, {{0, 1, 2, 5}, {3, 4}});
+  const StatsDelta d = stats_delta(before, alloc.stats());
+  EXPECT_EQ(d.components_solved, 1u) << "X must be solved exactly once";
+  EXPECT_EQ(d.flows_solved, 4u) << "X's size; Y stays cached";
+  EXPECT_EQ(d.dirty_links, 3u) << "l0, l1, l2";
+  EXPECT_EQ(d.component_samples, 1u);
+  EXPECT_EQ(d.empty_components, 0u);
+}
+
+TEST(AllocatorDifferentialDiscovery, EmptiedAndIdleSeedsSolveNothing) {
+  MixedStar star({100, 60, 80, 50});
+  const auto& l = star.l;
+  std::vector<SimFlow> flows = {tiered_flow(0, {l[0], l[1]}, 0, 1.0),
+                                tiered_flow(1, {l[2]}, 0, 1.0)};
+  std::vector<SimFlow*> active = {&flows[0], &flows[1]};
+  RateAllocator alloc;
+  alloc.reset(&star.topo, 4);
+  for (SimFlow* f : active) alloc.add_flow(f);
+  expect_mixed_allocation(star, alloc, active, {{0}, {1}});
+
+  // Flow 0 leaves l0 and l1 empty; l3, which no flow crosses, fails.
+  const AllocStats before = alloc.stats();
+  alloc.remove_flow(&flows[0]);
+  active.erase(active.begin());
+  star.caps[3] = 0;
+  alloc.dirty_link(l[3]);
+  expect_mixed_allocation(star, alloc, active, {{1}});
+  const StatsDelta d = stats_delta(before, alloc.stats());
+  EXPECT_EQ(d.components_solved, 0u) << "an empty seed is no component";
+  EXPECT_EQ(d.flows_solved, 0u);
+  EXPECT_EQ(d.waterfill_rounds, 0u);
+  EXPECT_EQ(d.component_samples, 0u) << "no kernel call with n = 0";
+  EXPECT_EQ(d.empty_components, 0u);
+  EXPECT_EQ(d.dirty_links, 3u) << "l0, l1, l3";
+  EXPECT_EQ(flows[1].rate, 80.0);
+}
+
+TEST(AllocatorDifferentialDiscovery, ComponentsSeededInReverseIdOrder) {
+  // A = {0, 1} on l0-l1, B = {2, 3} on l2-l3. B is seeded first, so its
+  // slice precedes A's; the changed list must still follow active order.
+  MixedStar star({100, 60, 80, 50});
+  const auto& l = star.l;
+  std::vector<SimFlow> flows = {
+      tiered_flow(0, {l[0], l[1]}, 0, 1.0),
+      tiered_flow(1, {l[1]}, 0, 1.0),
+      tiered_flow(2, {l[2], l[3]}, 0, 1.0),
+      tiered_flow(3, {l[3]}, 0, 3.0),
+  };
+  std::vector<SimFlow*> active;
+  RateAllocator alloc;
+  alloc.reset(&star.topo, 4);
+  for (SimFlow& f : flows) {
+    active.push_back(&f);
+    alloc.add_flow(&f);
+  }
+  expect_mixed_allocation(star, alloc, active, {{0, 1}, {2, 3}});
+  const std::vector<Rate> old = {flows[0].rate, flows[1].rate,
+                                 flows[2].rate, flows[3].rate};
+
+  const AllocStats before = alloc.stats();
+  flows[3].weight = 1.0;
+  alloc.touch_flow(&flows[3]);
+  star.caps[1] = 30;
+  alloc.dirty_link(l[1]);
+  expect_mixed_allocation(star, alloc, active, {{0, 1}, {2, 3}});
+  const StatsDelta d = stats_delta(before, alloc.stats());
+  EXPECT_EQ(d.components_solved, 2u);
+  EXPECT_EQ(d.flows_solved, 4u);
+  EXPECT_EQ(d.dirty_links, 4u);
+  EXPECT_EQ(d.empty_components, 0u);
+  for (std::size_t i = 0; i < flows.size(); ++i)
+    EXPECT_NE(flows[i].rate, old[i]) << "flow " << i << " should move";
+}
+
+// ------------------------------------------- engine-level work counters ---
+
+// The allocator's work on a small seeded 8-pod trace, per scheduler.
+// Rates cannot show a walk that re-solves more than it must (the solve is
+// pure, so re-solving a cached component reproduces its bits); these
+// counters can. They are recorded values: a change to the walk that
+// solves the same components must reproduce them exactly.
+TEST(AllocatorWorkCounters, SeededTraceMatchesRecordedCounts) {
+  struct Expected {
+    const char* scheduler;
+    std::uint64_t flows_solved;
+    std::uint64_t components_solved;
+    std::uint64_t dirty_links;
+    std::uint64_t waterfill_rounds;
+    std::uint64_t live_link_visits;
+  };
+  const Expected expected[] = {
+      {"pfs", 87637, 703, 224874, 17566, 4081052},
+      {"baraat", 87634, 703, 224852, 17569, 4072677},
+      {"stream", 95047, 755, 240222, 19407, 4112277},
+      {"aalo", 84983, 727, 223617, 16689, 3171983},
+      {"gurita", 97580, 1533, 255648, 27333, 7283293},
+  };
+  ExperimentConfig config = trace_scenario(StructureKind::kMixed, 20, 3);
+  config.obs.diagnostics = true;
+  std::vector<std::string> names;
+  for (const Expected& e : expected) names.emplace_back(e.scheduler);
+  const ComparisonResult cmp = compare_schedulers(config, names);
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(e.scheduler);
+    const AllocStats& got = cmp.results.at(e.scheduler).diagnostics.alloc;
+    EXPECT_EQ(got.flows_solved, e.flows_solved);
+    EXPECT_EQ(got.components_solved, e.components_solved);
+    EXPECT_EQ(got.dirty_links, e.dirty_links);
+    EXPECT_EQ(got.waterfill_rounds, e.waterfill_rounds);
+    EXPECT_EQ(got.live_link_visits, e.live_link_visits);
+    EXPECT_EQ(got.component_flows.total(), got.components_solved);
+    EXPECT_EQ(got.component_flows.zeros(), 0u);
+  }
 }
 
 // ---------------------------------------------------- engine-level fuzz ---
