@@ -1,4 +1,5 @@
-// Offline lower bounds on average JCT for completed runs (ROADMAP item 5).
+// Offline lower bounds on average JCT for completed runs (ROADMAP: what the
+// "near optimal" gap is made of).
 //
 // The single-machine DP (core/optimal.h) certifies "near optimal" only in
 // the FFS-MJ collapse; the fabric runs of bench_fig5..7 had no yardstick.

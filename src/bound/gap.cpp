@@ -68,7 +68,8 @@ std::string GapReport::to_json() const {
       const GapCell& c = s.by_category[static_cast<std::size_t>(cat)];
       if (c.jobs == 0) continue;
       out += first ? "" : ", ";
-      out += "\"" + category_name(cat) + "\": " + cell_json(c);
+      out.append(1, '"').append(category_name(cat)).append("\": ").append(
+          cell_json(c));
       first = false;
     }
     out += "}}";

@@ -45,4 +45,18 @@ double blocking_effect(const BlockingInputs& in) {
   return psi;
 }
 
+obs::TraceRecord queue_change_record(Time time, JobId job, CoflowId coflow,
+                                     int from, int to,
+                                     obs::QueueChangeCause cause,
+                                     const BlockingInputs& in, double psi) {
+  return obs::queue_change_record(
+      time, job, coflow, from, to, cause,
+      {.omega = in.omega,
+       .epsilon = in.epsilon,
+       .ell_max = in.ell_max,
+       .width = in.width,
+       .cp_discount = in.on_critical_path ? 1.0 - in.beta : 1.0,
+       .psi = psi});
+}
+
 }  // namespace gurita

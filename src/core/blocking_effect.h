@@ -23,7 +23,9 @@
 // (Interpretation recorded in DESIGN.md §6.)
 #pragma once
 
+#include "common/ids.h"
 #include "common/units.h"
+#include "obs/trace.h"
 
 namespace gurita {
 
@@ -57,5 +59,12 @@ struct BlockingInputs {
 
 /// Ψ_c. Non-negative; larger = more blocking = lower priority.
 [[nodiscard]] double blocking_effect(const BlockingInputs& in);
+
+/// The kQueueChange record of an LBEF decision (obs::queue_change_record):
+/// `in`'s factors, the critical-path discount as blocking_effect applies
+/// it (1 − β, or 1 off the critical path) and the thresholded `psi`.
+[[nodiscard]] obs::TraceRecord queue_change_record(
+    Time time, JobId job, CoflowId coflow, int from, int to,
+    obs::QueueChangeCause cause, const BlockingInputs& in, double psi);
 
 }  // namespace gurita

@@ -36,17 +36,9 @@ void GuritaScheduler::on_coflow_release(const SimCoflow& coflow, Time now) {
   // received from HR." Both demotion causes fire at the next tick.
   coflow_queue_.emplace(coflow.id, 0);
   obs::TraceRecorder* tr = trace_recorder();
-  if (tr && tr->wants(obs::TraceEventKind::kQueueChange)) {
-    obs::TraceRecord r;
-    r.kind = obs::TraceEventKind::kQueueChange;
-    r.time = now;
-    r.job = coflow.job.value();
-    r.coflow = coflow.id.value();
-    r.i0 = -1;
-    r.i1 = 0;
-    r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kRelease);
-    tr->emit(r);
-  }
+  if (tr && tr->wants(obs::TraceEventKind::kQueueChange))
+    tr->emit(obs::queue_change_record(now, coflow.job, coflow.id, -1, 0,
+                                      obs::QueueChangeCause::kRelease));
 }
 
 void GuritaScheduler::on_coflow_finish(const SimCoflow& coflow, Time now) {
@@ -105,27 +97,18 @@ void GuritaScheduler::on_fault(const FaultEvent& event, Time now) {
   obs::TraceRecorder* tr = trace_recorder();
   const bool trace_queues =
       tr != nullptr && tr->wants(obs::TraceEventKind::kQueueChange);
-  for (std::size_t j = 0; j < state().job_count(); ++j) {
-    const SimJob& job = state().job(JobId(j));
-    if (job.finished() || job.arrival_time > now) continue;
-    head_receivers_.emplace(job.id, HeadReceiver(job.id));
-    for (CoflowId cid : job.coflows) {
-      const SimCoflow& coflow = state().coflow(cid);
-      if (!coflow.released() || coflow.finished()) continue;
-      coflow_queue_.emplace(cid, 0);
-      if (trace_queues) {
-        obs::TraceRecord r;
-        r.kind = obs::TraceEventKind::kQueueChange;
-        r.time = now;
-        r.job = job.id.value();
-        r.coflow = cid.value();
-        r.i0 = -1;
-        r.i1 = 0;
-        r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kFaultReset);
-        tr->emit(r);
-      }
-    }
-  }
+  state().for_each_live(
+      now,
+      [&](const SimJob& job) {
+        head_receivers_.emplace(job.id, HeadReceiver(job.id));
+      },
+      [&](const SimCoflow& coflow) {
+        coflow_queue_.emplace(coflow.id, 0);
+        if (trace_queues)
+          tr->emit(obs::queue_change_record(
+              now, coflow.job, coflow.id, -1, 0,
+              obs::QueueChangeCause::kFaultReset));
+      });
 }
 
 bool GuritaScheduler::decide_priorities(HeadReceiver& hr, Time now) {
@@ -164,24 +147,11 @@ bool GuritaScheduler::decide_priorities(HeadReceiver& hr, Time now) {
     auto it = coflow_queue_.find(cid);
     GURITA_CHECK_MSG(it != coflow_queue_.end(), "observed unknown coflow");
     if (queue > it->second) {
-      if (trace_queues) {
-        const BlockingInputs& in = inputs_of.at(cid);
-        obs::TraceRecord r;
-        r.kind = obs::TraceEventKind::kQueueChange;
-        r.time = now;
-        r.job = hr.job().value();
-        r.coflow = cid.value();
-        r.v0 = in.omega;
-        r.v1 = in.epsilon;
-        r.v2 = in.ell_max;
-        r.v3 = in.width;
-        r.v4 = in.on_critical_path ? 1.0 - in.beta : 1.0;
-        r.v5 = psi_stage.at(stage);
-        r.i0 = it->second;
-        r.i1 = queue;
-        r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kHrDecision);
-        tr->emit(r);
-      }
+      if (trace_queues)
+        tr->emit(queue_change_record(
+            now, hr.job(), cid, it->second, queue,
+            obs::QueueChangeCause::kHrDecision, inputs_of.at(cid),
+            psi_stage.at(stage)));
       it->second = queue;
       ++stats_.demotions;
       changed = true;
@@ -233,23 +203,10 @@ void GuritaScheduler::self_demote(CoflowId cid, int& queue, Time now) {
   const int level = psi_level(psi);
   if (level > queue) {
     obs::TraceRecorder* tr = trace_recorder();
-    if (tr && tr->wants(obs::TraceEventKind::kQueueChange)) {
-      obs::TraceRecord r;
-      r.kind = obs::TraceEventKind::kQueueChange;
-      r.time = now;
-      r.job = coflow.job.value();
-      r.coflow = cid.value();
-      r.v0 = in.omega;
-      r.v1 = in.epsilon;
-      r.v2 = in.ell_max;
-      r.v3 = in.width;
-      r.v4 = in.on_critical_path ? 1.0 - in.beta : 1.0;
-      r.v5 = psi;
-      r.i0 = queue;
-      r.i1 = level;
-      r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kSelfDemote);
-      tr->emit(r);
-    }
+    if (tr && tr->wants(obs::TraceEventKind::kQueueChange))
+      tr->emit(queue_change_record(now, coflow.job, cid, queue, level,
+                                   obs::QueueChangeCause::kSelfDemote, in,
+                                   psi));
     queue = level;
     ++stats_.self_demotions;
   }
@@ -302,9 +259,8 @@ void GuritaScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
     const int open = state().coflow_open_connections(cid);
     if (open > 0) table.push_back(QueuedCoflow{cid, queue, open});
   }
-  const std::vector<double> weights = enforce_queues(
-      table, config_.queues, config_.starvation_mitigation,
-      config_.wrr_total_utilization, config_.wrr_min_queue_ratio);
+  const std::vector<double> weights =
+      enforce_queues(table, config_.queues, config_.starvation_mitigation);
   obs::TraceRecorder* tr = trace_recorder();
   if (config_.starvation_mitigation && tr &&
       tr->wants(obs::TraceEventKind::kStarvationWeights)) {

@@ -51,10 +51,6 @@ class GuritaScheduler final : public Scheduler {
     bool use_critical_path = true;  ///< rule 4 on/off (ablation)
     bool starvation_mitigation = true;  ///< WRR emulation vs pure SPQ
     bool paper_literal_epsilon = false; ///< ε's ambiguous d>=1 branch
-    double wrr_total_utilization = 0.97; ///< load normalization for WRR
-    /// Minimum weight ratio between adjacent queues (SPQ-like preemption
-    /// even at low per-queue load); see starvation.h.
-    double wrr_min_queue_ratio = 16.0;
     /// Learn demotion thresholds online from the observed Ψ distribution
     /// (quantile placement; adaptive_thresholds.h) instead of the fixed
     /// exponential ladder — the paper's stated future-work direction.

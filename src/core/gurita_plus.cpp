@@ -103,29 +103,16 @@ void GuritaPlusScheduler::assign(Time now, const std::vector<SimFlow*>& active) 
     if (trace_queues) {
       auto [it, first_sight] = last_queue_.emplace(CoflowId{cid}, -1);
       if (it->second != q) {
-        obs::TraceRecord r;
-        r.kind = obs::TraceEventKind::kQueueChange;
-        r.time = now;
-        r.job = a.job.value();
-        r.coflow = cid;
-        r.v0 = a.in.omega;
-        r.v1 = a.in.epsilon;
-        r.v2 = a.in.ell_max;
-        r.v3 = a.in.width;
-        r.v4 = a.in.on_critical_path ? 1.0 - a.in.beta : 1.0;
-        r.v5 = psi;
-        r.i0 = it->second;
-        r.i1 = q;
-        r.i2 = static_cast<std::int32_t>(first_sight
-                                             ? obs::QueueChangeCause::kRelease
-                                             : obs::QueueChangeCause::kRecompute);
-        tr->emit(r);
+        tr->emit(queue_change_record(now, a.job, CoflowId{cid}, it->second, q,
+                                     first_sight
+                                         ? obs::QueueChangeCause::kRelease
+                                         : obs::QueueChangeCause::kRecompute,
+                                     a.in, psi));
         it->second = q;
       }
     }
   }
-  enforce_queues(table, config_.queues, config_.starvation_mitigation,
-                 config_.wrr_total_utilization, config_.wrr_min_queue_ratio);
+  enforce_queues(table, config_.queues, config_.starvation_mitigation);
   for (const QueuedCoflow& c : table) set_priority(c.coflow, c.tier, c.weight);
 }
 

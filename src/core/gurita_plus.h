@@ -32,8 +32,6 @@ class GuritaPlusScheduler final : public Scheduler {
     double beta = 0.5;
     bool use_critical_path = true;
     bool starvation_mitigation = true;
-    double wrr_total_utilization = 0.97;
-    double wrr_min_queue_ratio = 16.0;
     /// Line rate used for critical-path costs (matches fabric capacity).
     Rate line_rate = gbps(10.0);
   };

@@ -68,9 +68,7 @@ std::vector<double> wrr_weights_from_demand(const std::vector<double>& demand,
 }
 
 std::vector<double> enforce_queues(std::vector<QueuedCoflow>& table,
-                                   int queues, bool wrr,
-                                   double total_utilization,
-                                   double min_queue_ratio) {
+                                   int queues, bool wrr) {
   // Whole flow counts sum exactly in any order.
   std::vector<double> demand(static_cast<std::size_t>(queues), 0.0);
   for (const QueuedCoflow& c : table) {
@@ -78,7 +76,8 @@ std::vector<double> enforce_queues(std::vector<QueuedCoflow>& table,
     demand[static_cast<std::size_t>(c.queue)] += c.flows;
   }
   const std::vector<double> weights =
-      wrr ? wrr_weights_from_demand(demand, total_utilization, min_queue_ratio)
+      wrr ? wrr_weights_from_demand(demand, kWrrTotalUtilization,
+                                    kWrrMinQueueRatio)
           : std::vector<double>{};
   for (QueuedCoflow& c : table) {
     const auto q = static_cast<std::size_t>(c.queue);

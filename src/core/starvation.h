@@ -58,13 +58,17 @@ struct QueuedCoflow {
   double weight = 1.0;
 };
 
+/// The WRR emulation's load normalization and adjacent-queue weight
+/// floor (wrr_weights_from_demand's two parameters) in enforce_queues.
+inline constexpr double kWrrTotalUtilization = 0.97;
+inline constexpr double kWrrMinQueueRatio = 16.0;
+
 /// Maps a queue table onto priorities. SPQ: queue q is tier q, weight 1.
 /// WRR emulation: all in tier 0, and queue q's weight W_q (from its share
-/// n_q of the active flows) splits evenly, max(W_q / n_q, 1e-9) per
-/// coflow. Returns W (empty under SPQ). WRR rows need flows > 0.
+/// n_q of the active flows, kWrrTotalUtilization, kWrrMinQueueRatio)
+/// splits evenly, max(W_q / n_q, 1e-9) per coflow. Returns W (empty under
+/// SPQ). WRR rows need flows > 0.
 std::vector<double> enforce_queues(std::vector<QueuedCoflow>& table,
-                                   int queues, bool wrr,
-                                   double total_utilization,
-                                   double min_queue_ratio);
+                                   int queues, bool wrr);
 
 }  // namespace gurita

@@ -112,7 +112,8 @@ std::vector<ComparisonResult> run_sweep(const SweepSpec& sweep, int jobs) {
       run.config.trace.seed =
           derive_run_seed(sweep.configs[c].trace.seed, sweep.experiment, c, r);
       run.schedulers = sweep.schedulers;
-      run.checkpoint_key = "c" + std::to_string(c) + "r" + std::to_string(r);
+      run.checkpoint_key.assign(1, 'c').append(std::to_string(c)).append(
+          1, 'r').append(std::to_string(r));
       cells.push_back(std::move(run));
     }
   }

@@ -436,7 +436,7 @@ void Simulator::step() {
 
 void Simulator::step_impl() {
   obs::PhaseProfiler* prof = config_.profiler;
-  if (++iterations_ > config_.max_iterations) {
+  if (++iterations_ > kMaxIterations) {
     std::ostringstream os;
     os << "simulation live-lock guard tripped: now=" << now_
        << " active_flows=" << active_.size()

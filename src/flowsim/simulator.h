@@ -163,12 +163,13 @@ struct SimResults {
 
 class Simulator {
  public:
+  /// Hard wall on main-loop iterations; exceeding it throws with
+  /// diagnostics (live-lock guard).
+  static constexpr std::uint64_t kMaxIterations = 500'000'000;
+
   struct Config {
     /// Hard wall on simulated time; exceeding it throws (deadlock guard).
     Time max_time = std::numeric_limits<Time>::infinity();
-    /// Hard wall on main-loop iterations; exceeding it throws with
-    /// diagnostics (live-lock guard).
-    std::uint64_t max_iterations = 500'000'000;
     /// Fault plan (host crashes, link flaps, stragglers, scheduler-state
     /// loss) with abort/retry semantics — see fault/fault.h. Validated at
     /// construction. An empty plan leaves the engine's behaviour and
@@ -259,7 +260,8 @@ class Simulator {
   /// (EventCalendar.CompactionKeepsEveryCounter). On a fat-tree the two
   /// agree job-for-job in population but not in trajectory: ECMP hashes the
   /// flow id (FatTree::route), and compaction renumbers ids, so flows
-  /// released after a compaction can take different paths (ROADMAP item 2).
+  /// released after a compaction can take different paths (ROADMAP: key
+  /// routing by a compaction-stable flow identity).
   Compaction compact();
 
   /// Runs every remaining event and returns the results: run_to(+infinity)

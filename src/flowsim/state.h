@@ -190,6 +190,22 @@ class SimState {
   /// "open connections" as observed at receivers. O(1).
   [[nodiscard]] int coflow_open_connections(CoflowId id) const;
 
+  /// The live population a restarted scheduler re-derives after a state
+  /// loss (Scheduler::on_fault): every job that has arrived by `now` and
+  /// not finished, in id order, gets on_job(job) and then on_coflow(c) for
+  /// each of its released, unfinished coflows in the job's order.
+  template <typename OnJob, typename OnCoflow>
+  void for_each_live(Time now, OnJob&& on_job, OnCoflow&& on_coflow) const {
+    for (const SimJob& job : jobs_) {
+      if (job.finished() || job.arrival_time > now) continue;
+      on_job(job);
+      for (CoflowId cid : job.coflows) {
+        const SimCoflow& coflow = coflows_[cid.value()];
+        if (coflow.released() && !coflow.finished()) on_coflow(coflow);
+      }
+    }
+  }
+
  private:
   friend class Simulator;
   /// The checkpoint/restore serializer (snapshot/snapshot.cpp): reads and

@@ -224,6 +224,16 @@ void append_escaped(std::string& out, const std::string& s) {
 
 }  // namespace
 
+TraceRecord queue_change_record(Time time, JobId job, CoflowId coflow,
+                                int from, int to, QueueChangeCause cause,
+                                const QueueChangeFactors& f) {
+  return {.time = time, .job = job.value(), .coflow = coflow.value(),
+          .v0 = f.omega, .v1 = f.epsilon, .v2 = f.ell_max, .v3 = f.width,
+          .v4 = f.cp_discount, .v5 = f.psi,
+          .i0 = from, .i1 = to, .i2 = static_cast<std::int32_t>(cause),
+          .kind = TraceEventKind::kQueueChange};
+}
+
 const char* kind_name(TraceEventKind kind) { return kind_spec(kind).name; }
 
 TraceEventKind kind_from_name(const std::string& name) {

@@ -71,6 +71,17 @@ enum class QueueChangeCause : std::int32_t {
   kFaultReset = 5,  ///< scheduler-state loss re-admitted it at the top queue
 };
 
+/// Factor fields of a kQueueChange record, in slot order v0..v5. All zero
+/// when the change carries no decision signal (release, fault reset).
+struct QueueChangeFactors {
+  double omega = 0;        ///< v0: ω̈
+  double epsilon = 0;      ///< v1: ε̈
+  double ell_max = 0;      ///< v2: ℓ̈_max (bytes)
+  double width = 0;        ///< v3: n̈
+  double cp_discount = 0;  ///< v4: applied critical-path discount
+  double psi = 0;          ///< v5: thresholded Ψ̈ (Aalo: bytes sent)
+};
+
 /// Sentinel for "no entity" in a record's id fields.
 inline constexpr std::uint64_t kNoTraceId = ~0ULL;
 
@@ -83,18 +94,24 @@ struct TraceRecord {
   std::uint64_t job = kNoTraceId;
   std::uint64_t coflow = kNoTraceId;
   std::uint64_t flow = kNoTraceId;
-  /// Kind-specific scalars. For kQueueChange: v0 = ω̈, v1 = ε̈,
-  /// v2 = ℓ̈_max (bytes), v3 = n̈ (width), v4 = applied critical-path
-  /// discount (1 − β·α; 1.0 off the critical path), v5 = the Ψ̈ decision
-  /// value that was thresholded.
+  /// Kind-specific scalars (kQueueChange: see queue_change_record).
   double v0 = 0, v1 = 0, v2 = 0, v3 = 0, v4 = 0, v5 = 0;
-  /// Kind-specific small integers. For kQueueChange: i0 = old queue
-  /// (-1 at release), i1 = new queue, i2 = QueueChangeCause.
+  /// Kind-specific small integers (kQueueChange: old queue, new queue,
+  /// QueueChangeCause).
   std::int32_t i0 = -1, i1 = -1, i2 = -1;
   TraceEventKind kind = TraceEventKind::kJobArrival;
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
+
+/// The one builder of kQueueChange records, and so the one statement of
+/// their layout: v0..v5 = `factors` in field order, i0 = `from` (the old
+/// queue; -1 at release and after a fault reset), i1 = `to` (the new
+/// queue), i2 = `cause`. Emission sites call it only after
+/// `wants(kQueueChange)`, so an untraced run builds no record.
+[[nodiscard]] TraceRecord queue_change_record(
+    Time time, JobId job, CoflowId coflow, int from, int to,
+    QueueChangeCause cause, const QueueChangeFactors& factors = {});
 
 /// Printable name of a record kind ("queue_change", "flow_finish", ...).
 [[nodiscard]] const char* kind_name(TraceEventKind kind);

@@ -9,17 +9,9 @@ namespace gurita {
 void AaloScheduler::on_coflow_release(const SimCoflow& coflow, Time now) {
   queue_of_.emplace(coflow.id, 0);
   obs::TraceRecorder* tr = trace_recorder();
-  if (tr && tr->wants(obs::TraceEventKind::kQueueChange)) {
-    obs::TraceRecord r;
-    r.kind = obs::TraceEventKind::kQueueChange;
-    r.time = now;
-    r.job = coflow.job.value();
-    r.coflow = coflow.id.value();
-    r.i0 = -1;
-    r.i1 = 0;
-    r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kRelease);
-    tr->emit(r);
-  }
+  if (tr && tr->wants(obs::TraceEventKind::kQueueChange))
+    tr->emit(obs::queue_change_record(now, coflow.job, coflow.id, -1, 0,
+                                      obs::QueueChangeCause::kRelease));
 }
 
 void AaloScheduler::on_fault(const FaultEvent& event, Time now) {
@@ -28,26 +20,15 @@ void AaloScheduler::on_fault(const FaultEvent& event, Time now) {
   obs::TraceRecorder* tr = trace_recorder();
   const bool trace_queues =
       tr != nullptr && tr->wants(obs::TraceEventKind::kQueueChange);
-  for (std::size_t j = 0; j < state().job_count(); ++j) {
-    const SimJob& job = state().job(JobId(j));
-    if (job.finished() || job.arrival_time > now) continue;
-    for (CoflowId cid : job.coflows) {
-      const SimCoflow& coflow = state().coflow(cid);
-      if (!coflow.released() || coflow.finished()) continue;
-      queue_of_.emplace(cid, 0);
-      if (trace_queues) {
-        obs::TraceRecord r;
-        r.kind = obs::TraceEventKind::kQueueChange;
-        r.time = now;
-        r.job = job.id.value();
-        r.coflow = cid.value();
-        r.i0 = -1;
-        r.i1 = 0;
-        r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kFaultReset);
-        tr->emit(r);
-      }
-    }
-  }
+  state().for_each_live(
+      now, [](const SimJob&) {},
+      [&](const SimCoflow& coflow) {
+        queue_of_.emplace(coflow.id, 0);
+        if (trace_queues)
+          tr->emit(obs::queue_change_record(
+              now, coflow.job, coflow.id, -1, 0,
+              obs::QueueChangeCause::kFaultReset));
+      });
 }
 
 void AaloScheduler::on_job_fail(const SimJob& job, Time now) {
@@ -77,20 +58,12 @@ void AaloScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
     const Bytes sent = state().coflow_bytes_sent(cid);
     const Tier level = thresholds_.level(sent);
     if (level > qit->second) {
-      if (trace_queues) {
-        // D-CLAS demotion: the decision signal is bytes sent, carried in
-        // v5 (no Ψ̈ factor breakdown for non-LBEF schedulers).
-        obs::TraceRecord r;
-        r.kind = obs::TraceEventKind::kQueueChange;
-        r.time = now;
-        r.job = job.id.value();
-        r.coflow = cid.value();
-        r.v5 = sent;
-        r.i0 = static_cast<std::int32_t>(qit->second);
-        r.i1 = static_cast<std::int32_t>(level);
-        r.i2 = static_cast<std::int32_t>(obs::QueueChangeCause::kBytesSent);
-        tr->emit(r);
-      }
+      // D-CLAS demotion: the decision signal is bytes sent, carried in
+      // v5 (no Ψ̈ factor breakdown for non-LBEF schedulers).
+      if (trace_queues)
+        tr->emit(obs::queue_change_record(
+            now, job.id, cid, qit->second, static_cast<int>(level),
+            obs::QueueChangeCause::kBytesSent, {.psi = sent}));
       qit->second = level;
     }
     set_priority(cid, qit->second, 1.0);

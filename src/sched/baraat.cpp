@@ -24,13 +24,14 @@ void BaraatScheduler::on_fault(const FaultEvent& event, Time now) {
   heavy_.clear();
   fifo_.clear();
   next_serial_ = 0;
-  for (std::size_t j = 0; j < state().job_count(); ++j) {
-    const SimJob& job = state().job(JobId(j));
-    if (job.finished() || job.arrival_time > now) continue;
-    serial_.emplace(job.id, next_serial_);
-    fifo_.emplace_back(next_serial_++, job.id);
-    heavy_.emplace(job.id, false);
-  }
+  state().for_each_live(
+      now,
+      [&](const SimJob& job) {
+        serial_.emplace(job.id, next_serial_);
+        fifo_.emplace_back(next_serial_++, job.id);
+        heavy_.emplace(job.id, false);
+      },
+      [](const SimCoflow&) {});
 }
 
 void BaraatScheduler::on_job_fail(const SimJob& job, Time now) {

@@ -14,6 +14,16 @@ void McsScheduler::on_coflow_finish(const SimCoflow& coflow, Time now) {
   queue_of_.erase(coflow.id);
 }
 
+void McsScheduler::on_fault(const FaultEvent& event, Time now) {
+  if (event.kind != FaultKind::kSchedulerStateLoss) return;
+  // A restarted MCS remembers no demotions: every live coflow re-enters
+  // the highest queue and earns them again at the next tick.
+  queue_of_.clear();
+  state().for_each_live(
+      now, [](const SimJob&) {},
+      [&](const SimCoflow& coflow) { queue_of_.emplace(coflow.id, 0); });
+}
+
 void McsScheduler::on_compact(const CompactionRemap& remap) {
   remap_table(queue_of_, remap.coflow_map);
 }

@@ -44,6 +44,8 @@ class McsScheduler final : public Scheduler {
   bool on_tick(Time now) override;
   void on_coflow_release(const SimCoflow& coflow, Time now) override;
   void on_coflow_finish(const SimCoflow& coflow, Time now) override;
+  /// Scheduler-state loss: every live coflow goes back to queue 0.
+  void on_fault(const FaultEvent& event, Time now) override;
   /// Re-keys the stale queue table across an engine compaction.
   void on_compact(const CompactionRemap& remap) override;
   void assign(Time now, const std::vector<SimFlow*>& active) override;

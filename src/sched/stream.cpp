@@ -9,6 +9,16 @@ void StreamScheduler::on_job_arrival(const SimJob& job, Time now) {
   queue_of_.emplace(job.id, 0);  // jobs start at the highest priority
 }
 
+void StreamScheduler::on_fault(const FaultEvent& event, Time now) {
+  if (event.kind != FaultKind::kSchedulerStateLoss) return;
+  // A restarted receiver has no TBS history: every live job re-enters the
+  // highest queue and is demoted again at the next δ refresh.
+  queue_of_.clear();
+  state().for_each_live(
+      now, [&](const SimJob& job) { queue_of_.emplace(job.id, 0); },
+      [](const SimCoflow&) {});
+}
+
 void StreamScheduler::on_compact(const CompactionRemap& remap) {
   remap_table(queue_of_, remap.job_map);
 }

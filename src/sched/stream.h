@@ -50,6 +50,8 @@ class StreamScheduler final : public Scheduler {
   void on_job_fail(const SimJob& job, Time) override {
     queue_of_.erase(job.id);
   }
+  /// Scheduler-state loss: every live job goes back to queue 0.
+  void on_fault(const FaultEvent& event, Time now) override;
   /// Re-keys the per-job queue table across an engine compaction.
   void on_compact(const CompactionRemap& remap) override;
   void assign(Time now, const std::vector<SimFlow*>& active) override;

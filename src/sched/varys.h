@@ -22,6 +22,9 @@
 
 namespace gurita {
 
+/// SEBF is stateless: Γ is re-derived from engine state at every assign(),
+/// so the default fault, job-failure and checkpoint hooks (which do
+/// nothing) are its intended semantics.
 class VarysScheduler final : public Scheduler {
  public:
   struct Config {
@@ -35,25 +38,6 @@ class VarysScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override { return "varys"; }
 
   void assign(Time now, const std::vector<SimFlow*>& active) override;
-
-  /// SEBF is stateless: Γ is recomputed from remaining bytes at every
-  /// assign(), so a scheduler-state loss has nothing to forget and a failed
-  /// job leaves nothing behind. The explicit overrides document that the
-  /// default no-ops are the *intended* fault semantics, not an omission.
-  void on_fault(const FaultEvent& event, Time now) override {
-    (void)event;
-    (void)now;
-  }
-  void on_job_fail(const SimJob& job, Time now) override {
-    (void)job;
-    (void)now;
-  }
-
-  /// Checkpoint hooks are intentional no-ops for the same reason: every
-  /// assign() derives Γ from engine state, so a snapshot carries nothing
-  /// and a restored Varys is trivially byte-identical.
-  void save_state(snapshot::Writer& w) const override { (void)w; }
-  void load_state(snapshot::Reader& r) override { (void)r; }
 
   /// Γ for a set of remaining per-flow demands grouped by src/dst host:
   /// max over ports of remaining bytes in/out at time `now` (residuals are

@@ -20,6 +20,10 @@ namespace {
 
 constexpr Time kInf = std::numeric_limits<Time>::infinity();
 
+/// Sim-seconds per run_to slice during drain and idle stretches — the
+/// signal-polling granularity once no arrival bounds the horizon.
+constexpr Time kDrainSlice = 0.25;
+
 /// Admissions the p99 wait report (DaemonReport::p99_wait) looks back over.
 constexpr std::size_t kWaitWindow = 512;
 
@@ -72,8 +76,6 @@ struct Daemon::Impl {
                         "requires a checkpoint cadence (checkpoint_every)"});
     if (!(o.drain_deadline_wall > 0))
       issues.push_back({"drain_deadline_wall", "must be > 0"});
-    if (!(o.drain_slice > 0))
-      issues.push_back({"drain_slice", "must be > 0"});
     if (o.drain_after_sim_time < 0)
       issues.push_back({"drain_after_sim_time", "must be >= 0"});
     if (o.sample_every < 0)
@@ -595,7 +597,7 @@ struct Daemon::Impl {
         // No arrival or cadence bounds the horizon: advance in finite
         // slices so the signal latch stays responsive while draining the
         // tail organically.
-        idle_bound = std::max(idle_bound, sim_->now()) + options_.drain_slice;
+        idle_bound = std::max(idle_bound, sim_->now()) + kDrainSlice;
         bound = idle_bound;
       }
       (void)sim_->run_to(bound);
@@ -661,7 +663,7 @@ struct Daemon::Impl {
           report.drain_deadline_expired = true;
           break;
         }
-        bound += options_.drain_slice;
+        bound += kDrainSlice;
         if (!sim_->run_to(bound)) break;
         note_peaks();
       }

@@ -100,9 +100,6 @@ struct DaemonOptions {
   /// Wall-clock budget for the post-admission drain; when it expires the
   /// export covers what completed (partial results are still atomic).
   double drain_deadline_wall = 60.0;
-  /// Sim-seconds per run_to slice during drain and idle stretches — the
-  /// signal-polling granularity once no arrival bounds the horizon.
-  Time drain_slice = 0.25;
   /// Deterministic drain trigger at a sim time (tests, CI): 0 = off.
   Time drain_after_sim_time = 0;
   /// Poll the process signal latch (signals.h). Tests running several

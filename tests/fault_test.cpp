@@ -14,7 +14,9 @@
 #include "flowsim/simulator.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "sched/mcs.h"
 #include "sched/pfs.h"
+#include "sched/stream.h"
 #include "topology/big_switch.h"
 #include "topology/fattree.h"
 
@@ -363,10 +365,9 @@ TEST_F(FaultFixture, StragglerSlowsWithoutAborting) {
 
 // ------------------------------------------------------ scheduler reset ---
 
-TEST_F(FaultFixture, SchedulerStateLossResetsGuritaQueues) {
-  // Two fat coflows long enough for Gurita's HR rounds to demote them,
-  // then a state loss: the trace must show kFaultReset re-admissions and
-  // the run must still complete.
+// Two parallel 4-flow coflows of 5000 B per flow: at most 100 B/s each,
+// so both stay live past t = 50 while any demotion ladder acts.
+JobSpec two_fat_coflows() {
   JobSpec job;
   CoflowSpec c1, c2;
   for (int f = 0; f < 4; ++f) {
@@ -375,18 +376,36 @@ TEST_F(FaultFixture, SchedulerStateLossResetsGuritaQueues) {
   }
   job.coflows = {c1, c2};
   job.deps = {{}, {}};
+  return job;
+}
 
+FaultEvent state_loss(Time time) {
+  FaultEvent loss;
+  loss.kind = FaultKind::kSchedulerStateLoss;
+  loss.time = time;
+  return loss;
+}
+
+/// The tiers job 0's coflows hold at a run_to() pause.
+std::vector<Tier> coflow_tiers(const Simulator& sim) {
+  std::vector<Tier> tiers;
+  for (CoflowId cid : sim.state().job(JobId{0}).coflows)
+    tiers.push_back(sim.state().coflow(cid).tier);
+  return tiers;
+}
+
+TEST_F(FaultFixture, SchedulerStateLossResetsGuritaQueues) {
+  // Two fat coflows long enough for Gurita's HR rounds to demote them,
+  // then a state loss: the trace must show kFaultReset re-admissions and
+  // the run must still complete.
   GuritaScheduler gurita;
   obs::TraceRecorder recorder(obs::TraceRecorder::kAllKinds);
   Simulator::Config config;
   config.trace = &recorder;
-  FaultEvent loss;
-  loss.kind = FaultKind::kSchedulerStateLoss;
-  loss.time = 20.0;
-  config.faults.events = {loss};
+  config.faults.events = {state_loss(20.0)};
 
   Simulator sim(fabric_, gurita, config);
-  sim.submit(job);
+  sim.submit(two_fat_coflows());
   const SimResults r = sim.run();
   EXPECT_EQ(r.failed_jobs, 0u);
 
@@ -402,6 +421,42 @@ TEST_F(FaultFixture, SchedulerStateLossResetsGuritaQueues) {
   }
   EXPECT_EQ(fault_records, 1);
   EXPECT_EQ(reset_records, 2) << "both live coflows re-admitted";
+}
+
+// Runs two_fat_coflows() with a state loss at t = 20.25, which falls
+// between δ ticks at 1 s spacing: both coflows hold a demoted tier just
+// before it and queue 0 after it, until the tick at t = 21.
+void expect_state_loss_resets_tiers(const Fabric& fabric,
+                                    Scheduler& scheduler) {
+  Simulator::Config config;
+  config.faults.events = {state_loss(20.25)};
+  Simulator sim(fabric, scheduler, config);
+  sim.submit(two_fat_coflows());
+  ASSERT_TRUE(sim.run_to(20.0));
+  for (Tier tier : coflow_tiers(sim)) EXPECT_GT(tier, 0) << "demoted first";
+  ASSERT_TRUE(sim.run_to(20.5));
+  for (Tier tier : coflow_tiers(sim))
+    EXPECT_EQ(tier, 0) << "state loss must re-admit at the top queue";
+  EXPECT_EQ(sim.run().failed_jobs, 0u);
+}
+
+TEST_F(FaultFixture, SchedulerStateLossResetsMcsQueues) {
+  // width × ℓ̈_max crosses a 1000 B first threshold within seconds.
+  McsScheduler::Config config;
+  config.first_threshold = 1000.0;
+  config.update_interval = 1.0;
+  McsScheduler mcs(config);
+  expect_state_loss_resets_tiers(fabric_, mcs);
+}
+
+TEST_F(FaultFixture, SchedulerStateLossResetsStreamQueues) {
+  // The job's total bytes sent cross a 1000 B first threshold within
+  // seconds; both coflows inherit the job's queue.
+  StreamScheduler::Config config;
+  config.first_threshold = 1000.0;
+  config.update_interval = 1.0;
+  StreamScheduler stream(config);
+  expect_state_loss_resets_tiers(fabric_, stream);
 }
 
 // ----------------------------------------------------- counters + trace ---

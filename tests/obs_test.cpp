@@ -18,15 +18,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "core/blocking_effect.h"
 #include "exp/experiment.h"
 #include "exp/export.h"
 #include "exp/registry.h"
@@ -50,22 +53,76 @@ using obs::TraceRecorder;
 
 // --------------------------------------------------------------- recorder
 
-TraceRecord queue_change(double t, std::uint64_t job, int old_q, int new_q) {
-  TraceRecord r;
-  r.kind = TraceEventKind::kQueueChange;
-  r.time = t;
-  r.job = job;
-  r.coflow = job * 10;
-  r.i0 = old_q;
-  r.i1 = new_q;
-  r.i2 = static_cast<int>(obs::QueueChangeCause::kHrDecision);
-  r.v0 = 0.5;
-  r.v1 = 0.25;
-  r.v2 = 1e9;
-  r.v3 = 40;
-  r.v4 = 0.5;
-  r.v5 = 0.5 * 0.25 * 1e9 * 40 * 0.5;
-  return r;
+TraceRecord queue_change(
+    double t, std::uint64_t job, int old_q, int new_q,
+    obs::QueueChangeCause cause = obs::QueueChangeCause::kHrDecision) {
+  return obs::queue_change_record(t, JobId{job}, CoflowId{job * 10}, old_q,
+                                  new_q, cause,
+                                  {.omega = 0.5,
+                                   .epsilon = 0.25,
+                                   .ell_max = 1e9,
+                                   .width = 40,
+                                   .cp_discount = 0.5,
+                                   .psi = 0.5 * 0.25 * 1e9 * 40 * 0.5});
+}
+
+// The builders state the kQueueChange layout once, for every cause: the
+// LBEF causes copy a BlockingInputs breakdown (v4 is the applied
+// critical-path discount), the others carry only their signal.
+TEST(QueueChangeRecord, PinsLayoutForEveryCause) {
+  using Cause = obs::QueueChangeCause;
+  BlockingInputs critical;
+  critical.omega = 0.5;
+  critical.epsilon = 0.25;
+  critical.ell_max = 1e9;
+  critical.width = 40;
+  critical.beta = 0.25;
+  critical.on_critical_path = true;
+  BlockingInputs off_path = critical;
+  off_path.on_critical_path = false;
+  const JobId job{3};
+  const CoflowId coflow{30};
+  struct Case {
+    TraceRecord record;
+    int old_q, new_q;
+    Cause cause;
+    std::array<double, 6> v;  ///< expected v0..v5
+  };
+  const std::vector<Case> cases = {
+      {obs::queue_change_record(2.0, job, coflow, -1, 0, Cause::kRelease),
+       -1, 0, Cause::kRelease, {0, 0, 0, 0, 0, 0}},
+      {queue_change_record(2.0, job, coflow, 0, 2, Cause::kHrDecision,
+                           critical, 9.5),
+       0, 2, Cause::kHrDecision, {0.5, 0.25, 1e9, 40, 0.75, 9.5}},
+      {queue_change_record(2.0, job, coflow, 1, 3, Cause::kSelfDemote,
+                           off_path, 7.0),
+       1, 3, Cause::kSelfDemote, {0.5, 0.25, 1e9, 40, 1.0, 7.0}},
+      {obs::queue_change_record(2.0, job, coflow, 0, 1, Cause::kBytesSent,
+                                {.psi = 4096.0}),
+       0, 1, Cause::kBytesSent, {0, 0, 0, 0, 0, 4096.0}},
+      {queue_change_record(2.0, job, coflow, 2, 1, Cause::kRecompute,
+                           critical, 3.0),
+       2, 1, Cause::kRecompute, {0.5, 0.25, 1e9, 40, 0.75, 3.0}},
+      {obs::queue_change_record(2.0, job, coflow, -1, 0, Cause::kFaultReset),
+       -1, 0, Cause::kFaultReset, {0, 0, 0, 0, 0, 0}},
+  };
+  std::set<Cause> covered;
+  for (const Case& c : cases) {
+    const TraceRecord& r = c.record;
+    SCOPED_TRACE(static_cast<int>(c.cause));
+    covered.insert(c.cause);
+    EXPECT_EQ(r.kind, TraceEventKind::kQueueChange);
+    EXPECT_EQ(r.time, 2.0);
+    EXPECT_EQ(r.job, 3u);
+    EXPECT_EQ(r.coflow, 30u);
+    EXPECT_EQ(r.flow, obs::kNoTraceId);
+    EXPECT_EQ(r.i0, c.old_q);
+    EXPECT_EQ(r.i1, c.new_q);
+    EXPECT_EQ(r.i2, static_cast<std::int32_t>(c.cause));
+    EXPECT_EQ((std::array<double, 6>{r.v0, r.v1, r.v2, r.v3, r.v4, r.v5}),
+              c.v);
+  }
+  EXPECT_EQ(covered.size(), 6u) << "every QueueChangeCause has a row";
 }
 
 TEST(TraceRecorder, FiltersByKindMask) {
@@ -127,7 +184,8 @@ TEST(TraceKinds, NamesRoundTrip) {
 
 std::vector<TraceRecord> sample_records() {
   std::vector<TraceRecord> records;
-  records.push_back(queue_change(0.25, 3, -1, 0));
+  records.push_back(
+      queue_change(0.25, 3, -1, 0, obs::QueueChangeCause::kRelease));
   records.push_back(queue_change(0.5, 3, 0, 2));
   TraceRecord fr;
   fr.kind = TraceEventKind::kFlowRelease;
@@ -164,6 +222,7 @@ TEST(TraceJsonl, RoundTripsRecordsAndLabel) {
     EXPECT_EQ(a.time, b.time) << "record " << i;
     EXPECT_EQ(a.i0, b.i0) << "record " << i;
     EXPECT_EQ(a.i1, b.i1) << "record " << i;
+    EXPECT_EQ(a.i2, b.i2) << "record " << i;
     EXPECT_EQ(a.v0, b.v0) << "record " << i;
     EXPECT_EQ(a.v5, b.v5) << "record " << i;
   }

@@ -116,7 +116,7 @@ class OracleSimulator {
     std::uint64_t iterations = 0;
 
     while (next_arrival < arrival_order.size() || !active_.empty()) {
-      if (++iterations > config_.max_iterations) {
+      if (++iterations > Simulator::kMaxIterations) {
         std::ostringstream os;
         os << "oracle live-lock guard tripped: now=" << now_
            << " active_flows=" << active_.size()

@@ -125,7 +125,7 @@ TEST(EnforceQueues, MapsQueuesToSpqTiersOrSplitWrrWeights) {
                                       {CoflowId{5}, 1, 2}};
   };
   std::vector<QueuedCoflow> spq = table();
-  EXPECT_TRUE(enforce_queues(spq, 3, false, 0.97, 16.0).empty());
+  EXPECT_TRUE(enforce_queues(spq, 3, false).empty());
   for (const QueuedCoflow& c : spq) {
     EXPECT_EQ(c.tier, c.queue);
     EXPECT_EQ(c.weight, 1.0);
@@ -133,8 +133,9 @@ TEST(EnforceQueues, MapsQueuesToSpqTiersOrSplitWrrWeights) {
   // WRR: one tier; queue q's weight W_q splits over its n_q active flows
   // (1 in queue 0, 4 in queue 1); queue 2 is empty but keeps a weight.
   std::vector<QueuedCoflow> wrr = table();
-  const std::vector<double> w = enforce_queues(wrr, 3, true, 0.97, 16.0);
-  EXPECT_EQ(w, wrr_weights_from_demand({1.0, 4.0, 0.0}, 0.97, 16.0));
+  const std::vector<double> w = enforce_queues(wrr, 3, true);
+  EXPECT_EQ(w, wrr_weights_from_demand({1.0, 4.0, 0.0}, kWrrTotalUtilization,
+                                      kWrrMinQueueRatio));
   EXPECT_EQ(wrr[0].tier, 0);
   EXPECT_EQ(wrr[0].weight, w[0]);
   EXPECT_EQ(wrr[1].tier, 0);
@@ -142,7 +143,7 @@ TEST(EnforceQueues, MapsQueuesToSpqTiersOrSplitWrrWeights) {
   EXPECT_EQ(wrr[2].weight, w[1] / 4.0);
   // A row without active flows has no WRR share to take.
   std::vector<QueuedCoflow> idle{{CoflowId{1}, 0, 0}};
-  EXPECT_THROW((void)enforce_queues(idle, 3, true, 0.97, 16.0),
+  EXPECT_THROW((void)enforce_queues(idle, 3, true),
                std::logic_error);
 }
 
