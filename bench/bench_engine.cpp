@@ -29,7 +29,6 @@
 //   ./bench_engine [--flows 1000,10000,100000] [--groups 32]
 //                  [--tick 0.1] [--out BENCH_engine.json]
 //                  [--profile true] [--overhead-guard true]
-//                  [--log-level warn]
 #include <algorithm>
 #include <chrono>
 #include <iostream>

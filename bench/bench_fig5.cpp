@@ -26,7 +26,6 @@
 //                       tracks) for ui.perfetto.dev / chrome://tracing
 //   --diagnostics       non-deterministic run health (allocator work,
 //                       memory peaks) in the summary JSON
-//   --log-level LVL     debug|info|warn|error|off
 //
 // Checkpoint/restore (exp/args.h; DESIGN.md §12): --checkpoint-every,
 // --checkpoint-dir, --resume-from, --checkpoint-halt-after. A deliberate

@@ -21,7 +21,7 @@
 //   --trace FILE   structured trace of every run × scheduler (exp/export.h;
 //                  includes fault / flow_abort / flow_retry / job_fail
 //                  records), plus FILE.summary.json
-//   --trace-filter CSV, --log-level as everywhere else;
+//   --trace-filter CSV as in bench_fig5;
 //   --timeline / --timeline-every / --chrome-trace / --diagnostics as in
 //   bench_fig5.
 //

@@ -5,9 +5,7 @@ Usage: validate_trace.py TRACE.jsonl [TRACE.jsonl.summary.json]
                          [--continuation PARTIAL.jsonl]
 
 Checks, in order:
-  1. every line parses as JSON and carries "t" (a number) and a known "kind"
-     (the reserved kinds capacity_change, degrade and wall_sample, which no
-     writer emits, are rejected);
+  1. every line parses as JSON and carries "t" (a number) and a known "kind";
   2. kQueueChange records carry the queue transition (old/new/cause) and, for
      Gurita HR decisions, the full Psi factor breakdown (omega, epsilon,
      ell_max, n, cp_discount, psi); fault-model records (fault, flow_abort,
@@ -51,9 +49,6 @@ KNOWN_KINDS = {
     # Open-horizon service records (src/service/, DESIGN.md §15).
     "admit", "shed", "drain_start", "compact",
 }
-# Kind names that keep their number in obs/trace.h but that no writer
-# emits any more; a trace holding one was not written by this build.
-RESERVED_KINDS = {"capacity_change", "wall_sample", "degrade"}
 # Interval-sampler record fields (obs/sampler.h; --timeline in the bench
 # drivers). kSample counts live entities and engine counters; kMemSample
 # carries logical per-subsystem byte totals.
@@ -117,9 +112,6 @@ def validate_line(lineno, line, counts, tallies):
     if not isinstance(rec.get("t"), (int, float)):
         fail(f"line {lineno} has no numeric 't': {line[:120]}")
     kind = rec.get("kind")
-    if kind in RESERVED_KINDS:
-        fail(f"line {lineno} has reserved kind {kind!r}, which no writer "
-             f"emits: {line[:120]}")
     if kind not in KNOWN_KINDS:
         fail(f"line {lineno} has unknown kind {kind!r}: {line[:120]}")
     counts[kind] += 1

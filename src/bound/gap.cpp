@@ -1,8 +1,7 @@
 #include "bound/gap.h"
 
-#include <cstdio>
-
 #include "common/check.h"
+#include "common/json.h"
 #include "metrics/report.h"
 
 namespace gurita {
@@ -10,9 +9,9 @@ namespace gurita {
 namespace {
 
 std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 std::string cell_json(const GapCell& c) {

@@ -34,11 +34,6 @@ struct CoflowSpec {
     for (const FlowSpec& f : flows) t += f.size;
     return t;
   }
-
-  [[nodiscard]] Bytes avg_flow_size() const {
-    return flows.empty() ? 0.0
-                         : total_bytes() / static_cast<double>(flows.size());
-  }
 };
 
 }  // namespace gurita

@@ -62,13 +62,6 @@ Deps inverted_v(int width) {
   return deps;
 }
 
-Deps v_shape(int width) {
-  GURITA_CHECK_MSG(width >= 1, "v_shape width must be >= 1");
-  Deps deps(width + 1);
-  for (int i = 1; i <= width; ++i) deps[i] = {0};
-  return deps;
-}
-
 Deps w_shape() {
   Deps deps(5);
   deps[3] = {0, 1};  // root0 <- leaf0, leaf1

@@ -37,9 +37,6 @@ using Deps = std::vector<std::vector<int>>;
 /// Inverted "V": `width` independent leaves all feeding one root.
 [[nodiscard]] Deps inverted_v(int width);
 
-/// "V": one leaf feeding `width` independent roots (multi-output).
-[[nodiscard]] Deps v_shape(int width);
-
 /// "W": two roots over three leaves with the middle leaf shared
 /// (root0 <- {leaf0, leaf1}, root1 <- {leaf1, leaf2}).
 [[nodiscard]] Deps w_shape();

@@ -77,18 +77,6 @@ using CoflowId = TypedId<CoflowTag>;
 /// Identifies a multi-stage job (a DAG of coflows).
 using JobId = TypedId<JobTag>;
 
-/// Monotonic id factory; hands out 0, 1, 2, ...
-template <typename Id>
-class IdAllocator {
- public:
-  Id next() { return Id{next_++}; }
-  [[nodiscard]] std::uint64_t count() const { return next_; }
-  void reset() { next_ = 0; }
-
- private:
-  std::uint64_t next_ = 0;
-};
-
 }  // namespace gurita
 
 namespace std {

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <charconv>
+#include <cstdio>
 #include <system_error>
 
 namespace gurita {
@@ -239,5 +240,18 @@ int JsonValue::as_int() const {
 }
 
 JsonValue parse_json(std::string_view text) { return JsonParser(text).parse(); }
+
+void append_number(std::string& out, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out += buf;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+}
 
 }  // namespace gurita

@@ -1,6 +1,7 @@
 // The one JSON reader for every file this repository reads back: the JSONL
 // job feed (workload/feed.h), exported JSONL traces (obs/trace.h) and the
-// gap-to-bound report (bound/gap.h, read by trace_explorer).
+// gap-to-bound report (bound/gap.h, read by trace_explorer). Beside it sits
+// the one numeral writer every JSON export uses (append_number).
 //
 // These files are untrusted input, so the reader is bounded: nesting
 // deeper than kMaxJsonDepth is an error rather than a stack overflow, and
@@ -63,5 +64,16 @@ struct JsonValue {
 /// Parses one JSON document; surrounding whitespace is allowed, anything
 /// else after the value is an error.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
+
+/// Appends `v` as %.17g: the shortest printf form that round-trips every
+/// double bit-exactly through strtod, and deterministic for a given bit
+/// pattern, so equal values export as equal bytes (the byte-identity
+/// contract of every export rides on this). Non-finite values come out as
+/// inf, -inf, nan or -nan, which parse_json reads back.
+void append_number(std::string& out, double v);
+
+/// Appends `s` with '"' and '\\' backslash-escaped, for the labels and
+/// names the exports write inside string literals.
+void append_escaped(std::string& out, std::string_view s);
 
 }  // namespace gurita

@@ -14,26 +14,20 @@ namespace gurita {
 /// the element at this index (rank = ceil(p/100 * n), clamped to [0, n-1]).
 [[nodiscard]] std::size_t percentile_rank_index(double p, std::size_t n);
 
-/// Welford online accumulator: mean / variance / min / max / count.
+/// Online accumulator: Welford mean / min / max / sum / count.
 class RunningStats {
  public:
   void add(double x);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one.
-  void merge(const RunningStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();

@@ -164,7 +164,7 @@ bool GuritaScheduler::on_tick(Time now) {
   bool changed = false;
   for (auto& [jid, hr] : head_receivers_) {
     if (state().job(jid).finished()) continue;
-    hr.update(state(), now);
+    hr.update(state());
     ++stats_.hr_updates;
     if (decide_priorities(hr, now)) changed = true;
   }

@@ -16,8 +16,9 @@ GuritaPlusScheduler::GuritaPlusScheduler(const Config& config)
 
 void GuritaPlusScheduler::on_job_arrival(const SimJob& job, Time now) {
   (void)now;
+  // Critical-path costs at the paper's 10G line rate.
   const CriticalPathInfo info = compute_critical_path(
-      job.spec, estimated_cct_costs(job.spec, config_.line_rate));
+      job.spec, estimated_cct_costs(job.spec, gbps(10.0)));
   on_critical_.emplace(job.id, info.on_critical);
 }
 

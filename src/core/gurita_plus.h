@@ -32,8 +32,6 @@ class GuritaPlusScheduler final : public Scheduler {
     double beta = 0.5;
     bool use_critical_path = true;
     bool starvation_mitigation = true;
-    /// Line rate used for critical-path costs (matches fabric capacity).
-    Rate line_rate = gbps(10.0);
   };
 
   GuritaPlusScheduler() : GuritaPlusScheduler(Config{}) {}

@@ -1,14 +1,10 @@
 #include "core/head_receiver.h"
 
-#include <algorithm>
-
-#include "common/check.h"
 
 namespace gurita {
 
-void HeadReceiver::update(const SimState& state, Time now) {
+void HeadReceiver::update(const SimState& state) {
   const SimJob& job = state.job(job_);
-  last_update_ = now;
   completed_stages_ = job.completed_stages;
   observations_.clear();
 
@@ -27,32 +23,21 @@ void HeadReceiver::update(const SimState& state, Time now) {
     obs.ell_max_observed = state.coflow_ell_max(c.id);
     obs.ell_avg_observed =
         c.flows.empty() ? 0.0 : total_seen / static_cast<double>(c.flows.size());
-    obs.bytes_received = total_seen;
     observations_.emplace(c.id, obs);
   }
 }
 
-const CoflowObservation& HeadReceiver::observation(CoflowId id) const {
-  const auto it = observations_.find(id);
-  GURITA_CHECK_MSG(it != observations_.end(),
-                   "no HR observation for this coflow");
-  return it->second;
-}
-
 void HeadReceiver::save_state(snapshot::Writer& w) const {
-  w.f64(last_update_);
   w.i32(completed_stages_);
   snapshot::write_table(w, observations_, [&](const CoflowObservation& obs) {
     w.i32(obs.stage);
     w.f64(obs.open_connections);
     w.f64(obs.ell_max_observed);
     w.f64(obs.ell_avg_observed);
-    w.f64(obs.bytes_received);
   });
 }
 
 void HeadReceiver::load_state(snapshot::Reader& r, std::uint64_t n_coflows) {
-  last_update_ = r.f64();
   completed_stages_ = r.i32();
   snapshot::read_table(r, "head receiver observation", n_coflows,
                        observations_, [&](CoflowId) {
@@ -61,7 +46,6 @@ void HeadReceiver::load_state(snapshot::Reader& r, std::uint64_t n_coflows) {
                          obs.open_connections = r.f64();
                          obs.ell_max_observed = r.f64();
                          obs.ell_avg_observed = r.f64();
-                         obs.bytes_received = r.f64();
                          return obs;
                        });
 }

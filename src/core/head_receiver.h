@@ -30,7 +30,6 @@ struct CoflowObservation {
   double open_connections = 0;   ///< n̈: flows still transmitting
   Bytes ell_max_observed = 0;    ///< ℓ̈_max: largest per-flow bytes received
   Bytes ell_avg_observed = 0;    ///< ℓ̈_avg: mean per-flow bytes received
-  Bytes bytes_received = 0;      ///< aggregate, used for self-demotion
 };
 
 /// Per-job HR cache, refreshed on ticks by the Gurita scheduler.
@@ -41,14 +40,9 @@ class HeadReceiver {
   [[nodiscard]] JobId job() const { return job_; }
 
   /// Gathers receiver-side observations for every released, unfinished
-  /// coflow of the job. `now` is recorded as the update time.
-  void update(const SimState& state, Time now);
+  /// coflow of the job, as of the state's clock.
+  void update(const SimState& state);
 
-  [[nodiscard]] Time last_update() const { return last_update_; }
-  [[nodiscard]] bool has(CoflowId id) const {
-    return observations_.count(id) > 0;
-  }
-  [[nodiscard]] const CoflowObservation& observation(CoflowId id) const;
   /// Ordered by coflow id: decide_priorities() folds these observations into
   /// per-stage Ψ̈ sums, and floating-point addition order is part of the
   /// byte-identical determinism contract — an ordered map makes the fold
@@ -72,7 +66,7 @@ class HeadReceiver {
 
   /// Compaction support (DESIGN.md §15): adopts the renumbered job id and a
   /// re-keyed observation cache built by GuritaScheduler::on_compact.
-  /// Update time and completed-stage count are id-free and stay put.
+  /// The completed-stage count is id-free and stays put.
   void rekey(JobId job, std::map<CoflowId, CoflowObservation> observations) {
     job_ = job;
     observations_ = std::move(observations);
@@ -80,7 +74,6 @@ class HeadReceiver {
 
  private:
   JobId job_;
-  Time last_update_ = -1;
   int completed_stages_ = 0;
   std::map<CoflowId, CoflowObservation> observations_;
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "exp/experiment.h"
 #include "fault/fault.h"
 #include "snapshot/snapshot.h"
@@ -165,18 +164,11 @@ bool Args::get_bool(const std::string& key, bool fallback) const {
   throw std::logic_error("flag --" + key + " wants a boolean, got " + v);
 }
 
-void apply_log_level(const Args& args) {
-  if (args.has("log-level"))
-    log::set_level(log::level_from_string(args.get_string("log-level", "")));
-}
-
 int run_main(int argc, char** argv, int (*body)(const Args&)) {
   const std::string program =
       argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "driver";
   try {
-    const Args args(argc, argv);
-    apply_log_level(args);
-    return body(args);
+    return body(Args(argc, argv));
   } catch (const snapshot::HaltedError& e) {
     std::cerr << program << ": " << e.what() << "\n";
     return 75;

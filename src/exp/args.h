@@ -70,18 +70,13 @@ class Args {
   std::map<std::string, Value> values_;
 };
 
-/// Applies the shared --log-level flag (debug|info|warn|error|off) to the
-/// process-wide log level; a no-op when the flag is absent. run_main calls
-/// it right after parsing.
-void apply_log_level(const Args& args);
-
-/// A driver's whole main: parses argv into Args, applies --log-level and
-/// returns `body(args)`. A snapshot::HaltedError (the deliberate
-/// checkpoint-halt crash) prints "<program>: <what>" and returns 75, so a
-/// caller can assert the halt and then resume; any other exception — a
-/// ConfigError for an unknown, repeated or malformed flag included —
-/// prints "<program>: error: <what>" and returns 1 instead of aborting
-/// through std::terminate. <program> is argv[0]'s file name.
+/// A driver's whole main: parses argv into Args and returns `body(args)`.
+/// A snapshot::HaltedError (the deliberate checkpoint-halt crash) prints
+/// "<program>: <what>" and returns 75, so a caller can assert the halt and
+/// then resume; any other exception — a ConfigError for an unknown,
+/// repeated or malformed flag included — prints "<program>: error: <what>"
+/// and returns 1 instead of aborting through std::terminate. <program> is
+/// argv[0]'s file name.
 int run_main(int argc, char** argv, int (*body)(const Args&));
 
 struct ExperimentConfig;

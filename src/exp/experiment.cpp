@@ -227,6 +227,7 @@ ExperimentConfig trace_scenario(StructureKind structure, int num_jobs,
                                 std::uint64_t seed) {
   ExperimentConfig config;
   config.fat_tree_k = 8;
+  config.trace.num_hosts = FatTree::host_count(config.fat_tree_k);
   config.trace.structure = structure;
   config.trace.num_jobs = num_jobs;
   config.trace.arrivals = ArrivalPattern::kPoisson;
@@ -238,6 +239,7 @@ ExperimentConfig bursty_scenario(StructureKind structure, int num_jobs,
                                  std::uint64_t seed, int fat_tree_k) {
   ExperimentConfig config;
   config.fat_tree_k = fat_tree_k;
+  config.trace.num_hosts = FatTree::host_count(fat_tree_k);
   config.trace.structure = structure;
   config.trace.num_jobs = num_jobs;
   config.trace.arrivals = ArrivalPattern::kBursty;

@@ -124,7 +124,8 @@ struct ComparisonResult {
     const ExperimentConfig& config, const std::vector<std::string>& names,
     const std::string& checkpoint_key = "");
 
-/// Canonical configurations for the paper's scenarios.
+/// Canonical configurations for the paper's scenarios. Each sizes the
+/// trace's endpoint range (trace.num_hosts) to its fat-tree's host count.
 /// Trace-driven (§V, Figs. 5/6/8): 8-pod fat-tree, Poisson arrivals.
 [[nodiscard]] ExperimentConfig trace_scenario(StructureKind structure,
                                               int num_jobs,

@@ -8,6 +8,7 @@
 
 #include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/chrome_trace.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -54,11 +55,11 @@ void append_u64(std::string& out, const char* key, std::uint64_t v,
 }
 
 void append_f64(std::string& out, const char* key, double v, bool* first) {
-  char buf[80];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\": %.17g", *first ? "" : ", ", key,
-                v);
+  out += *first ? "\"" : ", \"";
+  out += key;
+  out += "\": ";
+  append_number(out, v);
   *first = false;
-  out += buf;
 }
 
 /// The non-deterministic "diagnostics" object (ExportOptions): pooled

@@ -6,19 +6,6 @@
 
 namespace gurita {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kHostDown: return "host_down";
-    case FaultKind::kHostUp: return "host_up";
-    case FaultKind::kLinkDown: return "link_down";
-    case FaultKind::kLinkUp: return "link_up";
-    case FaultKind::kStragglerStart: return "straggler_start";
-    case FaultKind::kStragglerEnd: return "straggler_end";
-    case FaultKind::kSchedulerStateLoss: return "scheduler_state_loss";
-  }
-  return "?";
-}
-
 Time RetryPolicy::delay(int attempt, std::uint64_t seed,
                         std::uint64_t stream) const {
   const int level = attempt < 1 ? 1 : attempt;

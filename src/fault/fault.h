@@ -47,11 +47,6 @@ enum class FaultKind : std::uint8_t {
   kSchedulerStateLoss = 6,  ///< scheduler control state vanishes
 };
 
-inline constexpr int kNumFaultKinds = 7;
-
-/// Printable name ("host_down", "straggler_start", ...).
-[[nodiscard]] const char* fault_kind_name(FaultKind kind);
-
 /// True for the kinds delivered via Scheduler::on_recover (kHostUp,
 /// kLinkUp, kStragglerEnd); false for the on_fault kinds.
 [[nodiscard]] constexpr bool is_recovery(FaultKind kind) {

@@ -38,9 +38,6 @@ struct CompactionRemap {
   [[nodiscard]] bool job_evicted(JobId id) const {
     return job_map[id.value()] == kEvicted;
   }
-  [[nodiscard]] bool coflow_evicted(CoflowId id) const {
-    return coflow_map[id.value()] == kEvicted;
-  }
 };
 
 /// Rebuilds an id-keyed policy table across a compaction: drops entries

@@ -51,18 +51,6 @@ Bytes SimState::coflow_ell_max(CoflowId id) const {
   return ell_max;
 }
 
-Bytes SimState::job_stage_bytes_sent(JobId id, int stage) const {
-  const SimJob& j = job(id);
-  Bytes sent = 0;
-  for (std::size_t i = 0; i < j.coflows.size(); ++i) {
-    if (j.stage_of[i] != stage) continue;
-    const SimCoflow& c = coflow(j.coflows[i]);
-    if (!c.released()) continue;
-    sent += coflow_bytes_sent(c.id);
-  }
-  return sent;
-}
-
 Bytes SimState::job_bytes_sent(JobId id) const {
   const SimJob& j = job(id);
   Bytes sent = 0;

@@ -169,10 +169,6 @@ class SimState {
   /// getters below are exact at this instant).
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Bytes sent so far by flow `id`, exact at now(). O(1).
-  [[nodiscard]] Bytes flow_bytes_sent(FlowId id) const {
-    return flow(id).bytes_sent_at(now_);
-  }
   /// Bytes sent so far by coflow `id` (sum over its flows). O(1).
   [[nodiscard]] Bytes coflow_bytes_sent(CoflowId id) const;
   /// Total bytes of coflow `id`.
@@ -181,8 +177,6 @@ class SimState {
   /// it). O(active flows of the coflow): finished flows are covered by the
   /// settled running max, active flows are extrapolated to now().
   [[nodiscard]] Bytes coflow_ell_max(CoflowId id) const;
-  /// Bytes sent so far by job `id` in stage `stage`. O(coflows of the job).
-  [[nodiscard]] Bytes job_stage_bytes_sent(JobId id, int stage) const;
   /// Bytes sent so far by job `id` across all stages (the TBS signal the
   /// paper's baselines schedule on). O(coflows of the job).
   [[nodiscard]] Bytes job_bytes_sent(JobId id) const;

@@ -7,24 +7,9 @@ namespace gurita {
 
 void CctCollector::add(const SimResults& results) {
   for (const SimResults::CoflowResult& c : results.coflows) {
-    all_.add(c.cct());
     GURITA_CHECK_MSG(c.stage >= 1, "coflow stages are 1-based");
-    if (static_cast<std::size_t>(c.stage) > by_stage_.size())
-      by_stage_.resize(static_cast<std::size_t>(c.stage));
-    by_stage_[static_cast<std::size_t>(c.stage) - 1].add(c.cct());
+    all_.add(c.cct());
   }
-}
-
-double CctCollector::p95_cct() const { return all_.percentile_or(95, 0.0); }
-
-double CctCollector::average_cct_at_stage(int stage) const {
-  GURITA_CHECK_MSG(stage >= 1, "coflow stages are 1-based");
-  if (static_cast<std::size_t>(stage) > by_stage_.size()) return 0.0;
-  return by_stage_[static_cast<std::size_t>(stage) - 1].mean();
-}
-
-int CctCollector::max_stage_seen() const {
-  return static_cast<int>(by_stage_.size());
 }
 
 std::vector<double> job_slowdowns(const std::vector<JobSpec>& jobs,

@@ -1,7 +1,7 @@
 // Extended evaluation metrics beyond average JCT:
 //
 //  * CCT statistics — the paper's "primary metrics for comparison is the
-//    average CCTs" alongside JCT; collected per stage depth.
+//    average CCTs" alongside JCT.
 //  * Slowdown — JCT divided by the job's critical-path lower bound at line
 //    rate; 1.0 means the scheduler achieved the physical optimum for that
 //    job. Distribution percentiles expose tail behaviour that averages
@@ -18,21 +18,17 @@
 
 namespace gurita {
 
-/// CCT statistics for one run, overall and by stage.
+/// CCT statistics over the coflows of one or more runs.
 class CctCollector {
  public:
+  /// Adds every coflow's CCT; throws std::logic_error on a stage below 1.
   void add(const SimResults& results);
 
   [[nodiscard]] double average_cct() const { return all_.mean(); }
-  [[nodiscard]] double p95_cct() const;
   [[nodiscard]] std::size_t coflows() const { return all_.count(); }
-  /// Average CCT of coflows at a given 1-based stage (0 if none seen).
-  [[nodiscard]] double average_cct_at_stage(int stage) const;
-  [[nodiscard]] int max_stage_seen() const;
 
  private:
   Samples all_;
-  std::vector<Samples> by_stage_;  // index = stage - 1
 };
 
 /// Per-job slowdowns: JCT / critical-path bound at `line_rate`.

@@ -1,23 +1,10 @@
 #include "obs/chrome_trace.h"
 
-#include <cstdio>
+#include "common/json.h"
 
 namespace gurita::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
 
 /// Emits one counter event: {"name":..., "ph":"C", "pid":..., "ts":...,
 /// "args":{...}} with args supplied by the caller via a callback-free
@@ -33,7 +20,7 @@ void emit_counter(std::string& line, std::ostream& out, bool& first, int pid,
   line += "\", \"ph\": \"C\", \"pid\": ";
   line += std::to_string(pid);
   line += ", \"tid\": 0, \"ts\": ";
-  append_double(line, ts_us);
+  append_number(line, ts_us);
   line += ", \"args\": {";
   bool first_arg = true;
   for (const auto& [key, value] : args) {
@@ -41,7 +28,7 @@ void emit_counter(std::string& line, std::ostream& out, bool& first, int pid,
     line += '"';
     line += key;
     line += "\": ";
-    append_double(line, value);
+    append_number(line, value);
     first_arg = false;
   }
   line += "}}";
@@ -77,9 +64,9 @@ void write_chrome_trace(std::ostream& out,
       line += "\", \"ph\": \"X\", \"pid\": ";
       line += std::to_string(pid);
       line += ", \"tid\": 0, \"ts\": ";
-      append_double(line, static_cast<double>(span.start_ns) / 1e3);
+      append_number(line, static_cast<double>(span.start_ns) / 1e3);
       line += ", \"dur\": ";
-      append_double(line,
+      append_number(line,
                     static_cast<double>(span.end_ns - span.start_ns) / 1e3);
       line += "}";
       out << line;

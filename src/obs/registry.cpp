@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace gurita::obs {
 
 std::string Registry::to_json() const {
@@ -19,22 +21,18 @@ std::string Registry::to_json() const {
   out += "  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges_) {
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
     out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + buf;
+    out += "    \"" + name + "\": ";
+    append_number(out, value);
     first = false;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
-  const auto append_double = [&](double v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  };
   for (const auto& [name, h] : histograms_) {
     out += first ? "\n" : ",\n";
     out += "    \"" + name + "\": {\"base\": ";
-    append_double(h.base());
+    append_number(out, h.base());
     std::snprintf(buf, sizeof(buf), ", \"count\": %" PRIu64,
                   static_cast<std::uint64_t>(h.total()));
     out += buf;
@@ -44,11 +42,11 @@ std::string Registry::to_json() const {
     // Empty histograms report 0 percentiles (the kernel requires samples).
     const bool have = h.total() > 0;
     out += ", \"p50\": ";
-    append_double(have ? h.percentile(50) : 0.0);
+    append_number(out, have ? h.percentile(50) : 0.0);
     out += ", \"p95\": ";
-    append_double(have ? h.percentile(95) : 0.0);
+    append_number(out, have ? h.percentile(95) : 0.0);
     out += ", \"p99\": ";
-    append_double(have ? h.percentile(99) : 0.0);
+    append_number(out, have ? h.percentile(99) : 0.0);
     out += ", \"buckets\": [";
     bool first_bucket = true;
     for (const auto& [i, c] : h.buckets()) {

@@ -71,8 +71,6 @@ const KindSpec& kind_spec(TraceEventKind kind) {
        false,
        false,
        {{"queues", kI0}, {"w0", kV0}, {"w1", kV1}, {"w2", kV2}, {"w3", kV3}}},
-      /* kCapacityChange: reserved, no longer emitted */
-      {"capacity_change", false, false, false, {{"link", kI0}, {"capacity", kV0}}},
       /* kHeavyMark */ {"heavy_mark", true, false, false, {{"bytes", kV0}}},
       /* kFault */
       {"fault",
@@ -126,12 +124,6 @@ const KindSpec& kind_spec(TraceEventKind kind) {
         {"trace_bytes", kV3},
         {"active_set_bytes", kV4},
         {"total_bytes", kV5}}},
-      /* kWallSample: reserved, no longer emitted */
-      {"wall_sample",
-       false,
-       false,
-       false,
-       {{"wall_ms", kV0}, {"events", kV1}, {"events_per_wall_sec", kV2}}},
       /* kAdmit */
       {"admit",
        true,
@@ -163,12 +155,6 @@ const KindSpec& kind_spec(TraceEventKind kind) {
         {"coflows_evicted", kI1},
         {"flows_evicted", kI2},
         {"jobs_live", kV0}}},
-      /* kDegrade: reserved, no longer emitted */
-      {"degrade",
-       false,
-       false,
-       false,
-       {{"entered", kI0}, {"queue_depth", kI1}}},
   };
   const auto index = static_cast<std::size_t>(kind);
   GURITA_CHECK_MSG(index < specs.size(), "unknown trace event kind");
@@ -205,22 +191,6 @@ void set_slot(TraceRecord& r, Slot slot, const JsonValue& value) {
 }
 
 bool slot_is_int(Slot slot) { return slot == kI0 || slot == kI1 || slot == kI2; }
-
-/// %.17g: shortest representation that round-trips a double bit-exactly
-/// through strtod, and deterministic for a given bit pattern — the
-/// byte-identity half of the trace determinism contract rides on this.
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
 
 }  // namespace
 
@@ -270,7 +240,7 @@ void write_jsonl(std::ostream& out, const std::vector<TraceRecord>& records,
     const KindSpec& spec = kind_spec(r.kind);
     line.clear();
     line += "{\"t\":";
-    append_double(line, r.time);
+    append_number(line, r.time);
     line += ",\"kind\":\"";
     line += spec.name;
     line += '"';
@@ -301,7 +271,7 @@ void write_jsonl(std::ostream& out, const std::vector<TraceRecord>& records,
                       static_cast<int>(get_slot(r, f.slot)));
         line += buf;
       } else {
-        append_double(line, get_slot(r, f.slot));
+        append_number(line, get_slot(r, f.slot));
       }
     }
     line += "}\n";

@@ -29,7 +29,7 @@
 namespace gurita::obs {
 
 /// Kind of one trace record. The underlying values are part of the
-/// snapshot format (snapshot.h) — append new kinds, never renumber.
+/// snapshot format (snapshot.h): renumbering them bumps kFormatVersion.
 enum class TraceEventKind : std::uint8_t {
   kJobArrival = 0,        ///< job submitted its first coflows
   kCoflowRelease = 1,     ///< DAG dependencies met; the coflow's flows start
@@ -41,24 +41,21 @@ enum class TraceEventKind : std::uint8_t {
   kJobFinish = 7,         ///< all coflows of a job drained
   kQueueChange = 8,       ///< scheduler moved a coflow between priority queues
   kStarvationWeights = 9, ///< WRR weights emulating SPQ (starvation mitigation)
-  kCapacityChange = 10,   ///< reserved, no longer emitted
-  kHeavyMark = 11,        ///< FIFO-LM (Baraat) reclassified a job as heavy
-  kFault = 12,            ///< a fault-plan event fired (fault/fault.h)
-  kFlowAbort = 13,        ///< a fault aborted a flow; in-flight bytes lost
-  kFlowRetry = 14,        ///< an aborted flow restarted from byte zero
-  kJobFail = 15,          ///< a job exhausted retries and was abandoned
-  kSample = 16,           ///< periodic run-health sample (obs/sampler.h)
-  kMemSample = 17,        ///< periodic per-subsystem memory sample
-  kWallSample = 18,       ///< reserved, no longer emitted
+  kHeavyMark = 10,        ///< FIFO-LM (Baraat) reclassified a job as heavy
+  kFault = 11,            ///< a fault-plan event fired (fault/fault.h)
+  kFlowAbort = 12,        ///< a fault aborted a flow; in-flight bytes lost
+  kFlowRetry = 13,        ///< an aborted flow restarted from byte zero
+  kJobFail = 14,          ///< a job exhausted retries and was abandoned
+  kSample = 15,           ///< periodic run-health sample (obs/sampler.h)
+  kMemSample = 16,        ///< periodic per-subsystem memory sample
   // --- open-horizon service records (src/service/, DESIGN.md §15) ---
-  kAdmit = 19,            ///< daemon admitted a streamed job into the engine
-  kShed = 20,             ///< admission control dropped a job (load shedding)
-  kDrainStart = 21,       ///< drain began: admissions stopped
-  kCompact = 22,          ///< engine evicted terminal state (compact())
-  kDegrade = 23,          ///< reserved, no longer emitted
+  kAdmit = 17,            ///< daemon admitted a streamed job into the engine
+  kShed = 18,             ///< admission control dropped a job (load shedding)
+  kDrainStart = 19,       ///< drain began: admissions stopped
+  kCompact = 20,          ///< engine evicted terminal state (compact())
 };
 
-inline constexpr int kNumTraceEventKinds = 24;
+inline constexpr int kNumTraceEventKinds = 21;
 
 /// Why a scheduler changed a coflow's queue (TraceRecord::i2 of
 /// kQueueChange records).
@@ -200,8 +197,8 @@ struct TraceSection {
 /// field names (the same table read_jsonl parses). `source`, when
 /// non-empty, is emitted as a "section" field on every line so multi-run
 /// exports stay attributable ("src" is taken: it is flow_release's source
-/// host). Doubles use max_digits10, so equal records serialize to
-/// byte-identical lines.
+/// host). Doubles go through append_number (common/json.h), so equal
+/// records serialize to byte-identical lines.
 void write_jsonl(std::ostream& out, const std::vector<TraceRecord>& records,
                  const std::string& source = "");
 

@@ -24,6 +24,11 @@ void McsScheduler::on_fault(const FaultEvent& event, Time now) {
       [&](const SimCoflow& coflow) { queue_of_.emplace(coflow.id, 0); });
 }
 
+void McsScheduler::on_job_fail(const SimJob& job, Time now) {
+  (void)now;
+  for (CoflowId cid : job.coflows) queue_of_.erase(cid);
+}
+
 void McsScheduler::on_compact(const CompactionRemap& remap) {
   remap_table(queue_of_, remap.coflow_map);
 }

@@ -46,6 +46,8 @@ class McsScheduler final : public Scheduler {
   void on_coflow_finish(const SimCoflow& coflow, Time now) override;
   /// Scheduler-state loss: every live coflow goes back to queue 0.
   void on_fault(const FaultEvent& event, Time now) override;
+  /// Drops the failed job's coflows from the queue table.
+  void on_job_fail(const SimJob& job, Time now) override;
   /// Re-keys the stale queue table across an engine compaction.
   void on_compact(const CompactionRemap& remap) override;
   void assign(Time now, const std::vector<SimFlow*>& active) override;

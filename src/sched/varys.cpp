@@ -6,6 +6,15 @@
 
 namespace gurita {
 
+namespace {
+
+/// Port rate that turns bottleneck bytes into Γ seconds (the paper's 10G
+/// ports). A positive constant divisor leaves the SEBF order alone up to
+/// the rounding of the quotient, which decides exact ties by coflow id.
+constexpr Rate kPortRate = gbps(10.0);
+
+}  // namespace
+
 Bytes VarysScheduler::bottleneck_bytes(
     const std::vector<const SimFlow*>& flows, Time now) {
   std::unordered_map<int, Bytes> out_port;  // per src host
@@ -37,7 +46,7 @@ void VarysScheduler::assign(Time now, const std::vector<SimFlow*>& active) {
   std::vector<std::pair<double, std::uint64_t>> order;
   order.reserve(by_coflow.size());
   for (const auto& [cid, flows] : by_coflow)
-    order.emplace_back(bottleneck_bytes(flows, now) / config_.port_rate, cid);
+    order.emplace_back(bottleneck_bytes(flows, now) / kPortRate, cid);
   std::sort(order.begin(), order.end());
 
   Tier tier = 0;

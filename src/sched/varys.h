@@ -27,27 +27,16 @@ namespace gurita {
 /// nothing) are its intended semantics.
 class VarysScheduler final : public Scheduler {
  public:
-  struct Config {
-    /// Port bandwidth used to convert bottleneck bytes into Γ seconds.
-    Rate port_rate = gbps(10.0);
-  };
-
-  VarysScheduler() : VarysScheduler(Config{}) {}
-  explicit VarysScheduler(const Config& config) : config_(config) {}
-
   [[nodiscard]] std::string name() const override { return "varys"; }
 
   void assign(Time now, const std::vector<SimFlow*>& active) override;
 
-  /// Γ for a set of remaining per-flow demands grouped by src/dst host:
-  /// max over ports of remaining bytes in/out at time `now` (residuals are
-  /// extrapolated from each flow's lazy-drain settle point), divided by the
-  /// port rate. Exposed for tests.
+  /// Γ's numerator for a set of remaining per-flow demands grouped by
+  /// src/dst host: max over ports of remaining bytes in/out at time `now`
+  /// (residuals are extrapolated from each flow's lazy-drain settle point).
+  /// Exposed for tests.
   [[nodiscard]] static Bytes bottleneck_bytes(
       const std::vector<const SimFlow*>& flows, Time now);
-
- private:
-  Config config_;
 };
 
 }  // namespace gurita

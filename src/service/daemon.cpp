@@ -321,9 +321,8 @@ struct Daemon::Impl {
     h.f64(g.load);
     h.f64(g.service_rate);
     h.f64(g.mean_interarrival);
-    h.u64(static_cast<std::uint64_t>(g.calibration_jobs));
-    h.u64(static_cast<std::uint64_t>(g.burst_size));
-    h.f64(g.burst_spacing);
+    h.u64(static_cast<std::uint64_t>(g.shape.burst_size));
+    h.f64(g.shape.burst_spacing);
     h.u64(options_.max_jobs);
     return h.value();
   }

@@ -68,7 +68,12 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// every live one. Restore checks open connections against the active set.
 /// v12: Aalo's scheduler section drops its FIFO-rank table and rank counter
 /// (the intra-queue FIFO option is gone); it holds the queue table only.
-inline constexpr std::uint32_t kFormatVersion = 12;
+/// v13: trace kinds renumber (the three kinds no writer emitted are gone;
+/// the 21 kinds left are 0..20, and the trace section refuses a kind byte
+/// of 21 or more); Gurita's head-receiver entries drop their
+/// update time and each observation its bytes-received aggregate (two
+/// f64s).
+inline constexpr std::uint32_t kFormatVersion = 13;
 
 /// Payload kind byte following the header. Value 2 is reserved: it marked
 /// the retired results cache of a finished batch shard, and read_header

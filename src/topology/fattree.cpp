@@ -22,10 +22,11 @@ std::uint64_t ecmp_hash(std::uint64_t salt, FlowId flow, int src_host,
   return h;
 }
 
-/// k^3/4 = k·(k/2)^2, after checking that k is valid and that an int host
-/// index holds every host. (k/2)^2 cannot overflow 64 bits for any int k.
-int host_count(int k) {
+}  // namespace
+
+int FatTree::host_count(int k) {
   GURITA_CHECK_MSG(k >= 2 && k % 2 == 0, "fat-tree k must be even, >= 2");
+  // (k/2)^2 cannot overflow 64 bits for any int k.
   const std::int64_t per_pod = std::int64_t{k / 2} * (k / 2);
   GURITA_CHECK_MSG(per_pod <= INT_MAX / k,
                    "fat-tree k = " + std::to_string(k) +
@@ -33,8 +34,6 @@ int host_count(int k) {
                        "holds; k must be below 2048");
   return static_cast<int>(per_pod * k);
 }
-
-}  // namespace
 
 FatTree::FatTree(const Config& config)
     : k_(config.k),
@@ -58,16 +57,6 @@ void FatTree::check_host(int h) const {
 int FatTree::pod_of_host(int h) const {
   check_host(h);
   return h / (half_ * half_);
-}
-
-std::size_t FatTree::path_count(int src_host, int dst_host) const {
-  check_host(src_host);
-  check_host(dst_host);
-  GURITA_CHECK_MSG(src_host != dst_host, "path between identical hosts");
-  if (src_host / half_ == dst_host / half_) return 1;  // same edge switch
-  if (pod_of_host(src_host) == pod_of_host(dst_host))
-    return static_cast<std::size_t>(half_);
-  return static_cast<std::size_t>(half_) * half_;
 }
 
 std::vector<LinkId> FatTree::path(int src_host, int dst_host,

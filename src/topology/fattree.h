@@ -42,6 +42,10 @@ class FatTree final : public Fabric {
   /// count overflows an int host index; nothing is allocated first.
   explicit FatTree(const Config& config);
 
+  /// Host count of a k-pod fabric, k^3/4 = k·(k/2)^2. Throws like the
+  /// constructor on an invalid k.
+  [[nodiscard]] static int host_count(int k);
+
   [[nodiscard]] const Topology& topology() const override { return topo_; }
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] int num_hosts() const override { return num_hosts_; }
@@ -52,10 +56,6 @@ class FatTree final : public Fabric {
   /// flows — into path()'s two choices.
   [[nodiscard]] std::vector<LinkId> route(FlowId flow, int src_host,
                                           int dst_host) const override;
-  [[nodiscard]] int num_switches() const {
-    return k_ * k_ + k_ * k_ / 4;  // k*(k/2 edge + k/2 agg) + (k/2)^2 core
-  }
-
   [[nodiscard]] int pod_of_host(int h) const;
 
   /// Shortest path (as directed link ids) from src host to dst host.
@@ -65,9 +65,6 @@ class FatTree final : public Fabric {
   [[nodiscard]] std::vector<LinkId> path(int src_host, int dst_host,
                                          std::uint64_t up_choice,
                                          std::uint64_t core_choice) const;
-
-  /// Number of equal-cost paths between two distinct hosts.
-  [[nodiscard]] std::size_t path_count(int src_host, int dst_host) const;
 
  private:
   int k_;

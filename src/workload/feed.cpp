@@ -1,7 +1,6 @@
 #include "workload/feed.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <ostream>
@@ -60,12 +59,6 @@ FeedJob decode_job(const JsonValue& root, int num_hosts) {
   return job;
 }
 
-void append_double(std::string& line, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  line += buf;
-}
-
 }  // namespace
 
 std::vector<FeedJob> parse_feed(std::istream& in, const std::string& context,
@@ -121,10 +114,10 @@ void write_feed(std::ostream& out, const std::vector<FeedJob>& jobs) {
     line += "{\"id\":";
     line += std::to_string(job.id);
     line += ",\"arrival\":";
-    append_double(line, job.spec.arrival_time);
+    append_number(line, job.spec.arrival_time);
     if (job.spec.deadline > 0) {
       line += ",\"deadline\":";
-      append_double(line, job.spec.deadline);
+      append_number(line, job.spec.deadline);
     }
     line += ",\"coflows\":[";
     for (std::size_t c = 0; c < job.spec.coflows.size(); ++c) {
@@ -139,7 +132,7 @@ void write_feed(std::ostream& out, const std::vector<FeedJob>& jobs) {
         line += ",\"dst\":";
         line += std::to_string(flow.dst_host);
         line += ",\"bytes\":";
-        append_double(line, flow.size);
+        append_number(line, flow.size);
         line += '}';
       }
       line += "]}";

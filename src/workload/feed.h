@@ -51,8 +51,8 @@ struct FeedJob {
 [[nodiscard]] std::vector<FeedJob> load_feed(const std::string& path,
                                              int num_hosts = 0);
 
-/// Writes `jobs` in the format parse_feed reads (doubles at max_digits10,
-/// so a round-trip is value-exact).
+/// Writes `jobs` in the format parse_feed reads (doubles through
+/// append_number, common/json.h, so a round-trip is value-exact).
 void write_feed(std::ostream& out, const std::vector<FeedJob>& jobs);
 
 /// Order-sensitive FNV-1a fingerprint of the whole feed (ids, arrivals,

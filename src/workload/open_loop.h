@@ -9,11 +9,11 @@
 // produce byte-identical job sequences regardless of when they admit them.
 //
 // Arrivals target a load factor: the generator calibrates E[job bytes]
-// from a disjoint probe stream and spaces arrivals so that offered load =
-// `load` × `service_rate`. Poisson draws each inter-arrival gap from a
-// per-index stream; bursty replays the paper's batched pattern (back-to-
-// back arrivals at `burst_spacing`, idle gaps sized to keep the same
-// average rate).
+// from 64 probe jobs on a disjoint stream and spaces arrivals so that
+// offered load = `load` × `service_rate`. Poisson draws each inter-arrival
+// gap from a per-index stream; bursty replays the paper's batched pattern
+// (bursts of `shape.burst_size` back-to-back arrivals at
+// `shape.burst_spacing`, idle gaps sized to keep the same average rate).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +28,9 @@ namespace gurita {
 class OpenLoopGenerator {
  public:
   struct Config {
-    /// Job-shape parameters. num_jobs, arrivals, mean_interarrival and the
-    /// burst fields of the shape are ignored: the horizon is open and
-    /// arrivals come from this class.
+    /// Job-shape parameters, and the burst size and spacing of bursty
+    /// arrivals. num_jobs, arrivals and mean_interarrival of the shape are
+    /// ignored: the horizon is open and arrivals come from this class.
     TraceConfig shape;
     ArrivalPattern arrivals = ArrivalPattern::kPoisson;
     /// Target load factor: offered bytes/s as a fraction of service_rate.
@@ -40,11 +40,6 @@ class OpenLoopGenerator {
     Rate service_rate = 128 * gbps(10.0);
     /// Overrides the load-derived mean inter-arrival when > 0.
     Time mean_interarrival = 0;
-    /// Probe jobs drawn (on a disjoint derivation stream) to estimate
-    /// E[job bytes] for the load → inter-arrival calibration.
-    int calibration_jobs = 64;
-    int burst_size = 50;
-    Time burst_spacing = 2 * kMicrosecond;
   };
 
   /// Resume cursor — everything needed to continue the stream exactly.
@@ -56,8 +51,6 @@ class OpenLoopGenerator {
 
   explicit OpenLoopGenerator(const Config& config);
 
-  /// Arrival time of the next job, without consuming it.
-  [[nodiscard]] Time peek_arrival() const { return cursor_.clock; }
   /// Generates the next job with its arrival stamped; advances the cursor.
   [[nodiscard]] JobSpec next();
 
@@ -66,13 +59,10 @@ class OpenLoopGenerator {
 
   /// The calibrated (or overridden) mean inter-arrival time.
   [[nodiscard]] Time mean_interarrival() const { return mean_interarrival_; }
-  /// Calibrated mean job size from the probe stream.
-  [[nodiscard]] Bytes mean_job_bytes() const { return mean_job_bytes_; }
 
  private:
   Config config_;
   Time mean_interarrival_ = 0;
-  Bytes mean_job_bytes_ = 0;
   Cursor cursor_;
 };
 

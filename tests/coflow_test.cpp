@@ -26,14 +26,13 @@ TEST(CoflowSpec, Dimensions) {
   EXPECT_EQ(c.width(), 3u);            // horizontal
   EXPECT_DOUBLE_EQ(c.max_flow_size(), 30.0);  // vertical
   EXPECT_DOUBLE_EQ(c.total_bytes(), 60.0);
-  EXPECT_DOUBLE_EQ(c.avg_flow_size(), 20.0);
 }
 
 TEST(CoflowSpec, EmptyCoflow) {
   const CoflowSpec c;
   EXPECT_EQ(c.width(), 0u);
   EXPECT_DOUBLE_EQ(c.max_flow_size(), 0.0);
-  EXPECT_DOUBLE_EQ(c.avg_flow_size(), 0.0);
+  EXPECT_DOUBLE_EQ(c.total_bytes(), 0.0);
 }
 
 // ---------------------------------------------------------------- JobSpec

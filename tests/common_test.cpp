@@ -3,16 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "common/ids.h"
-#include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/units.h"
-#include "exp/runner.h"
 
 namespace gurita {
 namespace {
@@ -45,15 +42,6 @@ TEST(TypedId, Hashable) {
   set.insert(CoflowId{1});
   set.insert(CoflowId{2});
   EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(IdAllocator, Monotonic) {
-  IdAllocator<FlowId> alloc;
-  EXPECT_EQ(alloc.next(), FlowId{0});
-  EXPECT_EQ(alloc.next(), FlowId{1});
-  EXPECT_EQ(alloc.count(), 2u);
-  alloc.reset();
-  EXPECT_EQ(alloc.next(), FlowId{0});
 }
 
 // ------------------------------------------------------------------ Units
@@ -154,9 +142,16 @@ TEST(Rng, ExponentialRejectsBadMean) {
 TEST(Rng, NormalMoments) {
   Rng rng(19);
   RunningStats s;
-  for (int i = 0; i < 50000; ++i) s.add(rng.normal(10.0, 3.0));
+  double sum_sq = 0;
+  for (int i = 0; i < 50000; ++i) {
+    const double x = rng.normal(10.0, 3.0);
+    s.add(x);
+    sum_sq += x * x;
+  }
   EXPECT_NEAR(s.mean(), 10.0, 0.1);
-  EXPECT_NEAR(s.stddev(), 3.0, 0.1);
+  const double variance =
+      sum_sq / static_cast<double>(s.count()) - s.mean() * s.mean();
+  EXPECT_NEAR(std::sqrt(variance), 3.0, 0.1);
 }
 
 TEST(Rng, LognormalIsPositive) {
@@ -222,7 +217,7 @@ TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(s.sum(), 0.0);
 }
 
 TEST(RunningStats, KnownValues) {
@@ -230,39 +225,9 @@ TEST(RunningStats, KnownValues) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a, b, all;
-  Rng rng(47);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-5, 5);
-    if (i % 2 == 0)
-      a.add(x);
-    else
-      b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
 }
 
 // ---------------------------------------------------------------- Samples
@@ -384,67 +349,6 @@ TEST(LogHistogram, ToStringListsBuckets) {
   h.add(5.0);
   const std::string s = h.to_string();
   EXPECT_NE(s.find("1"), std::string::npos);
-}
-
-// -------------------------------------------------------------------- log
-
-TEST(Log, LevelFromString) {
-  EXPECT_EQ(log::level_from_string("debug"), log::Level::kDebug);
-  EXPECT_EQ(log::level_from_string("info"), log::Level::kInfo);
-  EXPECT_EQ(log::level_from_string("warn"), log::Level::kWarn);
-  EXPECT_EQ(log::level_from_string("error"), log::Level::kError);
-  EXPECT_EQ(log::level_from_string("off"), log::Level::kOff);
-  EXPECT_THROW(log::level_from_string("loud"), std::logic_error);
-  EXPECT_THROW(log::level_from_string(""), std::logic_error);
-}
-
-TEST(Log, SetLevelFiltersBelow) {
-  const log::Level saved = log::level();
-  log::set_level(log::Level::kError);
-  EXPECT_EQ(log::level(), log::Level::kError);
-  ::testing::internal::CaptureStderr();
-  log::warn("suppressed");
-  log::error("emitted");
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(out.find("suppressed"), std::string::npos);
-  EXPECT_NE(out.find("emitted"), std::string::npos);
-  log::set_level(saved);
-}
-
-// Hammers write() from concurrent workers and asserts whole lines: each line
-// must be exactly one writer's composed message — the mutex in write() is
-// what keeps concurrent workers from interleaving mid-line.
-TEST(Log, ConcurrentWritesStayWholeLines) {
-  const log::Level saved = log::level();
-  log::set_level(log::Level::kInfo);
-  constexpr std::size_t kWriters = 8;
-  constexpr int kLinesPerWriter = 200;
-  ::testing::internal::CaptureStderr();
-  run_sharded(kWriters, static_cast<int>(kWriters), [&](std::size_t w) {
-    const std::string payload(20 + w, static_cast<char>('a' + w));
-    for (int i = 0; i < kLinesPerWriter; ++i) log::info("w", w, " ", payload);
-  });
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  log::set_level(saved);
-
-  std::size_t lines = 0;
-  std::istringstream in(out);
-  std::string line;
-  while (std::getline(in, line)) {
-    ++lines;
-    ASSERT_EQ(line.rfind("[INFO ] w", 0), 0u) << "interleaved line: " << line;
-    // "wN <payload>": the payload is one run of a single repeated letter
-    // whose length identifies the writer — any mid-line interleaving breaks
-    // the run or the length.
-    const std::size_t space = line.find(' ', sizeof("[INFO ] ") - 1);
-    ASSERT_NE(space, std::string::npos);
-    const std::string payload = line.substr(space + 1);
-    ASSERT_FALSE(payload.empty());
-    const char c = payload[0];
-    EXPECT_EQ(payload, std::string(payload.size(), c)) << line;
-    EXPECT_EQ(payload.size(), 20 + static_cast<std::size_t>(c - 'a')) << line;
-  }
-  EXPECT_EQ(lines, kWriters * static_cast<std::size_t>(kLinesPerWriter));
 }
 
 }  // namespace

@@ -32,29 +32,6 @@ TEST(CctCollector, OverallAverage) {
   EXPECT_EQ(c.coflows(), 3u);
 }
 
-TEST(CctCollector, PerStage) {
-  CctCollector c;
-  c.add(coflow_results({{1, 2.0}, {1, 4.0}, {3, 9.0}}));
-  EXPECT_DOUBLE_EQ(c.average_cct_at_stage(1), 3.0);
-  EXPECT_DOUBLE_EQ(c.average_cct_at_stage(2), 0.0);
-  EXPECT_DOUBLE_EQ(c.average_cct_at_stage(3), 9.0);
-  EXPECT_EQ(c.max_stage_seen(), 3);
-}
-
-TEST(CctCollector, P95) {
-  CctCollector c;
-  SimResults r;
-  for (int i = 1; i <= 100; ++i) {
-    SimResults::CoflowResult cf;
-    cf.id = CoflowId{static_cast<std::uint64_t>(i)};
-    cf.stage = 1;
-    cf.finish = i;
-    r.coflows.push_back(cf);
-  }
-  c.add(r);
-  EXPECT_DOUBLE_EQ(c.p95_cct(), 95.0);
-}
-
 TEST(CctCollector, RejectsZeroStage) {
   CctCollector c;
   SimResults r;

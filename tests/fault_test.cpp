@@ -17,6 +17,7 @@
 #include "sched/mcs.h"
 #include "sched/pfs.h"
 #include "sched/stream.h"
+#include "snapshot/codec.h"
 #include "topology/big_switch.h"
 #include "topology/fattree.h"
 
@@ -447,6 +448,33 @@ TEST_F(FaultFixture, SchedulerStateLossResetsMcsQueues) {
   config.update_interval = 1.0;
   McsScheduler mcs(config);
   expect_state_loss_resets_tiers(fabric_, mcs);
+}
+
+TEST_F(FaultFixture, McsFailedJobLeavesNoQueueRow) {
+  // Job 0's only flow aborts at t = 1 with no retry budget, so the job
+  // fails; job 1 keeps running. MCS's checkpointed queue table must then
+  // hold job 1's coflow only.
+  Simulator::Config config;
+  config.faults.events.push_back(host_event(FaultKind::kHostDown, 1.0, 1));
+  config.faults.events.push_back(host_event(FaultKind::kHostUp, 2.0, 1));
+  config.faults.retry.max_attempts = 1;
+  McsScheduler mcs;
+  Simulator sim(fabric_, mcs, config);
+  sim.submit(single_flow_job(500.0));         // job 0, coflow 0
+  sim.submit(single_flow_job(5000.0, 4, 5));  // job 1, coflow 1
+  ASSERT_TRUE(sim.run_to(3.0));
+  ASSERT_EQ(sim.partial_results().failed_jobs, 1u);
+
+  snapshot::Writer w;
+  mcs.save_state(w);
+  snapshot::Reader r(w.buffer());
+  std::vector<std::uint64_t> keys(r.u64());
+  for (std::uint64_t& key : keys) {
+    key = r.u64();
+    (void)r.i32();  // queue
+  }
+  EXPECT_EQ(keys, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(sim.run().failed_jobs, 1u);
 }
 
 TEST_F(FaultFixture, SchedulerStateLossResetsStreamQueues) {

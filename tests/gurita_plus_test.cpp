@@ -19,7 +19,6 @@ class GuritaPlusFixture : public ::testing::Test {
     GuritaPlusScheduler::Config config;
     config.first_threshold = 75.0;
     config.multiplier = 4.0;
-    config.line_rate = 100.0;
     return config;
   }
 };

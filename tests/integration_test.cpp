@@ -3,6 +3,8 @@
 // that must hold regardless of policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "coflow/critical_path.h"
 #include "exp/experiment.h"
 #include "exp/registry.h"
@@ -126,6 +128,7 @@ TEST(Scenarios, TraceScenarioDefaults) {
   const ExperimentConfig config =
       trace_scenario(StructureKind::kTpcDs, 100, 5);
   EXPECT_EQ(config.fat_tree_k, 8);
+  EXPECT_EQ(config.trace.num_hosts, 128);
   EXPECT_EQ(config.trace.num_jobs, 100);
   EXPECT_EQ(config.trace.arrivals, ArrivalPattern::kPoisson);
   EXPECT_EQ(config.trace.structure, StructureKind::kTpcDs);
@@ -136,6 +139,22 @@ TEST(Scenarios, BurstyScenarioUsesPaperSpacing) {
       bursty_scenario(StructureKind::kFbTao, 100, 5);
   EXPECT_EQ(config.trace.arrivals, ArrivalPattern::kBursty);
   EXPECT_DOUBLE_EQ(config.trace.burst_spacing, 2e-6);  // 2 µs (§V)
+  EXPECT_EQ(config.trace.num_hosts, 128);
+}
+
+// The paper's 48-pod fabric has 27,648 hosts; a trace generated straight
+// from the scenario's config must reach past the 8-pod fabric's 128.
+TEST(Scenarios, BurstyScenarioSizesTraceToFabric) {
+  const ExperimentConfig config =
+      bursty_scenario(StructureKind::kFbTao, 40, 5, 48);
+  EXPECT_EQ(config.trace.num_hosts, 27648);
+  int max_host = 0;
+  for (const JobSpec& job : generate_trace(config.trace))
+    for (const CoflowSpec& coflow : job.coflows)
+      for (const FlowSpec& flow : coflow.flows)
+        max_host = std::max({max_host, flow.src_host, flow.dst_host});
+  EXPECT_GE(max_host, 128);
+  EXPECT_LT(max_host, 27648);
 }
 
 // The headline qualitative claim at test scale: on a multi-stage mix with

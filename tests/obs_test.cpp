@@ -197,12 +197,13 @@ std::vector<TraceRecord> sample_records() {
   fr.i1 = 19;  // dst host
   fr.v0 = 1.5e8;
   records.push_back(fr);
-  TraceRecord cap;
-  cap.kind = TraceEventKind::kCapacityChange;
-  cap.time = 2.0;
-  cap.i0 = 11;
-  cap.v0 = 5e9;
-  records.push_back(cap);
+  TraceRecord fault;  // a link going down: no job, coflow or flow id
+  fault.kind = TraceEventKind::kFault;
+  fault.time = 2.0;
+  fault.i0 = 2;   // FaultKind::kLinkDown
+  fault.i2 = 11;  // link
+  fault.v0 = 0.25;
+  records.push_back(fault);
   return records;
 }
 

@@ -84,14 +84,6 @@ TEST(Shapes, InvertedV) {
   EXPECT_EQ(count_roots(d), 1);
 }
 
-TEST(Shapes, VShape) {
-  const Deps d = v_shape(3);
-  EXPECT_EQ(d.size(), 4u);
-  EXPECT_EQ(depth_of(d), 2);
-  EXPECT_EQ(count_leaves(d), 1);
-  EXPECT_EQ(count_roots(d), 3);
-}
-
 TEST(Shapes, WShape) {
   const Deps d = w_shape();
   EXPECT_EQ(d.size(), 5u);

@@ -59,12 +59,10 @@ JobSpec one_flow_job(Bytes size, int src, int dst, Time arrival = 0) {
 }
 
 TEST_F(VarysFixture, SmallestBottleneckRunsFirst) {
-  VarysScheduler::Config config;
-  config.port_rate = 100.0;
-  VarysScheduler varys(config);
+  VarysScheduler varys;
   Simulator sim(fabric_, varys);
-  sim.submit(one_flow_job(300.0, 0, 1));  // Γ = 3 s
-  sim.submit(one_flow_job(100.0, 0, 1));  // Γ = 1 s: first
+  sim.submit(one_flow_job(300.0, 0, 1));  // bottleneck 300 B
+  sim.submit(one_flow_job(100.0, 0, 1));  // bottleneck 100 B: first
   const SimResults r = sim.run();
   EXPECT_NEAR(r.jobs[1].finish, 1.0, 1e-9);
   EXPECT_NEAR(r.jobs[0].finish, 4.0, 1e-9);

@@ -7,6 +7,7 @@
 
 #include "coflow/critical_path.h"
 #include "metrics/category.h"
+#include "workload/open_loop.h"
 #include "workload/trace_gen.h"
 
 namespace gurita {
@@ -121,6 +122,38 @@ TEST(TraceGen, BurstyArrivalsComeInBatches) {
   // Jobs 0..9 within ~20µs, then a >= 1 s gap before job 10.
   EXPECT_LT(jobs[9].arrival_time - jobs[0].arrival_time, 1e-4);
   EXPECT_GE(jobs[10].arrival_time - jobs[9].arrival_time, 0.9);
+}
+
+// The open loop's bursty arrivals take their burst size and spacing from
+// the shape (defaults: 50 jobs 2 µs apart, the paper's pattern) and size
+// the idle gap so every burst cycle spans burst_size mean inter-arrivals.
+TEST(OpenLoop, BurstyArrivalsBackToBackAndKeepMeanRate) {
+  const auto arrivals = [](const OpenLoopGenerator::Config& config, int n) {
+    OpenLoopGenerator gen(config);
+    std::vector<Time> out;
+    for (int i = 0; i < n; ++i) out.push_back(gen.next().arrival_time);
+    return out;
+  };
+  OpenLoopGenerator::Config config;
+  config.shape = small_config();
+  config.arrivals = ArrivalPattern::kBursty;
+  config.mean_interarrival = 0.01;
+  ASSERT_EQ(config.shape.burst_size, 50);
+  ASSERT_DOUBLE_EQ(config.shape.burst_spacing, 2 * kMicrosecond);
+  const std::vector<Time> t = arrivals(config, 101);
+  for (int i = 0; i < 100; ++i) {
+    if (i % 50 == 49) continue;
+    EXPECT_NEAR(t[i + 1] - t[i], 2e-6, 1e-12) << "job " << i;
+  }
+  EXPECT_NEAR(t[50] - t[0], 50 * 0.01, 1e-12);   // one cycle
+  EXPECT_NEAR(t[100] - t[50], 50 * 0.01, 1e-12);
+
+  config.shape.burst_size = 4;
+  config.shape.burst_spacing = 1e-3;
+  const std::vector<Time> small = arrivals(config, 9);
+  EXPECT_NEAR(small[3] - small[0], 3e-3, 1e-12);
+  EXPECT_NEAR(small[4] - small[3], 4 * 0.01 - 3e-3, 1e-12);
+  EXPECT_NEAR(small[8] - small[4], 4 * 0.01, 1e-12);
 }
 
 TEST(TraceGen, CategoryMixCoversAllSeven) {
