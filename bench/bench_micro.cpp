@@ -52,7 +52,6 @@ void BM_Waterfill(benchmark::State& state) {
     SimFlow& f = flows[static_cast<std::size_t>(i)];
     f.id = FlowId{static_cast<std::uint64_t>(i)};
     f.size = f.remaining = 1e6;
-    f.start_time = 0;
     const int src = i % 128;
     const int dst = (i * 31 + 1) % 128 == src ? (src + 1) % 128 : (i * 31 + 1) % 128;
     f.path = ft.route(f.id, src, dst);

@@ -23,9 +23,10 @@
 //                   [--trace FILE] [--sample-every T]
 //                   [--json FILE]            # machine-readable report
 //
-// Reports sustained events/sec and the p99 admission wait. An unknown flag
-// is an error. Exit codes: 0 success, 1 failure/config error, 75
-// halted-on-purpose (resume with --recover-from).
+// Reports the p99 admission wait and the run's counters on stdout (the same
+// flags give the same bytes) and the wall-clock events/sec on stderr and in
+// --json. An unknown flag is an error. Exit codes: 0 success, 1
+// failure/config error, 75 halted-on-purpose (resume with --recover-from).
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -141,7 +142,6 @@ int run(const Args& args) {
   table.add_row({"compactions", std::to_string(report.compactions)});
   table.add_row({"checkpoints", std::to_string(report.checkpoints)});
   table.add_row({"events", std::to_string(results.events)});
-  table.add_row({"events/sec", TextTable::num(events_per_sec)});
   table.add_row({"p99 admission wait (s)", TextTable::num(report.p99_wait)});
   table.add_row({"final sim time (s)", TextTable::num(report.final_sim_time)});
   table.add_row({"peak queue depth", std::to_string(report.peak_queue_depth)});
@@ -158,6 +158,7 @@ int run(const Args& args) {
   table.add_row({"drain deadline expired",
                  report.drain_deadline_expired ? "YES" : "no"});
   std::cout << table.to_string() << std::endl;
+  std::cerr << "events/sec: " << TextTable::num(events_per_sec) << "\n";
 
   if (!trace_path.empty()) {
     const std::size_t records =

@@ -14,6 +14,13 @@ std::string fmt(double v) {
   return out;
 }
 
+/// `s` as a JSON string literal.
+std::string quoted(std::string_view s) {
+  std::string out = "\"";
+  append_escaped(out, s);
+  return out + '"';
+}
+
 std::string cell_json(const GapCell& c) {
   return "{\"jobs\": " + std::to_string(c.jobs) + ", \"achieved\": " +
          fmt(c.achieved) + ", \"bound\": " + fmt(c.bound) + ", \"gap\": " +
@@ -48,7 +55,7 @@ const SchedulerGap* GapReport::best() const {
 
 std::string GapReport::to_json() const {
   std::string out = "{\n";
-  out += "  \"scenario\": \"" + scenario + "\",\n";
+  out += "  \"scenario\": " + quoted(scenario) + ",\n";
   out += "  \"num_hosts\": " + std::to_string(num_hosts) + ",\n";
   out += "  \"capacity_bytes_per_s\": " + fmt(capacity) + ",\n";
   out += "  \"port_load_bound\": " + fmt(port_load_bound) + ",\n";
@@ -57,7 +64,7 @@ std::string GapReport::to_json() const {
   for (std::size_t i = 0; i < schedulers.size(); ++i) {
     const SchedulerGap& s = schedulers[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"scheduler\": \"" + s.scheduler + "\",\n";
+    out += "    {\"scheduler\": " + quoted(s.scheduler) + ",\n";
     out += "     \"overall\": " + cell_json(s.overall) + ",\n";
     out += "     \"narrow\": " + cell_json(s.narrow) + ",\n";
     out += "     \"wide\": " + cell_json(s.wide) + ",\n";
@@ -67,8 +74,7 @@ std::string GapReport::to_json() const {
       const GapCell& c = s.by_category[static_cast<std::size_t>(cat)];
       if (c.jobs == 0) continue;
       out += first ? "" : ", ";
-      out.append(1, '"').append(category_name(cat)).append("\": ").append(
-          cell_json(c));
+      out += quoted(category_name(cat)) + ": " + cell_json(c);
       first = false;
     }
     out += "}}";

@@ -14,12 +14,18 @@ GuritaPlusScheduler::GuritaPlusScheduler(const Config& config)
     : config_(config),
       thresholds_(config.queues, config.first_threshold, config.multiplier) {}
 
-void GuritaPlusScheduler::on_job_arrival(const SimJob& job, Time now) {
-  (void)now;
-  // Critical-path costs at the paper's 10G line rate.
-  const CriticalPathInfo info = compute_critical_path(
-      job.spec, estimated_cct_costs(job.spec, gbps(10.0)));
-  on_critical_.emplace(job.id, info.on_critical);
+bool GuritaPlusScheduler::on_critical_path(JobId job, int index) {
+  auto it = on_critical_.find(job);
+  if (it == on_critical_.end()) {
+    // Critical-path costs at the paper's 10G line rate.
+    const JobSpec& spec = state().job(job).spec;
+    it = on_critical_
+             .emplace(job, compute_critical_path(
+                               spec, estimated_cct_costs(spec, gbps(10.0)))
+                               .on_critical)
+             .first;
+  }
+  return it->second[static_cast<std::size_t>(index)];
 }
 
 void GuritaPlusScheduler::on_coflow_finish(const SimCoflow& coflow, Time now) {
@@ -38,12 +44,11 @@ void GuritaPlusScheduler::on_fault(const FaultEvent& event, Time now) {
 
 void GuritaPlusScheduler::on_job_fail(const SimJob& job, Time now) {
   (void)now;
-  on_critical_.erase(job.id);
   for (CoflowId cid : job.coflows) last_queue_.erase(cid);
 }
 
 void GuritaPlusScheduler::on_compact(const CompactionRemap& remap) {
-  remap_table(on_critical_, remap.job_map);
+  on_critical_.clear();
   remap_table(last_queue_, remap.coflow_map);
 }
 
@@ -85,8 +90,7 @@ void GuritaPlusScheduler::assign(Time now, const std::vector<SimFlow*>& active) 
     in.width = a.width;
     in.beta = config_.beta;
     in.on_critical_path =
-        config_.use_critical_path &&
-        on_critical_.at(a.job)[static_cast<std::size_t>(a.index)];
+        config_.use_critical_path && on_critical_path(a.job, a.index);
     psi_stage[{a.job.value(), a.stage}] += blocking_effect(in);
     a.in = in;
   }
@@ -118,28 +122,10 @@ void GuritaPlusScheduler::assign(Time now, const std::vector<SimFlow*>& active) 
 }
 
 void GuritaPlusScheduler::save_state(snapshot::Writer& w) const {
-  snapshot::write_table(w, on_critical_, [&](const std::vector<bool>& flags) {
-    w.u64(flags.size());
-    for (bool f : flags) w.boolean(f);
-  });
   snapshot::write_table(w, last_queue_, [&](int q) { w.i32(q); });
 }
 
 void GuritaPlusScheduler::load_state(snapshot::Reader& r) {
-  // assign() indexes a job's flags with its coflows' indices.
-  snapshot::read_table(
-      r, "gurita_plus critical-path flags", state().job_count(), on_critical_,
-      [&](JobId jid) {
-        const std::size_t coflows = state().job(jid).coflows.size();
-        if (r.count(1) != coflows)
-          throw snapshot::SnapshotError(
-              "corrupt snapshot: gurita_plus critical-path flags of job " +
-              std::to_string(jid.value()) + " do not match its " +
-              std::to_string(coflows) + " coflows");
-        std::vector<bool> flags(coflows);
-        for (std::size_t k = 0; k < coflows; ++k) flags[k] = r.boolean();
-        return flags;
-      });
   snapshot::read_table(r, "gurita_plus coflow queue", state().coflow_count(),
                        last_queue_, [&](CoflowId) { return r.i32(); });
 }

@@ -8,8 +8,8 @@
 //     recomputation.
 //   * Exact dimensions: ω = 1 − k/k_total with the true stage count;
 //     ℓ_max / width / ε from true *in-flight (remaining)* bytes per flow.
-//   * Exact critical path: computed from the job DAG at arrival
-//     (costs = ℓ_max at line rate), no AVA estimation.
+//   * Exact critical path: computed from the job DAG (costs = ℓ_max at
+//     line rate), no AVA estimation.
 //   * Priorities move freely in both directions (no demote-only rule).
 #pragma once
 
@@ -39,7 +39,6 @@ class GuritaPlusScheduler final : public Scheduler {
 
   [[nodiscard]] std::string name() const override { return "gurita_plus"; }
 
-  void on_job_arrival(const SimJob& job, Time now) override;
   void on_coflow_finish(const SimCoflow& coflow, Time now) override;
   /// kSchedulerStateLoss clears the traced-queue map only: the clairvoyant
   /// policy re-derives every queue from exact state at the next assign(), so
@@ -48,25 +47,29 @@ class GuritaPlusScheduler final : public Scheduler {
   /// knowledge (recomputable from the job spec), not learned state, and
   /// survives the loss.
   void on_fault(const FaultEvent& event, Time now) override;
-  /// Drops the failed job's critical-path vector and traced queues.
+  /// Drops the failed job's traced queues.
   void on_job_fail(const SimJob& job, Time now) override;
-  /// Re-keys the critical-path and traced-queue tables across an engine
-  /// compaction. Local coflow indices are preserved by whole-job eviction,
-  /// so the per-job membership vectors travel unchanged.
+  /// Re-keys the traced-queue table across an engine compaction and clears
+  /// the critical-path cache (its job ids were renumbered).
   void on_compact(const CompactionRemap& remap) override;
   void assign(Time now, const std::vector<SimFlow*>& active) override;
-  /// Checkpoint hooks (DESIGN.md §12): critical-path membership (DAG
-  /// knowledge computed at arrival) and the traced-queue map (needed so a
+  /// Checkpoint hooks (DESIGN.md §12): the traced-queue map (needed so a
   /// restored run emits kQueueChange records on exactly the same
-  /// transitions). Serialized in sorted-key order; the tables stay
-  /// unordered (assign() never iterates them).
+  /// transitions), serialized in sorted-key order; the table stays
+  /// unordered (assign() never iterates it). The critical-path cache is a
+  /// pure function of the job specs and is not saved.
   void save_state(snapshot::Writer& w) const override;
   void load_state(snapshot::Reader& r) override;
 
  private:
+  /// Whether local coflow `index` of `job` lies on the job DAG's critical
+  /// path; computes and caches the job's membership on first use.
+  bool on_critical_path(JobId job, int index);
+
   Config config_;
   ExpThresholds thresholds_;
-  /// Critical-path membership per job (indexed by local coflow index).
+  /// Critical-path membership per job (indexed by local coflow index),
+  /// cached from the job spec's DAG by on_critical_path().
   std::unordered_map<JobId, std::vector<bool>> on_critical_;
   /// Last traced queue per live coflow (tracing only). Unlike Gurita's
   /// demote-only coflow_queue_, the clairvoyant policy re-derives queues

@@ -96,7 +96,6 @@ JobId Simulator::register_job(const JobSpec& spec) {
   job.stage_of = stages_of(spec);
   job.num_stages = 0;
   for (int s : job.stage_of) job.num_stages = std::max(job.num_stages, s);
-  job.coflows_remaining = static_cast<int>(spec.coflows.size());
   job.total_bytes = spec.total_bytes();
 
   for (std::size_t i = 0; i < spec.coflows.size(); ++i) {
@@ -106,7 +105,6 @@ JobId Simulator::register_job(const JobSpec& spec) {
     c.job = jid;
     c.index = static_cast<int>(i);
     c.stage = job.stage_of[i];
-    c.deps_remaining = static_cast<int>(spec.deps[i].size());
     state_.coflows_.push_back(std::move(c));
     state_.aggregates_.emplace_back();
     job.coflows.push_back(cid);
@@ -201,7 +199,6 @@ void Simulator::release_coflow(SimCoflow& coflow) {
     f.dst_host = fs.dst_host;
     f.size = fs.size;
     f.remaining = fs.size;
-    f.start_time = now_;
     f.last_touched = now_;
     f.tier = coflow.tier;
     f.weight = coflow.weight;
@@ -260,38 +257,28 @@ void Simulator::finish_coflow(SimCoflow& coflow) {
   scheduler_->on_coflow_finish(coflow, now_);
 
   SimJob& job = state_.jobs_[coflow.job.value()];
-  --job.coflows_remaining;
   const int prev_stages = job.completed_stages;
 
-  // Release dependents whose dependencies are now all complete.
+  // Release every coflow whose dependencies have now all finished. Each
+  // one waited on an unfinished dependency until this finish, so this walk
+  // releases exactly the dependents this coflow completed (jobs are small
+  // DAGs; O(coflows + deps) per coflow finish).
   const JobSpec& spec = job.spec;
   for (std::size_t i = 0; i < spec.coflows.size(); ++i) {
     SimCoflow& cand = state_.coflows_[job.coflows[i].value()];
     if (cand.released()) continue;
-    bool depends = false;
-    for (int d : spec.deps[i]) {
-      if (d == coflow.index) {
-        depends = true;
-        break;
-      }
-    }
-    if (!depends) continue;
-    if (--cand.deps_remaining == 0) release_coflow(cand);
+    const bool ready =
+        std::all_of(spec.deps[i].begin(), spec.deps[i].end(), [&](int d) {
+          return state_.coflows_[job.coflows[d].value()].finished();
+        });
+    if (ready) release_coflow(cand);
   }
 
-  if (job.coflows_remaining == 0) {
+  // Every coflow has finished exactly when every stage has.
+  job.completed_stages = state_.stages_completed(job);
+  if (job.completed_stages == job.num_stages) {
     job.finish_time = now_;
-    job.completed_stages = job.num_stages;
     scheduler_->on_job_finish(job, now_);
-  } else {
-    // Update completed stages by scanning (jobs are small DAGs; this is
-    // O(coflows) on coflow completion only).
-    int k = job.num_stages;
-    for (std::size_t i = 0; i < job.coflows.size(); ++i) {
-      const SimCoflow& c = state_.coflows_[job.coflows[i].value()];
-      if (!c.finished()) k = std::min(k, job.stage_of[i] - 1);
-    }
-    job.completed_stages = k;
   }
   if (tr != nullptr) {
     if (job.completed_stages > prev_stages &&
@@ -363,7 +350,7 @@ void Simulator::arrive_job(SimJob& job) {
   scheduler_->on_job_arrival(job, now_);
   for (std::size_t i = 0; i < job.coflows.size(); ++i) {
     SimCoflow& c = state_.coflows_[job.coflows[i].value()];
-    if (c.deps_remaining == 0) release_coflow(c);
+    if (job.spec.deps[i].empty()) release_coflow(c);
   }
 }
 
@@ -422,7 +409,6 @@ void Simulator::prepare() {
   prepare_structures();
   next_arrival_ = 0;
   next_tick_ = std::numeric_limits<Time>::infinity();
-  iterations_ = 0;
   dirty_ = true;
   if (prof != nullptr) prof->leave(setup_prev);
 }
@@ -436,7 +422,7 @@ void Simulator::step() {
 
 void Simulator::step_impl() {
   obs::PhaseProfiler* prof = config_.profiler;
-  if (++iterations_ > kMaxIterations) {
+  if (++results_.events > kMaxIterations) {
     std::ostringstream os;
     os << "simulation live-lock guard tripped: now=" << now_
        << " active_flows=" << active_.size()
@@ -444,7 +430,6 @@ void Simulator::step_impl() {
        << " recomputations=" << results_.rate_recomputations;
     throw std::logic_error(os.str());
   }
-  ++results_.events;
   if (active_.empty()) {
     obs::ScopedPhase arrival_phase(prof, obs::Phase::kArrival);
     // Idle network: jump straight to whatever wakes it — the next
@@ -468,10 +453,9 @@ void Simulator::step_impl() {
       return;
     }
     if (t_idle >= horizon_) {
-      // Horizon pause (run_to): roll back the iteration accounting so a
+      // Horizon pause (run_to): roll back the event count so a
       // paused+resumed run counts exactly the events an uninterrupted one
       // does, and hand control back before anything mutates.
-      --iterations_;
       --results_.events;
       paused_at_horizon_ = true;
       return;
@@ -574,9 +558,8 @@ void Simulator::step_impl() {
     // Horizon pause (run_to): the event's allocation (if any) already ran
     // at the unchanged clock — exactly where an uninterrupted run performs
     // it — and left dirty_ clear, so the resumed step goes straight to the
-    // same projection. Only the iteration accounting must be rolled back
-    // before bailing out, ahead of the clock advance.
-    --iterations_;
+    // same projection. Only the event count must be rolled back before
+    // bailing out, ahead of the clock advance.
     --results_.events;
     paused_at_horizon_ = true;
     return;

@@ -163,8 +163,8 @@ struct SimResults {
 
 class Simulator {
  public:
-  /// Hard wall on main-loop iterations; exceeding it throws with
-  /// diagnostics (live-lock guard).
+  /// Hard wall on main-loop iterations (SimResults::events); exceeding it
+  /// throws with diagnostics (live-lock guard).
   static constexpr std::uint64_t kMaxIterations = 500'000'000;
 
   struct Config {
@@ -372,7 +372,6 @@ class Simulator {
   /// Scheduler coordination interval; cached from tick_interval().
   Time tick_ = 0;
   Time next_tick_ = std::numeric_limits<Time>::infinity();
-  std::uint64_t iterations_ = 0;
   /// Scratch for the completion pop loop (dead between iterations).
   std::vector<FlowId> done_;
 

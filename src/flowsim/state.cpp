@@ -65,4 +65,12 @@ int SimState::coflow_open_connections(CoflowId id) const {
   return aggregates_[id.value()].open_connections;
 }
 
+int SimState::stages_completed(const SimJob& job) const {
+  int k = job.num_stages;
+  for (std::size_t i = 0; i < job.coflows.size(); ++i)
+    if (!coflows_[job.coflows[i].value()].finished())
+      k = std::min(k, job.stage_of[i] - 1);
+  return k;
+}
+
 }  // namespace gurita

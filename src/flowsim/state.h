@@ -36,7 +36,6 @@ struct SimFlow {
   /// Residual bytes as of `last_touched` (NOT necessarily as of the current
   /// clock — see remaining_at()).
   Bytes remaining = 0;
-  Time start_time = -1;
   Time finish_time = -1;
   std::vector<LinkId> path;
 
@@ -64,9 +63,7 @@ struct SimFlow {
   /// Permanently stopped: its job failed. Never transmits again.
   bool cancelled = false;
 
-  [[nodiscard]] bool started() const { return start_time >= 0; }
   [[nodiscard]] bool finished() const { return finish_time >= 0; }
-  [[nodiscard]] bool active() const { return started() && !finished(); }
   /// Residual bytes as of the settle point (use remaining_at(now) for a
   /// value that is exact at the current clock).
   [[nodiscard]] Bytes bytes_sent() const { return size - remaining; }
@@ -90,9 +87,12 @@ struct SimCoflow {
   int index = 0;
   /// 1-based stage of this coflow within the job DAG.
   int stage = 1;
+  /// The coflow's released flows in ascending id: the order of its spec's
+  /// flows (release appends them in spec order; compaction renumbers
+  /// monotonically). Empty until release.
   std::vector<FlowId> flows;
+  /// Flows not yet finished (cancelled ones included).
   int flows_remaining = 0;
-  int deps_remaining = 0;
   Time release_time = -1;  ///< when dependencies completed and flows started
   Time finish_time = -1;
   /// Priority written by the scheduler; (0, 1.0) — fair sharing — until then.
@@ -111,7 +111,6 @@ struct SimJob {
   /// 1-based stage per local coflow index.
   std::vector<int> stage_of;
   int num_stages = 1;
-  int coflows_remaining = 0;
   Time arrival_time = 0;
   Time finish_time = -1;
   Bytes total_bytes = 0;
@@ -122,7 +121,8 @@ struct SimJob {
 
   [[nodiscard]] bool finished() const { return finish_time >= 0; }
   /// Number of fully completed stages: the largest k such that every coflow
-  /// with stage <= k has finished. Maintained by the engine.
+  /// with stage <= k has finished (SimState::stages_completed). Equal to
+  /// num_stages exactly when every coflow has finished.
   int completed_stages = 0;
 };
 
@@ -213,6 +213,10 @@ class SimState {
   friend class OracleSimulator;
   friend struct PriorityWriter;
   friend class Scheduler;  ///< set_priority reaches writer_
+
+  /// SimJob::completed_stages read from the coflows' finish times: the
+  /// engine stores it at each coflow finish, and restore derives it.
+  [[nodiscard]] int stages_completed(const SimJob& job) const;
 
   /// Incrementally maintained per-coflow aggregate. Invariant, for every
   /// time t between the last boundary and the next rate change:

@@ -147,6 +147,45 @@ class SnapshotCodec {
     calendar.restore(std::move(entries), n_flows);
   }
 
+  /// Rebuilds what the snapshot does not carry because the restored flow
+  /// store and active set determine it, in one pass over the flow store:
+  /// each coflow's flow list (its flows in ascending id, the order release
+  /// and compaction produce), its unfinished-flow count, its open
+  /// connections (its flows in the active set), each flow's endpoints and
+  /// size (the flow's position in its coflow indexes the job spec) and
+  /// each job's completed stages. The spec index is guarded: a coflow holds
+  /// no flow before release and exactly its spec's flow count after.
+  static void derive_bookkeeping(Simulator& s) {
+    SimState& st = s.state_;
+    for (std::size_t c = 0; c < st.coflows_.size(); ++c) {
+      st.coflows_[c].flows.clear();
+      st.coflows_[c].flows_remaining = 0;
+      st.aggregates_[c].open_connections = 0;
+    }
+    const auto spec_of = [&](const SimCoflow& c) -> const CoflowSpec& {
+      return st.jobs_[c.job.value()].spec.coflows[c.index];
+    };
+    for (SimFlow& f : st.flows_) {
+      const CoflowId cid = st.jobs_[f.job.value()].coflows[f.coflow_index];
+      SimCoflow& c = st.coflows_[cid.value()];
+      const std::vector<FlowSpec>& specs = spec_of(c).flows;
+      corrupt_if(c.flows.size() >= specs.size(),
+                 "coflow flow count disagrees with its spec");
+      const FlowSpec& fs = specs[c.flows.size()];
+      f.src_host = fs.src_host;
+      f.dst_host = fs.dst_host;
+      f.size = fs.size;
+      c.flows.push_back(f.id);
+      if (!f.finished()) ++c.flows_remaining;
+      if (in_active_set(s, f.id.value()))
+        ++st.aggregates_[cid.value()].open_connections;
+    }
+    for (const SimCoflow& c : st.coflows_)
+      corrupt_if(c.flows.size() != (c.released() ? spec_of(c).flows.size() : 0),
+                 "coflow flow count disagrees with its spec");
+    for (SimJob& j : st.jobs_) j.completed_stages = st.stages_completed(j);
+  }
+
   /// A parked or backing-off flow: aborted, waiting to restart, and in
   /// neither the active set nor a failed job.
   static bool backing_off(const Simulator& s, std::uint64_t fid) {
@@ -185,28 +224,25 @@ class SnapshotCodec {
     const std::size_t token = w.begin_section();
     w.f64(s.now_);
     w.boolean(s.dirty_);
-    w.u64(s.iterations_);
     w.u64(s.next_arrival_);
     w.f64(s.next_tick_);
 
     w.u64(s.capacities_.size());
     for (Rate c : s.capacities_) w.f64(c);
 
-    // Flow store: everything except the id (the index) and the priority
-    // (v11). The route travels verbatim (v3): it was drawn by ECMP-hashing
-    // the flow's id at release, and compaction renumbers ids — recomputing
-    // from the current id would silently re-route every compacted flow.
+    // Flow store: each flow's owner and progress. The id is the index, the
+    // priority is rewritten by the next assign() (v11), and the endpoints
+    // and size are read back from the job spec (v14). The route travels
+    // verbatim (v3): it was drawn by ECMP-hashing the flow's id at release,
+    // and compaction renumbers ids — recomputing from the current id would
+    // silently re-route every compacted flow.
     w.u64(s.state_.flows_.size());
     for (const SimFlow& f : s.state_.flows_) {
       w.u64(f.job.value());
       w.i32(f.coflow_index);
-      w.i32(f.src_host);
-      w.i32(f.dst_host);
       w.u64(f.path.size());
       for (LinkId l : f.path) w.u64(l.value());
-      w.f64(f.size);
       w.f64(f.remaining);
-      w.f64(f.start_time);
       w.f64(f.finish_time);
       w.f64(f.rate);
       w.f64(f.last_touched);
@@ -216,29 +252,23 @@ class SnapshotCodec {
       w.boolean(f.cancelled);
     }
 
-    // Coflow/job dynamic fields (static fields are rebuilt by submit()).
+    // Coflow and job timestamps (static fields are rebuilt by submit(), and
+    // derive_bookkeeping() rebuilds the flow lists and counters).
     w.u64(s.state_.coflows_.size());
     for (const SimCoflow& c : s.state_.coflows_) {
-      w.u64(c.flows.size());
-      for (FlowId fid : c.flows) w.u64(fid.value());
-      w.i32(c.flows_remaining);
-      w.i32(c.deps_remaining);
       w.f64(c.release_time);
       w.f64(c.finish_time);
     }
     w.u64(s.state_.jobs_.size());
     for (const SimJob& j : s.state_.jobs_) {
-      w.i32(j.coflows_remaining);
       w.f64(j.finish_time);
       w.boolean(j.failed);
-      w.i32(j.completed_stages);
     }
     for (const SimState::CoflowAggregate& a : s.state_.aggregates_) {
       w.f64(a.base_bytes);
       w.f64(a.rate_sum);
       w.f64(a.rate_time_sum);
       w.f64(a.ell_max_settled);
-      w.i32(a.open_connections);
     }
 
     // Active set in its exact order (arrival order modulo swap-with-last
@@ -282,7 +312,6 @@ class SnapshotCodec {
     const std::size_t end = r.begin_section();
     s.now_ = r.f64();
     s.dirty_ = r.boolean();
-    s.iterations_ = r.u64();
     s.next_arrival_ = r.u64();
     s.next_tick_ = r.f64();
 
@@ -292,17 +321,12 @@ class SnapshotCodec {
 
     // prepare_structures() reserved the flow store for the full population;
     // refill it with the serialized routes (v3, see save_engine). The
-    // engine indexes jobs, coflows, hosts and links with these fields, so
-    // each must name an entity the restoring simulator has.
+    // engine indexes jobs, coflows and links with these fields, so each
+    // must name an entity the restoring simulator has.
     const std::uint64_t n_flows = r.u64();
     check(n_flows <= s.state_.flows_.capacity(),
           "flow count exceeds the submitted population");
     const std::uint64_t n_jobs = s.state_.jobs_.size();
-    const std::uint64_t n_hosts =
-        static_cast<std::uint64_t>(s.fabric_->num_hosts());
-    const auto bad_host = [&](std::int32_t h) {
-      return h < 0 || static_cast<std::uint64_t>(h) >= n_hosts;
-    };
     s.state_.flows_.clear();
     for (std::uint64_t i = 0; i < n_flows; ++i) {
       SimFlow f;
@@ -315,10 +339,6 @@ class SnapshotCodec {
                      static_cast<std::size_t>(f.coflow_index) >=
                          s.state_.jobs_[job].coflows.size(),
                  "flow coflow index out of range");
-      f.src_host = r.i32();
-      f.dst_host = r.i32();
-      corrupt_if(bad_host(f.src_host) || bad_host(f.dst_host),
-                 "flow host out of range");
       const std::uint64_t n_hops = r.count(8);
       f.path.reserve(n_hops);
       for (std::uint64_t h = 0; h < n_hops; ++h) {
@@ -326,9 +346,7 @@ class SnapshotCodec {
         corrupt_if(link >= n_caps, "flow path link out of range");
         f.path.push_back(LinkId{link});
       }
-      f.size = r.f64();
       f.remaining = r.f64();
-      f.start_time = r.f64();
       f.finish_time = r.f64();
       f.rate = r.f64();
       f.last_touched = r.f64();
@@ -341,35 +359,19 @@ class SnapshotCodec {
 
     check(r.u64() == s.state_.coflows_.size(), "coflow count");
     for (SimCoflow& c : s.state_.coflows_) {
-      c.flows.clear();
-      const std::uint64_t n = r.count(8);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t fid = r.u64();
-        corrupt_if(fid >= n_flows, "coflow flow id out of range");
-        const SimFlow& f = s.state_.flows_[fid];
-        corrupt_if(s.state_.jobs_[f.job.value()].coflows[f.coflow_index] !=
-                       c.id,
-                   "coflow lists a flow of another coflow");
-        c.flows.push_back(FlowId{fid});
-      }
-      c.flows_remaining = r.i32();
-      c.deps_remaining = r.i32();
       c.release_time = r.f64();
       c.finish_time = r.f64();
     }
     check(r.u64() == s.state_.jobs_.size(), "job count");
     for (SimJob& j : s.state_.jobs_) {
-      j.coflows_remaining = r.i32();
       j.finish_time = r.f64();
       j.failed = r.boolean();
-      j.completed_stages = r.i32();
     }
     for (SimState::CoflowAggregate& a : s.state_.aggregates_) {
       a.base_bytes = r.f64();
       a.rate_sum = r.f64();
       a.rate_time_sum = r.f64();
       a.ell_max_settled = r.f64();
-      a.open_connections = r.i32();
     }
 
     // The active set holds distinct transmitting flows: released, not
@@ -390,14 +392,7 @@ class SnapshotCodec {
       s.pos_in_active_[fid] = static_cast<std::uint32_t>(i);
       s.active_.push_back(&s.state_.flows_[fid]);
     }
-    // Gurita's WRR demand reads open connections: they must count each
-    // coflow's flows in the active set.
-    std::vector<std::int32_t> open(s.state_.coflows_.size(), 0);
-    for (const SimFlow* f : s.active_)
-      ++open[s.state_.jobs_[f->job.value()].coflows[f->coflow_index].value()];
-    for (std::size_t c = 0; c < open.size(); ++c)
-      corrupt_if(s.state_.aggregates_[c].open_connections != open[c],
-                 "coflow open connections disagree with the active set");
+    derive_bookkeeping(s);
 
     load_calendar(s, r, s.calendar_, "calendar",
                   " entry for a flow outside the active set",

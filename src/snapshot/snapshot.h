@@ -1,10 +1,11 @@
 // Deterministic checkpoint/restore subsystem (DESIGN.md §12).
 //
-// A snapshot captures the *complete dynamic state* of a paused simulation —
-// event calendar (its live entries in heap order), per-coflow
-// aggregates, flow progress, parked/retry fault state, fault-plan cursor,
-// partial result counters, the trace recorder's buffer and the scheduler's
-// policy state — at a run_to() pause, such that
+// A snapshot captures the dynamic state of a paused simulation that restore
+// cannot rebuild from its inputs and its flow store — event calendar (its
+// live entries in heap order), per-coflow byte aggregates, flow progress,
+// parked/retry fault state, fault-plan cursor, partial result counters,
+// the trace recorder's buffer and the scheduler's policy state — at a
+// run_to() pause, such that
 //
 //     run_to(T); checkpoint; [new process] restore; run()
 //
@@ -73,7 +74,15 @@ inline constexpr std::uint32_t kMagic = 0x504e5347u;
 /// of 21 or more); Gurita's head-receiver entries drop their
 /// update time and each observation its bytes-received aggregate (two
 /// f64s).
-inline constexpr std::uint32_t kFormatVersion = 13;
+/// v14: a snapshot holds only what restore cannot rebuild from its inputs
+/// and its flow store. The engine section drops the iteration count (the
+/// live-lock guard reads the event count), each flow's endpoints, size and
+/// start time, each coflow's flow list, unfinished-flow and dependency
+/// counters, each job's remaining-coflow and completed-stage counters and
+/// each aggregate's open connections; restore derives them in one pass
+/// over the flow store. GuritaPlus' section drops its critical-path flags
+/// (recomputed from the job spec on demand).
+inline constexpr std::uint32_t kFormatVersion = 14;
 
 /// Payload kind byte following the header. Value 2 is reserved: it marked
 /// the retired results cache of a finished batch shard, and read_header

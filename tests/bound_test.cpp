@@ -12,6 +12,7 @@
 
 #include "bound/bound.h"
 #include "bound/gap.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "exp/experiment.h"
 #include "exp/registry.h"
@@ -288,6 +289,28 @@ TEST(GapReport, JsonIsDeterministicAndCarriesTheScenario) {
   EXPECT_NE(json.find("\"narrow\""), std::string::npos);
   EXPECT_NE(json.find("\"wide\""), std::string::npos);
   EXPECT_FALSE(report.to_table().empty());
+}
+
+// The scenario label and scheduler names are written escaped, so a label
+// holding a quote or a backslash reads back equal through the JSON reader
+// (the one trace_explorer --gap-report uses).
+TEST(GapReport, JsonEscapesItsStrings) {
+  const std::vector<JobSpec> jobs = contended_batch();
+  SimResults res;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SimResults::JobResult r;
+    r.id = JobId{i};
+    r.finish = 8.0;
+    r.total_bytes = jobs[i].total_bytes();
+    res.jobs.push_back(r);
+  }
+  const std::string scenario = "fig \"6a\" \\ k=8";
+  const GapReport report = make_gap_report(scenario, jobs, 2, 100.0,
+                                           {{"so\"lo", &res}});
+  const JsonValue root = parse_json(report.to_json());
+  EXPECT_EQ(root.at("scenario").string(), scenario);
+  EXPECT_EQ(root.at("schedulers").array().at(0).at("scheduler").string(),
+            "so\"lo");
 }
 
 TEST(GapReport, BestIsTheLowestAchievedAverage) {

@@ -251,7 +251,7 @@ class AggregateAuditScheduler final : public Scheduler {
         const Bytes sent = f.bytes_sent_at(now);
         brute_sent += sent;
         brute_ell_max = std::max(brute_ell_max, sent);
-        if (f.active()) ++brute_open;
+        if (!f.finished()) ++brute_open;
       }
       const double tol = 1e-6 * (1.0 + brute_sent);
       EXPECT_NEAR(s.coflow_bytes_sent(c.id), brute_sent, tol);

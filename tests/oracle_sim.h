@@ -64,8 +64,8 @@ class OracleSimulator {
     job.stage_of = stages_of(spec);
     job.num_stages = 0;
     for (int s : job.stage_of) job.num_stages = std::max(job.num_stages, s);
-    job.coflows_remaining = static_cast<int>(spec.coflows.size());
     job.total_bytes = spec.total_bytes();
+    coflows_remaining_.push_back(static_cast<int>(spec.coflows.size()));
 
     for (std::size_t i = 0; i < spec.coflows.size(); ++i) {
       const CoflowId cid{state_.coflows_.size()};
@@ -74,7 +74,7 @@ class OracleSimulator {
       c.job = jid;
       c.index = static_cast<int>(i);
       c.stage = job.stage_of[i];
-      c.deps_remaining = static_cast<int>(spec.deps[i].size());
+      deps_remaining_.push_back(static_cast<int>(spec.deps[i].size()));
       state_.coflows_.push_back(std::move(c));
       state_.aggregates_.emplace_back();
       job.coflows.push_back(cid);
@@ -258,6 +258,11 @@ class OracleSimulator {
 
   Time now_ = 0;
   std::vector<Rate> capacities_;
+  /// The oracle's own DAG counters, kept apart from the engine's state so
+  /// it stays an independent reference: unfinished coflows per job and
+  /// unfinished dependencies per coflow (by id).
+  std::vector<int> coflows_remaining_;
+  std::vector<int> deps_remaining_;
 
   SimState::CoflowAggregate& aggregate_of(const SimFlow& flow) {
     const CoflowId cid =
@@ -312,7 +317,6 @@ class OracleSimulator {
       f.dst_host = fs.dst_host;
       f.size = fs.size;
       f.remaining = fs.size;
-      f.start_time = now_;
       f.last_touched = now_;
       f.tier = coflow.tier;
       f.weight = coflow.weight;
@@ -333,7 +337,7 @@ class OracleSimulator {
     scheduler_->on_coflow_finish(coflow, now_);
 
     SimJob& job = state_.jobs_[coflow.job.value()];
-    --job.coflows_remaining;
+    --coflows_remaining_[job.id.value()];
 
     const JobSpec& spec = job.spec;
     for (std::size_t i = 0; i < spec.coflows.size(); ++i) {
@@ -347,10 +351,10 @@ class OracleSimulator {
         }
       }
       if (!depends) continue;
-      if (--cand.deps_remaining == 0) release_coflow(cand);
+      if (--deps_remaining_[cand.id.value()] == 0) release_coflow(cand);
     }
 
-    if (job.coflows_remaining == 0) {
+    if (coflows_remaining_[job.id.value()] == 0) {
       job.finish_time = now_;
       job.completed_stages = job.num_stages;
       scheduler_->on_job_finish(job, now_);
@@ -387,7 +391,7 @@ class OracleSimulator {
     scheduler_->on_job_arrival(job, now_);
     for (std::size_t i = 0; i < job.coflows.size(); ++i) {
       SimCoflow& c = state_.coflows_[job.coflows[i].value()];
-      if (c.deps_remaining == 0) release_coflow(c);
+      if (deps_remaining_[c.id.value()] == 0) release_coflow(c);
     }
   }
 };

@@ -1,8 +1,9 @@
 // The one comparator for tests asserting that two runs are the same run:
 // every job and coflow result, the makespan, every counter and the trace,
 // doubles by their IEEE-754 bit pattern (so -0.0 differs from 0.0 and a NaN
-// matches only itself). Used by the checkpoint/restore tests and by the
-// differential tests against the reference engines.
+// matches only itself); and for two engine states, every field. Used by the
+// checkpoint/restore tests and by the differential tests against the
+// reference engines.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -74,16 +75,89 @@ inline void expect_same_results(const SimResults& a, const SimResults& b,
   }
 }
 
-/// Every flow's start, finish and size, read from the two runs' engine
-/// state after the run.
-inline void expect_same_flows(const SimState& a, const SimState& b) {
+/// Which priorities expect_same_state compares. A snapshot carries none
+/// (the next assign() rewrites every coflow with a transmitting flow), so
+/// a freshly restored state is compared with kNone, and a restored run
+/// that has since assigned with kLive: the unfinished coflows of running
+/// jobs that have open connections, and their transmitting flows.
+enum class Priorities { kAll, kLive, kNone };
+
+/// Every field of every flow, coflow and job of two engine states, the
+/// per-coflow aggregates through the SimState getters (bytes sent, ℓ̈_max
+/// and open connections at now()) and the clock, doubles by bit pattern.
+/// Flow lists and counters included, so a restore that derives them is
+/// held to the values the engine maintained.
+inline void expect_same_state(const SimState& a, const SimState& b,
+                              Priorities priorities = Priorities::kAll) {
+  EXPECT_EQ(bits(a.now()), bits(b.now()));
+  const auto live = [&](const SimCoflow& c) {
+    return priorities == Priorities::kAll ||
+           (priorities == Priorities::kLive && !c.finished() &&
+            !a.job(c.job).failed && a.coflow_open_connections(c.id) > 0);
+  };
+
   ASSERT_EQ(a.flow_count(), b.flow_count());
   for (std::size_t i = 0; i < a.flow_count(); ++i) {
     const SimFlow& x = a.flow(FlowId{i});
     const SimFlow& y = b.flow(FlowId{i});
-    EXPECT_EQ(bits(x.start_time), bits(y.start_time)) << "flow " << i;
-    EXPECT_EQ(bits(x.finish_time), bits(y.finish_time)) << "flow " << i;
-    EXPECT_EQ(bits(x.size), bits(y.size)) << "flow " << i;
+    EXPECT_TRUE(x.id == y.id && x.job == y.job &&
+                x.coflow_index == y.coflow_index &&
+                x.src_host == y.src_host && x.dst_host == y.dst_host &&
+                bits(x.size) == bits(y.size) &&
+                bits(x.remaining) == bits(y.remaining) &&
+                bits(x.finish_time) == bits(y.finish_time) &&
+                x.path == y.path && bits(x.rate) == bits(y.rate) &&
+                bits(x.last_touched) == bits(y.last_touched) &&
+                x.attempts == y.attempts &&
+                bits(x.lost_bytes) == bits(y.lost_bytes) &&
+                bits(x.abort_time) == bits(y.abort_time) &&
+                x.cancelled == y.cancelled)
+        << "flow " << i;
+    const SimCoflow& owner =
+        a.coflow(a.job(x.job).coflows[static_cast<std::size_t>(
+            x.coflow_index)]);
+    const bool transmitting = !x.finished() && !x.cancelled && x.abort_time < 0;
+    if (priorities == Priorities::kAll || (live(owner) && transmitting)) {
+      EXPECT_TRUE(x.tier == y.tier && bits(x.weight) == bits(y.weight))
+          << "flow " << i << " priority";
+    }
+  }
+
+  ASSERT_EQ(a.coflow_count(), b.coflow_count());
+  for (std::size_t i = 0; i < a.coflow_count(); ++i) {
+    const CoflowId id{i};
+    const SimCoflow& x = a.coflow(id);
+    const SimCoflow& y = b.coflow(id);
+    EXPECT_TRUE(x.id == y.id && x.job == y.job && x.index == y.index &&
+                x.stage == y.stage && x.flows == y.flows &&
+                x.flows_remaining == y.flows_remaining &&
+                bits(x.release_time) == bits(y.release_time) &&
+                bits(x.finish_time) == bits(y.finish_time))
+        << "coflow " << i;
+    if (live(x)) {
+      EXPECT_TRUE(x.tier == y.tier && bits(x.weight) == bits(y.weight))
+          << "coflow " << i << " priority";
+    }
+    EXPECT_EQ(bits(a.coflow_bytes_sent(id)), bits(b.coflow_bytes_sent(id)))
+        << "coflow " << i;
+    EXPECT_EQ(bits(a.coflow_ell_max(id)), bits(b.coflow_ell_max(id)))
+        << "coflow " << i;
+    EXPECT_EQ(a.coflow_open_connections(id), b.coflow_open_connections(id))
+        << "coflow " << i;
+  }
+
+  ASSERT_EQ(a.job_count(), b.job_count());
+  for (std::size_t i = 0; i < a.job_count(); ++i) {
+    const SimJob& x = a.job(JobId{i});
+    const SimJob& y = b.job(JobId{i});
+    EXPECT_TRUE(x.id == y.id && x.coflows == y.coflows &&
+                x.stage_of == y.stage_of && x.num_stages == y.num_stages &&
+                bits(x.arrival_time) == bits(y.arrival_time) &&
+                bits(x.finish_time) == bits(y.finish_time) &&
+                bits(x.total_bytes) == bits(y.total_bytes) &&
+                x.failed == y.failed &&
+                x.completed_stages == y.completed_stages)
+        << "job " << i;
   }
 }
 

@@ -3,12 +3,15 @@
 // byte conservation, determinism, tick handling and failure guards.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "coflow/critical_path.h"
 #include "coflow/shapes.h"
 #include "flowsim/simulator.h"
 #include "sched/pfs.h"
 #include "topology/big_switch.h"
 #include "topology/fattree.h"
+#include "workload/feed.h"
 
 namespace gurita {
 namespace {
@@ -139,6 +142,37 @@ TEST_F(SimFixture, ParallelChainsOverlapStages) {
   // Chain 1 (100 B + 100 B) finishes at t=2 even though chain 0 runs to t=8.
   EXPECT_NEAR(r.coflows[3].finish, 2.0, 1e-9);
   EXPECT_NEAR(r.jobs[0].jct(), 8.0, 1e-9);
+}
+
+// validate() accepts a dependency listed twice. The engine releases a
+// coflow once every coflow it lists has finished, so the repeat changes
+// nothing: the job finishes exactly as with the dependency listed once.
+TEST_F(SimFixture, RepeatedDependencyReleasesOnce) {
+  const auto feed_job = [](const char* deps) {
+    std::istringstream in(
+        std::string("{\"id\": 1, \"arrival\": 0, \"coflows\": "
+                    "[{\"flows\": [{\"src\": 0, \"dst\": 1, \"bytes\": 200}]}, "
+                    "{\"flows\": [{\"src\": 1, \"dst\": 2, \"bytes\": 300}]}], "
+                    "\"deps\": ") +
+        deps + "}\n");
+    const std::vector<FeedJob> jobs = parse_feed(in, "deps", 16);
+    EXPECT_EQ(jobs.size(), 1u);
+    return jobs.front().spec;
+  };
+  const auto jct = [&](const JobSpec& job) {
+    PfsScheduler pfs;
+    Simulator sim(fabric_, pfs);
+    sim.submit(job);
+    const SimResults r = sim.run();
+    EXPECT_EQ(r.coflows.size(), 2u);
+    EXPECT_NEAR(r.coflows[1].release, 2.0, 1e-9);
+    return r.jobs.front().jct();
+  };
+  const JobSpec repeated = feed_job("[[], [0, 0]]");
+  ASSERT_EQ(repeated.deps[1].size(), 2u);
+  const Time want = jct(feed_job("[[], [0]]"));
+  EXPECT_NEAR(want, 5.0, 1e-9);
+  EXPECT_EQ(jct(repeated), want);
 }
 
 TEST_F(SimFixture, CompletedStagesTracksProgress) {

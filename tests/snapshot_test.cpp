@@ -476,6 +476,141 @@ TEST(SnapshotDeterminism, MidConvergenceSplitRebuildsAllocatorState) {
         << "job " << i;
 }
 
+// ------------------------------------------- derived restore bookkeeping ---
+
+/// What a set of pause points exercised, so a test can insist its workload
+/// reached the states the derived fields must survive.
+struct Coverage {
+  bool backing_off = false;  ///< a parked or backing-off flow at a pause
+  bool cancelled = false;    ///< a cancelled flow of an unfinished coflow
+  bool compacted = false;    ///< a compaction evicted jobs before a pause
+};
+
+/// Pauses a run at 20%, 50% and 80% of its makespan, optionally compacts
+/// it, checkpoints it and restores the snapshot into a fresh simulator
+/// built from the paused run's (surviving) job specs. Restore derives the
+/// flow lists, counters, endpoints and completed stages from the flow
+/// store, so the restored state must equal the paused one field by field,
+/// and a checkpoint of it must reproduce the snapshot's bytes. Both then
+/// run on by a tenth of the makespan: the restored run's assign() has
+/// rewritten every live priority by then.
+void expect_restore_rebuilds_state(const Fabric& fabric,
+                                   const std::string& name,
+                                   const std::vector<JobSpec>& jobs,
+                                   const Simulator::Config& config,
+                                   bool compact, Coverage& seen) {
+  const Time makespan =
+      run_uninterrupted(Scenario{fabric, name, jobs, config, false}).makespan;
+  for (const double fraction : {0.2, 0.5, 0.8}) {
+    SCOPED_TRACE("scheduler " + name + " at " + std::to_string(fraction) +
+                 " of the makespan");
+    const std::unique_ptr<Scheduler> sched = make_scheduler(name);
+    Simulator paused(fabric, *sched, config);
+    for (const JobSpec& job : jobs) paused.submit(job);
+    ASSERT_TRUE(paused.run_to(fraction * makespan));
+    if (compact && paused.compact().jobs_evicted > 0) seen.compacted = true;
+    snapshot::Writer w;
+    paused.checkpoint(w);
+    const std::string bytes = w.take();
+
+    const SimState& state = paused.state();
+    for (std::size_t i = 0; i < state.flow_count(); ++i) {
+      const SimFlow& f = state.flow(FlowId{i});
+      const SimCoflow& c =
+          state.coflow(state.job(f.job).coflows[static_cast<std::size_t>(
+              f.coflow_index)]);
+      if (!f.cancelled && f.abort_time >= 0) seen.backing_off = true;
+      if (f.cancelled && !c.finished()) seen.cancelled = true;
+    }
+
+    const std::unique_ptr<Scheduler> sched2 = make_scheduler(name);
+    Simulator restored(fabric, *sched2, config);
+    for (std::size_t j = 0; j < state.job_count(); ++j)
+      restored.submit(state.job(JobId{j}).spec);
+    snapshot::Reader r(bytes);
+    restored.restore(r);
+    expect_same_state(state, restored.state(), Priorities::kNone);
+    snapshot::Writer again;
+    restored.checkpoint(again);
+    EXPECT_TRUE(again.take() == bytes) << "re-checkpoint changed the bytes";
+
+    const Time later = (fraction + 0.1) * makespan;
+    (void)paused.run_to(later);
+    (void)restored.run_to(later);
+    expect_same_state(state, restored.state(), Priorities::kLive);
+  }
+}
+
+const std::vector<std::string> kDerivedStateSchedulers = {
+    "gurita", "gurita_plus", "aalo", "baraat"};
+
+// A fault plan that parks flows, fails jobs (a retry budget of two) and
+// loses scheduler state: restore must count cancelled flows as unfinished
+// and leave parked, backing-off and cancelled flows out of the open
+// connections.
+TEST(SnapshotRestore, RebuildsBookkeepingUnderFaults) {
+  const FatTree fabric(FatTree::Config{4});
+  const std::vector<JobSpec> jobs = small_trace(fabric, 17, 16);
+  // Rates scale with the fault-free makespan, so faults land mid-run.
+  const Time span =
+      run_uninterrupted(Scenario{fabric, "gurita", jobs, {}, false}).makespan;
+  FaultPlanConfig plan;
+  plan.host_crash_rate = 48 / span;
+  plan.link_flap_rate = 24 / span;
+  plan.state_loss_rate = 4 / span;
+  plan.horizon = 0.6 * span;
+  plan.mean_downtime = 0.05 * span;
+  Simulator::Config config;
+  config.faults = generate_fault_plan(plan, 77, fabric.num_hosts(),
+                                      fabric.topology().link_count());
+  config.faults.retry.max_attempts = 2;
+  ASSERT_TRUE(std::any_of(
+      config.faults.events.begin(), config.faults.events.end(),
+      [](const FaultEvent& e) {
+        return e.kind == FaultKind::kSchedulerStateLoss;
+      }));
+  Coverage seen;
+  for (const std::string& name : kDerivedStateSchedulers) {
+    const SimResults reference =
+        run_uninterrupted(Scenario{fabric, name, jobs, config, false});
+    EXPECT_GT(reference.failed_jobs, 0u) << name;
+    expect_restore_rebuilds_state(fabric, name, jobs, config,
+                                  /*compact=*/false, seen);
+  }
+  EXPECT_TRUE(seen.backing_off);
+  EXPECT_TRUE(seen.cancelled);
+}
+
+// Compaction renumbers flows, coflows and jobs; the derived flow lists
+// must come out in the compacted ids' order.
+TEST(SnapshotRestore, RebuildsBookkeepingAfterCompaction) {
+  const FatTree fabric(FatTree::Config{4});
+  const std::vector<JobSpec> jobs = small_trace(fabric, 23, 16);
+  Coverage seen;
+  for (const std::string& name : kDerivedStateSchedulers)
+    expect_restore_rebuilds_state(fabric, name, jobs, {}, /*compact=*/true,
+                                  seen);
+  EXPECT_TRUE(seen.compacted);
+}
+
+// GuritaPlus recomputes its critical-path flags from the job specs instead
+// of restoring them: the priorities it writes after a restore equal the
+// uninterrupted run's.
+TEST(SnapshotRestore, GuritaPlusPrioritiesSurviveRestore) {
+  const FatTree fabric(FatTree::Config{4});
+  const std::vector<JobSpec> jobs = small_trace(fabric, 11, 16);
+  Coverage seen;
+  expect_restore_rebuilds_state(fabric, "gurita_plus", jobs, {},
+                                /*compact=*/false, seen);
+  // And the resumed run finishes byte-identically.
+  Scenario s{fabric, "gurita_plus", jobs, {}, /*with_trace=*/true};
+  const SimResults reference = run_uninterrupted(s);
+  expect_split_invariant(s, {0.2 * reference.makespan,
+                             0.5 * reference.makespan,
+                             0.8 * reference.makespan},
+                         reference);
+}
+
 // ------------------------------------------------------- sampler cursor ---
 
 /// One timeline run: recorder + interval sampler at `every`, optionally
@@ -663,7 +798,7 @@ TEST(SnapshotRestore, RejectsCorruptCalendar) {
     for (std::size_t i = 0; i < state.flow_count(); ++i) {
       const SimFlow& f = state.flow(FlowId{i});
       if (f.finished()) finished = i;
-      if (f.active() && f.rate > 0 && f.remaining > kByteEpsilon)
+      if (!f.finished() && f.rate > 0 && f.remaining > kByteEpsilon)
         keyed.push_back({i, f.last_touched + f.remaining / f.rate});
     }
     if (keyed.size() >= 3 && finished != ~0ull) break;
@@ -853,44 +988,46 @@ void write_le32(std::string& bytes, std::size_t off, std::uint32_t v) {
 }
 
 /// Byte offsets into a simulator checkpoint's engine section (the layout
-/// save_engine writes): each flow's record, the fields after its path,
-/// each coflow's flow list, the coflow aggregates and the active set.
+/// save_engine writes): its length word, the flow count, each flow's
+/// record, the fields after its path, each coflow's record and the active
+/// set.
 struct EngineLayout {
-  std::vector<std::size_t> flows;         ///< u64 job, i32 coflow index, ...
-  std::vector<std::size_t> flow_tails;    ///< f64 size, ... bool cancelled
-  std::vector<std::size_t> coflow_lists;  ///< u64 count, then the flow ids
-  std::size_t aggregates = 0;  ///< per coflow: four f64, i32 open connections
-  std::size_t active = 0;                 ///< u64 count, then the flow ids
+  std::size_t length = 0;               ///< u64 engine section length
+  std::size_t flow_count = 0;           ///< u64 flow count
+  std::vector<std::size_t> flows;       ///< u64 job, i32 coflow index, path
+  std::vector<std::size_t> flow_tails;  ///< f64 remaining, ... bool cancelled
+  std::vector<std::size_t> coflows;     ///< f64 release time, f64 finish time
+  std::size_t active = 0;               ///< u64 count, then the flow ids
 };
 
 EngineLayout engine_layout(const std::string& bytes) {
   EngineLayout out;
   // Header (u32 magic, u32 version, u8 kind), the fingerprint section, the
-  // engine section's length, then now, dirty, iterations, next arrival and
-  // next tick.
-  std::size_t p = 9 + 8 + read_le64(bytes, 9) + 8;
-  p += 8 + 1 + 8 + 8 + 8;
+  // engine section's length, then now, dirty, next arrival and next tick.
+  out.length = 9 + 8 + read_le64(bytes, 9);
+  std::size_t p = out.length + 8;
+  p += 8 + 1 + 8 + 8;
   p += 8 + 8 * read_le64(bytes, p);  // link capacities
+  out.flow_count = p;
   const std::uint64_t n_flows = read_le64(bytes, p);
   p += 8;
   for (std::uint64_t i = 0; i < n_flows; ++i) {
     out.flows.push_back(p);
-    p += 8 + 3 * 4;                    // job, coflow index, two hosts
+    p += 8 + 4;                        // job, coflow index
     p += 8 + 8 * read_le64(bytes, p);  // path
     out.flow_tails.push_back(p);
-    // Six f64 sizes and times, attempts, lost bytes, abort time, cancelled.
-    p += 6 * 8 + 4 + 8 + 8 + 1;
+    // Four f64 bytes and times, attempts, lost bytes, abort time, cancelled.
+    p += 4 * 8 + 4 + 8 + 8 + 1;
   }
   const std::uint64_t n_coflows = read_le64(bytes, p);
   p += 8;
   for (std::uint64_t i = 0; i < n_coflows; ++i) {
-    out.coflow_lists.push_back(p);
-    p += 8 + 8 * read_le64(bytes, p) + 4 + 4 + 8 + 8;
+    out.coflows.push_back(p);
+    p += 8 + 8;
   }
   const std::uint64_t n_jobs = read_le64(bytes, p);
-  p += 8 + n_jobs * (4 + 8 + 1 + 4);  // job dynamic fields
-  out.aggregates = p;
-  p += n_coflows * (4 * 8 + 4);
+  p += 8 + n_jobs * (8 + 1);  // finish time, failed
+  p += n_coflows * 4 * 8;     // aggregates: four f64 each
   out.active = p;
   return out;
 }
@@ -952,17 +1089,16 @@ struct CorruptibleRun {
 };
 
 TEST(SnapshotRestore, RejectsCorruptFlowStore) {
-  // The engine indexes jobs, coflows, hosts and links with a flow's
-  // fields, and coflow finishes walk the coflow's flow list, so restore
-  // must reject every id it could not run on.
+  // The engine indexes jobs, coflows and links with a flow's fields, and
+  // restore reads each flow's endpoints and size from the job spec at the
+  // flow's position in its coflow, so restore must reject every id it
+  // could not run on and every coflow whose flows do not match its spec.
   const CorruptibleRun run;
   const EngineLayout& l = run.layout;
   ASSERT_EQ(l.flows.size(), 4u);
-  ASSERT_EQ(l.coflow_lists.size(), 3u);
+  ASSERT_EQ(l.coflows.size(), 3u);
   ASSERT_EQ(read_le64(run.bytes, l.flows[2]), 1u);  // flow 2's job
-  ASSERT_EQ(read_le64(run.bytes, l.flows[0] + 20), 2u);  // two-hop path
-  ASSERT_EQ(read_le64(run.bytes, l.coflow_lists[0]), 2u);
-  ASSERT_EQ(read_le64(run.bytes, l.coflow_lists[0] + 16), 1u);
+  ASSERT_EQ(read_le64(run.bytes, l.flows[0] + 12), 2u);  // two-hop path
   // The unpatched checkpoint restores and finishes.
   EXPECT_EQ(run.restore_and_run(run.bytes).jobs.size(), 3u);
 
@@ -976,21 +1112,35 @@ TEST(SnapshotRestore, RejectsCorruptFlowStore) {
       [&](std::string& b) { write_le32(b, l.flows[1] + 8, ~0u); },
       "flow coflow index out of range");
   run.expect_rejected(
-      [&](std::string& b) { write_le32(b, l.flows[0] + 12, 8); },
-      "flow host out of range");
-  run.expect_rejected(
-      [&](std::string& b) { write_le32(b, l.flows[3] + 16, ~0u); },
-      "flow host out of range");
-  run.expect_rejected(
-      [&](std::string& b) { write_le64(b, l.flows[2] + 36, 16); },
+      [&](std::string& b) { write_le64(b, l.flows[2] + 28, 16); },
       "flow path link out of range");
+  // A coflow whose flows disagree with its spec's flow count: flow 2 moved
+  // to job 0's coflow gives it three flows for a two-flow spec (and job
+  // 1's none); flow 3 moved to job 0 makes its third flow too.
+  run.expect_rejected([&](std::string& b) { write_le64(b, l.flows[2], 0); },
+                      "coflow flow count disagrees with its spec");
+  run.expect_rejected([&](std::string& b) { write_le64(b, l.flows[3], 0); },
+                      "coflow flow count disagrees with its spec");
+  // Flow 1 moved to job 2's coflow leaves job 0's coflow one flow short,
+  // and job 2's coflow ends up with two flows for a one-flow spec.
+  run.expect_rejected([&](std::string& b) { write_le64(b, l.flows[1], 2); },
+                      "coflow flow count disagrees with its spec");
+  // Flow 3, the store's last, cut out: job 2's released coflow holds no
+  // flow for a one-flow spec.
   run.expect_rejected(
-      [&](std::string& b) { write_le64(b, l.coflow_lists[0] + 16, 4); },
-      "coflow flow id out of range");
-  // Flow 2 belongs to job 1's coflow, not job 0's.
+      [&](std::string& b) {
+        const std::size_t cut = l.coflows.front() - 8 - l.flows[3];
+        b.erase(l.flows[3], cut);
+        write_le64(b, l.flow_count, 3);
+        write_le64(b, l.length, read_le64(b, l.length) - cut);
+      },
+      "coflow flow count disagrees with its spec");
+  // Job 2's coflow marked unreleased while it holds flow 3.
   run.expect_rejected(
-      [&](std::string& b) { write_le64(b, l.coflow_lists[0] + 16, 2); },
-      "coflow lists a flow of another coflow");
+      [&](std::string& b) {
+        write_le64(b, l.coflows[2], std::bit_cast<std::uint64_t>(-1.0));
+      },
+      "coflow flow count disagrees with its spec");
 }
 
 TEST(SnapshotRestore, RejectsCorruptActiveSet) {
@@ -1002,12 +1152,8 @@ TEST(SnapshotRestore, RejectsCorruptActiveSet) {
   ASSERT_EQ(read_le64(run.bytes, l.active + 8), 0u);
   ASSERT_EQ(read_le64(run.bytes, l.active + 16), 1u);
   ASSERT_EQ(read_le64(run.bytes, l.active + 24), 2u);
-  const std::size_t abort_time = 60;  // offsets into a flow's tail
-  const std::size_t cancelled = 68;
-  const std::size_t open_connections = 4 * 8;  // into a coflow's aggregate
-  // Job 0's coflow has two open connections: flows 0 and 1.
-  ASSERT_EQ(read_le64(run.bytes, l.aggregates + open_connections) & 0xffffffffu,
-            2u);
+  const std::size_t abort_time = 44;  // offsets into a flow's tail
+  const std::size_t cancelled = 52;
   ASSERT_EQ(std::bit_cast<double>(
                 read_le64(run.bytes, l.flow_tails[1] + abort_time)),
             -1.0);
@@ -1028,11 +1174,6 @@ TEST(SnapshotRestore, RejectsCorruptActiveSet) {
                    std::bit_cast<std::uint64_t>(0.25));
       },
       "active set holds a flow that is not transmitting");
-  run.expect_rejected(
-      [&](std::string& b) {
-        write_le32(b, l.aggregates + open_connections, 1);
-      },
-      "coflow open connections disagree with the active set");
 }
 
 /// Bytes of the first entry of a scheduler's first table, which starts at
@@ -1045,9 +1186,8 @@ std::size_t first_entry_bytes(const std::string& name,
     // i32 stage, three f64).
     return 8 + 4 + 8 + read_le64(payload, off + 12) * (8 + 4 + 3 * 8);
   }
-  if (name == "gurita_plus") return 8 + 8 + read_le64(payload, off + 8);
   if (name == "baraat") return 8 + 8;
-  return 8 + 4;  // aalo, mcs, stream: an i32 queue
+  return 8 + 4;  // aalo, gurita_plus, mcs, stream: an i32 queue
 }
 
 TEST(SnapshotRestore, RejectsCorruptSchedulerState) {
@@ -1069,12 +1209,18 @@ TEST(SnapshotRestore, RejectsCorruptSchedulerState) {
   for (const std::string name :
        {"gurita", "gurita_plus", "aalo", "baraat", "mcs", "stream"}) {
     SCOPED_TRACE("scheduler " + name);
+    // GuritaPlus keeps its one table, the last traced queue per coflow,
+    // only while queue changes are traced.
+    const bool traced = name == "gurita_plus";
     std::string bytes;
     std::string payload;
     std::uint64_t bound = 0;
     {
+      obs::TraceRecorder recorder(obs::TraceRecorder::kAllKinds);
+      Simulator::Config config;
+      if (traced) config.trace = &recorder;
       const std::unique_ptr<Scheduler> sched = make_scheduler(name);
-      Simulator sim(fabric, *sched);
+      Simulator sim(fabric, *sched, config);
       for (const JobSpec& job : jobs) sim.submit(job);
       ASSERT_TRUE(sim.run_to(0.3 * makespan));
       snapshot::Writer w;
@@ -1083,8 +1229,9 @@ TEST(SnapshotRestore, RejectsCorruptSchedulerState) {
       snapshot::Writer sw;
       sched->save_state(sw);
       payload = sw.take();
-      bound = name == "aalo" || name == "mcs" ? sim.state().coflow_count()
-                                              : sim.state().job_count();
+      bound = name == "aalo" || name == "mcs" || name == "gurita_plus"
+                  ? sim.state().coflow_count()
+                  : sim.state().job_count();
     }
     const std::size_t base = bytes.size() - payload.size();
     ASSERT_EQ(bytes.substr(base), payload);
@@ -1099,8 +1246,11 @@ TEST(SnapshotRestore, RejectsCorruptSchedulerState) {
     ASSERT_LT(second, bound);
 
     const auto restore = [&](const std::string& snap) {
+      obs::TraceRecorder recorder(obs::TraceRecorder::kAllKinds);
+      Simulator::Config config;
+      if (traced) config.trace = &recorder;
       const std::unique_ptr<Scheduler> sched = make_scheduler(name);
-      Simulator other(fabric, *sched);
+      Simulator other(fabric, *sched, config);
       for (const JobSpec& job : jobs) other.submit(job);
       snapshot::Reader r(snap);
       other.restore(r);
@@ -1141,14 +1291,6 @@ TEST(SnapshotRestore, RejectsCorruptSchedulerState) {
         [&](std::string& b) { write_le64(b, base, payload.size() / 8 + 1); },
         "bytes left");
 
-    if (name == "gurita_plus") {
-      // decide_priorities() indexes the flags with coflow indices.
-      expect_rejected(
-          [&](std::string& b) {
-            write_le64(b, key0 + 8, read_le64(b, key0 + 8) - 1);
-          },
-          "critical-path flags");
-    }
     if (name == "gurita") {
       // Past both tables and the AVA mean (f64 sum, u64 count): the
       // adaptive learner's total, since-refresh, next slot and reservoir

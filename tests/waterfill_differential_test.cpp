@@ -28,7 +28,6 @@ SimFlow make_flow(std::uint64_t id, std::vector<LinkId> path, Tier tier,
   f.id = FlowId{id};
   f.size = 1000;
   f.remaining = 1000;
-  f.start_time = 0;
   f.path = std::move(path);
   f.tier = tier;
   f.weight = weight;
